@@ -110,7 +110,7 @@ def figure_config(figure: str, seed: int | None = None) -> ExperimentConfig:
         noise=spec["noise"],
         m_list=tuple(spec["m_list"]),
         n_sequences=spec["n_sequences"],
-        seed=spec["default_seed"] if seed is None else int(seed),
+        seed=spec["default_seed"] if seed is None else seed,
     )
 
 
@@ -246,14 +246,9 @@ def reproduce_figure(
     cfg = figure_config(figure, seed)
     dataset = run_experiment(cfg, jobs=jobs)
     result = fit(spec["model"], dataset)
-    if figure == "fig1":
-        fitted = result.params["decay"]
-        stderr = result.stderr["decay"]
-        oracle = _fig1_oracle(cfg)
-    else:
-        fitted = result.params["decay"]
-        stderr = result.stderr["decay"]
-        oracle = _fig2_oracle(cfg, oracle_samples)
+    fitted = result.params["decay"]
+    stderr = result.stderr["decay"]
+    oracle = _fig1_oracle(cfg) if figure == "fig1" else _fig2_oracle(cfg, oracle_samples)
     passed = abs(fitted - oracle) <= 3.0 * stderr
     report = {
         "figure": figure,
@@ -275,6 +270,11 @@ def cmd_reproduce(args) -> int:
     from pathlib import Path
 
     started = time.monotonic()
+    try:
+        cfg = figure_config(args.figure, args.seed)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -296,7 +296,7 @@ def cmd_reproduce(args) -> int:
         fh.write("\n")
     outputs.extend([str(fit_path), str(report_path)])
     manifest = RunManifest(
-        config=figure_config(args.figure, args.seed).to_dict(),
+        config=cfg.to_dict(),
         seed=report["seed"],
         tool_version=_tool_version(),
         outputs=outputs,

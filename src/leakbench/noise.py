@@ -177,6 +177,80 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _haar_entries(z: np.ndarray):
+    """Entries (u00, u01, u10, u11) of Haar-random 2 x 2 unitaries from Ginibre z (..., 2, 2).
+
+    Closed-form Gram-Schmidt with R's diagonal real-positive, the same unique
+    Q as the QR plus phase fix of :func:`haar_unitary`: the first column (a, c)
+    is z's first normalized, the second is (-c*, a*) times the phase of its
+    overlap w with z's second column.
+    """
+    z00, z01, z10, z11 = z[..., 0, 0], z[..., 0, 1], z[..., 1, 0], z[..., 1, 1]
+    norm = np.sqrt(np.abs(z00) ** 2 + np.abs(z10) ** 2)
+    a, c = z00 / norm, z10 / norm
+    w = a * z11 - c * z01
+    e = w / np.abs(w)
+    return a, -e * c.conj(), c, e * a.conj()
+
+
+def shelving_unitaries(phi: float, gammas: np.ndarray, z1: np.ndarray, z2: np.ndarray):
+    """Composite unitaries V(g2) R(u2) V(g1) R(u1) on the qutrit, batched.
+
+    gammas (..., 2) holds the pulse angles g1, g2; z1 and z2 (..., 2, 2) are
+    the Ginibre matrices of u1 and u2.  The product is formed entry by entry
+    from the block structure: R(u) = (cos(phi) I + i sin(phi) u X u^dag) (+) 1
+    mixes levels {0, 1} and V(g) = 1 (+) [[i sin g, cos g], [cos g, i sin g]]
+    mixes levels {1, 2}.  Returns (..., 3, 3).
+    """
+    rotations = []
+    for z in (z1, z2):
+        u00, u01, u10, u11 = _haar_entries(z)
+        # u X u^dag is Hermitian and traceless: [[h, k], [k*, -h]].
+        h, k = 2.0 * np.real(u00 * u01.conj()), u01 * u10.conj() + u00 * u11.conj()
+        cos_phi, isin_phi = np.cos(phi), 1j * np.sin(phi)
+        rotations.append(
+            (cos_phi + isin_phi * h, isin_phi * k, isin_phi * k.conj(), cos_phi - isin_phi * h)
+        )
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = rotations
+    # Rows of V(g1) R(u1), then rows {0, 1} after R(u2), then rows {1, 2} after V(g2).
+    c, i_s = np.cos(gammas[..., 0]), 1j * np.sin(gammas[..., 0])
+    p0, p1, p2 = (a00, a01, 0.0 * c), (i_s * a10, i_s * a11, c), (c * a10, c * a11, i_s)
+    q0 = [b00 * x + b01 * y for x, y in zip(p0, p1)]
+    q1 = [b10 * x + b11 * y for x, y in zip(p0, p1)]
+    c, i_s = np.cos(gammas[..., 1]), 1j * np.sin(gammas[..., 1])
+    r1 = [i_s * x + c * y for x, y in zip(q1, p2)]
+    r2 = [c * x + i_s * y for x, y in zip(q1, p2)]
+    return np.moveaxis(np.array([q0, r1, r2], dtype=complex), (0, 1), (-2, -1))
+
+
+class ShelvingNoiseSampler:
+    """Draws a fresh shelving-noise unitary per gate application.
+
+    One draw takes ``n_normals`` standard normals: the two pulse-angle
+    deviates, then the real and imaginary parts of the first and of the
+    second 2 x 2 Ginibre matrix (row-major).
+    """
+
+    n_normals = 18
+
+    def __init__(self, params: ShelvingParams):
+        self.params = params
+        self.space = QUTRIT
+
+    def unitaries(self, normals: np.ndarray) -> np.ndarray:
+        """Map standard normals (..., 18) to composite unitaries (..., 3, 3)."""
+        normals = np.asarray(normals)
+        re_im = normals[..., 2:].reshape(normals.shape[:-1] + (2, 2, 2, 2))
+        z = re_im[..., 0, :, :] + 1j * re_im[..., 1, :, :]
+        gammas = self.params.sigma_gamma * normals[..., :2]
+        return shelving_unitaries(self.params.phi, gammas, z[..., 0, :, :], z[..., 1, :, :])
+
+    def sample(self, rng) -> Channel:
+        """One draw from ``rng``, as a unitary channel."""
+        normals = as_generator(rng).standard_normal(self.n_normals)
+        return Channel.unitary(QUTRIT, self.unitaries(normals))
+
+
 def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
     """One draw of the composite shelving-noise unitary on the qutrit.
 
@@ -186,61 +260,11 @@ def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
     the combined space, but trace-decreasing when restricted to the code
     space for generic pulse angles.
     """
-    gen = as_generator(rng)
-    gamma1, gamma2 = gen.normal(0.0, sp.sigma_gamma, size=2)
-    u1 = haar_unitary(2, gen)
-    u2 = haar_unitary(2, gen)
-    composite = (
-        shelving_pulse(gamma2)
-        @ code_rotation(sp.phi, u2)
-        @ shelving_pulse(gamma1)
-        @ code_rotation(sp.phi, u1)
-    )
-    return Channel.unitary(QUTRIT, composite)
+    return ShelvingNoiseSampler(sp).sample(rng)
 
 
-class ShelvingNoiseSampler:
-    """Draws a fresh shelving-noise channel per gate application."""
-
-    def __init__(self, params: ShelvingParams):
-        self.params = params
-        self.space = QUTRIT
-
-    def sample(self, rng) -> Channel:
-        return sample_coherent_noise(self.params, rng)
-
-
-def _haar_batch(dim: int, n: int, gen: np.random.Generator) -> np.ndarray:
-    z = (gen.normal(size=(n, dim, dim)) + 1j * gen.normal(size=(n, dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
-
-
-def _batch_coherent_liouville_sum(
-    sp: ShelvingParams, n: int, gen: np.random.Generator
-) -> np.ndarray:
-    """Sum of n sampled shelving-noise Liouville matrices (9 x 9)."""
-    gammas = gen.normal(0.0, sp.sigma_gamma, size=(n, 2))
-    u1 = _haar_batch(2, n, gen)
-    u2 = _haar_batch(2, n, gen)
-
-    def pulses(g: np.ndarray) -> np.ndarray:
-        v = np.zeros((n, 3, 3), dtype=complex)
-        v[:, 0, 0] = 1.0
-        v[:, 1, 1] = v[:, 2, 2] = 1j * np.sin(g)
-        v[:, 1, 2] = v[:, 2, 1] = np.cos(g)
-        return v
-
-    def rotations(u: np.ndarray) -> np.ndarray:
-        axis = u @ PAULI_X @ np.conj(np.transpose(u, (0, 2, 1)))
-        du = np.zeros((n, 3, 3), dtype=complex)
-        du[:, :2, :2] = np.cos(sp.phi) * np.eye(2) + 1j * np.sin(sp.phi) * axis
-        du[:, 2, 2] = 1.0
-        return du
-
-    m = pulses(gammas[:, 1]) @ rotations(u2) @ pulses(gammas[:, 0]) @ rotations(u1)
-    return np.einsum("bij,bkl->ikjl", m, m.conj()).reshape(9, 9)
+#: Draws per chunk of the Monte Carlo average; bounds its peak memory.
+_MC_CHUNK = 10_000
 
 
 def averaged_coherent_channel(
@@ -250,17 +274,25 @@ def averaged_coherent_channel(
 
     The Liouville matrix is the mean over n_samples independent draws; the
     returned channel serves as the theory oracle for the coherent survival
-    rate.  Sampling is batched and fully determined by the stream.
+    rate.  Each batch draws the pulse angles (b, 2), then the real and
+    imaginary parts of the first and of the second Ginibre matrices, so the
+    result is fully determined by the stream and the batch size.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     gen = as_generator(rng)
-    total = np.zeros((9, 9), dtype=complex)
-    remaining = n_samples
-    while remaining > 0:
-        b = min(batch_size, remaining)
-        total += _batch_coherent_liouville_sum(sp, b, gen)
-        remaining -= b
+    gram = np.zeros((9, 9), dtype=complex)  # sum of vec(U) vec(U)^dag
+    for start in range(0, n_samples, batch_size):
+        b = min(batch_size, n_samples - start)
+        gammas = gen.normal(0.0, sp.sigma_gamma, size=(b, 2))
+        z1 = gen.normal(size=(b, 2, 2)) + 1j * gen.normal(size=(b, 2, 2))
+        z2 = gen.normal(size=(b, 2, 2)) + 1j * gen.normal(size=(b, 2, 2))
+        for lo in range(0, b, _MC_CHUNK):
+            hi = lo + _MC_CHUNK
+            u = shelving_unitaries(sp.phi, gammas[lo:hi], z1[lo:hi], z2[lo:hi]).reshape(-1, 9)
+            gram += u.T @ u.conj()
+    # Reorder [(i, j), (k, l)] to the Liouville index [(i, k), (j, l)] of kron(U, U*).
+    total = gram.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
     return Channel.from_liouville(QUTRIT, total / n_samples)
 
 

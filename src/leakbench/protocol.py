@@ -14,6 +14,8 @@ import csv
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -102,6 +104,16 @@ def spam_to_dict(spam: SpamSpec) -> dict:
     return doc
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an int; a ConfigError naming ``key`` if it is not integral."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must hold integers, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must hold integers, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one benchmarking run."""
@@ -115,11 +127,17 @@ class ExperimentConfig:
     spam: dict | None = None
 
     def __post_init__(self):
-        if not self.m_list or any(int(m) < 1 for m in self.m_list):
+        m_list = tuple(_integer("m_list", m) for m in self.m_list)
+        if not m_list or min(m_list) < 1:
             raise ConfigError("m_list must be nonempty with all lengths >= 1")
-        object.__setattr__(self, "m_list", tuple(int(m) for m in self.m_list))
+        object.__setattr__(self, "m_list", m_list)
+        for key in ("n_sequences", "seed", "shots"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.n_sequences < 1:
             raise ConfigError("n_sequences must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.shots is not None and self.shots < 1:
             raise ConfigError("shots must be >= 1 when given")
 
@@ -130,9 +148,9 @@ class ExperimentConfig:
                 gateset=str(doc["gateset"]),
                 noise=doc.get("noise"),
                 m_list=tuple(doc["m_list"]),
-                n_sequences=int(doc["n_sequences"]),
-                seed=int(doc["seed"]),
-                shots=None if doc.get("shots") is None else int(doc["shots"]),
+                n_sequences=doc["n_sequences"],
+                seed=doc["seed"],
+                shots=doc.get("shots"),
                 spam=doc.get("spam"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -163,21 +181,6 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class SequenceRecord:
-    """One executed sequence: length, gate indices (0-based), probability."""
-
-    m: int
-    indices: tuple
-    probability: float
-
-    def __post_init__(self):
-        if len(self.indices) != self.m:
-            raise ValueError("index list length must equal the sequence length")
-        if not -DEFAULT_TOL <= self.probability <= 1.0 + DEFAULT_TOL:
-            raise ValueError(f"probability {self.probability} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -317,60 +320,97 @@ def shot_estimate(p: float, shots: int, rng) -> float:
 
 def _experiment_components(cfg: ExperimentConfig):
     gs = gateset_by_id(cfg.gateset)
-    noise_root = _noise_root(cfg)
-    noise = build_noise_model(cfg.noise, gs, noise_root)
-    spam = spam_from_dict(cfg.spam, gs.space)
-    return gs, noise, spam, noise_root
-
-
-def _noise_root(cfg: ExperimentConfig) -> RandomStream:
     params = (cfg.noise or {}).get("params") or {}
-    if "seed" in params:
-        return RandomStream(int(params["seed"]))
-    return RandomStream(cfg.seed)
+    noise_root = RandomStream(int(params.get("seed", cfg.seed)))
+    noise = build_noise_model(cfg.noise, gs, noise_root)
+    return gs, noise, spam_from_dict(cfg.spam, gs.space), noise_root
 
 
-def _single_probability(cfg, gs, noise, spam, noise_root, m: int, j: int) -> float:
-    gen = RandomStream(cfg.seed).child(m, j, _SEQ_KEY).generator()
-    indices = sample_sequence(m, len(gs), gen)
-    noise_gen = None
+def run_sequences(
+    indices,
+    gateset: GateSet,
+    noise: NoiseAssignment | None,
+    spam: SpamSpec | None = None,
+    normals: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact survival probabilities of n gate sequences of equal length m.
+
+    The batched form of :func:`run_sequence`: ``indices`` is (n, m) and the
+    n states evolve together as an (n, d^2) stack.  Fixed noise applies the
+    gathered step matrices G_g E_g.  Stochastic noise maps ``normals``
+    (n, m, k) to one unitary U per sequence and step through its sampler and
+    applies (G_g U) rho (G_g U)^dag.
+    """
+    if noise is not None and noise.space != gateset.space:
+        raise ValueError("noise assignment acts on a different space")
+    indices = np.asarray(indices, dtype=np.intp)
+    if indices.min() < 0 or indices.max() >= len(gateset):
+        raise ValueError(f"gate index out of range [0, {len(gateset)})")
+    if spam is None:
+        spam = SpamSpec.ideal(gateset.space)
+    n, m = indices.shape
+    states = np.tile(spam.state_vector(), (n, 1))
     if noise is not None and noise.stochastic:
-        noise_gen = noise_root.child(m, j, _NOISE_KEY).generator()
-    p = run_sequence(indices, gs, noise, spam, rng=noise_gen)
+        if normals is None:
+            raise ValueError("stochastic noise needs per-step normals")
+        gates = np.array(gateset.gates)
+        rho = states.reshape(n, gateset.space.d, -1)
+        for t in range(m):
+            w = gates[indices[:, t]] @ noise.sampler.unitaries(normals[:, t])
+            rho = w @ rho @ np.conj(np.swapaxes(w, -1, -2))
+        states = rho.reshape(n, -1)
+    else:
+        steps = gateset.gate_liouvilles
+        if noise is not None:
+            steps = [g_lio @ ch.liouville for g_lio, ch in zip(steps, noise.channels)]
+        steps = np.array(steps)
+        for t in range(m):
+            states = np.einsum("nij,nj->ni", steps[indices[:, t]], states)
+    return np.real(states @ spam.effect_vector())
+
+
+def _length_probabilities(cfg: ExperimentConfig, m: int, components=None) -> np.ndarray:
+    """The n_sequences probabilities at length m, from the streams of each (m, j)."""
+    gs, noise, spam, noise_root = components or _experiment_components(cfg)
+    js = range(cfg.n_sequences)
+    gens = [RandomStream(cfg.seed).child(m, j, _SEQ_KEY).generator() for j in js]
+    indices = [sample_sequence(m, len(gs), gen) for gen in gens]
+    normals = None
+    if noise is not None and noise.stochastic:
+        shape = (m, noise.sampler.n_normals)
+        normals = np.array(
+            [noise_root.child(m, j, _NOISE_KEY).generator().standard_normal(shape) for j in js]
+        )
+    ps = run_sequences(indices, gs, noise, spam, normals)
+    bad = (ps < -DEFAULT_TOL) | (ps > 1.0 + DEFAULT_TOL)
+    if bad.any():
+        raise ValueError(f"probability {ps[bad][0]} outside [0, 1]")
     if cfg.shots is not None:
-        p = shot_estimate(p, cfg.shots, gen)
-    return SequenceRecord(m=m, indices=indices, probability=p).probability
-
-
-def _sequence_block(cfg_dict: dict, m: int, j_start: int, j_stop: int):
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    gs, noise, spam, noise_root = _experiment_components(cfg)
-    return [
-        _single_probability(cfg, gs, noise, spam, noise_root, m, j)
-        for j in range(j_start, j_stop)
-    ]
+        ps = np.array([shot_estimate(p, cfg.shots, gen) for p, gen in zip(ps, gens)])
+    return ps
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> DecayDataset:
     """Run the full protocol described by ``cfg``.
 
-    Sequence j at length m draws from a stream derived from (seed, m, j), so
-    results are reproducible under partial re-runs and parallel execution.
+    Sequence j at length m draws its gates (then its shots) from a stream
+    derived from (seed, m, j) and its noise from a sibling stream, so results
+    are reproducible under partial re-runs.  With ``jobs`` > 1 the lengths are
+    shared out over min(jobs, len(m_list), cpu count) processes, with output
+    identical to the serial run.
     """
-    if jobs > 1:
-        probabilities = _run_parallel(cfg, jobs)
+    workers = min(jobs, len(cfg.m_list), os.cpu_count() or 1)
+    if workers > 1:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            futures = {m: pool.submit(_length_probabilities, cfg, m) for m in cfg.m_list}
+            probabilities = {m: fut.result() for m, fut in futures.items()}
     else:
-        gs, noise, spam, noise_root = _experiment_components(cfg)
-        probabilities = {
-            m: [
-                _single_probability(cfg, gs, noise, spam, noise_root, m, j)
-                for j in range(cfg.n_sequences)
-            ]
-            for m in cfg.m_list
-        }
+        components = _experiment_components(cfg)
+        probabilities = {m: _length_probabilities(cfg, m, components) for m in cfg.m_list}
     points = []
     for m in cfg.m_list:
-        ps = np.array(probabilities[m], dtype=float)
+        ps = probabilities[m]
         sem = float(ps.std(ddof=1) / np.sqrt(len(ps))) if len(ps) > 1 else 0.0
         points.append(DecayPoint(m=m, mean=float(ps.mean()), sem=sem, n=len(ps)))
     from . import __version__
@@ -382,21 +422,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> DecayDataset:
         "tool_version": __version__,
     }
     return DecayDataset(points=tuple(points), provenance=provenance)
-
-
-def _run_parallel(cfg: ExperimentConfig, jobs: int) -> dict:
-    cfg_dict = cfg.to_dict()
-    chunk = max(1, -(-cfg.n_sequences // jobs))
-    tasks = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for m in cfg.m_list:
-            for start in range(0, cfg.n_sequences, chunk):
-                stop = min(start + chunk, cfg.n_sequences)
-                tasks.append((m, pool.submit(_sequence_block, cfg_dict, m, start, stop)))
-        probabilities: dict = {m: [] for m in cfg.m_list}
-        for m, fut in tasks:  # submission order preserves (m, j) order
-            probabilities[m].extend(fut.result())
-    return probabilities
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,27 @@ def test_simulate_unknown_gateset_is_simulation_error(tmp_path):
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_SIMULATION_ERROR
 
 
+def test_simulate_non_integral_length_and_negative_seed_are_config_errors(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    fractional = write_config(tmp_path, {**NOISELESS, "m_list": [1.7]})
+    assert main(["simulate", "--config", fractional, "--out", out]) == EXIT_CONFIG_ERROR
+    assert "m_list" in capsys.readouterr().err
+    cfg_path = write_config(tmp_path, NOISELESS)
+    code = main(["simulate", "--config", cfg_path, "--out", out, "--seed", "-1"])
+    assert code == EXIT_CONFIG_ERROR
+    assert "seed" in capsys.readouterr().err
+    negative = write_config(tmp_path, {**NOISELESS, "seed": -4})
+    assert main(["simulate", "--config", negative, "--out", out]) == EXIT_CONFIG_ERROR
+    assert "seed" in capsys.readouterr().err
+
+
+def test_reproduce_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["reproduce", "fig1", "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG_ERROR
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bundled_configs_match_figure_definitions():
     for fig in ("fig1", "fig2"):
         on_disk = json.loads((CONFIGS / fig).with_suffix(".json").read_text())
@@ -187,6 +208,16 @@ def test_reproduce_fig1_byte_identical(tmp_path):
     assert main(["reproduce", "fig1", "--out", str(out2), "--seed", "5150"]) in (0, 1)
     assert (out1 / "decay.csv").read_bytes() == (out2 / "decay.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_reproduce_fig2_byte_identical_serial_and_parallel(tmp_path, capsys):
+    blobs = []
+    for name, extra in (("a", []), ("b", []), ("c", ["--jobs", "2"])):
+        out = tmp_path / name
+        assert main(["reproduce", "fig2", "--out", str(out), "--seed", "101", *extra]) == EXIT_OK
+        assert "fig2 PASS" in capsys.readouterr().out
+        blobs.append((out / "decay.csv").read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from leakbench.noise import (
     QUTRIT,
     RandomStream,
     ShelvingNoiseSampler,
-    _haar_batch,
+    _haar_entries,
     build_noise_model,
     sample_filter_assignment,
     sample_filter_params,
@@ -213,10 +213,18 @@ def test_haar_unitary_reproducible():
     assert np.array_equal(a, b)
 
 
+def _ginibre(n, gen):
+    return gen.normal(size=(n, 2, 2)) + 1j * gen.normal(size=(n, 2, 2))
+
+
+def _haar_batch(n, gen):
+    return np.stack(_haar_entries(_ginibre(n, gen)), axis=-1).reshape(n, 2, 2)
+
+
 def test_haar_one_design_property():
     gen = RandomStream(13).generator()
     rho = np.diag([1.0, 0.0]).astype(complex)
-    us = _haar_batch(2, 100_000, gen)
+    us = _haar_batch(100_000, gen)
     evolved = us @ rho @ np.conj(np.transpose(us, (0, 2, 1)))
     mean = evolved.mean(axis=0)
     assert np.max(np.abs(mean - np.eye(2) / 2)) < 0.005
@@ -224,9 +232,45 @@ def test_haar_one_design_property():
 
 def test_haar_batch_matches_single_draw_distribution():
     # batch path must produce unitaries too
-    us = _haar_batch(2, 100, RandomStream(14).generator())
+    us = _haar_batch(100, RandomStream(14).generator())
     for u in us:
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
+
+
+def test_closed_form_haar_matches_lapack_qr():
+    z = _ginibre(2000, RandomStream(15).generator())
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    reference = q * (d / np.abs(d))[:, None, :]
+    closed = np.stack(_haar_entries(z), axis=-1).reshape(-1, 2, 2)
+    assert np.max(np.abs(closed - reference)) < 1e-13
+
+
+def test_coherent_noise_matches_explicit_product():
+    # The scalar draw order: two pulse angles, then u1 and u2 as QR-based
+    # Haar unitaries, each from the real then the imaginary Ginibre part.
+    sp = lb.ShelvingParams()
+    for seed in range(1000):
+        gen = RandomStream(seed, key=(5,)).generator()
+        gamma1, gamma2 = gen.normal(0.0, sp.sigma_gamma, size=2)
+        u1, u2 = lb.haar_unitary(2, gen), lb.haar_unitary(2, gen)
+        explicit = (
+            lb.shelving_pulse(gamma2)
+            @ lb.code_rotation(sp.phi, u2)
+            @ lb.shelving_pulse(gamma1)
+            @ lb.code_rotation(sp.phi, u1)
+        )
+        (u,) = lb.sample_coherent_noise(sp, RandomStream(seed, key=(5,))).kraus
+        assert np.max(np.abs(u - explicit)) < 1e-13
+
+
+def test_sampler_batch_matches_single_draws():
+    sampler = ShelvingNoiseSampler(lb.ShelvingParams(phi=0.3, sigma_gamma=0.5))
+    normals = RandomStream(16).generator().standard_normal((4, 5, sampler.n_normals))
+    batch = sampler.unitaries(normals)
+    assert batch.shape == (4, 5, 3, 3)
+    for idx in np.ndindex(4, 5):
+        assert np.max(np.abs(batch[idx] - sampler.unitaries(normals[idx]))) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +322,10 @@ def test_averaged_channel_rejects_bad_count():
 
 
 def test_batch_sampling_matches_scalar_path():
-    from leakbench.noise import _batch_coherent_liouville_sum
-
+    # One Monte Carlo draw consumes the stream in the scalar order.
     sp = lb.ShelvingParams()
     single = lb.sample_coherent_noise(sp, RandomStream(88).generator()).liouville
-    batch = _batch_coherent_liouville_sum(sp, 1, RandomStream(88).generator())
+    batch = lb.averaged_coherent_channel(sp, 1, RandomStream(88).generator()).liouville
     assert np.max(np.abs(single - batch)) < 1e-14
 
 

@@ -12,13 +12,16 @@ from leakbench.protocol import (
     ConfigError,
     DecayDataset,
     ExperimentConfig,
-    SequenceRecord,
     SpamSpec,
     brute_force_expectation,
     decay_parameters,
     predicted_expectation,
+    _NOISE_KEY,
+    _SEQ_KEY,
+    _experiment_components,
     run_experiment,
     run_sequence,
+    run_sequences,
     sample_sequence,
     shot_estimate,
 )
@@ -64,14 +67,6 @@ def test_sample_sequence_uniform_frequencies():
 def test_sample_sequence_validation():
     with pytest.raises(ValueError):
         sample_sequence(0, 4, RandomStream(1))
-
-
-def test_sequence_record_invariants():
-    SequenceRecord(m=3, indices=(0, 1, 2), probability=1.0)
-    with pytest.raises(ValueError):
-        SequenceRecord(m=2, indices=(0, 1, 2), probability=1.0)
-    with pytest.raises(ValueError):
-        SequenceRecord(m=1, indices=(0,), probability=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +123,16 @@ def test_run_sequence_space_mismatch():
     na = NoiseAssignment.uniform(Channel.identity(QUTRIT), 4)
     with pytest.raises(ValueError):
         run_sequence((0,), gs, na)
+    with pytest.raises(ValueError):
+        run_sequences([(0,)], gs, na)
+
+
+def test_run_sequences_index_validation():
+    gs = lb.pauli_gateset()
+    with pytest.raises(ValueError):
+        run_sequences([(0, 4)], gs, None)
+    with pytest.raises(ValueError):
+        run_sequences([(-1, 0)], gs, None)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +190,16 @@ def test_config_validation():
         )
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"gateset": "pauli"})
+    with pytest.raises(ConfigError, match="m_list"):
+        ExperimentConfig(gateset="pauli", noise=None, m_list=(1.7,), n_sequences=5, seed=1)
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(gateset="pauli", noise=None, m_list=(5,), n_sequences=5, seed=-1)
+    with pytest.raises(ConfigError, match="n_sequences"):
+        ExperimentConfig.from_dict(
+            {"gateset": "pauli", "m_list": [5], "n_sequences": 2.5, "seed": 1}
+        )
+    exact = ExperimentConfig(gateset="pauli", noise=None, m_list=(5.0,), n_sequences=5, seed=1)
+    assert exact.m_list == (5,) and isinstance(exact.m_list[0], int)
 
 
 def test_config_roundtrip_and_hash():
@@ -255,10 +270,19 @@ def test_run_experiment_parallel_matches_serial():
         n_sequences=10,
         seed=17,
     )
-    serial = run_experiment(cfg, jobs=1)
-    parallel = run_experiment(cfg, jobs=3)
-    assert np.array_equal(serial.means, parallel.means)
-    assert np.array_equal(serial.sems, parallel.sems)
+    stochastic = ExperimentConfig(
+        gateset="shelving",
+        noise={"id": "shelving", "params": {}},
+        m_list=(2, 5),
+        n_sequences=6,
+        seed=17,
+        shots=300,
+    )
+    for c in (cfg, stochastic):
+        serial = run_experiment(c, jobs=1)
+        parallel = run_experiment(c, jobs=3)
+        assert np.array_equal(serial.means, parallel.means)
+        assert np.array_equal(serial.sems, parallel.sems)
 
 
 def test_run_experiment_with_shots():
@@ -274,6 +298,77 @@ def test_run_experiment_with_shots():
     # shot estimates are multiples of 1/200
     values = ds.means * ds.counts * 200
     assert np.allclose(values, np.round(values), atol=1e-9)
+
+
+def _per_sequence_reference(cfg):
+    """Means and sems from run_sequence, one sequence at a time, on the same streams."""
+    gs, noise, spam, noise_root = _experiment_components(cfg)
+    means, sems = [], []
+    for m in cfg.m_list:
+        ps = []
+        for j in range(cfg.n_sequences):
+            gen = RandomStream(cfg.seed).child(m, j, _SEQ_KEY).generator()
+            indices = sample_sequence(m, len(gs), gen)
+            noise_gen = None
+            if noise is not None and noise.stochastic:
+                noise_gen = noise_root.child(m, j, _NOISE_KEY).generator()
+            p = run_sequence(indices, gs, noise, spam, rng=noise_gen)
+            ps.append(p if cfg.shots is None else shot_estimate(p, cfg.shots, gen))
+        means.append(np.mean(ps))
+        sems.append(np.std(ps, ddof=1) / np.sqrt(len(ps)))
+    return np.array(means), np.array(sems)
+
+
+def _spam_doc(space, seed):
+    from leakbench.liouville import channel_to_dict
+
+    rng = np.random.default_rng(seed)
+    return {
+        "prep": channel_to_dict(random_channel(space, rng, scale=0.98)),
+        "meas": channel_to_dict(random_channel(space, rng, scale=0.99)),
+    }
+
+
+@pytest.mark.parametrize(
+    "gateset, noise, spam, shots",
+    [
+        ("shelving", {"id": "shelving", "params": {}}, None, None),
+        ("shelving", {"id": "shelving", "params": {"phi": 0.2, "sigma_gamma": 0.4}}, QUTRIT, 400),
+        ("pauli", {"id": "filter", "params": {"seed": 8}}, None, None),
+        ("pauli", {"id": "filter", "params": {}}, QUBIT, 250),
+        ("shelving", None, QUTRIT, None),
+    ],
+    ids=["shelving", "shelving-spam-shots", "filter", "filter-spam-shots", "noiseless-spam"],
+)
+def test_batched_engine_matches_per_sequence_reference(gateset, noise, spam, shots):
+    cfg = ExperimentConfig(
+        gateset=gateset,
+        noise=noise,
+        m_list=(1, 3, 12),
+        n_sequences=9,
+        seed=29,
+        shots=shots,
+        spam=None if spam is None else _spam_doc(spam, 41),
+    )
+    dataset = run_experiment(cfg)
+    means, sems = _per_sequence_reference(cfg)
+    assert np.max(np.abs(dataset.means - means)) < 1e-12
+    assert np.max(np.abs(dataset.sems - sems)) < 1e-12
+
+
+def test_run_experiment_rejects_out_of_range_probability():
+    from leakbench.liouville import matrix_to_pairs
+
+    cfg = ExperimentConfig(
+        gateset="pauli",
+        noise=None,
+        m_list=(2,),
+        n_sequences=3,
+        seed=5,
+        spam={"effect": matrix_to_pairs(2.0 * np.eye(2))},
+    )
+    with pytest.raises(ValueError, match="outside"):
+        run_experiment(cfg)
 
 
 def test_run_experiment_noise_seed_decouples_from_protocol_seed():
