@@ -27,24 +27,25 @@ from .gatesets import (
 from .liouville import (
     cp_tp_diagnostics,
     decay_eigenvalues,
+    incoherent_survival,
     subspace_transfer_matrix,
 )
 from .noise import (
-    PARAMS_KEY,
     FilterParams,
     RandomStream,
     ShelvingParams,
     averaged_coherent_channel,
     filter_channel,
     sample_coherent_noise,
-    sample_filter_assignment,
     sample_filter_params,
 )
 from .protocol import (
     ConfigError,
     DecayDataset,
     ExperimentConfig,
+    _experiment_components,
     brute_force_expectation,
+    exact_expectations,
     predicted_expectation,
     run_experiment,
 )
@@ -213,26 +214,18 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _fig1_oracle(cfg: ExperimentConfig) -> float:
-    """Analytic average survival 1 - mean(p)/2 from the sampled filter strengths."""
-    params_seed = (cfg.noise.get("params") or {}).get("seed")
-    root = RandomStream(int(params_seed) if params_seed is not None else cfg.seed)
-    _, params = sample_filter_assignment(root.child(PARAMS_KEY), n_gates=4)
-    p_bar = float(np.mean([fp.p for fp in params]))
-    return 1.0 - p_bar / 2.0
-
-
-def _fig2_oracle(cfg: ExperimentConfig, n_samples: int = ORACLE_SAMPLES) -> float:
-    """Decaying eigenvalue of the Monte Carlo averaged shelving-noise channel."""
-    params = cfg.noise.get("params") or {}
-    sp = ShelvingParams(
-        phi=float(params.get("phi", 0.01)),
-        sigma_gamma=float(params.get("sigma_gamma", 0.06)),
-    )
-    stream = RandomStream(cfg.seed).child(ORACLE_KEY)
-    avg = averaged_coherent_channel(sp, n_samples, stream)
-    _, lam_minus = decay_eigenvalues(subspace_transfer_matrix(avg))
-    return float(lam_minus)
+def _per_length(dataset: DecayDataset, exact) -> list:
+    """Per-length mean, sem, exact expected mean and z = (mean - exact) / sem."""
+    return [
+        {
+            "m": p.m,
+            "mean": p.mean,
+            "sem": p.sem,
+            "exact_mean": e,
+            "z": (p.mean - e) / p.sem if p.sem > 0 else None,
+        }
+        for p, e in zip(dataset.points, map(float, exact))
+    ]
 
 
 def reproduce_figure(
@@ -244,11 +237,22 @@ def reproduce_figure(
     """Run a bundled scenario end to end; returns (dataset, fit, report)."""
     spec = FIGURES[figure]
     cfg = figure_config(figure, seed)
-    dataset = run_experiment(cfg, jobs=jobs)
+    components = _experiment_components(cfg)
+    dataset = run_experiment(cfg, jobs=jobs, components=components)
     result = fit(spec["model"], dataset)
     fitted = result.params["decay"]
     stderr = result.stderr["decay"]
-    oracle = _fig1_oracle(cfg) if figure == "fig1" else _fig2_oracle(cfg, oracle_samples)
+    gs, noise, spam, _ = components
+    if noise.stochastic:
+        stream = RandomStream(cfg.seed).child(ORACLE_KEY)
+        avg = averaged_coherent_channel(noise.sampler.params, oracle_samples, stream)
+        oracle = float(decay_eigenvalues(subspace_transfer_matrix(avg))[1])
+        # Noise drawn afresh at every step, independently of the gate, acts on
+        # average as the same channel on every gate.
+        noise = NoiseAssignment.uniform(avg, len(gs))
+    else:
+        oracle = incoherent_survival(average_noise(noise))
+    exact = exact_expectations(cfg.m_list, gs, noise, spam)
     passed = abs(fitted - oracle) <= 3.0 * stderr
     report = {
         "figure": figure,
@@ -262,6 +266,7 @@ def reproduce_figure(
         "criterion": "|fitted - oracle| <= 3 * stderr",
         "reference_instance": spec["reference"],
         "seed": cfg.seed,
+        "per_length": _per_length(dataset, exact),
     }
     return dataset, result, report
 
@@ -365,10 +370,10 @@ def check_sequence_average_closed_form(gs: GateSet, max_m: int = 4, tol: float =
     channel = average_noise(na)
     worst = 0.0
     for m in range(1, max_m + 1):
-        brute = brute_force_expectation(m, gs, na)
+        exact = brute_force_expectation(m, gs, na)
         predicted = predicted_expectation(m, gs, channel)
-        worst = max(worst, abs(brute - predicted))
-    return worst <= tol, f"max |enumeration - closed form| = {worst:.2e}"
+        worst = max(worst, abs(exact - predicted))
+    return worst <= tol, f"max |exact average - closed form| = {worst:.2e}"
 
 
 def run_checks():

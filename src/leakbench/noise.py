@@ -303,6 +303,14 @@ def averaged_coherent_channel(
 #: Derivation tag for model-parameter sampling within a root stream.
 PARAMS_KEY = 0
 
+#: The params each noise model id accepts.  A "seed" roots the model's own
+#: draws (the filter parameters, or the per-step shelving noise).
+NOISE_PARAMS = {
+    "none": frozenset(),
+    "filter": frozenset({"seed", "gates"}),
+    "shelving": frozenset({"phi", "sigma_gamma", "seed"}),
+}
+
 
 def build_noise_model(
     spec: dict | None, gateset: GateSet, stream: RandomStream
@@ -313,6 +321,7 @@ def build_noise_model(
     with params {"seed": int} or {"gates": [{"p": float, "r": [x, y, z]}]},
     and "shelving" with params {"phi": float, "sigma_gamma": float}.  An
     explicit "seed" in params overrides the stream used for parameter draws.
+    Param names are checked against :data:`NOISE_PARAMS` when a config loads.
     """
     if spec is None:
         return None

@@ -3,21 +3,21 @@
 Random gate sequences are sampled uniformly, executed exactly in the
 Liouville representation (noise channel first, ideal gate second at every
 step, no inverse gate before measurement), and aggregated per sequence
-length into a decay dataset.  A brute-force enumeration over all sequences
-of a given length serves as an independent oracle for the fitted decay
-models.
+length into a decay dataset.  Because gates are drawn i.i.d. and uniformly,
+the mean over all sequences of a given length is exactly the averaged step
+mean_g G_g E_g applied m times; that exact mean serves as an independent
+oracle for the fitted decay models.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,10 +35,7 @@ from .liouville import (
     subspace_transfer_matrix,
     vec,
 )
-from .noise import RandomStream, as_generator, build_noise_model
-
-#: Guard on the number of sequences a brute-force enumeration may visit.
-BRUTE_FORCE_LIMIT = 10_000_000
+from .noise import NOISE_PARAMS, RandomStream, as_generator, build_noise_model
 
 # Sub-stream tags: sequence/shot draws vs. per-step noise draws.
 _SEQ_KEY = 0
@@ -114,6 +111,15 @@ def _integer(key: str, value) -> int:
         raise ConfigError(f"{key} must hold integers, got {value!r}") from exc
 
 
+def _reject_unknown(doc, known, what: str):
+    """A ConfigError naming the first key of the mapping ``doc`` that is not in ``known``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be an object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"unknown {what} key {key!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one benchmarking run."""
@@ -140,9 +146,19 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.shots is not None and self.shots < 1:
             raise ConfigError("shots must be >= 1 when given")
+        if self.noise is not None:
+            _reject_unknown(self.noise, ("id", "params"), "noise")
+            model_id = "none" if self.noise.get("id") is None else self.noise["id"]
+            if not isinstance(model_id, str) or model_id not in NOISE_PARAMS:
+                raise ConfigError(f"unknown noise model {model_id!r}")
+            params = self.noise.get("params") or {}
+            _reject_unknown(params, NOISE_PARAMS[model_id], f"{model_id} noise param")
+        if self.spam is not None:
+            _reject_unknown(self.spam, ("rho", "effect", "prep", "meas"), "spam")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        _reject_unknown(doc, {f.name for f in fields(cls)}, "config")
         try:
             return cls(
                 gateset=str(doc["gateset"]),
@@ -326,6 +342,14 @@ def _experiment_components(cfg: ExperimentConfig):
     return gs, noise, spam_from_dict(cfg.spam, gs.space), noise_root
 
 
+def _step_liouvilles(gateset: GateSet, noise: NoiseAssignment | None) -> np.ndarray:
+    """The |G| step matrices G_g E_g of fixed noise (G_g alone without noise), stacked."""
+    steps = gateset.gate_liouvilles
+    if noise is not None:
+        steps = [g_lio @ ch.liouville for g_lio, ch in zip(steps, noise.channels)]
+    return np.array(steps)
+
+
 def run_sequences(
     indices,
     gateset: GateSet,
@@ -360,10 +384,7 @@ def run_sequences(
             rho = w @ rho @ np.conj(np.swapaxes(w, -1, -2))
         states = rho.reshape(n, -1)
     else:
-        steps = gateset.gate_liouvilles
-        if noise is not None:
-            steps = [g_lio @ ch.liouville for g_lio, ch in zip(steps, noise.channels)]
-        steps = np.array(steps)
+        steps = _step_liouvilles(gateset, noise)
         for t in range(m):
             states = np.einsum("nij,nj->ni", steps[indices[:, t]], states)
     return np.real(states @ spam.effect_vector())
@@ -390,14 +411,15 @@ def _length_probabilities(cfg: ExperimentConfig, m: int, components=None) -> np.
     return ps
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> DecayDataset:
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1, components=None) -> DecayDataset:
     """Run the full protocol described by ``cfg``.
 
     Sequence j at length m draws its gates (then its shots) from a stream
     derived from (seed, m, j) and its noise from a sibling stream, so results
     are reproducible under partial re-runs.  With ``jobs`` > 1 the lengths are
     shared out over min(jobs, len(m_list), cpu count) processes, with output
-    identical to the serial run.
+    identical to the serial run.  A serial run reuses ``components``, the
+    result of ``_experiment_components(cfg)``, when given.
     """
     workers = min(jobs, len(cfg.m_list), os.cpu_count() or 1)
     if workers > 1:
@@ -406,7 +428,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> DecayDataset:
             futures = {m: pool.submit(_length_probabilities, cfg, m) for m in cfg.m_list}
             probabilities = {m: fut.result() for m, fut in futures.items()}
     else:
-        components = _experiment_components(cfg)
+        if components is None:
+            components = _experiment_components(cfg)
         probabilities = {m: _length_probabilities(cfg, m, components) for m in cfg.m_list}
     points = []
     for m in cfg.m_list:
@@ -429,35 +452,44 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> DecayDataset:
 # ---------------------------------------------------------------------------
 
 
+def exact_expectations(
+    m_list,
+    gateset: GateSet,
+    noise: NoiseAssignment | None,
+    spam: SpamSpec | None = None,
+) -> np.ndarray:
+    """Exact sequence-averaged probability at every length in ``m_list``.
+
+    Gates are drawn i.i.d. and uniformly, so the mean over all |G|^m sequences
+    of effect . S_{g_m} ... S_{g_1} . state, with step S_g = G_g E_g, is
+    effect . S^m . state for the averaged step S = mean_g S_g.  One pass over
+    the sorted lengths applies S once per extra unit of m.
+    """
+    if noise is not None and noise.stochastic:
+        raise ValueError("the exact average needs a deterministic noise assignment")
+    if spam is None:
+        spam = SpamSpec.ideal(gateset.space)
+    step = _step_liouvilles(gateset, noise).mean(axis=0)
+    effect = spam.effect_vector()
+    state = spam.state_vector()
+    means, done = {}, 0
+    for m in sorted(set(m_list)):
+        if m < 0:
+            raise ValueError(f"sequence length must be >= 0, got {m}")
+        for _ in range(m - done):
+            state = step @ state
+        means[m], done = float(np.real(effect @ state)), m
+    return np.array([means[m] for m in m_list])
+
+
 def brute_force_expectation(
     m: int,
     gateset: GateSet,
     noise: NoiseAssignment | None,
     spam: SpamSpec | None = None,
 ) -> float:
-    """Exact sequence-averaged probability by enumerating all |G|^m sequences."""
-    if noise is not None and noise.stochastic:
-        raise ValueError("brute force needs a deterministic noise assignment")
-    a = len(gateset)
-    if a ** m > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"{a}^{m} sequences exceed the enumeration guard")
-    if spam is None:
-        spam = SpamSpec.ideal(gateset.space)
-    steps = []
-    for idx, g_lio in enumerate(gateset.gate_liouvilles):
-        if noise is None:
-            steps.append(g_lio)
-        else:
-            steps.append(g_lio @ noise.channels[idx].liouville)
-    effect = spam.effect_vector()
-    state0 = spam.state_vector()
-    total = 0.0
-    for seq in itertools.product(range(a), repeat=m):
-        state = state0
-        for idx in seq:
-            state = steps[idx] @ state
-        total += float(np.real(effect @ state))
-    return total / a ** m
+    """Exact sequence-averaged probability at length m: :func:`exact_expectations` at one m."""
+    return float(exact_expectations((m,), gateset, noise, spam)[0])
 
 
 def decay_parameters(

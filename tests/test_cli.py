@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import leakbench as lb
 from leakbench.cli import (
@@ -12,11 +13,17 @@ from leakbench.cli import (
     check_twirl_idempotent,
     figure_config,
     main,
+    reproduce_figure,
     run_checks,
 )
 from leakbench.gatesets import GateSet, PAULI_X
 from leakbench.liouville import SpaceSpec
-from leakbench.protocol import DecayDataset
+from leakbench.protocol import (
+    DecayDataset,
+    ExperimentConfig,
+    _experiment_components,
+    exact_expectations,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -112,6 +119,32 @@ def test_simulate_non_integral_length_and_negative_seed_are_config_errors(tmp_pa
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"n_sequence": 3}, "n_sequence"),
+        ({"noise": {"id": "shelving", "params": {"sigma": 0.5}}}, "sigma"),
+        ({"noise": {"id": "filter", "params": {"seeds": 4}}}, "seeds"),
+        ({"noise": {"id": "none", "params": {"seed": 4}}}, "seed"),
+        ({"noise": {"id": "filter", "parameters": {}}}, "parameters"),
+        ({"noise": {"id": "thermal"}}, "thermal"),
+        ({"spam": {"rh0": [[1, 0]]}}, "rh0"),
+    ],
+)
+def test_simulate_unknown_config_key_is_config_error(tmp_path, capsys, change, key):
+    cfg_path = write_config(tmp_path, {**NOISELESS, **change})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err
+    assert not out.exists()
+
+
+def test_bundled_configs_load():
+    for path in sorted(CONFIGS.glob("*.json")):
+        ExperimentConfig.from_json_file(str(path))
+
+
 def test_reproduce_negative_seed_is_config_error(tmp_path, capsys):
     out = tmp_path / "rep"
     assert main(["reproduce", "fig1", "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG_ERROR
@@ -200,6 +233,30 @@ def test_reproduce_fig1(tmp_path, capsys):
     for name in ("decay.csv", "decay.json", "fit.json", "manifest.json"):
         assert (out / name).exists()
     assert "PASS" in capsys.readouterr().out
+
+
+def test_reproduce_fig1_per_length_exact_means(tmp_path):
+    out = tmp_path / "rep"
+    assert main(["reproduce", "fig1", "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    dataset = DecayDataset.from_csv(str(out / "decay.csv"))
+    gs, noise, spam, _ = _experiment_components(figure_config("fig1"))
+    exact = exact_expectations(dataset.ms.astype(int), gs, noise, spam)
+    rows = report["per_length"]
+    assert [r["m"] for r in rows] == list(range(10, 101, 10))
+    for r, p, e in zip(rows, dataset.points, exact):
+        assert (r["m"], r["mean"], r["sem"], r["exact_mean"]) == (p.m, p.mean, p.sem, e)
+        assert r["z"] == (p.mean - e) / p.sem
+        assert abs(r["z"]) < 4
+
+
+def test_reproduce_fig2_per_length_uses_the_oracle_channel():
+    dataset, _, report = reproduce_figure("fig2", oracle_samples=20_000)
+    rows = report["per_length"]
+    assert [r["m"] for r in rows] == [p.m for p in dataset.points]
+    exact = [r["exact_mean"] for r in rows]
+    assert all(1.0 > a > b > 0.5 for a, b in zip(exact, exact[1:]))
+    assert all(abs(r["z"]) < 5 for r in rows)
 
 
 def test_reproduce_fig1_byte_identical(tmp_path):

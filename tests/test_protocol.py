@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from helpers import random_channel
+from helpers import random_channel, random_density
 
 import leakbench as lb
 from leakbench import Channel, SpaceSpec
@@ -8,13 +10,13 @@ from leakbench.gatesets import NoiseAssignment
 from leakbench.liouville import mix, vec
 from leakbench.noise import RandomStream
 from leakbench.protocol import (
-    BRUTE_FORCE_LIMIT,
     ConfigError,
     DecayDataset,
     ExperimentConfig,
     SpamSpec,
     brute_force_expectation,
     decay_parameters,
+    exact_expectations,
     predicted_expectation,
     _NOISE_KEY,
     _SEQ_KEY,
@@ -202,6 +204,33 @@ def test_config_validation():
     assert exact.m_list == (5,) and isinstance(exact.m_list[0], int)
 
 
+def test_config_sections_must_be_objects():
+    doc = {"gateset": "pauli", "noise": None, "m_list": [5], "n_sequences": 2, "seed": 1}
+    with pytest.raises(ConfigError, match="config must be an object"):
+        ExperimentConfig.from_dict([doc])
+    for change, what in (
+        ({"noise": "filter"}, "noise"),
+        ({"noise": {"id": "filter", "params": [1]}}, "filter noise param"),
+        ({"spam": [1]}, "spam"),
+        ({"noise": {"id": ["filter"]}}, "noise model"),
+    ):
+        with pytest.raises(ConfigError, match=what):
+            ExperimentConfig.from_dict({**doc, **change})
+
+
+def test_config_accepts_every_known_noise_param():
+    for noise in (
+        None,
+        {"id": "none", "params": {}},
+        {"params": None},
+        {"id": "filter", "params": {"seed": 3}},
+        {"id": "filter", "params": {"gates": [{"p": 0.01, "r": [0, 0, 1]}] * 4}},
+        {"id": "shelving", "params": {"phi": 0.02, "sigma_gamma": 0.1, "seed": 9}},
+    ):
+        cfg = ExperimentConfig(gateset="pauli", noise=noise, m_list=(5,), n_sequences=1, seed=1)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
 def test_config_roundtrip_and_hash():
     cfg = ExperimentConfig(
         gateset="pauli",
@@ -258,6 +287,8 @@ def test_run_experiment_reproducible_and_bounded():
     ds2 = run_experiment(cfg)
     assert np.array_equal(ds1.means, ds2.means)
     assert np.array_equal(ds1.sems, ds2.sems)
+    reused = run_experiment(cfg, components=_experiment_components(cfg))
+    assert reused.points == ds1.points
     assert np.all(ds1.means >= 0.0) and np.all(ds1.means <= 1.0)
     assert np.all(ds1.sems >= 0.0)
 
@@ -401,14 +432,76 @@ def test_brute_force_m1_is_single_gate_mean():
     assert abs(brute_force_expectation(1, gs, na) - manual) < 1e-14
 
 
-def test_brute_force_guard_and_stochastic_rejection():
+def test_brute_force_rejects_stochastic_noise():
     gs = lb.shelving_gateset()
-    m_over = int(np.ceil(np.log(BRUTE_FORCE_LIMIT) / np.log(8))) + 1
-    with pytest.raises(ValueError):
-        brute_force_expectation(m_over, gs, None)
     na = NoiseAssignment(QUTRIT, sampler=lb.noise.ShelvingNoiseSampler(lb.ShelvingParams()))
     with pytest.raises(ValueError):
         brute_force_expectation(2, gs, na)
+
+
+def enumerated_expectation(m, gs, na, spam=None):
+    """Independent reference: the mean of run_sequence over all |G|^m sequences."""
+    sequences = list(itertools.product(range(len(gs)), repeat=m))
+    return sum(run_sequence(seq, gs, na, spam) for seq in sequences) / len(sequences)
+
+
+def per_gate_shelving_noise(seed=5):
+    """A fixed, different coherent-noise channel on each of the 8 shelving gates."""
+    return NoiseAssignment(
+        QUTRIT,
+        channels=[
+            lb.sample_coherent_noise(lb.ShelvingParams(), RandomStream(seed, key=(g,)))
+            for g in range(8)
+        ],
+    )
+
+
+def random_spam(rng):
+    """SPAM on the qutrit with a mixed initial state and noisy prep and meas channels."""
+    return SpamSpec(
+        rho=random_density(3, rng),
+        effect=QUTRIT.code_projector,
+        prep=random_channel(QUTRIT, rng, scale=0.98),
+        meas=random_channel(QUTRIT, rng, scale=0.99),
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["pauli-filter", "shelving-coherent", "shelving-coherent-spam", "shelving-noiseless-spam"],
+)
+def test_exact_average_matches_enumeration(case):
+    rng = np.random.default_rng(41)
+    spam = random_spam(rng) if case.endswith("spam") else None
+    if case == "pauli-filter":
+        gs = lb.pauli_gateset()
+        na, _ = lb.noise.sample_filter_assignment(RandomStream(21))
+    else:
+        gs = lb.shelving_gateset()
+        na = None if "noiseless" in case else per_gate_shelving_noise()
+    for m in range(1, 4):
+        exact = brute_force_expectation(m, gs, na, spam)
+        assert abs(exact - enumerated_expectation(m, gs, na, spam)) < 1e-13
+
+
+def test_exact_expectations_any_order_equals_single_lengths():
+    gs = lb.shelving_gateset()
+    na = per_gate_shelving_noise(seed=8)
+    m_list = (7, 2, 30, 2, 1)
+    means = exact_expectations(m_list, gs, na)
+    single = [brute_force_expectation(m, gs, na) for m in m_list]
+    assert np.array_equal(means, single)
+    assert abs(exact_expectations((0,), gs, na)[0] - 1.0) < 1e-14
+    with pytest.raises(ValueError):
+        exact_expectations((3, -1), gs, na)
+
+
+@pytest.mark.parametrize("gateset", ["pauli", "shelving"])
+def test_exact_average_at_long_length_matches_closed_form(gateset):
+    gs = lb.gateset_by_id(gateset)
+    ch = filter_z(0.03) if gateset == "pauli" else fixed_shelving_channel()
+    na = NoiseAssignment.uniform(ch, len(gs))
+    assert abs(brute_force_expectation(100, gs, na) - predicted_expectation(100, gs, ch)) < 1e-10
 
 
 def test_single_exponential_closed_form_gate_independent():
