@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,18 +90,33 @@ ORACLE_SAMPLES = 1_000_000
 
 @dataclass
 class RunManifest:
-    """Record of one CLI run: config echo, seed, outputs, timing."""
+    """Record of one CLI run: config echo, seed, outputs, timing.
+
+    ``timings`` holds the wall seconds of each stage of the run; they are
+    disjoint parts of ``duration_seconds``.
+    """
 
     config: dict
     seed: int
     tool_version: str
     outputs: list
     duration_seconds: float
+    timings: dict
 
     def write(self, path: str):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.__dict__, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Add the wall time of the block to ``timings[name]``."""
+    started = time.monotonic()
+    try:
+        yield
+    finally:
+        timings[name] = timings.get(name, 0.0) + time.monotonic() - started
 
 
 def figure_config(figure: str, seed: int | None = None) -> ExperimentConfig:
@@ -133,6 +149,7 @@ def cmd_simulate(args) -> int:
     from pathlib import Path
 
     started = time.monotonic()
+    timings: dict = {}
     try:
         cfg = ExperimentConfig.from_json_file(args.config)
         overrides = {}
@@ -145,21 +162,30 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        dataset = run_experiment(cfg, jobs=args.jobs)
+        with _stage(timings, "simulate"):
+            # Resolves the SPAM section against the gate set's space, so a bad
+            # one is a config error; an unknown gate set is a simulation error.
+            components = _experiment_components(cfg)
+            dataset = run_experiment(cfg, jobs=args.jobs, components=components)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION_ERROR
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list = []
-    _write_dataset(dataset, out_dir, outputs)
+    with _stage(timings, "write"):
+        _write_dataset(dataset, out_dir, outputs)
     manifest = RunManifest(
         config=cfg.to_dict(),
         seed=cfg.seed,
         tool_version=_tool_version(),
         outputs=outputs,
         duration_seconds=time.monotonic() - started,
+        timings=timings,
     )
     manifest_path = out_dir / "manifest.json"
     manifest.write(str(manifest_path))
@@ -233,26 +259,36 @@ def reproduce_figure(
     seed: int | None = None,
     jobs: int = 1,
     oracle_samples: int = ORACLE_SAMPLES,
+    timings: dict | None = None,
 ):
-    """Run a bundled scenario end to end; returns (dataset, fit, report)."""
+    """Run a bundled scenario end to end; returns (dataset, fit, report).
+
+    The wall seconds of the simulate, fit, oracle and exact stages are added
+    to ``timings`` when given.
+    """
+    timings = {} if timings is None else timings
     spec = FIGURES[figure]
     cfg = figure_config(figure, seed)
-    components = _experiment_components(cfg)
-    dataset = run_experiment(cfg, jobs=jobs, components=components)
-    result = fit(spec["model"], dataset)
+    with _stage(timings, "simulate"):
+        components = _experiment_components(cfg)
+        dataset = run_experiment(cfg, jobs=jobs, components=components)
+    with _stage(timings, "fit"):
+        result = fit(spec["model"], dataset)
     fitted = result.params["decay"]
     stderr = result.stderr["decay"]
     gs, noise, spam, _ = components
-    if noise.stochastic:
-        stream = RandomStream(cfg.seed).child(ORACLE_KEY)
-        avg = averaged_coherent_channel(noise.sampler.params, oracle_samples, stream)
-        oracle = float(decay_eigenvalues(subspace_transfer_matrix(avg))[1])
-        # Noise drawn afresh at every step, independently of the gate, acts on
-        # average as the same channel on every gate.
-        noise = NoiseAssignment.uniform(avg, len(gs))
-    else:
-        oracle = incoherent_survival(average_noise(noise))
-    exact = exact_expectations(cfg.m_list, gs, noise, spam)
+    with _stage(timings, "oracle"):
+        if noise.stochastic:
+            stream = RandomStream(cfg.seed).child(ORACLE_KEY)
+            avg = averaged_coherent_channel(noise.sampler.params, oracle_samples, stream)
+            oracle = float(decay_eigenvalues(subspace_transfer_matrix(avg))[1])
+            # Noise drawn afresh at every step, independently of the gate, acts
+            # on average as the same channel on every gate.
+            noise = NoiseAssignment.uniform(avg, len(gs))
+        else:
+            oracle = incoherent_survival(average_noise(noise))
+    with _stage(timings, "exact"):
+        exact = exact_expectations(cfg.m_list, gs, noise, spam)
     passed = abs(fitted - oracle) <= 3.0 * stderr
     report = {
         "figure": figure,
@@ -275,6 +311,7 @@ def cmd_reproduce(args) -> int:
     from pathlib import Path
 
     started = time.monotonic()
+    timings: dict = {}
     try:
         cfg = figure_config(args.figure, args.seed)
     except ConfigError as exc:
@@ -284,21 +321,20 @@ def cmd_reproduce(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         dataset, result, report = reproduce_figure(
-            args.figure, seed=args.seed, jobs=args.jobs
+            args.figure, seed=args.seed, jobs=args.jobs, timings=timings
         )
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION_ERROR
     outputs: list = []
-    _write_dataset(dataset, out_dir, outputs)
     fit_path = out_dir / "fit.json"
-    with open(fit_path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     report_path = out_dir / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _stage(timings, "write"):
+        _write_dataset(dataset, out_dir, outputs)
+        for path, doc in ((fit_path, result.to_dict()), (report_path, report)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
     outputs.extend([str(fit_path), str(report_path)])
     manifest = RunManifest(
         config=cfg.to_dict(),
@@ -306,6 +342,7 @@ def cmd_reproduce(args) -> int:
         tool_version=_tool_version(),
         outputs=outputs,
         duration_seconds=time.monotonic() - started,
+        timings=timings,
     )
     manifest.write(str(out_dir / "manifest.json"))
     verdict = "PASS" if report["pass"] else "FAIL"

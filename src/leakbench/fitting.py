@@ -437,21 +437,3 @@ def _flat_result(model: DecayModel, data, used_weights: bool) -> FitResult:
         weighted=used_weights,
         flags=["flat-data", "r-squared-undefined"],
     )
-
-
-def goodness(fit_result: FitResult, data) -> dict:
-    """r^2 on unweighted residuals and weighted chi^2 per degree of freedom."""
-    if not fit_result.converged:
-        raise ValueError("goodness-of-fit requires a converged fit")
-    ys = data.means
-    resid = np.asarray(fit_result.residuals, dtype=float)
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r_squared = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 1e-24 else None
-    model = model_by_name(fit_result.model)
-    dof = len(ys) - model.n_params
-    w = _weights(data, fit_result.weighted)
-    chi2 = float(np.sum(w * resid ** 2))
-    return {
-        "r_squared": r_squared,
-        "chi2_per_dof": chi2 / dof if dof > 0 else None,
-    }

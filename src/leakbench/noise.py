@@ -53,6 +53,120 @@ class RandomStream:
     def child(self, *key: int) -> "RandomStream":
         return RandomStream(self.seed, self.algorithm, self.key + tuple(key))
 
+    def child_generators(self, keys):
+        """Yield, for each row of ``keys``, a generator at the start of ``child(*row)``.
+
+        The draws are bit for bit those of ``child(*row).generator()``.  For
+        PCG64 the seeding of every key is computed in one vectorized pass
+        (:func:`pcg64_states`) and one Generator is re-seated per key, so a
+        yielded generator is valid only until the next one is taken.
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
+        if self.algorithm != "pcg64":
+            for row in keys.tolist():
+                yield self.child(*row).generator()
+            return
+        prefix = np.broadcast_to(np.array(self.key, dtype=np.uint64), (len(keys), len(self.key)))
+        gen = np.random.Generator(np.random.PCG64(0))
+        for state, inc in pcg64_states(self.seed, np.hstack([prefix, keys])):
+            gen.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield gen
+
+
+# numpy's SeedSequence pool hash and PCG64 seeding, whose streams NEP 19 keeps
+# stable (constants from numpy/random/bit_generator.pyx and pcg64.h).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _uint32_words(value: int) -> list:
+    """A non-negative int as little-endian 32-bit words, as SeedSequence splits it."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(...).generate_state(4, np.uint64)`` for each row of ``entropy`` (k, n) uint32.
+
+    Every row has the same length, so the hash constants run in step for all
+    of them and each word operation is one vectorized uint32 operation.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zeros = np.zeros(len(entropy), dtype=np.uint32)
+    width = entropy.shape[1]
+    pool = [hashmix(entropy[:, i] if i < width else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    # Eight words cycled from the pool, read as four little-endian uint64.
+    hash_const, words = _INIT_B, []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        words.append(value ^ (value >> 16))
+    return np.column_stack(words).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def pcg64_states(seed: int, keys) -> np.ndarray:
+    """``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=key))`` for every row of ``keys``.
+
+    ``keys`` is (k, L) with components in [0, 2^64); the result is a (k, 2)
+    object array of Python ints.  SeedSequence's entropy is the seed's
+    32-bit words, zero-padded to the pool size when there is a spawn key,
+    then each key component's words; rows whose components split into the
+    same number of words are hashed together in one pass.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.ndim != 2:
+        raise ValueError("keys must be a (k, L) array")
+    head = _uint32_words(int(seed))
+    if keys.shape[1]:
+        head += [0] * (_POOL_SIZE - len(head))
+    words = np.empty((len(keys), 4), dtype=np.uint64)
+    layouts, group = np.unique(keys > _MASK32, axis=0, return_inverse=True)
+    for g, layout in enumerate(layouts):
+        rows = np.flatnonzero(group == g)
+        columns = [np.full(len(rows), word, dtype=np.uint64) for word in head]
+        for col, two_words in enumerate(layout):
+            columns.append(keys[rows, col] & _MASK32)
+            if two_words:
+                columns.append(keys[rows, col] >> 32)
+        words[rows] = _seed_words(np.column_stack(columns).astype(np.uint32))
+    # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, then a step, += initstate, a step.
+    s_hi, s_lo, i_hi, i_lo = words.astype(object).T
+    inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+    state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    return np.column_stack([state, inc])
+
 
 def as_generator(rng) -> np.random.Generator:
     """Accept a RandomStream, a Generator, or a plain integer seed."""

@@ -17,7 +17,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,17 +76,37 @@ class SpamSpec:
 
 
 def spam_from_dict(doc: dict | None, space: SpaceSpec) -> SpamSpec:
+    """The SPAM section resolved against the gate set's space.
+
+    Absent or null fields keep the ideal defaults; a malformed field, or one
+    sized for another space, is a ConfigError naming its key.
+    """
+    spam = SpamSpec.ideal(space)
     if doc is None:
-        return SpamSpec.ideal(space)
-    ideal = SpamSpec.ideal(space)
-    rho = matrix_from_pairs(doc["rho"], space.d) if "rho" in doc else ideal.rho
-    eff = matrix_from_pairs(doc["effect"], space.d) if "effect" in doc else ideal.effect
-    prep = channel_from_dict(doc["prep"]) if doc.get("prep") else None
-    meas = channel_from_dict(doc["meas"]) if doc.get("meas") else None
-    for ch in (prep, meas):
-        if ch is not None and ch.space != space:
-            raise ConfigError("SPAM channel acts on the wrong space")
-    return SpamSpec(rho=rho, effect=eff, prep=prep, meas=meas)
+        return spam
+    parsers = {
+        "rho": lambda v: matrix_from_pairs(v, space.d),
+        "effect": lambda v: matrix_from_pairs(v, space.d),
+        "prep": channel_from_dict,
+        "meas": channel_from_dict,
+    }
+    given = {}
+    for key, parse in parsers.items():
+        if doc.get(key) is None:
+            continue
+        try:
+            value = parse(doc[key])
+        except KeyError as exc:
+            raise ConfigError(f"bad spam.{key}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad spam.{key}: {exc}") from exc
+        if isinstance(value, Channel) and value.space != space:
+            raise ConfigError(
+                f"spam.{key} acts on d1={value.space.d1}, d2={value.space.d2}, "
+                f"but the gate set on d1={space.d1}, d2={space.d2}"
+            )
+        given[key] = value
+    return replace(spam, **given)
 
 
 def spam_to_dict(spam: SpamSpec) -> dict:
@@ -350,6 +370,11 @@ def _step_liouvilles(gateset: GateSet, noise: NoiseAssignment | None) -> np.ndar
     return np.array(steps)
 
 
+#: Step-matrix entries gathered per chunk of steps (128 KiB of complex): the
+#: chunk bounds the engine's working memory, whatever n and m are.
+_CHUNK_ENTRIES = 1 << 13
+
+
 def run_sequences(
     indices,
     gateset: GateSet,
@@ -359,11 +384,12 @@ def run_sequences(
 ) -> np.ndarray:
     """Exact survival probabilities of n gate sequences of equal length m.
 
-    The batched form of :func:`run_sequence`: ``indices`` is (n, m) and the
-    n states evolve together as an (n, d^2) stack.  Fixed noise applies the
-    gathered step matrices G_g E_g.  Stochastic noise maps ``normals``
-    (n, m, k) to one unitary U per sequence and step through its sampler and
-    applies (G_g U) rho (G_g U)^dag.
+    The batched form of :func:`run_sequence`: ``indices`` is (n, m), and the
+    step matrices of all n sequences are gathered a chunk of steps at a time.
+    Fixed noise gathers G_g E_g and applies it to the (n, d^2) stacked states.
+    Stochastic noise maps ``normals`` (n, m, k) to one unitary U per sequence
+    and step through its sampler, multiplies the steps G_g U into one unitary
+    V per sequence, one product per step, and pairs the effect with V rho V^dag.
     """
     if noise is not None and noise.space != gateset.space:
         raise ValueError("noise assignment acts on a different space")
@@ -372,43 +398,83 @@ def run_sequences(
         raise ValueError(f"gate index out of range [0, {len(gateset)})")
     if spam is None:
         spam = SpamSpec.ideal(gateset.space)
+    stochastic = noise is not None and noise.stochastic
+    if stochastic and normals is None:
+        raise ValueError("stochastic noise needs per-step normals")
     n, m = indices.shape
-    states = np.tile(spam.state_vector(), (n, 1))
-    if noise is not None and noise.stochastic:
-        if normals is None:
-            raise ValueError("stochastic noise needs per-step normals")
+    d = gateset.space.d
+    state = spam.state_vector()
+    if stochastic:
         gates = np.array(gateset.gates)
-        rho = states.reshape(n, gateset.space.d, -1)
-        for t in range(m):
-            w = gates[indices[:, t]] @ noise.sampler.unitaries(normals[:, t])
-            rho = w @ rho @ np.conj(np.swapaxes(w, -1, -2))
-        states = rho.reshape(n, -1)
+        total = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d))
     else:
         steps = _step_liouvilles(gateset, noise)
-        for t in range(m):
-            states = np.einsum("nij,nj->ni", steps[indices[:, t]], states)
+        states = np.tile(state, (n, 1))
+    span = max(1, _CHUNK_ENTRIES // (n * (d * d if stochastic else d**4)))
+    for t in range(0, m, span):
+        chunk = indices[:, t : t + span].T
+        if stochastic:
+            unitaries = noise.sampler.unitaries(normals[:, t : t + span].swapaxes(0, 1))
+            for step in np.einsum("tnij,tnjk->tnik", gates[chunk], unitaries):
+                total = np.einsum("nij,njk->nik", step, total)
+        else:
+            for step in steps[chunk]:
+                states = np.einsum("nij,nj->ni", step, states)
+    if stochastic:
+        rho = total @ state.reshape(d, d) @ np.conj(np.swapaxes(total, -1, -2))
+        states = rho.reshape(n, -1)
     return np.real(states @ spam.effect_vector())
 
 
-def _length_probabilities(cfg: ExperimentConfig, m: int, components=None) -> np.ndarray:
-    """The n_sequences probabilities at length m, from the streams of each (m, j)."""
+def _stream_keys(ms, n: int, tag: int) -> np.ndarray:
+    """The sub-stream keys (m, j, tag) of sequences j < n at each length of ``ms``, length-major."""
+    keys = np.empty((len(ms), n, 3), dtype=np.uint64)
+    keys[..., 0] = np.asarray(ms, dtype=np.uint64)[:, None]
+    keys[..., 1] = np.arange(n, dtype=np.uint64)
+    keys[..., 2] = tag
+    return keys.reshape(-1, 3)
+
+
+def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None) -> dict:
+    """The n_sequences probabilities at each length of ``ms``, from the streams of each (m, j).
+
+    Sequence j at length m draws its gate indices, then its shots, from the
+    stream (seed, m, j, 0), and its noise as one block of normals from
+    (noise seed, m, j, 1); every sub-stream of ``ms`` is seeded in one pass.
+    """
     gs, noise, spam, noise_root = components or _experiment_components(cfg)
-    js = range(cfg.n_sequences)
-    gens = [RandomStream(cfg.seed).child(m, j, _SEQ_KEY).generator() for j in js]
-    indices = [sample_sequence(m, len(gs), gen) for gen in gens]
-    normals = None
+    ms = list(dict.fromkeys(ms))
+    n = cfg.n_sequences
+    seq_gens = RandomStream(cfg.seed).child_generators(_stream_keys(ms, n, _SEQ_KEY))
+    noise_gens = None
     if noise is not None and noise.stochastic:
-        shape = (m, noise.sampler.n_normals)
-        normals = np.array(
-            [noise_root.child(m, j, _NOISE_KEY).generator().standard_normal(shape) for j in js]
-        )
-    ps = run_sequences(indices, gs, noise, spam, normals)
-    bad = (ps < -DEFAULT_TOL) | (ps > 1.0 + DEFAULT_TOL)
-    if bad.any():
-        raise ValueError(f"probability {ps[bad][0]} outside [0, 1]")
-    if cfg.shots is not None:
-        ps = np.array([shot_estimate(p, cfg.shots, gen) for p, gen in zip(ps, gens)])
-    return ps
+        noise_gens = noise_root.child_generators(_stream_keys(ms, n, _NOISE_KEY))
+    probabilities = {}
+    for m in ms:
+        indices = np.empty((n, m), dtype=np.intp)
+        shot_states = []
+        for row in indices:
+            gen = next(seq_gens)
+            row[:] = gen.integers(0, len(gs), size=m)
+            if cfg.shots is not None:
+                shot_states.append(gen.bit_generator.state)
+        normals = None
+        if noise_gens is not None:
+            normals = np.empty((n, m, noise.sampler.n_normals))
+            for row in normals:
+                next(noise_gens).standard_normal(out=row)
+        ps = run_sequences(indices, gs, noise, spam, normals)
+        bad = (ps < -DEFAULT_TOL) | (ps > 1.0 + DEFAULT_TOL)
+        if bad.any():
+            raise ValueError(f"probability {ps[bad][0]} outside [0, 1]")
+        if cfg.shots is not None:
+            # The shots of sequence j continue its stream where its indices ended.
+            ps = np.clip(ps, 0.0, 1.0)
+            for j, state in enumerate(shot_states):
+                gen.bit_generator.state = state
+                ps[j] = gen.binomial(cfg.shots, ps[j]) / cfg.shots
+        probabilities[m] = ps
+    return probabilities
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1, components=None) -> DecayDataset:
@@ -417,20 +483,20 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, components=None) -> Dec
     Sequence j at length m draws its gates (then its shots) from a stream
     derived from (seed, m, j) and its noise from a sibling stream, so results
     are reproducible under partial re-runs.  With ``jobs`` > 1 the lengths are
-    shared out over min(jobs, len(m_list), cpu count) processes, with output
-    identical to the serial run.  A serial run reuses ``components``, the
+    dealt round-robin to min(jobs, len(m_list), cpu count) processes, with
+    output identical to the serial run.  A serial run reuses ``components``, the
     result of ``_experiment_components(cfg)``, when given.
     """
     workers = min(jobs, len(cfg.m_list), os.cpu_count() or 1)
     if workers > 1:
+        shards = [cfg.m_list[w::workers] for w in range(workers)]
         context = multiprocessing.get_context("spawn")
+        probabilities = {}
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = {m: pool.submit(_length_probabilities, cfg, m) for m in cfg.m_list}
-            probabilities = {m: fut.result() for m, fut in futures.items()}
+            for part in pool.map(_lengths_probabilities, [cfg] * workers, shards):
+                probabilities.update(part)
     else:
-        if components is None:
-            components = _experiment_components(cfg)
-        probabilities = {m: _length_probabilities(cfg, m, components) for m in cfg.m_list}
+        probabilities = _lengths_probabilities(cfg, cfg.m_list, components)
     points = []
     for m in cfg.m_list:
         ps = probabilities[m]

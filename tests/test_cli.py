@@ -140,6 +140,24 @@ def test_simulate_unknown_config_key_is_config_error(tmp_path, capsys, change, k
     assert not out.exists()
 
 
+def test_simulate_spam_on_the_wrong_space_is_config_error(tmp_path, capsys):
+    from leakbench.liouville import channel_to_dict
+
+    qutrit_identity = channel_to_dict(lb.Channel(SpaceSpec(2, 1), [np.eye(3)]))
+    out = tmp_path / "out"
+    for spam, key in (
+        ({"prep": qutrit_identity}, "spam.prep"),
+        ({"meas": qutrit_identity}, "spam.meas"),
+        ({"rho": [[1, 0], [0, 0], [0, 0]]}, "spam.rho"),
+        ({"effect": [[1, 0]] * 9}, "spam.effect"),
+    ):
+        cfg_path = write_config(tmp_path, {**NOISELESS, "spam": spam})
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert not out.exists()
+
+
 def test_bundled_configs_load():
     for path in sorted(CONFIGS.glob("*.json")):
         ExperimentConfig.from_json_file(str(path))
@@ -275,6 +293,25 @@ def test_reproduce_fig2_byte_identical_serial_and_parallel(tmp_path, capsys):
         assert "fig2 PASS" in capsys.readouterr().out
         blobs.append((out / "decay.csv").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def _assert_stage_timings(out, stages):
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["timings"]
+    assert sorted(timings) == sorted(stages)
+    assert all(t >= 0.0 for t in timings.values())
+    assert sum(timings.values()) <= manifest["duration_seconds"]
+
+
+def test_manifest_records_stage_timings(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", write_config(tmp_path, NOISELESS), "--out", str(out)]) == 0
+    _assert_stage_timings(out, ["simulate", "write"])
+    out = tmp_path / "rep"
+    assert main(["reproduce", "fig1", "--out", str(out)]) == EXIT_OK
+    _assert_stage_timings(out, ["simulate", "fit", "oracle", "exact", "write"])
+    for name in ("decay.csv", "decay.json", "report.json"):
+        assert "timings" not in (out / name).read_text()
 
 
 # ---------------------------------------------------------------------------

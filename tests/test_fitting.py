@@ -6,7 +6,6 @@ import leakbench.fitting as fitting
 from leakbench.fitting import (
     FitNonConvergence,
     fit,
-    goodness,
     init_double_exp,
     init_single_exp,
     model_by_name,
@@ -159,8 +158,7 @@ def test_flat_data_reports_offset_only_with_flag():
 def test_goodness_perfect_fit():
     data = synthetic("single-exp", {"amplitude": 1.0, "decay": 0.98})
     result = fit("single-exp", data)
-    g = goodness(result, data)
-    assert abs(g["r_squared"] - 1.0) < 1e-12
+    assert abs(result.r_squared - 1.0) < 1e-12
 
 
 def test_goodness_chi2_calibrated_on_consistent_noise():
@@ -185,14 +183,6 @@ def test_wrong_model_scores_materially_lower():
     r_double = fit("double-exp", data)
     assert r_double.r_squared > 0.999
     assert r_single.r_squared < r_double.r_squared - 0.05
-
-
-def test_goodness_requires_convergence():
-    data = synthetic("single-exp", {"amplitude": 1.0, "decay": 0.98})
-    result = fit("single-exp", data)
-    result.converged = False
-    with pytest.raises(ValueError):
-        goodness(result, data)
 
 
 # ---------------------------------------------------------------------------

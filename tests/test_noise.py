@@ -11,6 +11,7 @@ from leakbench.noise import (
     ShelvingNoiseSampler,
     _haar_entries,
     build_noise_model,
+    pcg64_states,
     sample_filter_assignment,
     sample_filter_params,
 )
@@ -45,6 +46,53 @@ def test_stream_algorithms():
     assert not np.array_equal(a, b)
     with pytest.raises(ValueError):
         RandomStream(5, algorithm="mt19937x")
+
+
+#: Multi-word seeds and key components of one and two 32-bit words.
+DERIVATION_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**70 + 5, 20260801)
+DERIVATION_KEYS = (
+    [(m, j, tag) for m in (1, 7, 100) for j in range(3) for tag in (0, 1)]
+    + [(2**32, 3, 0), (5, 2**32 + 9, 1), (2**40 + 7, 2**33, 2**64 - 1), (0, 0, 0)]
+)
+
+
+@pytest.mark.parametrize("seed", DERIVATION_SEEDS)
+def test_pcg64_states_match_seed_sequence(seed):
+    for keys in (DERIVATION_KEYS, [(5,), (2**35,)], [(1, 2, 3, 4, 5, 6)], [()]):
+        states = pcg64_states(seed, np.array(keys, dtype=np.uint64).reshape(len(keys), -1))
+        for (state, inc), key in zip(states, keys):
+            expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state
+            assert expected["state"] == {"state": state, "inc": inc}
+        assert len(states) == len(keys)
+
+
+@pytest.mark.parametrize("seed", DERIVATION_SEEDS)
+def test_child_generators_draw_like_fresh_generators(seed):
+    root = RandomStream(seed, key=(3,))
+    m = 11
+    for gen, key in zip(root.child_generators(DERIVATION_KEYS), DERIVATION_KEYS):
+        ref = root.child(*key).generator()
+        assert np.array_equal(gen.integers(0, 8, size=m), ref.integers(0, 8, size=m))
+        # The binomial continues the stream where the integers ended.
+        assert gen.binomial(400, 0.37) == ref.binomial(400, 0.37)
+    for gen, key in zip(root.child_generators(DERIVATION_KEYS), DERIVATION_KEYS):
+        out = np.empty((m, 18))
+        gen.standard_normal(out=out)
+        assert np.array_equal(out, root.child(*key).generator().standard_normal((m, 18)))
+
+
+def test_child_generators_other_algorithms_use_the_reference():
+    root = RandomStream(9, algorithm="philox")
+    keys = [(1, 2), (2**33, 0)]
+    for gen, key in zip(root.child_generators(keys), keys):
+        assert np.array_equal(gen.normal(size=5), root.child(*key).generator().normal(size=5))
+
+
+def test_pcg64_states_validation():
+    with pytest.raises(ValueError):
+        pcg64_states(1, [1, 2, 3])
+    with pytest.raises(OverflowError):
+        pcg64_states(1, [[-1]])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from helpers import random_channel, random_density
 
 import leakbench as lb
+import leakbench.protocol as protocol
 from leakbench import Channel, SpaceSpec
 from leakbench.gatesets import NoiseAssignment
 from leakbench.liouville import mix, vec
@@ -21,6 +22,7 @@ from leakbench.protocol import (
     _NOISE_KEY,
     _SEQ_KEY,
     _experiment_components,
+    _lengths_probabilities,
     run_experiment,
     run_sequence,
     run_sequences,
@@ -385,6 +387,74 @@ def test_batched_engine_matches_per_sequence_reference(gateset, noise, spam, sho
     means, sems = _per_sequence_reference(cfg)
     assert np.max(np.abs(dataset.means - means)) < 1e-12
     assert np.max(np.abs(dataset.sems - sems)) < 1e-12
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 200])
+@pytest.mark.parametrize(
+    "gateset, noise, spam",
+    [
+        ("shelving", {"id": "shelving", "params": {"phi": 0.2, "sigma_gamma": 0.4}}, QUTRIT),
+        ("pauli", {"id": "filter", "params": {}}, QUBIT),
+    ],
+    ids=["shelving-spam", "filter-spam"],
+)
+def test_step_chunks_match_per_sequence_reference(monkeypatch, chunk_entries, gateset, noise, spam):
+    # Chunks of one step, and chunks that do not divide m, against one chunk.
+    monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", chunk_entries)
+    cfg = ExperimentConfig(
+        gateset=gateset,
+        noise=noise,
+        m_list=(1, 7, 12),
+        n_sequences=4,
+        seed=31,
+        shots=300,
+        spam=_spam_doc(spam, 43),
+    )
+    dataset = run_experiment(cfg)
+    means, sems = _per_sequence_reference(cfg)
+    assert np.max(np.abs(dataset.means - means)) < 1e-12
+    assert np.max(np.abs(dataset.sems - sems)) < 1e-12
+
+
+def test_any_shard_of_lengths_draws_the_same_streams():
+    cfg = ExperimentConfig(
+        gateset="shelving",
+        noise={"id": "shelving", "params": {"seed": 3}},
+        m_list=(2, 5, 9, 5),
+        n_sequences=5,
+        seed=23,
+        shots=100,
+    )
+    whole = _lengths_probabilities(cfg, cfg.m_list)
+    assert list(whole) == [2, 5, 9]
+    for shard in ([9], [5, 2], [9, 2]):
+        for m, ps in _lengths_probabilities(cfg, shard).items():
+            assert np.array_equal(ps, whole[m])
+
+
+def test_stream_seeding_does_not_grow_with_the_sequence_count(monkeypatch):
+    constructed = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            constructed.append(kwargs.get("spawn_key"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    fig1 = ExperimentConfig(
+        gateset="pauli",
+        noise={"id": "filter", "params": {}},
+        m_list=tuple(range(10, 101, 10)),
+        n_sequences=30,
+        seed=20260801,
+    )
+    counts = []
+    larger = ExperimentConfig(**{**fig1.to_dict(), "n_sequences": 60, "m_list": (5, *fig1.m_list)})
+    for cfg in (fig1, larger):
+        constructed.clear()
+        run_experiment(cfg)
+        counts.append(len(constructed))
+    assert counts[0] == counts[1] < 10
 
 
 def test_run_experiment_rejects_out_of_range_probability():
