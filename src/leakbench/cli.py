@@ -7,10 +7,10 @@ Exit codes are a stable contract: 0 success, 1 property/comparison failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +49,7 @@ from .protocol import (
     exact_expectations,
     predicted_expectation,
     run_experiment,
+    timed_stage,
 )
 
 EXIT_OK = 0
@@ -92,8 +93,9 @@ ORACLE_SAMPLES = 1_000_000
 class RunManifest:
     """Record of one CLI run: config echo, seed, outputs, timing.
 
-    ``timings`` holds the wall seconds of each stage of the run; they are
-    disjoint parts of ``duration_seconds``.
+    ``timings`` holds the wall seconds of each stage of the run.  The stages
+    are disjoint parts of ``duration_seconds``, except ``sample`` and
+    ``evolve``: a serial run's parts of ``simulate``.
     """
 
     config: dict
@@ -107,16 +109,6 @@ class RunManifest:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.__dict__, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-@contextmanager
-def _stage(timings: dict, name: str):
-    """Add the wall time of the block to ``timings[name]``."""
-    started = time.monotonic()
-    try:
-        yield
-    finally:
-        timings[name] = timings.get(name, 0.0) + time.monotonic() - started
 
 
 def figure_config(figure: str, seed: int | None = None) -> ExperimentConfig:
@@ -137,11 +129,11 @@ def _tool_version() -> str:
     return __version__
 
 
-def _write_dataset(dataset: DecayDataset, out_dir, outputs: list):
+def _write_dataset(dataset: DecayDataset, out_dir, outputs: list, extras=None):
     csv_path = out_dir / "decay.csv"
     json_path = out_dir / "decay.json"
     dataset.to_csv(str(csv_path))
-    dataset.to_json(str(json_path))
+    dataset.to_json(str(json_path), extras)
     outputs.extend([str(csv_path), str(json_path)])
 
 
@@ -163,11 +155,11 @@ def cmd_simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        with _stage(timings, "simulate"):
+        with timed_stage(timings, "simulate"):
             # Resolves the SPAM section against the gate set's space, so a bad
             # one is a config error; an unknown gate set is a simulation error.
             components = _experiment_components(cfg)
-            dataset = run_experiment(cfg, jobs=args.jobs, components=components)
+            dataset = run_experiment(cfg, args.jobs, components, timings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -177,7 +169,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list = []
-    with _stage(timings, "write"):
+    with timed_stage(timings, "write"):
         _write_dataset(dataset, out_dir, outputs)
     manifest = RunManifest(
         config=cfg.to_dict(),
@@ -263,21 +255,21 @@ def reproduce_figure(
 ):
     """Run a bundled scenario end to end; returns (dataset, fit, report).
 
-    The wall seconds of the simulate, fit, oracle and exact stages are added
-    to ``timings`` when given.
+    The wall seconds of the simulate, fit, oracle and exact stages, and of a
+    serial run's sample and evolve parts of simulate, are added to ``timings``
+    when given.
     """
-    timings = {} if timings is None else timings
     spec = FIGURES[figure]
     cfg = figure_config(figure, seed)
-    with _stage(timings, "simulate"):
+    with timed_stage(timings, "simulate"):
         components = _experiment_components(cfg)
-        dataset = run_experiment(cfg, jobs=jobs, components=components)
-    with _stage(timings, "fit"):
+        dataset = run_experiment(cfg, jobs=jobs, components=components, timings=timings)
+    with timed_stage(timings, "fit"):
         result = fit(spec["model"], dataset)
     fitted = result.params["decay"]
     stderr = result.stderr["decay"]
     gs, noise, spam, _ = components
-    with _stage(timings, "oracle"):
+    with timed_stage(timings, "oracle"):
         if noise.stochastic:
             stream = RandomStream(cfg.seed).child(ORACLE_KEY)
             avg = averaged_coherent_channel(noise.sampler.params, oracle_samples, stream)
@@ -287,7 +279,7 @@ def reproduce_figure(
             noise = NoiseAssignment.uniform(avg, len(gs))
         else:
             oracle = incoherent_survival(average_noise(noise))
-    with _stage(timings, "exact"):
+    with timed_stage(timings, "exact"):
         exact = exact_expectations(cfg.m_list, gs, noise, spam)
     passed = abs(fitted - oracle) <= 3.0 * stderr
     report = {
@@ -329,8 +321,9 @@ def cmd_reproduce(args) -> int:
     outputs: list = []
     fit_path = out_dir / "fit.json"
     report_path = out_dir / "report.json"
-    with _stage(timings, "write"):
-        _write_dataset(dataset, out_dir, outputs)
+    with timed_stage(timings, "write"):
+        extras = [{"exact_mean": r["exact_mean"], "z": r["z"]} for r in report["per_length"]]
+        _write_dataset(dataset, out_dir, outputs, extras)
         for path, doc in ((fit_path, result.to_dict()), (report_path, report)):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True)
@@ -491,8 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

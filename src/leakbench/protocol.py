@@ -16,7 +16,9 @@ import hashlib
 import json
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -156,6 +158,9 @@ class ExperimentConfig:
         m_list = tuple(_integer("m_list", m) for m in self.m_list)
         if not m_list or min(m_list) < 1:
             raise ConfigError("m_list must be nonempty with all lengths >= 1")
+        if len(set(m_list)) < len(m_list):
+            repeated = next(m for m in m_list if m_list.count(m) > 1)
+            raise ConfigError(f"m_list repeats the length {repeated}")
         object.__setattr__(self, "m_list", m_list)
         for key in ("n_sequences", "seed", "shots"):
             if getattr(self, key) is not None:
@@ -280,10 +285,14 @@ class DecayDataset:
         )
         return cls(points=points)
 
-    def to_json(self, path: str):
+    def to_json(self, path: str, extras=None):
+        """Write the points and the provenance; ``extras`` holds one dict of further
+        fields per point, merged into its row."""
+        extras = [{}] * len(self.points) if extras is None else extras
         doc = {
             "dataset": [
-                {"m": p.m, "mean": p.mean, "sem": p.sem, "n": p.n} for p in self.points
+                {"m": p.m, "mean": p.mean, "sem": p.sem, "n": p.n, **extra}
+                for p, extra in zip(self.points, extras)
             ],
             "provenance": self.provenance,
         }
@@ -381,45 +390,62 @@ def run_sequences(
     noise: NoiseAssignment | None,
     spam: SpamSpec | None = None,
     normals: np.ndarray | None = None,
+    lengths=None,
 ) -> np.ndarray:
-    """Exact survival probabilities of n gate sequences of equal length m.
+    """Exact survival probabilities of N gate sequences, of equal or different lengths.
 
-    The batched form of :func:`run_sequence`: ``indices`` is (n, m), and the
-    step matrices of all n sequences are gathered a chunk of steps at a time.
-    Fixed noise gathers G_g E_g and applies it to the (n, d^2) stacked states.
-    Stochastic noise maps ``normals`` (n, m, k) to one unitary U per sequence
+    The batched form of :func:`run_sequence`.  ``indices`` is (N, M); row i
+    holds sequence i in its first ``lengths[i]`` entries (all M by default)
+    and padding after them, which is never read.  ``lengths`` must be
+    non-increasing, so the rows longer than step t are a prefix of the batch,
+    found by binary search.  The step matrices of those rows are gathered a
+    chunk of steps at a time, and a chunk ends where one of its rows does.
+    Fixed noise gathers G_g E_g and applies it to the (N, d^2) stacked states.
+    Stochastic noise maps ``normals`` (N, M, k) to one unitary U per sequence
     and step through its sampler, multiplies the steps G_g U into one unitary
     V per sequence, one product per step, and pairs the effect with V rho V^dag.
     """
     if noise is not None and noise.space != gateset.space:
         raise ValueError("noise assignment acts on a different space")
     indices = np.asarray(indices, dtype=np.intp)
-    if indices.min() < 0 or indices.max() >= len(gateset):
+    n, m = indices.shape
+    lengths = np.full(n, m) if lengths is None else np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (n,) or np.any(np.diff(lengths) > 0):
+        raise ValueError("lengths must hold one non-increasing length per row")
+    if lengths[-1] < 0 or lengths[0] > m:
+        raise ValueError(f"lengths must lie in [0, {m}]")
+    used = indices[np.arange(m) < lengths[:, None]]
+    if used.size and (used.min() < 0 or used.max() >= len(gateset)):
         raise ValueError(f"gate index out of range [0, {len(gateset)})")
     if spam is None:
         spam = SpamSpec.ideal(gateset.space)
     stochastic = noise is not None and noise.stochastic
     if stochastic and normals is None:
         raise ValueError("stochastic noise needs per-step normals")
-    n, m = indices.shape
     d = gateset.space.d
     state = spam.state_vector()
     if stochastic:
         gates = np.array(gateset.gates)
-        total = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d))
+        total = np.tile(np.eye(d, dtype=complex), (n, 1, 1))
     else:
         steps = _step_liouvilles(gateset, noise)
         states = np.tile(state, (n, 1))
-    span = max(1, _CHUNK_ENTRIES // (n * (d * d if stochastic else d**4)))
-    for t in range(0, m, span):
-        chunk = indices[:, t : t + span].T
+    entries = d * d if stochastic else d**4
+    negated, last = -lengths, lengths.tolist()
+    t = 0
+    while t < last[0]:
+        # The k rows longer than t; the chunk stops at the shortest one's end.
+        k = int(np.searchsorted(negated, -t))
+        stop = min(t + max(1, _CHUNK_ENTRIES // (k * entries)), last[k - 1])
+        chunk = indices[:k, t:stop].T
         if stochastic:
-            unitaries = noise.sampler.unitaries(normals[:, t : t + span].swapaxes(0, 1))
+            unitaries = noise.sampler.unitaries(normals[:k, t:stop].swapaxes(0, 1))
             for step in np.einsum("tnij,tnjk->tnik", gates[chunk], unitaries):
-                total = np.einsum("nij,njk->nik", step, total)
+                total[:k] = np.einsum("nij,njk->nik", step, total[:k])
         else:
             for step in steps[chunk]:
-                states = np.einsum("nij,nj->ni", step, states)
+                states[:k] = np.einsum("nij,nj->ni", step, states[:k])
+        t = stop
     if stochastic:
         rho = total @ state.reshape(d, d) @ np.conj(np.swapaxes(total, -1, -2))
         states = rho.reshape(n, -1)
@@ -435,49 +461,70 @@ def _stream_keys(ms, n: int, tag: int) -> np.ndarray:
     return keys.reshape(-1, 3)
 
 
-def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None) -> dict:
+@contextmanager
+def timed_stage(timings: dict | None, name: str):
+    """Add the wall seconds of the block to ``timings[name]``, unless ``timings`` is None."""
+    started = time.monotonic()
+    try:
+        yield
+    finally:
+        if timings is not None:
+            timings[name] = timings.get(name, 0.0) + time.monotonic() - started
+
+
+def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=None) -> dict:
     """The n_sequences probabilities at each length of ``ms``, from the streams of each (m, j).
 
     Sequence j at length m draws its gate indices, then its shots, from the
     stream (seed, m, j, 0), and its noise as one block of normals from
     (noise seed, m, j, 1); every sub-stream of ``ms`` is seeded in one pass.
+    Noise without per-step normals evolves every length in one batch, rows
+    ordered longest first; noise with them evolves one length at a time, so
+    that only one length's normals are held.  The seeding and the draws are
+    timed as the ``sample`` stage of ``timings``, the evolution as ``evolve``.
     """
     gs, noise, spam, noise_root = components or _experiment_components(cfg)
-    ms = list(dict.fromkeys(ms))
     n = cfg.n_sequences
-    seq_gens = RandomStream(cfg.seed).child_generators(_stream_keys(ms, n, _SEQ_KEY))
-    noise_gens = None
-    if noise is not None and noise.stochastic:
-        noise_gens = noise_root.child_generators(_stream_keys(ms, n, _NOISE_KEY))
+    stochastic = noise is not None and noise.stochastic
+    order = sorted(ms, reverse=True)
+    seq_gens = RandomStream(cfg.seed).child_generators(_stream_keys(order, n, _SEQ_KEY))
+    if stochastic:
+        noise_gens = noise_root.child_generators(_stream_keys(order, n, _NOISE_KEY))
     probabilities = {}
-    for m in ms:
-        indices = np.empty((n, m), dtype=np.intp)
-        shot_states = []
-        for row in indices:
-            gen = next(seq_gens)
-            row[:] = gen.integers(0, len(gs), size=m)
-            if cfg.shots is not None:
-                shot_states.append(gen.bit_generator.state)
-        normals = None
-        if noise_gens is not None:
-            normals = np.empty((n, m, noise.sampler.n_normals))
-            for row in normals:
-                next(noise_gens).standard_normal(out=row)
-        ps = run_sequences(indices, gs, noise, spam, normals)
+    for batch in [[m] for m in order] if stochastic else [order]:
+        lengths = np.repeat(batch, n)
+        with timed_stage(timings, "sample"):
+            indices = np.zeros((len(lengths), batch[0]), dtype=np.intp)
+            shot_states = []
+            for row, m in zip(indices, lengths.tolist()):
+                gen = next(seq_gens)
+                row[:m] = gen.integers(0, len(gs), size=m)
+                if cfg.shots is not None:
+                    shot_states.append(gen.bit_generator.state)
+            normals = None
+            if stochastic:
+                normals = np.empty(indices.shape + (noise.sampler.n_normals,))
+                for row, m in zip(normals, lengths.tolist()):
+                    next(noise_gens).standard_normal(out=row[:m])
+        with timed_stage(timings, "evolve"):
+            ps = run_sequences(indices, gs, noise, spam, normals, lengths)
         bad = (ps < -DEFAULT_TOL) | (ps > 1.0 + DEFAULT_TOL)
         if bad.any():
             raise ValueError(f"probability {ps[bad][0]} outside [0, 1]")
         if cfg.shots is not None:
-            # The shots of sequence j continue its stream where its indices ended.
-            ps = np.clip(ps, 0.0, 1.0)
-            for j, state in enumerate(shot_states):
-                gen.bit_generator.state = state
-                ps[j] = gen.binomial(cfg.shots, ps[j]) / cfg.shots
-        probabilities[m] = ps
-    return probabilities
+            # The shots of each sequence continue its stream where its indices ended.
+            with timed_stage(timings, "sample"):
+                ps = np.clip(ps, 0.0, 1.0)
+                for i, state in enumerate(shot_states):
+                    gen.bit_generator.state = state
+                    ps[i] = gen.binomial(cfg.shots, ps[i]) / cfg.shots
+        probabilities.update(zip(batch, np.split(ps, len(batch))))
+    return {m: probabilities[m] for m in ms}
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1, components=None) -> DecayDataset:
+def run_experiment(
+    cfg: ExperimentConfig, jobs: int = 1, components=None, timings: dict | None = None
+) -> DecayDataset:
     """Run the full protocol described by ``cfg``.
 
     Sequence j at length m draws its gates (then its shots) from a stream
@@ -485,7 +532,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, components=None) -> Dec
     are reproducible under partial re-runs.  With ``jobs`` > 1 the lengths are
     dealt round-robin to min(jobs, len(m_list), cpu count) processes, with
     output identical to the serial run.  A serial run reuses ``components``, the
-    result of ``_experiment_components(cfg)``, when given.
+    result of ``_experiment_components(cfg)``, when given, and adds the wall
+    seconds of its ``sample`` and ``evolve`` stages to ``timings``.
     """
     workers = min(jobs, len(cfg.m_list), os.cpu_count() or 1)
     if workers > 1:
@@ -496,7 +544,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, components=None) -> Dec
             for part in pool.map(_lengths_probabilities, [cfg] * workers, shards):
                 probabilities.update(part)
     else:
-        probabilities = _lengths_probabilities(cfg, cfg.m_list, components)
+        probabilities = _lengths_probabilities(cfg, cfg.m_list, components, timings)
     points = []
     for m in cfg.m_list:
         ps = probabilities[m]

@@ -9,6 +9,7 @@ from leakbench.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_SIMULATION_ERROR,
+    build_parser,
     check_sequence_average_closed_form,
     check_twirl_idempotent,
     figure_config,
@@ -56,7 +57,8 @@ def test_simulate_noiseless(tmp_path, capsys):
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
     ds = DecayDataset.from_csv(str(out / "decay.csv"))
     assert np.allclose(ds.means, 1.0)
-    assert (out / "decay.json").exists()
+    rows = json.loads((out / "decay.json").read_text())["dataset"]
+    assert all(sorted(r) == ["m", "mean", "n", "sem"] for r in rows)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert any(p.endswith("decay.csv") for p in manifest["outputs"])
@@ -117,6 +119,15 @@ def test_simulate_non_integral_length_and_negative_seed_are_config_errors(tmp_pa
     negative = write_config(tmp_path, {**NOISELESS, "seed": -4})
     assert main(["simulate", "--config", negative, "--out", out]) == EXIT_CONFIG_ERROR
     assert "seed" in capsys.readouterr().err
+
+
+def test_simulate_repeated_length_is_config_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {**NOISELESS, "m_list": [10, 20, 20, 30]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "m_list" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -266,6 +277,9 @@ def test_reproduce_fig1_per_length_exact_means(tmp_path):
         assert (r["m"], r["mean"], r["sem"], r["exact_mean"]) == (p.m, p.mean, p.sem, e)
         assert r["z"] == (p.mean - e) / p.sem
         assert abs(r["z"]) < 4
+    decay_rows = json.loads((out / "decay.json").read_text())["dataset"]
+    assert decay_rows == [{**r, "n": p.n} for r, p in zip(rows, dataset.points)]
+    assert DecayDataset.from_json(str(out / "decay.json")).points == dataset.points
 
 
 def test_reproduce_fig2_per_length_uses_the_oracle_channel():
@@ -295,21 +309,29 @@ def test_reproduce_fig2_byte_identical_serial_and_parallel(tmp_path, capsys):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def _assert_stage_timings(out, stages):
+def _assert_stage_timings(out, stages, parts=()):
+    """The disjoint ``stages`` fit in the duration, and the ``parts`` of simulate in it."""
     manifest = json.loads((out / "manifest.json").read_text())
     timings = manifest["timings"]
-    assert sorted(timings) == sorted(stages)
+    assert sorted(timings) == sorted([*stages, *parts])
     assert all(t >= 0.0 for t in timings.values())
-    assert sum(timings.values()) <= manifest["duration_seconds"]
+    assert sum(timings[s] for s in stages) <= manifest["duration_seconds"]
+    assert sum(timings[p] for p in parts) <= timings["simulate"]
 
 
 def test_manifest_records_stage_timings(tmp_path):
+    cfg_path = write_config(tmp_path, NOISELESS)
     out = tmp_path / "sim"
-    assert main(["simulate", "--config", write_config(tmp_path, NOISELESS), "--out", str(out)]) == 0
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    _assert_stage_timings(out, ["simulate", "write"], ["sample", "evolve"])
+    out = tmp_path / "sim-jobs"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out), "--jobs", "2"]) == 0
     _assert_stage_timings(out, ["simulate", "write"])
     out = tmp_path / "rep"
     assert main(["reproduce", "fig1", "--out", str(out)]) == EXIT_OK
-    _assert_stage_timings(out, ["simulate", "fit", "oracle", "exact", "write"])
+    _assert_stage_timings(
+        out, ["simulate", "fit", "oracle", "exact", "write"], ["sample", "evolve"]
+    )
     for name in ("decay.csv", "decay.json", "report.json"):
         assert "timings" not in (out / name).read_text()
 
@@ -317,6 +339,24 @@ def test_manifest_records_stage_timings(tmp_path):
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    import leakbench.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["fit", "missing.csv", "--model", "single-exp"]) == EXIT_CONFIG_ERROR
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert capsys.readouterr().out == build_parser().format_help()
 
 
 def test_check_command_passes(capsys):

@@ -202,6 +202,10 @@ def test_config_validation():
         ExperimentConfig.from_dict(
             {"gateset": "pauli", "m_list": [5], "n_sequences": 2.5, "seed": 1}
         )
+    with pytest.raises(ConfigError, match="m_list repeats the length 20"):
+        ExperimentConfig(
+            gateset="pauli", noise=None, m_list=(10, 20, 20.0, 30), n_sequences=5, seed=1
+        )
     exact = ExperimentConfig(gateset="pauli", noise=None, m_list=(5.0,), n_sequences=5, seed=1)
     assert exact.m_list == (5,) and isinstance(exact.m_list[0], int)
 
@@ -420,7 +424,7 @@ def test_any_shard_of_lengths_draws_the_same_streams():
     cfg = ExperimentConfig(
         gateset="shelving",
         noise={"id": "shelving", "params": {"seed": 3}},
-        m_list=(2, 5, 9, 5),
+        m_list=(2, 5, 9),
         n_sequences=5,
         seed=23,
         shots=100,
@@ -430,6 +434,121 @@ def test_any_shard_of_lengths_draws_the_same_streams():
     for shard in ([9], [5, 2], [9, 2]):
         for m, ps in _lengths_probabilities(cfg, shard).items():
             assert np.array_equal(ps, whole[m])
+
+
+def _ragged_batch(gs, stochastic, seed):
+    """Rows of lengths 9, 9, 6, 6, 6, 3, 1, 0 padded to 11 steps with out-of-range
+    indices and NaN normals, which must never be read, and one generator seed per row."""
+    rng = np.random.default_rng(seed)
+    lengths = np.array([9, 9, 6, 6, 6, 3, 1, 0])
+    indices = np.full((len(lengths), 11), len(gs) + 5)
+    normals = np.full((len(lengths), 11, 18), np.nan) if stochastic else None
+    for i, length in enumerate(lengths):
+        indices[i, :length] = rng.integers(0, len(gs), size=length)
+        if stochastic:
+            RandomStream(seed, key=(i,)).generator().standard_normal(out=normals[i, :length])
+    return indices, lengths, normals
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 200, None])
+@pytest.mark.parametrize(
+    "gateset, noise, spam",
+    [
+        ("pauli", {"id": "filter", "params": {"seed": 6}}, QUBIT),
+        ("shelving", None, QUTRIT),
+        ("shelving", {"id": "shelving", "params": {"phi": 0.2, "sigma_gamma": 0.4}}, QUTRIT),
+    ],
+    ids=["filter-spam", "noiseless-spam", "shelving-spam"],
+)
+def test_ragged_batch_matches_per_sequence_reference(
+    monkeypatch, chunk_entries, gateset, noise, spam
+):
+    if chunk_entries is not None:
+        monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", chunk_entries)
+    cfg = ExperimentConfig(
+        gateset=gateset, noise=noise, m_list=(1,), n_sequences=1, seed=3, spam=_spam_doc(spam, 47)
+    )
+    gs, na, spam, _ = _experiment_components(cfg)
+    stochastic = na is not None and na.stochastic
+    seed = 37
+    indices, lengths, normals = _ragged_batch(gs, stochastic, seed)
+    ps = run_sequences(indices, gs, na, spam, normals, lengths)
+    for i, (row, length) in enumerate(zip(indices, lengths)):
+        rng = RandomStream(seed, key=(i,)).generator() if stochastic else None
+        assert abs(ps[i] - run_sequence(row[:length], gs, na, spam, rng=rng)) < 1e-12
+
+
+def test_run_sequences_rejects_rows_not_ordered_by_length():
+    gs = lb.pauli_gateset()
+    indices = np.zeros((3, 4), dtype=int)
+    for lengths in ([2, 4, 4], [4, 1, 2], [4, 4], [5, 4, 4], [4, 4, -1]):
+        with pytest.raises(ValueError, match="lengths"):
+            run_sequences(indices, gs, None, lengths=lengths)
+    indices[1, 3] = 4
+    with pytest.raises(ValueError, match="gate index"):
+        run_sequences(indices, gs, None, lengths=[4, 4, 2])
+    assert np.allclose(run_sequences(indices, gs, None, lengths=[4, 3, 3]), 1.0)
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 200, None])
+@pytest.mark.parametrize(
+    "noise, spam, shots",
+    [({"id": "filter", "params": {}}, QUBIT, 250), (None, QUBIT, None)],
+    ids=["filter-spam-shots", "noiseless-spam"],
+)
+def test_all_lengths_pass_equals_per_length_calls(monkeypatch, chunk_entries, noise, spam, shots):
+    if chunk_entries is not None:
+        monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", chunk_entries)
+    cfg = ExperimentConfig(
+        gateset="pauli",
+        noise=noise,
+        m_list=(12, 3, 30, 1, 7),
+        n_sequences=6,
+        seed=53,
+        shots=shots,
+        spam=_spam_doc(spam, 59),
+    )
+    whole = _lengths_probabilities(cfg, cfg.m_list)
+    assert list(whole) == list(cfg.m_list)
+    for m in cfg.m_list:
+        (single,) = _lengths_probabilities(cfg, [m]).values()
+        assert np.array_equal(whole[m], single)
+    for shard in (cfg.m_list[0::2], cfg.m_list[1::2]):
+        for m, ps in _lengths_probabilities(cfg, shard).items():
+            assert np.array_equal(ps, whole[m])
+
+
+def test_all_lengths_pass_under_jobs_matches_serial():
+    cfg = ExperimentConfig(
+        gateset="pauli",
+        noise={"id": "filter", "params": {}},
+        m_list=(40, 10, 100, 20),
+        n_sequences=7,
+        seed=61,
+        shots=90,
+    )
+    assert run_experiment(cfg, jobs=2).points == run_experiment(cfg).points
+
+
+def test_fixed_noise_evolves_all_lengths_in_one_pass(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def counting_einsum(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    fig1 = ExperimentConfig(
+        gateset="pauli",
+        noise={"id": "filter", "params": {}},
+        m_list=tuple(range(10, 101, 10)),
+        n_sequences=30,
+        seed=20260801,
+    )
+    run_experiment(fig1)
+    # One step product per step of the longest sequence, not one per step of every length.
+    assert len(calls) <= max(fig1.m_list)
 
 
 def test_stream_seeding_does_not_grow_with_the_sequence_count(monkeypatch):
