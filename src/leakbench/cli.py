@@ -269,8 +269,9 @@ def reproduce_figure(
     fitted = result.params["decay"]
     stderr = result.stderr["decay"]
     gs, noise, spam, _ = components
+    stochastic = noise.stochastic
     with timed_stage(timings, "oracle"):
-        if noise.stochastic:
+        if stochastic:
             stream = RandomStream(cfg.seed).child(ORACLE_KEY)
             avg = averaged_coherent_channel(noise.sampler.params, oracle_samples, stream)
             oracle = float(decay_eigenvalues(subspace_transfer_matrix(avg))[1])
@@ -288,6 +289,8 @@ def reproduce_figure(
         "fitted_decay": fitted,
         "fitted_stderr": stderr,
         "oracle_decay": oracle,
+        "oracle_method": "monte-carlo" if stochastic else "closed-form",
+        "oracle_samples": oracle_samples if stochastic else None,
         "deviation_sigmas": abs(fitted - oracle) / stderr if stderr > 0 else None,
         "r_squared": result.r_squared,
         "pass": bool(passed),

@@ -64,10 +64,7 @@ class GateSet:
         # sets like {P (+) +-1} close only up to subspace-relative phases
         # ((X (+) -1)(Y (+) -1) = iZ (+) 1), which a literal matrix-closure
         # test would reject but the averaged action cancels.
-        avg = np.zeros_like(self.gate_liouvilles[0])
-        for g_lio in self.gate_liouvilles:
-            avg += g_lio
-        avg /= len(self.gates)
+        avg = twirl(self).matrix
         dev = np.max(np.abs(avg @ avg - avg))
         for g_lio in self.gate_liouvilles:
             dev = max(dev, np.max(np.abs(avg @ g_lio - avg)))
@@ -122,9 +119,8 @@ def signed_design_gateset(code_gates, leak_gates, label: str) -> GateSet:
 class TwirlProjector:
     """The averaged conjugation action of a gate set, in Liouville form."""
 
-    def __init__(self, matrix: np.ndarray, predicted_rank: int):
+    def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self.predicted_rank = predicted_rank
 
     def rank(self, tol: float = 0.5) -> int:
         """Numeric rank; a projector has singular values 0 or 1."""
@@ -133,11 +129,7 @@ class TwirlProjector:
 
 def twirl(gs: GateSet) -> TwirlProjector:
     """Average of kron(g, g.conj()) over the set; idempotent for a group."""
-    acc = np.zeros_like(gs.gate_liouvilles[0])
-    for g_lio in gs.gate_liouvilles:
-        acc += g_lio
-    predicted = 1 if gs.space.d2 == 0 else 2
-    return TwirlProjector(acc / len(gs), predicted_rank=predicted)
+    return TwirlProjector(sum(gs.gate_liouvilles) / len(gs))
 
 
 def predicted_twirl_matrix(space: SpaceSpec) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gatesets import GateSet, NoiseAssignment, PAULI_X, PAULI_Y, PAULI_Z
-from .liouville import Channel, SpaceSpec, direct_sum
+from .liouville import Channel, SpaceSpec
 
 QUTRIT = SpaceSpec(d1=2, d2=1)
 
@@ -193,8 +193,8 @@ class FilterParams:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"filter strength must be in [0, 1], got {self.p}")
         r = np.asarray(self.bloch, dtype=float)
-        if r.shape != (3,) or abs(np.linalg.norm(r) - 1.0) > 1e-6:
-            raise ValueError("bloch must be a unit 3-vector")
+        if r.shape != (3,) or not abs(np.linalg.norm(r) - 1.0) <= 1e-6:
+            raise ValueError(f"bloch must be a unit 3-vector, got {self.bloch}")
         object.__setattr__(self, "bloch", tuple(float(x) for x in r))
 
 
@@ -248,93 +248,57 @@ class ShelvingParams:
     sigma_gamma: float = 0.06
 
     def __post_init__(self):
-        if self.sigma_gamma < 0:
-            raise ValueError("sigma_gamma must be nonnegative")
+        if not np.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
+        if not 0.0 <= self.sigma_gamma < np.inf:
+            raise ValueError(f"sigma_gamma must be finite and nonnegative, got {self.sigma_gamma}")
 
 
-def shelving_pulse(gamma: float) -> np.ndarray:
-    """The imperfect shelving unitary 1 (+) [[i sin g, cos g], [cos g, i sin g]].
+def _code_rotations(phi: float, z: np.ndarray):
+    """Entries a00, a01 of A = cos(phi) I + i sin(phi) u X u^dag = [[a00, a01], [-a01*, a00*]].
 
-    gamma = 0 gives the ideal pulse 1 (+) X swapping the upper two levels.
+    u is the Haar unitary of the Ginibre matrix z (4, ...), the Q of its QR
+    with R's diagonal real-positive: its columns are z's first normalized,
+    (a, c), and (-c*, a*) times the phase of det z, so A needs no u.  With
+    s = sin(phi) / (|det z| (|z00|^2 + |z10|^2)), a00 = cos(phi) -
+    2i s Re(det* z00 z10) and a01 = i s (det* z00^2 - det z10*^2).
     """
-    s, c = np.sin(gamma), np.cos(gamma)
-    block = np.array([[1j * s, c], [c, 1j * s]], dtype=complex)
-    return direct_sum(np.eye(1), block)
+    z00, z01, z10, z11 = z
+    det = z00 * z11 - z10 * z01
+    norm = np.sqrt(det.real**2 + det.imag**2)
+    norm *= z00.real**2 + z00.imag**2 + z10.real**2 + z10.imag**2
+    s, p, q = np.sin(phi) / norm, det.conj() * z00, det.conj() * z10
+    return np.cos(phi) - 2j * (s * (p * z10).real), 1j * s * (p * z00 - (q * z10).conj())
 
 
-def code_rotation(phi: float, u: np.ndarray) -> np.ndarray:
-    """exp(i phi U X U^dag) on the code space, direct-summed with 1.
+def shelving_unitaries(phi: float, gammas: np.ndarray, z: np.ndarray, out: np.ndarray):
+    """Entries of the composite unitaries V(g2) R(u2) V(g1) R(u1) on the qutrit, batched.
 
-    U X U^dag is an involution, so the exponential reduces to the closed form
-    cos(phi) I + i sin(phi) U X U^dag.
+    gammas (2, n) holds the pulse angles g1, g2 and z (4, 2, n) the entries
+    z00, z01, z10, z11 of the Ginibre matrices of u1 and u2.  V(g) = 1 (+)
+    [[i sin g, cos g], [cos g, i sin g]] mixes levels {1, 2} and R(u) = A (+) 1
+    (:func:`_code_rotations`) mixes levels {0, 1}.  U's nine entries,
+    row-major, go to ``out`` (9, n), which is returned.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-9:
-        raise ValueError("code_rotation needs a 2 x 2 unitary")
-    axis = u @ PAULI_X @ u.conj().T
-    rot = np.cos(phi) * np.eye(2, dtype=complex) + 1j * np.sin(phi) * axis
-    return direct_sum(rot, np.eye(1))
-
-
-def haar_unitary(dim: int, rng) -> np.ndarray:
-    """A Haar-random unitary via QR of a complex Ginibre matrix.
-
-    The R-factor diagonal is rotated to be real-positive, which makes the
-    factorization unique and the distribution left-invariant.
-    """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    gen = as_generator(rng)
-    z = (gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def _haar_entries(z: np.ndarray):
-    """Entries (u00, u01, u10, u11) of Haar-random 2 x 2 unitaries from Ginibre z (..., 2, 2).
-
-    Closed-form Gram-Schmidt with R's diagonal real-positive, the same unique
-    Q as the QR plus phase fix of :func:`haar_unitary`: the first column (a, c)
-    is z's first normalized, the second is (-c*, a*) times the phase of its
-    overlap w with z's second column.
-    """
-    z00, z01, z10, z11 = z[..., 0, 0], z[..., 0, 1], z[..., 1, 0], z[..., 1, 1]
-    norm = np.sqrt(np.abs(z00) ** 2 + np.abs(z10) ** 2)
-    a, c = z00 / norm, z10 / norm
-    w = a * z11 - c * z01
-    e = w / np.abs(w)
-    return a, -e * c.conj(), c, e * a.conj()
-
-
-def shelving_unitaries(phi: float, gammas: np.ndarray, z1: np.ndarray, z2: np.ndarray):
-    """Composite unitaries V(g2) R(u2) V(g1) R(u1) on the qutrit, batched.
-
-    gammas (..., 2) holds the pulse angles g1, g2; z1 and z2 (..., 2, 2) are
-    the Ginibre matrices of u1 and u2.  The product is formed entry by entry
-    from the block structure: R(u) = (cos(phi) I + i sin(phi) u X u^dag) (+) 1
-    mixes levels {0, 1} and V(g) = 1 (+) [[i sin g, cos g], [cos g, i sin g]]
-    mixes levels {1, 2}.  Returns (..., 3, 3).
-    """
-    rotations = []
-    for z in (z1, z2):
-        u00, u01, u10, u11 = _haar_entries(z)
-        # u X u^dag is Hermitian and traceless: [[h, k], [k*, -h]].
-        h, k = 2.0 * np.real(u00 * u01.conj()), u01 * u10.conj() + u00 * u11.conj()
-        cos_phi, isin_phi = np.cos(phi), 1j * np.sin(phi)
-        rotations.append(
-            (cos_phi + isin_phi * h, isin_phi * k, isin_phi * k.conj(), cos_phi - isin_phi * h)
-        )
-    (a00, a01, a10, a11), (b00, b01, b10, b11) = rotations
-    # Rows of V(g1) R(u1), then rows {0, 1} after R(u2), then rows {1, 2} after V(g2).
-    c, i_s = np.cos(gammas[..., 0]), 1j * np.sin(gammas[..., 0])
-    p0, p1, p2 = (a00, a01, 0.0 * c), (i_s * a10, i_s * a11, c), (c * a10, c * a11, i_s)
-    q0 = [b00 * x + b01 * y for x, y in zip(p0, p1)]
-    q1 = [b10 * x + b11 * y for x, y in zip(p0, p1)]
-    c, i_s = np.cos(gammas[..., 1]), 1j * np.sin(gammas[..., 1])
-    r1 = [i_s * x + c * y for x, y in zip(q1, p2)]
-    r2 = [c * x + i_s * y for x, y in zip(q1, p2)]
-    return np.moveaxis(np.array([q0, r1, r2], dtype=complex), (0, 1), (-2, -1))
+    (a00, b00), (a01, b01) = _code_rotations(phi, z)
+    a10, a11, b10, b11 = -a01.conj(), a00.conj(), -b01.conj(), b00.conj()
+    # Row 1 of V(g1) R(u1) is (t0, t1, c1), row 2 (c1 a10, c1 a11, i s1).  R(u2)
+    # makes row 0 final and row 1 (x0, x1, x2), which V(g2) mixes with row 2.
+    (c1, c2), (s1, s2) = np.cos(gammas), np.sin(gammas)
+    i_s1 = 1j * s1
+    t0, t1 = i_s1 * a10, i_s1 * a11
+    np.add(b00 * a00, b01 * t0, out=out[0])
+    np.add(b00 * a01, b01 * t1, out=out[1])
+    np.multiply(c1, b01, out=out[2])
+    x0, x1, x2 = b10 * a00 + b11 * t0, b10 * a01 + b11 * t1, c1 * b11
+    i_s2, c2c1, i_s2c1 = 1j * s2, c2 * c1, 1j * (s2 * c1)
+    np.add(i_s2 * x0, c2c1 * a10, out=out[3])
+    np.add(i_s2 * x1, c2c1 * a11, out=out[4])
+    np.add(i_s2 * x2, c2 * i_s1, out=out[5])
+    np.add(c2 * x0, i_s2c1 * a10, out=out[6])
+    np.add(c2 * x1, i_s2c1 * a11, out=out[7])
+    np.subtract(c2 * x2, s2 * s1, out=out[8])
+    return out
 
 
 class ShelvingNoiseSampler:
@@ -354,10 +318,15 @@ class ShelvingNoiseSampler:
     def unitaries(self, normals: np.ndarray) -> np.ndarray:
         """Map standard normals (..., 18) to composite unitaries (..., 3, 3)."""
         normals = np.asarray(normals)
-        re_im = normals[..., 2:].reshape(normals.shape[:-1] + (2, 2, 2, 2))
-        z = re_im[..., 0, :, :] + 1j * re_im[..., 1, :, :]
-        gammas = self.params.sigma_gamma * normals[..., :2]
-        return shelving_unitaries(self.params.phi, gammas, z[..., 0, :, :], z[..., 1, :, :])
+        rows = normals.reshape(-1, self.n_normals).T
+        # Contiguous kernel inputs: the scaled angles (2, n) and Ginibre entries (4, 2, n).
+        gammas = self.params.sigma_gamma * rows[:2]
+        re_im = rows[2:].reshape(2, 2, 4, -1).transpose(2, 0, 1, 3)
+        z = np.empty((4, 2, rows.shape[1]), dtype=complex)
+        z.real, z.imag = re_im[:, :, 0], re_im[:, :, 1]
+        out = np.empty((9, rows.shape[1]), dtype=complex)
+        shelving_unitaries(self.params.phi, gammas, z, out)
+        return out.T.reshape(normals.shape[:-1] + (3, 3))
 
     def sample(self, rng) -> Channel:
         """One draw from ``rng``, as a unitary channel."""
@@ -388,23 +357,35 @@ def averaged_coherent_channel(
 
     The Liouville matrix is the mean over n_samples independent draws; the
     returned channel serves as the theory oracle for the coherent survival
-    rate.  Each batch draws the pulse angles (b, 2), then the real and
-    imaginary parts of the first and of the second Ginibre matrices, so the
-    result is fully determined by the stream and the batch size.
+    rate.  Each batch of b draws takes 18 b standard normals into one buffer:
+    the pulse angles (b, 2), then the real and imaginary parts of the first
+    and of the second Ginibre matrices (b, 2, 2) each, so the result is fully
+    determined by the stream and the batch size.  The kernel runs on chunks of
+    the batch, copied into contiguous rows.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     gen = as_generator(rng)
+    buffer = np.empty(18 * min(batch_size, n_samples))
+    width = min(_MC_CHUNK, batch_size, n_samples)
+    gammas, z = np.empty((2, width)), np.empty((4, 2, width), dtype=complex)
+    entries = np.empty((9, width), dtype=complex)
     gram = np.zeros((9, 9), dtype=complex)  # sum of vec(U) vec(U)^dag
     for start in range(0, n_samples, batch_size):
         b = min(batch_size, n_samples - start)
-        gammas = gen.normal(0.0, sp.sigma_gamma, size=(b, 2))
-        z1 = gen.normal(size=(b, 2, 2)) + 1j * gen.normal(size=(b, 2, 2))
-        z2 = gen.normal(size=(b, 2, 2)) + 1j * gen.normal(size=(b, 2, 2))
+        draws = buffer[: 18 * b]
+        gen.standard_normal(out=draws)
+        draws[: 2 * b] *= sp.sigma_gamma
+        angles = draws[: 2 * b].reshape(b, 2).T
+        # [entry][u1 or u2][real or imaginary][draw]
+        re_im = draws[2 * b :].reshape(2, 2, b, 4).transpose(3, 0, 1, 2)
         for lo in range(0, b, _MC_CHUNK):
-            hi = lo + _MC_CHUNK
-            u = shelving_unitaries(sp.phi, gammas[lo:hi], z1[lo:hi], z2[lo:hi]).reshape(-1, 9)
-            gram += u.T @ u.conj()
+            hi = min(lo + _MC_CHUNK, b)
+            n = hi - lo
+            gammas[:, :n] = angles[:, lo:hi]
+            z.real[..., :n], z.imag[..., :n] = re_im[..., 0, lo:hi], re_im[..., 1, lo:hi]
+            u = shelving_unitaries(sp.phi, gammas[:, :n], z[..., :n], entries[:, :n])
+            gram += u @ u.conj().T
     # Reorder [(i, j), (k, l)] to the Liouville index [(i, k), (j, l)] of kron(U, U*).
     total = gram.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
     return Channel.from_liouville(QUTRIT, total / n_samples)
@@ -450,7 +431,7 @@ def build_noise_model(
                 for g in params["gates"]
             ]
             if len(fps) != len(gateset):
-                raise ValueError("filter params must list one entry per gate")
+                raise ValueError(f"noise.params.gates lists {len(fps)} of {len(gateset)} gates")
             channels = [filter_channel(fp) for fp in fps]
             return NoiseAssignment(gateset.space, channels=channels)
         if "seed" in params:

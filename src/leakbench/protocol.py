@@ -38,6 +38,7 @@ from .liouville import (
     vec,
 )
 from .noise import NOISE_PARAMS, RandomStream, as_generator, build_noise_model
+from .noise import FilterParams, ShelvingParams
 
 # Sub-stream tags: sequence/shot draws vs. per-step noise draws.
 _SEQ_KEY = 0
@@ -142,6 +143,28 @@ def _reject_unknown(doc, known, what: str):
             raise ConfigError(f"unknown {what} key {key!r}")
 
 
+def _check_noise_values(params: dict):
+    """A ConfigError naming the first noise param whose value its noise model refuses."""
+    key = "seed"
+    try:
+        if "seed" in params and _integer("noise.params.seed", params["seed"]) < 0:
+            raise ValueError(f"must be >= 0, got {params['seed']!r}")
+        for key in ("phi", "sigma_gamma"):
+            if key in params:
+                ShelvingParams(**{key: float(params[key])})
+        key = "gates"
+        for i, gate in enumerate(params.get("gates", ())):
+            _reject_unknown(gate, ("p", "r"), f"noise.params.gates[{i}]")
+            key = f"gates[{i}].p"
+            FilterParams(p=float(gate["p"]), bloch=(0.0, 0.0, 1.0))
+            key = f"gates[{i}].r"
+            FilterParams(p=0.0, bloch=tuple(float(x) for x in gate["r"]))
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad noise.params.{key}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one benchmarking run."""
@@ -178,6 +201,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown noise model {model_id!r}")
             params = self.noise.get("params") or {}
             _reject_unknown(params, NOISE_PARAMS[model_id], f"{model_id} noise param")
+            _check_noise_values(params)
         if self.spam is not None:
             _reject_unknown(self.spam, ("rho", "effect", "prep", "meas"), "spam")
 
@@ -367,7 +391,10 @@ def _experiment_components(cfg: ExperimentConfig):
     gs = gateset_by_id(cfg.gateset)
     params = (cfg.noise or {}).get("params") or {}
     noise_root = RandomStream(int(params.get("seed", cfg.seed)))
-    noise = build_noise_model(cfg.noise, gs, noise_root)
+    try:
+        noise = build_noise_model(cfg.noise, gs, noise_root)
+    except ValueError as exc:  # a noise model that does not fit the gate set
+        raise ConfigError(f"bad noise: {exc}") from exc
     return gs, noise, spam_from_dict(cfg.spam, gs.space), noise_root
 
 
@@ -508,7 +535,7 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
                     next(noise_gens).standard_normal(out=row[:m])
         with timed_stage(timings, "evolve"):
             ps = run_sequences(indices, gs, noise, spam, normals, lengths)
-        bad = (ps < -DEFAULT_TOL) | (ps > 1.0 + DEFAULT_TOL)
+        bad = ~((ps >= -DEFAULT_TOL) & (ps <= 1.0 + DEFAULT_TOL))
         if bad.any():
             raise ValueError(f"probability {ps[bad][0]} outside [0, 1]")
         if cfg.shots is not None:

@@ -1,0 +1,132 @@
+"""Slow references that the fast paths of leakbench are tested against.
+
+The scalar factors of the shelving noise (``shelving_pulse``,
+``code_rotation`` and the LAPACK QR ``haar_unitary``), and the Monte Carlo
+oracle as it was before it drew into one reused buffer and computed u X u^dag
+in closed form: separate ``gen.normal`` draws per batch, a Gram-Schmidt Haar
+step per draw and the product of the four factors formed from the u entries.
+"""
+
+import numpy as np
+
+from leakbench.gatesets import PAULI_X
+from leakbench.liouville import Channel, direct_sum
+from leakbench.noise import QUTRIT, ShelvingParams, as_generator
+
+
+def shelving_pulse(gamma: float) -> np.ndarray:
+    """The imperfect shelving unitary 1 (+) [[i sin g, cos g], [cos g, i sin g]].
+
+    gamma = 0 gives the ideal pulse 1 (+) X swapping the upper two levels.
+    """
+    s, c = np.sin(gamma), np.cos(gamma)
+    block = np.array([[1j * s, c], [c, 1j * s]], dtype=complex)
+    return direct_sum(np.eye(1), block)
+
+
+def code_rotation(phi: float, u: np.ndarray) -> np.ndarray:
+    """exp(i phi U X U^dag) on the code space, direct-summed with 1.
+
+    U X U^dag is an involution, so the exponential reduces to the closed form
+    cos(phi) I + i sin(phi) U X U^dag.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-9:
+        raise ValueError("code_rotation needs a 2 x 2 unitary")
+    axis = u @ PAULI_X @ u.conj().T
+    rot = np.cos(phi) * np.eye(2, dtype=complex) + 1j * np.sin(phi) * axis
+    return direct_sum(rot, np.eye(1))
+
+
+def haar_unitary(dim: int, rng) -> np.ndarray:
+    """A Haar-random unitary via QR of a complex Ginibre matrix.
+
+    The R-factor diagonal is rotated to be real-positive, which makes the
+    factorization unique and the distribution left-invariant.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    gen = as_generator(rng)
+    z = (gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+#: Draws per chunk of the Monte Carlo average; bounds its peak memory.
+_MC_CHUNK = 10_000
+
+
+def _haar_entries(z: np.ndarray):
+    """Entries (u00, u01, u10, u11) of Haar-random 2 x 2 unitaries from Ginibre z (..., 2, 2).
+
+    Closed-form Gram-Schmidt with R's diagonal real-positive, the same unique
+    Q as the QR plus phase fix of :func:`haar_unitary`: the first column (a, c)
+    is z's first normalized, the second is (-c*, a*) times the phase of its
+    overlap w with z's second column.
+    """
+    z00, z01, z10, z11 = z[..., 0, 0], z[..., 0, 1], z[..., 1, 0], z[..., 1, 1]
+    norm = np.sqrt(np.abs(z00) ** 2 + np.abs(z10) ** 2)
+    a, c = z00 / norm, z10 / norm
+    w = a * z11 - c * z01
+    e = w / np.abs(w)
+    return a, -e * c.conj(), c, e * a.conj()
+
+
+def shelving_unitaries(phi: float, gammas: np.ndarray, z1: np.ndarray, z2: np.ndarray):
+    """Composite unitaries V(g2) R(u2) V(g1) R(u1) on the qutrit, batched.
+
+    gammas (..., 2) holds the pulse angles g1, g2; z1 and z2 (..., 2, 2) are
+    the Ginibre matrices of u1 and u2.  The product is formed entry by entry
+    from the block structure: R(u) = (cos(phi) I + i sin(phi) u X u^dag) (+) 1
+    mixes levels {0, 1} and V(g) = 1 (+) [[i sin g, cos g], [cos g, i sin g]]
+    mixes levels {1, 2}.  Returns (..., 3, 3).
+    """
+    rotations = []
+    for z in (z1, z2):
+        u00, u01, u10, u11 = _haar_entries(z)
+        # u X u^dag is Hermitian and traceless: [[h, k], [k*, -h]].
+        h, k = 2.0 * np.real(u00 * u01.conj()), u01 * u10.conj() + u00 * u11.conj()
+        cos_phi, isin_phi = np.cos(phi), 1j * np.sin(phi)
+        rotations.append(
+            (cos_phi + isin_phi * h, isin_phi * k, isin_phi * k.conj(), cos_phi - isin_phi * h)
+        )
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = rotations
+    # Rows of V(g1) R(u1), then rows {0, 1} after R(u2), then rows {1, 2} after V(g2).
+    c, i_s = np.cos(gammas[..., 0]), 1j * np.sin(gammas[..., 0])
+    p0, p1, p2 = (a00, a01, 0.0 * c), (i_s * a10, i_s * a11, c), (c * a10, c * a11, i_s)
+    q0 = [b00 * x + b01 * y for x, y in zip(p0, p1)]
+    q1 = [b10 * x + b11 * y for x, y in zip(p0, p1)]
+    c, i_s = np.cos(gammas[..., 1]), 1j * np.sin(gammas[..., 1])
+    r1 = [i_s * x + c * y for x, y in zip(q1, p2)]
+    r2 = [c * x + i_s * y for x, y in zip(q1, p2)]
+    return np.moveaxis(np.array([q0, r1, r2], dtype=complex), (0, 1), (-2, -1))
+
+
+def averaged_coherent_channel(
+    sp: ShelvingParams, n_samples: int, rng, batch_size: int = 50_000
+) -> Channel:
+    """Monte Carlo average of the shelving-noise channel over its parameters.
+
+    The Liouville matrix is the mean over n_samples independent draws; the
+    returned channel serves as the theory oracle for the coherent survival
+    rate.  Each batch draws the pulse angles (b, 2), then the real and
+    imaginary parts of the first and of the second Ginibre matrices, so the
+    result is fully determined by the stream and the batch size.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    gen = as_generator(rng)
+    gram = np.zeros((9, 9), dtype=complex)  # sum of vec(U) vec(U)^dag
+    for start in range(0, n_samples, batch_size):
+        b = min(batch_size, n_samples - start)
+        gammas = gen.normal(0.0, sp.sigma_gamma, size=(b, 2))
+        z1 = gen.normal(size=(b, 2, 2)) + 1j * gen.normal(size=(b, 2, 2))
+        z2 = gen.normal(size=(b, 2, 2)) + 1j * gen.normal(size=(b, 2, 2))
+        for lo in range(0, b, _MC_CHUNK):
+            hi = lo + _MC_CHUNK
+            u = shelving_unitaries(sp.phi, gammas[lo:hi], z1[lo:hi], z2[lo:hi]).reshape(-1, 9)
+            gram += u.T @ u.conj()
+    # Reorder [(i, j), (k, l)] to the Liouville index [(i, k), (j, l)] of kron(U, U*).
+    total = gram.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+    return Channel.from_liouville(QUTRIT, total / n_samples)

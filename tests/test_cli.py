@@ -151,6 +151,33 @@ def test_simulate_unknown_config_key_is_config_error(tmp_path, capsys, change, k
     assert not out.exists()
 
 
+SHELVING = {**NOISELESS, "gateset": "shelving"}
+FILTER_GATE = {"p": 0.01, "r": [0, 0, 1]}
+
+
+@pytest.mark.parametrize(
+    "base, params, key",
+    [
+        (SHELVING, {"sigma_gamma": float("nan")}, "noise.params.sigma_gamma"),
+        (SHELVING, {"phi": float("inf")}, "noise.params.phi"),
+        (SHELVING, {"sigma_gamma": -1}, "noise.params.sigma_gamma"),
+        (SHELVING, {"seed": -4}, "noise.params.seed"),
+        (NOISELESS, {"gates": [{"p": 0.01, "r": [float("nan"), 0, 0]}] * 4}, "gates[0].r"),
+        (NOISELESS, {"gates": [FILTER_GATE] * 3 + [{"p": 1.5, "r": [1, 0, 0]}]}, "gates[3].p"),
+        (NOISELESS, {"gates": [FILTER_GATE, {"p": 0.01}] * 2}, "gates[1].r"),
+        (NOISELESS, {"gates": [FILTER_GATE] * 3}, "noise.params.gates"),
+    ],
+)
+def test_simulate_bad_noise_value_is_config_error(tmp_path, capsys, base, params, key):
+    noise = {"id": "shelving" if base is SHELVING else "filter", "params": params}
+    cfg_path = write_config(tmp_path, {**base, "noise": noise})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
 def test_simulate_spam_on_the_wrong_space_is_config_error(tmp_path, capsys):
     from leakbench.liouville import channel_to_dict
 
@@ -259,6 +286,7 @@ def test_reproduce_fig1(tmp_path, capsys):
     assert report["pass"]
     assert report["r_squared"] >= 0.99
     assert abs(report["fitted_decay"] - report["oracle_decay"]) <= 3 * report["fitted_stderr"]
+    assert (report["oracle_method"], report["oracle_samples"]) == ("closed-form", None)
     for name in ("decay.csv", "decay.json", "fit.json", "manifest.json"):
         assert (out / name).exists()
     assert "PASS" in capsys.readouterr().out
@@ -284,6 +312,7 @@ def test_reproduce_fig1_per_length_exact_means(tmp_path):
 
 def test_reproduce_fig2_per_length_uses_the_oracle_channel():
     dataset, _, report = reproduce_figure("fig2", oracle_samples=20_000)
+    assert (report["oracle_method"], report["oracle_samples"]) == ("monte-carlo", 20_000)
     rows = report["per_length"]
     assert [r["m"] for r in rows] == [p.m for p in dataset.points]
     exact = [r["exact_mean"] for r in rows]

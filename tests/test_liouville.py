@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import apply_kraus, random_channel, random_density, random_hermitian
+from reference import haar_unitary, shelving_pulse
 
 import leakbench as lb
 from leakbench import Channel, SpaceSpec
@@ -142,7 +143,7 @@ def test_identity_channel_liouville():
 
 def test_unitary_channel_liouville_is_u_kron_ustar():
     rng = np.random.default_rng(5)
-    u = lb.haar_unitary(3, rng)
+    u = haar_unitary(3, rng)
     ch = Channel.unitary(QUTRIT, u)
     assert np.max(np.abs(ch.liouville - np.kron(u, u.conj()))) < 1e-12
 
@@ -298,7 +299,7 @@ def _transfer_oracle(ch: Channel) -> np.ndarray:
 
 
 def test_transfer_matrix_ideal_shelving_pulse():
-    ch = Channel.unitary(QUTRIT, lb.shelving_pulse(0.0))
+    ch = Channel.unitary(QUTRIT, shelving_pulse(0.0))
     s = lb.subspace_transfer_matrix(ch)
     assert np.max(np.abs(s - _transfer_oracle(ch))) < 1e-12
     # swaps the leak level with one code level
@@ -306,7 +307,7 @@ def test_transfer_matrix_ideal_shelving_pulse():
 
 
 def test_transfer_matrix_quarter_pulse_keeps_leak_population():
-    ch = Channel.unitary(QUTRIT, lb.shelving_pulse(np.pi / 2))
+    ch = Channel.unitary(QUTRIT, shelving_pulse(np.pi / 2))
     s = lb.subspace_transfer_matrix(ch)
     assert np.max(np.abs(s - _transfer_oracle(ch))) < 1e-12
     assert abs(s[1, 1] - 1.0) < 1e-12

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import random_density
+from reference import _haar_entries, code_rotation, haar_unitary, shelving_pulse
+from reference import averaged_coherent_channel as reference_average
 
 import leakbench as lb
 from leakbench import SpaceSpec
@@ -9,7 +13,6 @@ from leakbench.noise import (
     QUTRIT,
     RandomStream,
     ShelvingNoiseSampler,
-    _haar_entries,
     build_noise_model,
     pcg64_states,
     sample_filter_assignment,
@@ -107,6 +110,21 @@ def test_filter_params_validation():
         lb.FilterParams(p=1.5, bloch=(0, 0, 1))
     with pytest.raises(ValueError):
         lb.FilterParams(p=0.1, bloch=(0, 0, 2))
+    for p, bloch in ((np.nan, (0, 0, 1)), (0.1, (np.nan, 0, 0)), (0.1, (np.inf, 0, 0))):
+        with pytest.raises(ValueError):
+            lb.FilterParams(p=p, bloch=bloch)
+
+
+def test_shelving_params_refuse_non_finite_values():
+    for key, value in (
+        ("phi", np.nan),
+        ("phi", np.inf),
+        ("sigma_gamma", np.nan),
+        ("sigma_gamma", np.inf),
+        ("sigma_gamma", -1.0),
+    ):
+        with pytest.raises(ValueError, match=key):
+            lb.ShelvingParams(**{key: value})
 
 
 def test_filter_channel_zero_strength_is_identity():
@@ -173,28 +191,28 @@ def test_sampled_filter_directions_cover_sphere():
 
 def test_shelving_pulse_ideal():
     expected = lb.direct_sum(np.eye(1), PAULI_X)
-    assert np.max(np.abs(lb.shelving_pulse(0.0) - expected)) < 1e-15
+    assert np.max(np.abs(shelving_pulse(0.0) - expected)) < 1e-15
 
 
 def test_shelving_pulse_quarter_angle():
     expected = lb.direct_sum(np.eye(1), 1j * np.eye(2))
-    assert np.max(np.abs(lb.shelving_pulse(np.pi / 2) - expected)) < 1e-15
+    assert np.max(np.abs(shelving_pulse(np.pi / 2) - expected)) < 1e-15
 
 
 def test_shelving_pulse_unitary_for_all_angles():
     rng = np.random.default_rng(5)
     for gamma in rng.uniform(-np.pi, np.pi, size=1000):
-        v = lb.shelving_pulse(gamma)
+        v = shelving_pulse(gamma)
         assert np.max(np.abs(v @ v.conj().T - np.eye(3))) < 1e-12
 
 
 def test_code_rotation_zero_angle():
-    assert np.max(np.abs(lb.code_rotation(0.0, np.eye(2)) - np.eye(3))) < 1e-15
+    assert np.max(np.abs(code_rotation(0.0, np.eye(2)) - np.eye(3))) < 1e-15
 
 
 def test_code_rotation_half_pi():
     expected = lb.direct_sum(1j * PAULI_X, np.eye(1))
-    assert np.max(np.abs(lb.code_rotation(np.pi / 2, np.eye(2)) - expected)) < 1e-12
+    assert np.max(np.abs(code_rotation(np.pi / 2, np.eye(2)) - expected)) < 1e-12
 
 
 def _taylor_expm(a: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -209,9 +227,9 @@ def _taylor_expm(a: np.ndarray, terms: int = 40) -> np.ndarray:
 def test_code_rotation_matches_series_exponential():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        u = lb.haar_unitary(2, rng)
+        u = haar_unitary(2, rng)
         phi = float(rng.uniform(-1.0, 1.0))
-        closed = lb.code_rotation(phi, u)
+        closed = code_rotation(phi, u)
         series = lb.direct_sum(_taylor_expm(1j * phi * (u @ PAULI_X @ u.conj().T)), np.eye(1))
         assert np.max(np.abs(closed - series)) < 1e-10
         assert np.max(np.abs(closed @ closed.conj().T - np.eye(3))) < 1e-12
@@ -219,7 +237,7 @@ def test_code_rotation_matches_series_exponential():
 
 def test_code_rotation_rejects_non_unitary():
     with pytest.raises(ValueError):
-        lb.code_rotation(0.1, np.array([[1.0, 0.0], [0.0, 2.0]]))
+        code_rotation(0.1, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_coherent_noise_ideal_limit_is_identity():
@@ -250,14 +268,14 @@ def test_coherent_noise_trace_decreasing_on_code_space():
 
 
 def test_haar_unitary_single_dim_is_phase():
-    u = lb.haar_unitary(1, RandomStream(4))
+    u = haar_unitary(1, RandomStream(4))
     assert u.shape == (1, 1)
     assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
 
 def test_haar_unitary_reproducible():
-    a = lb.haar_unitary(3, RandomStream(12))
-    b = lb.haar_unitary(3, RandomStream(12))
+    a = haar_unitary(3, RandomStream(12))
+    b = haar_unitary(3, RandomStream(12))
     assert np.array_equal(a, b)
 
 
@@ -286,12 +304,24 @@ def test_haar_batch_matches_single_draw_distribution():
 
 
 def test_closed_form_haar_matches_lapack_qr():
-    z = _ginibre(2000, RandomStream(15).generator())
-    q, r = np.linalg.qr(z)
+    # The kernel's closed-form u X u^dag against the explicit four-factor
+    # product with the LAPACK QR Haar unitaries of the same Ginibre draws.
+    sp = lb.ShelvingParams(phi=0.3, sigma_gamma=0.5)
+    sampler = ShelvingNoiseSampler(sp)
+    normals = RandomStream(15).generator().standard_normal((2000, sampler.n_normals))
+    re_im = normals[:, 2:].reshape(-1, 2, 2, 2, 2)
+    q, r = np.linalg.qr(re_im[:, :, 0] + 1j * re_im[:, :, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    reference = q * (d / np.abs(d))[:, None, :]
-    closed = np.stack(_haar_entries(z), axis=-1).reshape(-1, 2, 2)
-    assert np.max(np.abs(closed - reference)) < 1e-13
+    haar = q * (d / np.abs(d))[..., None, :]
+    for row, (u1, u2), u in zip(normals, haar, sampler.unitaries(normals)):
+        gamma1, gamma2 = sp.sigma_gamma * row[:2]
+        explicit = (
+            shelving_pulse(gamma2)
+            @ code_rotation(sp.phi, u2)
+            @ shelving_pulse(gamma1)
+            @ code_rotation(sp.phi, u1)
+        )
+        assert np.max(np.abs(u - explicit)) < 1e-13
 
 
 def test_coherent_noise_matches_explicit_product():
@@ -301,12 +331,12 @@ def test_coherent_noise_matches_explicit_product():
     for seed in range(1000):
         gen = RandomStream(seed, key=(5,)).generator()
         gamma1, gamma2 = gen.normal(0.0, sp.sigma_gamma, size=2)
-        u1, u2 = lb.haar_unitary(2, gen), lb.haar_unitary(2, gen)
+        u1, u2 = haar_unitary(2, gen), haar_unitary(2, gen)
         explicit = (
-            lb.shelving_pulse(gamma2)
-            @ lb.code_rotation(sp.phi, u2)
-            @ lb.shelving_pulse(gamma1)
-            @ lb.code_rotation(sp.phi, u1)
+            shelving_pulse(gamma2)
+            @ code_rotation(sp.phi, u2)
+            @ shelving_pulse(gamma1)
+            @ code_rotation(sp.phi, u1)
         )
         (u,) = lb.sample_coherent_noise(sp, RandomStream(seed, key=(5,))).kraus
         assert np.max(np.abs(u - explicit)) < 1e-13
@@ -367,6 +397,31 @@ def test_averaged_channel_variance_scales_inversely_with_samples():
 def test_averaged_channel_rejects_bad_count():
     with pytest.raises(ValueError):
         lb.averaged_coherent_channel(lb.ShelvingParams(), 0, RandomStream(1))
+
+
+@pytest.mark.parametrize("batch_size", [7, 50_000])
+@pytest.mark.parametrize("n", [1, 7, 10_001, 49_999, 50_000, 50_001, 120_000])
+def test_averaged_channel_matches_reference(n, batch_size):
+    # The one-buffer draws and closed-form rotations against the separate
+    # gen.normal draws and Gram-Schmidt Haar entries, stream position included.
+    sp = lb.ShelvingParams()
+    fast_gen, slow_gen = RandomStream(31).generator(), RandomStream(31).generator()
+    fast = lb.averaged_coherent_channel(sp, n, fast_gen, batch_size=batch_size)
+    slow = reference_average(sp, n, slow_gen, batch_size=batch_size)
+    assert np.max(np.abs(fast.liouville - slow.liouville)) < 1e-13
+    assert np.array_equal(fast_gen.standard_normal(4), slow_gen.standard_normal(4))
+
+
+def test_averaged_channel_peak_memory():
+    # One 50k-draw buffer, 10k-draw chunks of kernel work and no complex
+    # copy of the batch: the parent layout peaked at 14.66 MiB here.
+    tracemalloc.start()
+    try:
+        lb.averaged_coherent_channel(lb.ShelvingParams(), 200_000, RandomStream(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
 
 
 def test_batch_sampling_matches_scalar_path():

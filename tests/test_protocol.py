@@ -436,6 +436,26 @@ def test_any_shard_of_lengths_draws_the_same_streams():
             assert np.array_equal(ps, whole[m])
 
 
+class _NanSampler:
+    """A per-step sampler whose unitaries are all NaN."""
+
+    n_normals = 18
+    space = QUTRIT
+
+    def unitaries(self, normals):
+        return np.full(np.shape(normals)[:-1] + (3, 3), np.nan, dtype=complex)
+
+
+def test_nan_probability_is_rejected():
+    cfg = ExperimentConfig(
+        gateset="shelving", noise={"id": "shelving"}, m_list=(2, 4), n_sequences=3, seed=5
+    )
+    gs, _, spam, root = _experiment_components(cfg)
+    components = (gs, NoiseAssignment(QUTRIT, sampler=_NanSampler()), spam, root)
+    with pytest.raises(ValueError, match="probability nan outside"):
+        _lengths_probabilities(cfg, cfg.m_list, components)
+
+
 def _ragged_batch(gs, stochastic, seed):
     """Rows of lengths 9, 9, 6, 6, 6, 3, 1, 0 padded to 11 steps with out-of-range
     indices and NaN normals, which must never be read, and one generator seed per row."""
