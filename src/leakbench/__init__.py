@@ -28,10 +28,7 @@ from .liouville import (
     DEFAULT_TOL,
     Channel,
     ChannelDiagnostics,
-    OperatorBasis,
     SpaceSpec,
-    VectorizedOperator,
-    born_probability,
     channel_from_json,
     channel_to_json,
     choi_matrix,
@@ -40,14 +37,11 @@ from .liouville import (
     cp_tp_diagnostics,
     decay_eigenvalues,
     direct_sum,
-    elementary_basis,
     incoherent_survival,
     kron,
     leakage_rates,
     subspace_transfer_matrix,
     survival_rate,
-    to_liouville,
-    vectorize,
 )
 from .noise import (
     FilterParams,
@@ -69,7 +63,4 @@ from .protocol import (
     exact_expectations,
     predicted_expectation,
     run_experiment,
-    run_sequence,
-    sample_sequence,
-    shot_estimate,
 )

@@ -18,6 +18,7 @@ DEGENERACY_TOL = 1e-6
 
 _MAX_ITERATIONS = 200
 _STEP_TOL = 1e-10
+_POLISH_STEPS = 8
 
 
 class FitNonConvergence(RuntimeError):
@@ -292,6 +293,34 @@ def _damped_step(model, x, normal, grad, mu):
 
 
 def _lm_minimize(model: DecayModel, x0, ms, ys, w):
+    """Damped least squares, polished by Gauss-Newton steps on the free parameters.
+
+    The damped iteration stops once a step no longer lowers the cost at
+    working precision, up to about sqrt(eps) times the parameter errors short
+    of the optimum.  Undamped steps (a parameter pushed past its bound is
+    pinned there) follow while each is at most half the one before and does
+    not raise the cost by more than its rounding, so the fit depends on the
+    data alone and not on the path of the iteration.
+    """
+    x, cost, converged, n_iter = _lm_iterate(model, x0, ms, ys, w)
+    size, eps = np.inf, np.finfo(float).eps
+    for _ in range(_POLISH_STEPS if converged else 0):
+        jac, resid = model.jacobian(x, ms), ys - model.predict(x, ms)
+        try:
+            candidate = _damped_step(model, x, jac.T @ (w[:, None] * jac), jac.T @ (w * resid), 0.0)
+        except np.linalg.LinAlgError:
+            break
+        candidate_cost = _cost(model, candidate, ms, ys, w)
+        step, rounding = np.max(np.abs(candidate - x)), 8 * eps * np.sum(w * np.abs(resid * ys))
+        if not (step <= size / 2 and candidate_cost <= cost + rounding):
+            break
+        x, cost, size = candidate, candidate_cost, step
+        if size <= 4 * eps * np.max(np.abs(x)):
+            break
+    return x, cost, converged, n_iter
+
+
+def _lm_iterate(model: DecayModel, x0, ms, ys, w):
     """Damped least squares with multiplicative damping on the normal matrix."""
     x = model.clamp(np.asarray(x0, dtype=float))
     cost = _cost(model, x, ms, ys, w)

@@ -51,63 +51,6 @@ class SpaceSpec:
         return p
 
 
-class OperatorBasis:
-    """A trace-orthonormal basis {A_i} for the d x d operator space.
-
-    Orthonormality Tr[A_i^dag A_j] = delta_ij is checked at construction.
-    """
-
-    def __init__(self, elements, label: str, tol: float = DEFAULT_TOL):
-        elements = tuple(np.asarray(a, dtype=complex) for a in elements)
-        d = elements[0].shape[0]
-        if len(elements) != d * d or any(a.shape != (d, d) for a in elements):
-            raise ValueError("basis must contain d^2 elements of shape (d, d)")
-        gram = OperatorBasis._gram(elements)
-        if np.max(np.abs(gram - np.eye(d * d))) > tol:
-            raise ValueError(f"basis {label!r} is not trace-orthonormal within {tol}")
-        self.elements = elements
-        self.label = label
-        self.dim = d
-
-    @staticmethod
-    def _gram(elements) -> np.ndarray:
-        n = len(elements)
-        g = np.empty((n, n), dtype=complex)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                g[i, j] = np.trace(a.conj().T @ b)
-        return g
-
-    def gram_matrix(self) -> np.ndarray:
-        """Matrix of overlaps Tr[A_i^dag A_j]; the identity for a valid basis."""
-        return self._gram(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def elementary_basis(space: SpaceSpec) -> OperatorBasis:
-    """The d^2 matrix units |i><j| in row-major order of (i, j)."""
-    d = space.d
-    elements = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            elements.append(e)
-    return OperatorBasis(elements, label=f"elementary-{d}")
-
-
-def normalized_pauli_basis() -> OperatorBasis:
-    """The single-qubit basis {I, X, Y, Z} / sqrt(2)."""
-    s = 1.0 / np.sqrt(2.0)
-    i2 = np.eye(2, dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    return OperatorBasis([s * i2, s * x, s * y, s * z], label="pauli-normalized")
-
-
 def vec(op: np.ndarray) -> np.ndarray:
     """Row-major vectorization; coordinates of op in the elementary basis."""
     return np.asarray(op, dtype=complex).reshape(-1)
@@ -237,56 +180,6 @@ def mix(channels, weights=None) -> Channel:
     for w, ch in zip(weights, channels):
         kraus.extend(np.sqrt(w) * k for k in ch.kraus)
     return Channel(space, kraus)
-
-
-def to_liouville(ch: Channel, basis: OperatorBasis | None = None) -> np.ndarray:
-    """Liouville matrix of ``ch`` with entries Tr[A_i^dag E(A_j)].
-
-    With no basis this is the cached canonical (matrix-unit) form; any other
-    trace-orthonormal basis is reached by the unitary change of frame
-    T[i, :] = vec(A_i).conj(), which is the identity for matrix units.
-    """
-    lio = ch.liouville
-    if basis is None:
-        return lio.copy()
-    if basis.dim != ch.space.d:
-        raise ValueError("basis dimension does not match channel space")
-    t = np.array([vec(a).conj() for a in basis.elements])
-    return t @ lio @ t.conj().T
-
-
-@dataclass(frozen=True)
-class VectorizedOperator:
-    """Coordinates of a state (column) or measurement effect (row) in a basis."""
-
-    kind: str  # "state-column" | "effect-row"
-    coords: np.ndarray
-    basis_label: str
-
-
-def vectorize(
-    op: np.ndarray, kind: str, basis: OperatorBasis
-) -> VectorizedOperator:
-    """Coordinates Tr[A_i^dag rho] for states, Tr[M^dag A_i] for effects."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (basis.dim, basis.dim):
-        raise ValueError("operator dimension does not match basis")
-    if kind == "state-column":
-        coords = np.array([np.trace(a.conj().T @ op) for a in basis.elements])
-    elif kind == "effect-row":
-        coords = np.array([np.trace(op.conj().T @ a) for a in basis.elements])
-    else:
-        raise ValueError(f"unknown vectorization kind {kind!r}")
-    return VectorizedOperator(kind=kind, coords=coords, basis_label=basis.label)
-
-
-def born_probability(effect: VectorizedOperator, state: VectorizedOperator) -> complex:
-    """(M|rho) = sum_i effect_i state_i = Tr[M^dag rho]."""
-    if effect.kind != "effect-row" or state.kind != "state-column":
-        raise ValueError("born_probability needs an effect row and a state column")
-    if effect.basis_label != state.basis_label:
-        raise ValueError("effect and state are expressed in different bases")
-    return complex(np.dot(effect.coords, state.coords))
 
 
 def survival_rate(rho: np.ndarray, ch: Channel) -> float:

@@ -10,6 +10,7 @@ code-rotation errors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ class RandomStream:
 
         The draws are bit for bit those of ``child(*row).generator()``.  For
         PCG64 the seeding of every key is computed in one vectorized pass
-        (:func:`pcg64_states`) and one Generator is re-seated per key, so a
+        (:func:`pcg64_seeds`) and one Generator is re-seated per key, so a
         yielded generator is valid only until the next one is taken.
         """
         keys = np.asarray(keys, dtype=np.uint64)
@@ -68,24 +69,46 @@ class RandomStream:
             return
         prefix = np.broadcast_to(np.array(self.key, dtype=np.uint64), (len(keys), len(self.key)))
         gen = np.random.Generator(np.random.PCG64(0))
-        for state, inc in pcg64_states(self.seed, np.hstack([prefix, keys])):
-            gen.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        for state in _state_dicts(pcg64_seeds(self.seed, np.hstack([prefix, keys]))):
+            gen.bit_generator.state = state
             yield gen
 
 
 # numpy's SeedSequence pool hash and PCG64 seeding, whose streams NEP 19 keeps
-# stable (constants from numpy/random/bit_generator.pyx and pcg64.h).
+# stable (constants from numpy/random/bit_generator.pyx and pcg64.h).  A
+# 128-bit value is held as its high and low uint64 halves on the first axis
+# of an array; uint64 arithmetic wraps mod 2^64.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+def _halves(values) -> np.ndarray:
+    """Ints in [0, 2^128) as halves (2, len(values))."""
+    return np.array([[v >> 64 for v in values], [v & _MASK64 for v in values]], dtype=np.uint64)
+
+
+def _ints(halves: np.ndarray) -> list:
+    """The Python ints of halves (2, k)."""
+    return [high << 64 | low for high, low in zip(halves[0].tolist(), halves[1].tolist())]
+
+
+def _add128(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b mod 2^128."""
+    low = a[1] + b[1]
+    return np.stack([a[0] + b[0] + (low < b[1]), low])
+
+
+def _mul128(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b mod 2^128: the low halves' full product, from 32-bit pieces, plus the cross terms."""
+    x0, x1, y0, y1 = a[1] & _MASK32, a[1] >> 32, b[1] & _MASK32, b[1] >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a[0] * b[1] + a[1] * b[0]
+    return np.stack([high, a[1] * b[1]])
 
 
 def _uint32_words(value: int) -> list:
@@ -98,7 +121,7 @@ def _uint32_words(value: int) -> list:
 
 
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(...).generate_state(4, np.uint64)`` for each row of ``entropy`` (k, n) uint32.
+    """``SeedSequence(...).generate_state(8)`` (8, k) for each row of ``entropy`` (k, n) uint32.
 
     Every row has the same length, so the hash constants run in step for all
     of them and each word operation is one vectorized uint32 operation.
@@ -126,24 +149,23 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     for src in range(_POOL_SIZE, width):
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    # Eight words cycled from the pool, read as four little-endian uint64.
     hash_const, words = _INIT_B, []
     for i in range(8):
         value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = (hash_const * _MULT_B) & _MASK32
         value = value * hash_const
         words.append(value ^ (value >> 16))
-    return np.column_stack(words).astype("<u4").view("<u8").astype(np.uint64)
+    return np.array(words, dtype=np.uint64)
 
 
-def pcg64_states(seed: int, keys) -> np.ndarray:
-    """``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=key))`` for every row of ``keys``.
+def pcg64_seeds(seed: int, keys) -> np.ndarray:
+    """Halves (2, 2, k) of the state and increment of ``PCG64(SeedSequence(seed, spawn_key=key))``
+    for every row of ``keys``.
 
-    ``keys`` is (k, L) with components in [0, 2^64); the result is a (k, 2)
-    object array of Python ints.  SeedSequence's entropy is the seed's
-    32-bit words, zero-padded to the pool size when there is a spawn key,
-    then each key component's words; rows whose components split into the
-    same number of words are hashed together in one pass.
+    ``keys`` is (k, L) with components in [0, 2^64).  SeedSequence's entropy
+    is the seed's 32-bit words, zero-padded to the pool size when there is a
+    spawn key, then each key component's words; rows whose components split
+    into the same number of words are hashed together in one pass.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if keys.ndim != 2:
@@ -151,21 +173,124 @@ def pcg64_states(seed: int, keys) -> np.ndarray:
     head = _uint32_words(int(seed))
     if keys.shape[1]:
         head += [0] * (_POOL_SIZE - len(head))
-    words = np.empty((len(keys), 4), dtype=np.uint64)
-    layouts, group = np.unique(keys > _MASK32, axis=0, return_inverse=True)
-    for g, layout in enumerate(layouts):
-        rows = np.flatnonzero(group == g)
-        columns = [np.full(len(rows), word, dtype=np.uint64) for word in head]
+    wide = keys > _MASK32
+    groups = [(np.zeros(keys.shape[1], dtype=bool), slice(None))]
+    if wide.any():
+        layouts, group = np.unique(wide, axis=0, return_inverse=True)
+        groups = [(layout, np.flatnonzero(group == g)) for g, layout in enumerate(layouts)]
+    words = np.empty((8, len(keys)), dtype=np.uint64)
+    for layout, rows in groups:
+        sub = keys[rows]
+        columns = [np.full(len(sub), word, dtype=np.uint64) for word in head]
         for col, two_words in enumerate(layout):
-            columns.append(keys[rows, col] & _MASK32)
+            columns.append(sub[:, col] & _MASK32)
             if two_words:
-                columns.append(keys[rows, col] >> 32)
-        words[rows] = _seed_words(np.column_stack(columns).astype(np.uint32))
-    # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, then a step, += initstate, a step.
-    s_hi, s_lo, i_hi, i_lo = words.astype(object).T
-    inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-    state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-    return np.column_stack([state, inc])
+                columns.append(sub[:, col] >> 32)
+        words[:, rows] = _seed_words(np.column_stack(columns).astype(np.uint32))
+    # generate_state(4, uint64) is initstate's high and low half, then initseq's;
+    # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, a step, += initstate, a step.
+    halves = words[0::2] | words[1::2] << 32
+    inc = np.stack([halves[2] << 1 | halves[3] >> 63, halves[3] << 1 | 1])
+    state = _add128(_mul128(_add128(inc, halves[:2]), _halves([_PCG64_MULT])), inc)
+    return np.stack([state, inc], axis=1)
+
+
+def _state_dicts(seeds: np.ndarray, has_uint32=0, uinteger=0) -> list:
+    """numpy's PCG64 ``bit_generator.state`` for each column of ``seeds`` (2, 2, k)."""
+    k = seeds.shape[-1]
+    buffered = zip(np.broadcast_to(has_uint32, k).tolist(), np.broadcast_to(uinteger, k).tolist())
+    return [
+        {"bit_generator": "PCG64", "state": {"state": s, "inc": c}, "has_uint32": h, "uinteger": u}
+        for s, c, (h, u) in zip(_ints(seeds[:, 0]), _ints(seeds[:, 1]), buffered)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_tables(n: int) -> np.ndarray:
+    """Halves (2, 2, n) of MULT^k and sum_{i<k} MULT^i mod 2^128 for k = 1..n, n a power of 2.
+
+    k steps of ``state = MULT state + inc`` take s to MULT^k s + (sum_{i<k}
+    MULT^i) inc.  Each doubling appends k + h for k = 1..h, as MULT^h MULT^k
+    and sum_{i<h} MULT^i + MULT^h sum_{i<k} MULT^i.
+    """
+    tables = np.stack([_halves([_PCG64_MULT]), _halves([1])], axis=1)
+    while tables.shape[2] < n:
+        last = tables[:, :, -1:]
+        block = _mul128(tables, last[:, :1])
+        block[:, 1] = _add128(block[:, 1], last[:, 1])
+        tables = np.concatenate([tables, block], axis=2)
+    tables.flags.writeable = False  # shared by every caller through the cache
+    return tables
+
+
+#: 64-bit outputs per chunk of rows in :func:`pcg64_integers` (16 KiB per
+#: uint64 array): the chunk bounds the working memory, whatever n and m are.
+_DRAW_CHUNK = 1 << 11
+
+
+def pcg64_integers(seeds: np.ndarray, high: int, lengths, states: bool = False):
+    """``Generator(PCG64).integers(0, high, size=lengths[i])`` from each seeding ``seeds[..., i]``.
+
+    With ``seeds`` from :func:`pcg64_seeds`, row i is bit for bit the draw of
+    ``RandomStream(seed).child(*keys[i]).generator()``.  A stream's k-th
+    64-bit output is the XSL-RR output of its state k steps on, taken from
+    the jump tables for every row and k at once, a chunk of about
+    ``_DRAW_CHUNK`` outputs at a time.  As in numpy, each output gives two
+    32-bit words, low half first, and a word x draws (x high) >> 32 (Lemire's
+    method) unless the low half of x high is below (2^32 - high) mod high;
+    high = 1 draws nothing.  A row with such a rejection, possible only when
+    high is not a power of two, and every row when high > 2^32, is redrawn by
+    its own Generator.
+
+    Returns the draws (k, max(lengths)), zero past each row's length, and
+    with ``states`` each stream's ``bit_generator.state`` after its draws.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if high < 1:
+        raise ValueError(f"high must be >= 1, got {high}")
+    if lengths.shape != seeds.shape[2:] or np.any(lengths < 0):
+        raise ValueError("lengths must hold one non-negative length per seed")
+    k = len(lengths)
+    draws = np.zeros((k, lengths.max(initial=0)), dtype=np.intp)
+    post, uinteger = seeds.copy(), np.zeros(k, dtype=np.uint64)
+    steps = (lengths + 1) // 2 if high > 1 else np.zeros(k, dtype=np.intp)
+    redraw = steps > 0 if high > 1 << 32 else np.zeros(k, dtype=bool)
+    threshold = ((1 << 32) - high) % high
+    ends = np.cumsum(steps)
+    tables = _jump_tables(1 << int(steps.max(initial=1) - 1).bit_length())
+    lo = 0
+    while 1 < high <= 1 << 32 and lo < k:
+        base = ends[lo] - steps[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _DRAW_CHUNK, side="right")))
+        count, local_ends = steps[lo:hi], ends[lo:hi] - base
+        step = np.arange(local_ends[-1]) - np.repeat(local_ends - count, count)
+        terms = _mul128(np.take(tables, step, axis=2), np.repeat(seeds[:, :, lo:hi], count, axis=2))
+        state = _add128(terms[:, 0], terms[:, 1])
+        # XSL-RR: the xor of the two halves, rotated right by the top six bits.
+        xored, rot = state[0] ^ state[1], state[0] >> 58
+        output = xored >> rot | xored << ((64 - rot) & 63)
+        scaled = np.column_stack([output & _MASK32, output >> 32]) * np.uint64(high)
+        last, drawn = local_ends - 1, count > 0
+        keep = np.ones(scaled.shape, dtype=bool)
+        keep[last[lengths[lo:hi] % 2 == 1], 1] = False
+        if threshold:
+            rejected = ((scaled & _MASK32) < threshold) & keep
+            rows = np.searchsorted(local_ends, np.flatnonzero(rejected.any(axis=1)), side="right")
+            redraw[lo + rows] = True
+        block = draws[lo:hi]
+        block[np.arange(block.shape[1]) < lengths[lo:hi, None]] = (scaled >> 32)[keep]
+        if states:
+            post[:, 0, lo:hi][:, drawn] = state[:, last[drawn]]
+            uinteger[lo:hi][drawn] = output[last[drawn]] >> 32
+        lo = hi
+    ends_states = _state_dicts(post, lengths % 2 * (steps > 0), uinteger) if states else None
+    gen = np.random.Generator(np.random.PCG64(0)) if redraw.any() else None
+    for i in np.flatnonzero(redraw):
+        (gen.bit_generator.state,) = _state_dicts(seeds[:, :, i : i + 1])
+        draws[i, : lengths[i]] = gen.integers(0, high, size=lengths[i])
+        if states:
+            ends_states[i] = gen.bit_generator.state
+    return draws, ends_states
 
 
 def as_generator(rng) -> np.random.Generator:

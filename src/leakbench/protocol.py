@@ -14,10 +14,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
@@ -37,7 +35,8 @@ from .liouville import (
     subspace_transfer_matrix,
     vec,
 )
-from .noise import NOISE_PARAMS, RandomStream, as_generator, build_noise_model
+from .noise import NOISE_PARAMS, RandomStream, build_noise_model
+from .noise import pcg64_integers, pcg64_seeds
 from .noise import FilterParams, ShelvingParams
 
 # Sub-stream tags: sequence/shot draws vs. per-step noise draws.
@@ -340,53 +339,6 @@ class DecayDataset:
 # ---------------------------------------------------------------------------
 
 
-def sample_sequence(m: int, n_gates: int, rng) -> tuple:
-    """m independent gate indices, uniform on {0, ..., n_gates - 1}."""
-    if m < 1 or n_gates < 1:
-        raise ValueError("sequence length and gate count must be >= 1")
-    gen = as_generator(rng)
-    return tuple(int(i) for i in gen.integers(0, n_gates, size=m))
-
-
-def run_sequence(
-    indices,
-    gateset: GateSet,
-    noise: NoiseAssignment | None,
-    spam: SpamSpec | None = None,
-    rng=None,
-) -> float:
-    """Exact survival probability of one gate sequence.
-
-    Each step applies the error channel for the sampled gate and then the
-    ideal gate; stochastic noise draws a fresh channel per step from ``rng``.
-    The probability is the Born pairing of the (possibly SPAM-corrupted)
-    effect row with the evolved state column.
-    """
-    if noise is not None and noise.space != gateset.space:
-        raise ValueError("noise assignment acts on a different space")
-    if spam is None:
-        spam = SpamSpec.ideal(gateset.space)
-    gate_lios = gateset.gate_liouvilles
-    state = spam.state_vector()
-    for idx in indices:
-        if not 0 <= idx < len(gateset):
-            raise ValueError(f"gate index {idx} out of range")
-        if noise is not None:
-            state = noise.channel_for(idx, rng).liouville @ state
-        state = gate_lios[idx] @ state
-    return float(np.real(spam.effect_vector() @ state))
-
-
-def shot_estimate(p: float, shots: int, rng) -> float:
-    """Finite-sampling estimate of a probability: successes / shots."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    gen = as_generator(rng)
-    return float(gen.binomial(shots, min(max(p, 0.0), 1.0))) / shots
-
-
 def _experiment_components(cfg: ExperimentConfig):
     gs = gateset_by_id(cfg.gateset)
     params = (cfg.noise or {}).get("params") or {}
@@ -421,13 +373,16 @@ def run_sequences(
 ) -> np.ndarray:
     """Exact survival probabilities of N gate sequences, of equal or different lengths.
 
-    The batched form of :func:`run_sequence`.  ``indices`` is (N, M); row i
-    holds sequence i in its first ``lengths[i]`` entries (all M by default)
-    and padding after them, which is never read.  ``lengths`` must be
-    non-increasing, so the rows longer than step t are a prefix of the batch,
-    found by binary search.  The step matrices of those rows are gathered a
-    chunk of steps at a time, and a chunk ends where one of its rows does.
-    Fixed noise gathers G_g E_g and applies it to the (N, d^2) stacked states.
+    Each step applies the error channel for the sampled gate and then the
+    ideal gate, and a probability is the Born pairing of the (possibly
+    SPAM-corrupted) effect row with the evolved state.  ``indices`` is
+    (N, M); row i holds sequence i in its first ``lengths[i]`` entries (all
+    M by default) and padding after them, which is never read.  ``lengths``
+    must be non-increasing, so the rows longer than step t are a prefix of
+    the batch, found by binary search.  The step matrices of those rows are
+    gathered a chunk of steps at a time, and a chunk ends where one of its
+    rows does.  Fixed noise gathers G_g E_g and applies it to the (N, d^2)
+    stacked states.
     Stochastic noise maps ``normals`` (N, M, k) to one unitary U per sequence
     and step through its sampler, multiplies the steps G_g U into one unitary
     V per sequence, one product per step, and pairs the effect with V rho V^dag.
@@ -507,27 +462,29 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
     (noise seed, m, j, 1); every sub-stream of ``ms`` is seeded in one pass.
     Noise without per-step normals evolves every length in one batch, rows
     ordered longest first; noise with them evolves one length at a time, so
-    that only one length's normals are held.  The seeding and the draws are
-    timed as the ``sample`` stage of ``timings``, the evolution as ``evolve``.
+    that only one length's normals are held.  The gate indices of a batch are
+    drawn in one vectorized pass (:func:`pcg64_integers`), and each sequence's
+    shots continue its stream from the state that pass ends in.  The seeding
+    and the draws are timed as the ``sample`` stage of ``timings``, the
+    evolution as ``evolve``.
     """
     gs, noise, spam, noise_root = components or _experiment_components(cfg)
     n = cfg.n_sequences
     stochastic = noise is not None and noise.stochastic
     order = sorted(ms, reverse=True)
-    seq_gens = RandomStream(cfg.seed).child_generators(_stream_keys(order, n, _SEQ_KEY))
+    with timed_stage(timings, "sample"):
+        seeds = pcg64_seeds(cfg.seed, _stream_keys(order, n, _SEQ_KEY))
     if stochastic:
         noise_gens = noise_root.child_generators(_stream_keys(order, n, _NOISE_KEY))
-    probabilities = {}
+    probabilities, start = {}, 0
     for batch in [[m] for m in order] if stochastic else [order]:
         lengths = np.repeat(batch, n)
+        rows = slice(start, start + len(lengths))
+        start = rows.stop
         with timed_stage(timings, "sample"):
-            indices = np.zeros((len(lengths), batch[0]), dtype=np.intp)
-            shot_states = []
-            for row, m in zip(indices, lengths.tolist()):
-                gen = next(seq_gens)
-                row[:m] = gen.integers(0, len(gs), size=m)
-                if cfg.shots is not None:
-                    shot_states.append(gen.bit_generator.state)
+            indices, shot_states = pcg64_integers(
+                seeds[..., rows], len(gs), lengths, states=cfg.shots is not None
+            )
             normals = None
             if stochastic:
                 normals = np.empty(indices.shape + (noise.sampler.n_normals,))
@@ -542,9 +499,10 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
             # The shots of each sequence continue its stream where its indices ended.
             with timed_stage(timings, "sample"):
                 ps = np.clip(ps, 0.0, 1.0)
+                shot_gen = np.random.Generator(np.random.PCG64(0))
                 for i, state in enumerate(shot_states):
-                    gen.bit_generator.state = state
-                    ps[i] = gen.binomial(cfg.shots, ps[i]) / cfg.shots
+                    shot_gen.bit_generator.state = state
+                    ps[i] = shot_gen.binomial(cfg.shots, ps[i]) / cfg.shots
         probabilities.update(zip(batch, np.split(ps, len(batch))))
     return {m: probabilities[m] for m in ms}
 
@@ -564,6 +522,10 @@ def run_experiment(
     """
     workers = min(jobs, len(cfg.m_list), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: the process pool costs every import of the package ~12 ms.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         shards = [cfg.m_list[w::workers] for w in range(workers)]
         context = multiprocessing.get_context("spawn")
         probabilities = {}

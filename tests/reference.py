@@ -1,17 +1,174 @@
 """Slow references that the fast paths of leakbench are tested against.
 
-The scalar factors of the shelving noise (``shelving_pulse``,
-``code_rotation`` and the LAPACK QR ``haar_unitary``), and the Monte Carlo
-oracle as it was before it drew into one reused buffer and computed u X u^dag
-in closed form: separate ``gen.normal`` draws per batch, a Gram-Schmidt Haar
-step per draw and the product of the four factors formed from the u entries.
+Trace-orthonormal operator bases (``OperatorBasis``, ``vectorize``,
+``to_liouville`` in any such basis and ``born_probability``), against which
+the canonical matrix-unit Liouville form of ``leakbench.liouville`` is
+checked.  The per-sequence engine (``sample_sequence``, ``run_sequence`` and
+``shot_estimate``: one generator per sequence and one Liouville product per
+gate application).  The scalar factors of the shelving noise
+(``shelving_pulse``, ``code_rotation`` and the LAPACK QR ``haar_unitary``),
+and the Monte Carlo oracle as it was before it drew into one reused buffer
+and computed u X u^dag in closed form: separate ``gen.normal`` draws per
+batch, a Gram-Schmidt Haar step per draw and the product of the four factors
+formed from the u entries.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from leakbench.gatesets import PAULI_X
-from leakbench.liouville import Channel, direct_sum
+from leakbench.liouville import DEFAULT_TOL, Channel, SpaceSpec, direct_sum, vec
 from leakbench.noise import QUTRIT, ShelvingParams, as_generator
+from leakbench.protocol import SpamSpec
+
+
+class OperatorBasis:
+    """A trace-orthonormal basis {A_i} for the d x d operator space.
+
+    Orthonormality Tr[A_i^dag A_j] = delta_ij is checked at construction.
+    """
+
+    def __init__(self, elements, label: str, tol: float = DEFAULT_TOL):
+        elements = tuple(np.asarray(a, dtype=complex) for a in elements)
+        d = elements[0].shape[0]
+        if len(elements) != d * d or any(a.shape != (d, d) for a in elements):
+            raise ValueError("basis must contain d^2 elements of shape (d, d)")
+        gram = OperatorBasis._gram(elements)
+        if np.max(np.abs(gram - np.eye(d * d))) > tol:
+            raise ValueError(f"basis {label!r} is not trace-orthonormal within {tol}")
+        self.elements = elements
+        self.label = label
+        self.dim = d
+
+    @staticmethod
+    def _gram(elements) -> np.ndarray:
+        n = len(elements)
+        g = np.empty((n, n), dtype=complex)
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                g[i, j] = np.trace(a.conj().T @ b)
+        return g
+
+    def gram_matrix(self) -> np.ndarray:
+        """Matrix of overlaps Tr[A_i^dag A_j]; the identity for a valid basis."""
+        return self._gram(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
+def elementary_basis(space: SpaceSpec) -> OperatorBasis:
+    """The d^2 matrix units |i><j| in row-major order of (i, j)."""
+    d = space.d
+    elements = []
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            elements.append(e)
+    return OperatorBasis(elements, label=f"elementary-{d}")
+
+
+def normalized_pauli_basis() -> OperatorBasis:
+    """The single-qubit basis {I, X, Y, Z} / sqrt(2)."""
+    s = 1.0 / np.sqrt(2.0)
+    i2 = np.eye(2, dtype=complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    return OperatorBasis([s * i2, s * x, s * y, s * z], label="pauli-normalized")
+
+
+def to_liouville(ch: Channel, basis: OperatorBasis | None = None) -> np.ndarray:
+    """Liouville matrix of ``ch`` with entries Tr[A_i^dag E(A_j)].
+
+    With no basis this is the cached canonical (matrix-unit) form; any other
+    trace-orthonormal basis is reached by the unitary change of frame
+    T[i, :] = vec(A_i).conj(), which is the identity for matrix units.
+    """
+    lio = ch.liouville
+    if basis is None:
+        return lio.copy()
+    if basis.dim != ch.space.d:
+        raise ValueError("basis dimension does not match channel space")
+    t = np.array([vec(a).conj() for a in basis.elements])
+    return t @ lio @ t.conj().T
+
+
+@dataclass(frozen=True)
+class VectorizedOperator:
+    """Coordinates of a state (column) or measurement effect (row) in a basis."""
+
+    kind: str  # "state-column" | "effect-row"
+    coords: np.ndarray
+    basis_label: str
+
+
+def vectorize(
+    op: np.ndarray, kind: str, basis: OperatorBasis
+) -> VectorizedOperator:
+    """Coordinates Tr[A_i^dag rho] for states, Tr[M^dag A_i] for effects."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (basis.dim, basis.dim):
+        raise ValueError("operator dimension does not match basis")
+    if kind == "state-column":
+        coords = np.array([np.trace(a.conj().T @ op) for a in basis.elements])
+    elif kind == "effect-row":
+        coords = np.array([np.trace(op.conj().T @ a) for a in basis.elements])
+    else:
+        raise ValueError(f"unknown vectorization kind {kind!r}")
+    return VectorizedOperator(kind=kind, coords=coords, basis_label=basis.label)
+
+
+def born_probability(effect: VectorizedOperator, state: VectorizedOperator) -> complex:
+    """(M|rho) = sum_i effect_i state_i = Tr[M^dag rho]."""
+    if effect.kind != "effect-row" or state.kind != "state-column":
+        raise ValueError("born_probability needs an effect row and a state column")
+    if effect.basis_label != state.basis_label:
+        raise ValueError("effect and state are expressed in different bases")
+    return complex(np.dot(effect.coords, state.coords))
+
+
+def sample_sequence(m: int, n_gates: int, rng) -> tuple:
+    """m independent gate indices, uniform on {0, ..., n_gates - 1}."""
+    if m < 1 or n_gates < 1:
+        raise ValueError("sequence length and gate count must be >= 1")
+    gen = as_generator(rng)
+    return tuple(int(i) for i in gen.integers(0, n_gates, size=m))
+
+
+def run_sequence(indices, gateset, noise, spam=None, rng=None) -> float:
+    """Exact survival probability of one gate sequence.
+
+    Each step applies the error channel for the sampled gate and then the
+    ideal gate; stochastic noise draws a fresh channel per step from ``rng``.
+    The probability is the Born pairing of the (possibly SPAM-corrupted)
+    effect row with the evolved state column.
+    """
+    if noise is not None and noise.space != gateset.space:
+        raise ValueError("noise assignment acts on a different space")
+    if spam is None:
+        spam = SpamSpec.ideal(gateset.space)
+    gate_lios = gateset.gate_liouvilles
+    state = spam.state_vector()
+    for idx in indices:
+        if not 0 <= idx < len(gateset):
+            raise ValueError(f"gate index {idx} out of range")
+        if noise is not None:
+            state = noise.channel_for(idx, rng).liouville @ state
+        state = gate_lios[idx] @ state
+    return float(np.real(spam.effect_vector() @ state))
+
+
+def shot_estimate(p: float, shots: int, rng) -> float:
+    """Finite-sampling estimate of a probability: successes / shots."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    gen = as_generator(rng)
+    return float(gen.binomial(shots, min(max(p, 0.0), 1.0))) / shots
 
 
 def shelving_pulse(gamma: float) -> np.ndarray:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +396,25 @@ def test_check_command_passes(capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) == 8
     assert all(l.startswith("PASS") for l in lines)
+
+
+def _run_python(*args):
+    """A fresh interpreter that imports leakbench from where this process does."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lb.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_python_dash_m_runs_the_cli():
+    result = _run_python("-m", "leakbench", "check")
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout.count("PASS") == 8
+
+
+def test_import_does_not_load_the_process_pool():
+    code = "import sys, leakbench; print('concurrent.futures.process' in sys.modules)"
+    result = _run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_corrupted_gateset_fails_idempotence_check():

