@@ -34,6 +34,7 @@ from .liouville import (
 from .noise import (
     FilterParams,
     RandomStream,
+    ShelvingNoiseSampler,
     ShelvingParams,
     averaged_coherent_channel,
     filter_channel,
@@ -381,12 +382,11 @@ def check_filter_diagnostics(n_draws: int = 50, tol: float = 1e-10):
 
 
 def check_shelving_unitary(n_draws: int = 50, tol: float = 1e-10):
+    # One (n_draws, 18) draw: the normals of n_draws sample_coherent_noise calls.
+    sampler = ShelvingNoiseSampler(ShelvingParams())
     gen = RandomStream(11, key=(98,)).generator()
-    sp = ShelvingParams()
-    worst = 0.0
-    for _ in range(n_draws):
-        (u,) = sample_coherent_noise(sp, gen).kraus
-        worst = max(worst, float(np.max(np.abs(u @ u.conj().T - np.eye(3)))))
+    u = sampler.unitaries(gen.standard_normal((n_draws, sampler.n_normals)))
+    worst = float(np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(3))))
     return worst <= tol, f"max |U U^dag - I| = {worst:.2e}"
 
 

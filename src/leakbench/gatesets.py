@@ -16,7 +16,8 @@ from .liouville import (
     DEFAULT_TOL,
     Channel,
     SpaceSpec,
-    direct_sum,
+    _kron_conj,
+    _operator_stack,
     matrix_from_pairs,
     matrix_to_pairs,
     mix,
@@ -33,30 +34,25 @@ PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
 class GateSet:
     """A finite set of unitaries on H whose averaged action is a group average.
 
-    Construction verifies unitarity and the projector property of the
-    averaged conjugation action, which is what sequence averaging relies on.
+    Gates and their Liouville matrices are read-only stacks.  Construction
+    verifies unitarity and the projector property of the averaged
+    conjugation action, which is what sequence averaging relies on.
     """
 
     def __init__(self, space: SpaceSpec, gates, label: str, validate: bool = True):
-        gates = tuple(np.asarray(g, dtype=complex) for g in gates)
-        d = space.d
-        if not gates:
-            raise ValueError("gate set must be nonempty")
-        if any(g.shape != (d, d) for g in gates):
-            raise ValueError(f"gates must be {d} x {d} for this space")
         self.space = space
-        self.gates = gates
+        self.gates = _operator_stack(gates, space.d, "gates")
         self.label = label
-        self._liouvilles: tuple[np.ndarray, ...] | None = None
+        self._liouvilles: np.ndarray | None = None
         if validate:
             self._check_unitary()
             self._check_group_structure()
 
     def _check_unitary(self, tol: float = DEFAULT_TOL):
-        d = self.space.d
-        for idx, g in enumerate(self.gates):
-            if np.max(np.abs(g @ g.conj().T - np.eye(d))) > tol:
-                raise ValueError(f"gate {idx} of {self.label!r} is not unitary")
+        devs = np.abs(self.gates @ self.gates.conj().swapaxes(1, 2) - np.eye(self.space.d))
+        bad = np.flatnonzero(devs.max(axis=(1, 2)) > tol)
+        if bad.size:
+            raise ValueError(f"gate {bad[0]} of {self.label!r} is not unitary")
 
     def _check_group_structure(self, tol: float = 1e-7):
         # Group structure is verified through the averaged action: the twirl
@@ -65,10 +61,8 @@ class GateSet:
         # ((X (+) -1)(Y (+) -1) = iZ (+) 1), which a literal matrix-closure
         # test would reject but the averaged action cancels.
         avg = twirl(self).matrix
-        dev = np.max(np.abs(avg @ avg - avg))
-        for g_lio in self.gate_liouvilles:
-            dev = max(dev, np.max(np.abs(avg @ g_lio - avg)))
-            dev = max(dev, np.max(np.abs(g_lio @ avg - avg)))
+        lios = self.gate_liouvilles
+        dev = np.max(np.abs(np.concatenate([[avg @ avg], avg @ lios, lios @ avg]) - avg))
         if dev > tol:
             raise ValueError(
                 f"gate set {self.label!r} does not average like a group "
@@ -76,10 +70,11 @@ class GateSet:
             )
 
     @property
-    def gate_liouvilles(self) -> tuple[np.ndarray, ...]:
-        """kron(g, g.conj()) per gate, cached; phase-invariant."""
+    def gate_liouvilles(self) -> np.ndarray:
+        """kron(g, g.conj()) per gate (n, d^2, d^2), cached; phase-invariant."""
         if self._liouvilles is None:
-            self._liouvilles = tuple(np.kron(g, g.conj()) for g in self.gates)
+            self._liouvilles = _kron_conj(self.gates)
+            self._liouvilles.flags.writeable = False
         return self._liouvilles
 
     def __len__(self) -> int:
@@ -104,16 +99,14 @@ def signed_design_gateset(code_gates, leak_gates, label: str) -> GateSet:
     The two input sets must be unitary 1-designs on the code and leakage
     subspaces for the resulting twirl to have the two-projector form.
     """
-    code_gates = [np.asarray(v, dtype=complex) for v in code_gates]
-    leak_gates = [np.asarray(w, dtype=complex) for w in leak_gates]
-    d1 = code_gates[0].shape[0]
-    d2 = leak_gates[0].shape[0]
-    gates = []
-    for v in code_gates:
-        for w in leak_gates:
-            for mu in (1.0, -1.0):
-                gates.append(direct_sum(v, mu * w))
-    return GateSet(SpaceSpec(d1=d1, d2=d2), gates, label=label)
+    code_gates = np.array(code_gates, dtype=complex)
+    leak_gates = np.array(leak_gates, dtype=complex)
+    (n1, d1, _), (n2, d2, _) = code_gates.shape, leak_gates.shape
+    # Gate (v, w, mu) of the product order v-major, then w, then mu = +1, -1.
+    gates = np.zeros((n1, n2, 2, d1 + d2, d1 + d2), dtype=complex)
+    gates[..., :d1, :d1] = code_gates[:, None, None]
+    gates[..., d1:, d1:] = np.array([1.0, -1.0])[:, None, None] * leak_gates[:, None]
+    return GateSet(SpaceSpec(d1=d1, d2=d2), gates.reshape(-1, d1 + d2, d1 + d2), label=label)
 
 
 class TwirlProjector:
@@ -122,14 +115,10 @@ class TwirlProjector:
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
 
-    def rank(self, tol: float = 0.5) -> int:
-        """Numeric rank; a projector has singular values 0 or 1."""
-        return int(np.sum(np.linalg.svd(self.matrix, compute_uv=False) > tol))
-
 
 def twirl(gs: GateSet) -> TwirlProjector:
     """Average of kron(g, g.conj()) over the set; idempotent for a group."""
-    return TwirlProjector(sum(gs.gate_liouvilles) / len(gs))
+    return TwirlProjector(gs.gate_liouvilles.mean(axis=0))
 
 
 def predicted_twirl_matrix(space: SpaceSpec) -> np.ndarray:
@@ -214,11 +203,8 @@ def gate_dependence_epsilon(gs: GateSet, na: NoiseAssignment) -> float:
         raise ValueError("gate-dependence is undefined for re-sampled noise")
     if len(na.channels) != len(gs):
         raise ValueError("noise assignment does not match the gate count")
-    d2 = gs.space.d ** 2
-    delta = np.zeros((d2, d2), dtype=complex)
-    for g_lio, ch in zip(gs.gate_liouvilles, na.channels):
-        delta += g_lio @ ch.liouville
-    delta /= len(gs)
+    lios = np.array([ch.liouville for ch in na.channels])
+    delta = (gs.gate_liouvilles @ lios).mean(axis=0)
     delta -= twirl(gs).matrix @ average_noise(na).liouville
     sigma_max = float(np.linalg.svd(delta, compute_uv=False)[0])
     return gs.space.d * sigma_max

@@ -80,21 +80,15 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Channel:
-    """A completely positive map stored as a list of d x d Kraus operators.
+    """A completely positive map stored as a stack of d x d Kraus operators.
 
-    The Kraus list is ground truth; the Liouville matrix (elementary basis)
-    is derived lazily and cached.  Values are immutable after construction.
+    The read-only Kraus stack (k, d, d) is ground truth; the Liouville matrix
+    (elementary basis) is derived lazily and cached.  Values are immutable.
     """
 
     def __init__(self, space: SpaceSpec, kraus):
-        kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
-        if not kraus:
-            raise ValueError("channel needs at least one Kraus operator")
-        d = space.d
-        if any(k.shape != (d, d) for k in kraus):
-            raise ValueError(f"Kraus operators must be {d} x {d} for this space")
         self.space = space
-        self.kraus = kraus
+        self.kraus = _operator_stack(kraus, space.d, "Kraus operators")
         self._liouville: np.ndarray | None = None
 
     @classmethod
@@ -125,61 +119,77 @@ class Channel:
         w, v = np.linalg.eigh((choi + choi.conj().T) / 2.0)
         if w.min() < -1e-8:
             raise ValueError(f"map is not CP (Choi eigenvalue {w.min():.3e})")
-        kraus = []
-        for lam, col in zip(w, v.T):
-            if lam > cutoff:
-                # Choi index (i, a) holds K[a, i]: unvec then transpose.
-                kraus.append(np.sqrt(lam) * col.reshape(d, d).T)
-        if not kraus:
-            kraus = [np.zeros((d, d), dtype=complex)]
+        # Choi index (i, a) holds K[a, i]: unvec each kept eigenvector, then transpose.
+        keep = w > cutoff
+        kraus = (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, d, d).transpose(0, 2, 1)
+        if not keep.any():
+            kraus = np.zeros((1, d, d), dtype=complex)
         return cls(space, kraus)
 
     @property
     def liouville(self) -> np.ndarray:
-        """The d^2 x d^2 matrix sum_k kron(K_k, K_k.conj()), cached."""
+        """The d^2 x d^2 matrix sum_k kron(K_k, K_k.conj()), cached and read-only."""
         if self._liouville is None:
-            d2 = self.space.d ** 2
-            acc = np.zeros((d2, d2), dtype=complex)
-            for k in self.kraus:
-                acc += np.kron(k, k.conj())
-            self._liouville = acc
+            self._liouville = _kron_conj(self.kraus).sum(axis=0)
+            self._liouville.flags.writeable = False
         return self._liouville
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """sum_k K_k rho K_k^dag."""
         rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
+        return (self.kraus @ rho @ self.kraus.conj().swapaxes(1, 2)).sum(axis=0)
 
     def kraus_sum(self) -> np.ndarray:
         """sum_k K_k^dag K_k; equals the identity iff trace-preserving."""
-        acc = np.zeros((self.space.d, self.space.d), dtype=complex)
-        for k in self.kraus:
-            acc += k.conj().T @ k
-        return acc
+        rows = self.kraus.reshape(-1, self.space.d)  # the K_k stacked vertically
+        return rows.conj().T @ rows
+
+
+def _operator_stack(ops, d: int, what: str) -> np.ndarray:
+    """``ops`` as one read-only complex stack (k, d, d) with k >= 1."""
+    stack = np.array(ops, dtype=complex)
+    if stack.ndim != 3 or not stack.size or stack.shape[1:] != (d, d):
+        raise ValueError(f"{what} must be one or more {d} x {d} matrices for this space")
+    stack.flags.writeable = False
+    return stack
+
+
+def _kron_conj(ops: np.ndarray) -> np.ndarray:
+    """kron(A, A.conj()) of each A of a stack (k, d, d), entry for entry as np.kron forms it."""
+    k, d, _ = ops.shape
+    return (ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]).reshape(k, d * d, d * d)
 
 
 def compose(after: Channel, before: Channel) -> Channel:
     """The channel applying ``before`` then ``after``; Kraus products compose."""
     if after.space != before.space:
         raise ValueError("channels act on different spaces")
-    return Channel(after.space, [a @ b for a in after.kraus for b in before.kraus])
+    d = after.space.d
+    return Channel(after.space, (after.kraus[:, None] @ before.kraus).reshape(-1, d, d))
 
 
 def mix(channels, weights=None) -> Channel:
-    """Convex mixture sum_i w_i E_i, as the Kraus union scaled by sqrt(w_i)."""
+    """Convex mixture sum_i w_i E_i, as the Kraus union scaled by sqrt(w_i).
+
+    Its Liouville matrix is seeded with sum_i w_i L_i of the members' cached
+    ones.  Weights default to uniform and must be finite and nonnegative.
+    """
     channels = list(channels)
-    space = channels[0].space
+    if not channels:
+        raise ValueError("mix needs at least one channel")
+    space, n = channels[0].space, len(channels)
     if any(ch.space != space for ch in channels):
         raise ValueError("channels act on different spaces")
-    if weights is None:
-        weights = [1.0 / len(channels)] * len(channels)
-    kraus = []
-    for w, ch in zip(weights, channels):
-        kraus.extend(np.sqrt(w) * k for k in ch.kraus)
-    return Channel(space, kraus)
+    weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise ValueError(f"mix got {weights.size} weights for {n} channels")
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise ValueError(f"mix weights must be finite and nonnegative, got {weights.tolist()}")
+    scales = np.repeat(np.sqrt(weights), [len(ch.kraus) for ch in channels])
+    mixed = Channel(space, scales[:, None, None] * np.concatenate([ch.kraus for ch in channels]))
+    mixed._liouville = np.tensordot(weights, np.array([ch.liouville for ch in channels]), axes=1)
+    mixed._liouville.flags.writeable = False
+    return mixed
 
 
 def survival_rate(rho: np.ndarray, ch: Channel) -> float:

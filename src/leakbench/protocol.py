@@ -354,8 +354,8 @@ def _step_liouvilles(gateset: GateSet, noise: NoiseAssignment | None) -> np.ndar
     """The |G| step matrices G_g E_g of fixed noise (G_g alone without noise), stacked."""
     steps = gateset.gate_liouvilles
     if noise is not None:
-        steps = [g_lio @ ch.liouville for g_lio, ch in zip(steps, noise.channels)]
-    return np.array(steps)
+        steps = steps @ np.array([ch.liouville for ch in noise.channels])
+    return steps
 
 
 #: Step-matrix entries gathered per chunk of steps (128 KiB of complex): the
@@ -407,7 +407,7 @@ def run_sequences(
     d = gateset.space.d
     state = spam.state_vector()
     if stochastic:
-        gates = np.array(gateset.gates)
+        gates = gateset.gates
         total = np.tile(np.eye(d, dtype=complex), (n, 1, 1))
     else:
         steps = _step_liouvilles(gateset, noise)

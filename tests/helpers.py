@@ -1,4 +1,4 @@
-"""Shared test utilities: random operators, channels and oracles."""
+"""Shared test utilities: random operators and channels."""
 
 import numpy as np
 
@@ -28,10 +28,3 @@ def random_channel(
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     return Channel(space, [np.sqrt(scale) * k @ inv_sqrt for k in ops])
 
-
-def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
-    """Independent Kraus-application oracle."""
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for k in kraus:
-        out += k @ rho @ k.conj().T
-    return out

@@ -3,7 +3,11 @@
 Trace-orthonormal operator bases (``OperatorBasis``, ``vectorize``,
 ``to_liouville`` in any such basis and ``born_probability``), against which
 the canonical matrix-unit Liouville form of ``leakbench.liouville`` is
-checked.  The per-sequence engine (``sample_sequence``, ``run_sequence`` and
+checked.  The per-operator loop forms of the channel and gate-set algebra
+(``kraus_liouville``, ``apply_kraus``, ``kraus_sum``, ``group_deviation``,
+``gate_dependence_epsilon``) and the numeric rank of a projector
+(``numeric_rank``), against which the stacked contractions are checked.
+The per-sequence engine (``sample_sequence``, ``run_sequence`` and
 ``shot_estimate``: one generator per sequence and one Liouville product per
 gate application).  The scalar factors of the shelving noise
 (``shelving_pulse``, ``code_rotation`` and the LAPACK QR ``haar_unitary``),
@@ -128,6 +132,62 @@ def born_probability(effect: VectorizedOperator, state: VectorizedOperator) -> c
     if effect.basis_label != state.basis_label:
         raise ValueError("effect and state are expressed in different bases")
     return complex(np.dot(effect.coords, state.coords))
+
+
+def kraus_liouville(kraus) -> np.ndarray:
+    """sum_k kron(K_k, K_k.conj()), one Kronecker product per Kraus operator."""
+    d2 = np.shape(kraus[0])[0] ** 2
+    acc = np.zeros((d2, d2), dtype=complex)
+    for k in kraus:
+        acc += np.kron(k, k.conj())
+    return acc
+
+
+def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag, one Kraus operator at a time."""
+    out = np.zeros_like(np.asarray(rho, dtype=complex))
+    for k in kraus:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def kraus_sum(kraus) -> np.ndarray:
+    """sum_k K_k^dag K_k, one Kraus operator at a time."""
+    d = np.shape(kraus[0])[0]
+    acc = np.zeros((d, d), dtype=complex)
+    for k in kraus:
+        acc += k.conj().T @ k
+    return acc
+
+
+def group_deviation(gates) -> float:
+    """Largest entry of |T^2 - T|, |T G_g - T| and |G_g T - T| over the gates,
+    for the twirl T averaged from per-gate Kronecker products G_g."""
+    lios = [np.kron(g, g.conj()) for g in gates]
+    avg = sum(lios) / len(lios)
+    dev = np.max(np.abs(avg @ avg - avg))
+    for g_lio in lios:
+        dev = max(dev, np.max(np.abs(avg @ g_lio - avg)))
+        dev = max(dev, np.max(np.abs(g_lio @ avg - avg)))
+    return float(dev)
+
+
+def gate_dependence_epsilon(gates, channels) -> float:
+    """d sigma_max(avg_g [G_g E_g] - T E_avg), accumulated one gate at a time."""
+    d = np.shape(gates[0])[0]
+    lios = [np.kron(g, g.conj()) for g in gates]
+    noise = [kraus_liouville(ch.kraus) for ch in channels]
+    delta = np.zeros((d * d, d * d), dtype=complex)
+    for g_lio, e_lio in zip(lios, noise):
+        delta += g_lio @ e_lio
+    delta /= len(lios)
+    delta -= (sum(lios) / len(lios)) @ (sum(noise) / len(noise))
+    return d * float(np.linalg.svd(delta, compute_uv=False)[0])
+
+
+def numeric_rank(matrix: np.ndarray, tol: float = 0.5) -> int:
+    """Numeric rank; a projector has singular values 0 or 1."""
+    return int(np.sum(np.linalg.svd(matrix, compute_uv=False) > tol))
 
 
 def sample_sequence(m: int, n_gates: int, rng) -> tuple:

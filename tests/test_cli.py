@@ -14,6 +14,7 @@ from leakbench.cli import (
     EXIT_SIMULATION_ERROR,
     build_parser,
     check_sequence_average_closed_form,
+    check_shelving_unitary,
     check_twirl_idempotent,
     figure_config,
     main,
@@ -22,6 +23,7 @@ from leakbench.cli import (
 )
 from leakbench.gatesets import GateSet, PAULI_X
 from leakbench.liouville import SpaceSpec
+from leakbench.noise import RandomStream, ShelvingNoiseSampler
 from leakbench.protocol import (
     DecayDataset,
     ExperimentConfig,
@@ -433,6 +435,35 @@ def test_closed_form_check_covers_both_sets():
 
 
 def test_run_checks_names_are_stable():
-    names = [name for name, _, _ in run_checks()]
-    assert "twirl idempotence (pauli)" in names
-    assert "sequence-average closed form (shelving, m<=4)" in names
+    results = run_checks()
+    assert [name for name, _, _ in results] == [
+        "twirl idempotence (pauli)",
+        "twirl idempotence (shelving)",
+        "twirl closed form (pauli)",
+        "twirl closed form (shelving)",
+        "filter channel diagnostics",
+        "shelving noise unitarity",
+        "sequence-average closed form (pauli, m<=4)",
+        "sequence-average closed form (shelving, m<=4)",
+    ]
+    assert all(passed is True for _, passed, _ in results)
+    prefixes = ["max |G^2 - G| = "] * 2 + ["max deviation from closed form = "] * 2
+    prefixes += ["max spectrum deviation from {1, 1-p} = ", "max |U U^dag - I| = "]
+    prefixes += ["max |exact average - closed form| = "] * 2
+    for (_, _, detail), prefix in zip(results, prefixes):
+        assert detail.startswith(prefix)
+        float(detail[len(prefix) :])  # one number in %.2e form
+        assert len(detail[len(prefix) :].split("e")[0]) == 4
+
+
+def test_shelving_unitarity_check_is_one_batch_of_the_sequential_draws():
+    sp = lb.ShelvingParams()
+    batched, sequential = (RandomStream(11, key=(98,)).generator() for _ in range(2))
+    sampler = ShelvingNoiseSampler(sp)
+    unitaries = sampler.unitaries(batched.standard_normal((50, sampler.n_normals)))
+    expected = np.array([lb.sample_coherent_noise(sp, sequential).kraus[0] for _ in range(50)])
+    assert np.array_equal(unitaries, expected)
+    # Both generators are left at the same stream position.
+    assert np.array_equal(batched.standard_normal(5), sequential.standard_normal(5))
+    worst = max(float(np.max(np.abs(u @ u.conj().T - np.eye(3)))) for u in expected)
+    assert check_shelving_unitary() == (True, f"max |U U^dag - I| = {worst:.2e}")

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
-from helpers import random_density
+from helpers import random_channel, random_density
+from reference import gate_dependence_epsilon, group_deviation, numeric_rank
 
 import leakbench as lb
 from leakbench import Channel, GateSet, SpaceSpec
@@ -60,14 +63,73 @@ def test_shelving_gates_self_inverse_up_to_phase():
 
 
 def test_gateset_rejects_non_unitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gate 1 of 'bad' is not unitary"):
         GateSet(QUBIT, [np.eye(2), 2.0 * PAULI_X], label="bad")
 
 
 def test_gateset_rejects_non_group():
     # {I, X, Y} is not closed; its average action is not a projector.
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not average like a group"):
         GateSet(QUBIT, [np.eye(2), PAULI_X, PAULI_Y], label="broken")
+
+
+def test_gateset_rejects_ragged_or_empty_gates():
+    with pytest.raises(ValueError):
+        GateSet(QUBIT, [np.eye(2), np.eye(3)], label="ragged")
+    with pytest.raises(ValueError, match="one or more 2 x 2 matrices"):
+        GateSet(QUBIT, [], label="empty")
+
+
+def test_gates_and_liouvilles_are_read_only_stacks():
+    gs = lb.shelving_gateset()
+    assert gs.gates.shape == (8, 3, 3) and gs.gate_liouvilles.shape == (8, 9, 9)
+    with pytest.raises(ValueError):
+        gs.gates[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        gs.gate_liouvilles[0, 0, 0] = 2.0
+    first, *rest = gs.gates
+    assert len(rest) == 7 and np.array_equal(first, np.eye(3))
+
+
+def test_stacked_gate_algebra_matches_per_gate_loops():
+    # Named sets, the {I, X} group (not a 1-design) and a phased Pauli set.
+    phases = np.exp(1j * np.random.default_rng(73).uniform(0, 2 * np.pi, size=4))
+    groups = [
+        (lb.pauli_gateset().gates, QUBIT),
+        (lb.shelving_gateset().gates, QUTRIT),
+        ([np.eye(2), PAULI_X], QUBIT),
+        ([ph * g for ph, g in zip(phases, PAULIS)], QUBIT),
+    ]
+    for gates, space in groups:
+        gs = GateSet(space, gates, label="group")
+        per_gate = np.array([np.kron(g, g.conj()) for g in gs.gates])
+        assert np.array_equal(gs.gate_liouvilles, per_gate)
+        assert group_deviation(gates) < 1e-14
+    # Non-groups: the stacked check reports the per-gate loop's deviation.
+    for gates, space in (
+        ([np.eye(2), PAULI_X, PAULI_Y], QUBIT),
+        (lb.shelving_gateset().gates[:5], QUTRIT),
+    ):
+        with pytest.raises(ValueError, match="does not average like a group") as info:
+            GateSet(space, gates, label="broken")
+        reported = float(re.search(r"deviation ([-+.e0-9]+)", str(info.value)).group(1))
+        assert abs(reported - group_deviation(gates)) <= 5e-4 * reported
+
+
+def test_gate_dependence_epsilon_matches_per_gate_loop():
+    rng = np.random.default_rng(79)
+    for gs in (lb.pauli_gateset(), lb.shelving_gateset()):
+        for n_kraus in (1, 2, 16):
+            channels = [random_channel(gs.space, rng, n_kraus, scale=0.95) for _ in gs.gates]
+            na = lb.NoiseAssignment(gs.space, channels=channels)
+            expected = gate_dependence_epsilon(gs.gates, channels)
+            assert abs(lb.gate_dependence_epsilon(gs, na) - expected) < 1e-14
+
+
+def test_signed_design_gates_are_direct_sums_in_product_order():
+    gs = lb.signed_design_gateset(PAULIS, PAULIS, label="two-qubit-blocks")
+    expected = [lb.direct_sum(v, mu * w) for v in PAULIS for w in PAULIS for mu in (1.0, -1.0)]
+    assert np.array_equal(gs.gates, np.array(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +146,7 @@ def test_pauli_twirl_closed_form_entrywise():
     proj = lb.twirl(lb.pauli_gateset()).matrix
     a1 = vec(np.eye(2) / np.sqrt(2))
     assert np.max(np.abs(proj - np.outer(a1, a1.conj()))) < 1e-12
-    assert lb.twirl(lb.pauli_gateset()).rank() == 1
+    assert numeric_rank(lb.twirl(lb.pauli_gateset()).matrix) == 1
 
 
 def test_shelving_twirl_closed_form_entrywise():
@@ -94,7 +156,7 @@ def test_shelving_twirl_closed_form_entrywise():
     a2 = vec(np.diag([0.0, 0.0, 1.0]))
     expected = np.outer(a1, a1.conj()) + np.outer(a2, a2.conj())
     assert np.max(np.abs(proj - expected)) < 1e-12
-    assert lb.twirl(lb.shelving_gateset()).rank() == 2
+    assert numeric_rank(lb.twirl(lb.shelving_gateset()).matrix) == 2
 
 
 def test_twirl_idempotence_both_sets():
@@ -125,7 +187,7 @@ def test_verify_1design():
     assert lb.verify_1design(lb.shelving_gateset())
     ix = GateSet(QUBIT, [np.eye(2), PAULI_X], label="ix")
     assert not lb.verify_1design(ix)
-    assert lb.twirl(ix).rank() > 1
+    assert numeric_rank(lb.twirl(ix).matrix) > 1
 
 
 def test_verify_1design_phase_invariant():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from helpers import apply_kraus, random_channel, random_density, random_hermitian
+from helpers import random_channel, random_density, random_hermitian
 from reference import (
     OperatorBasis,
+    apply_kraus,
     born_probability,
     elementary_basis,
     haar_unitary,
+    kraus_liouville,
+    kraus_sum,
     normalized_pauli_basis,
     shelving_pulse,
     to_liouville,
@@ -410,6 +413,71 @@ def test_kraus_and_liouville_agree_on_random_channels():
             rho = random_density(space.d, rng)
             diff = apply_kraus(ch.kraus, rho) - unvec(ch.liouville @ vec(rho), space.d)
             assert np.max(np.abs(diff)) < 1e-10
+
+
+def test_stacked_channel_algebra_matches_kraus_loops():
+    rng = np.random.default_rng(83)
+    for space in (QUBIT, QUTRIT):
+        for n_kraus in (1, 2, 16):
+            ch = random_channel(space, rng, n_kraus, scale=float(rng.uniform(0.5, 1.0)))
+            rho = random_density(space.d, rng)
+            # The broadcast Kronecker products add in the loop's order: equal bit for bit.
+            assert np.array_equal(ch.liouville, kraus_liouville(ch.kraus))
+            assert np.max(np.abs(ch.apply(rho) - apply_kraus(ch.kraus, rho))) < 1e-14
+            assert np.max(np.abs(ch.kraus_sum() - kraus_sum(ch.kraus))) < 1e-14
+
+
+def test_kraus_stack_is_read_only_and_list_like():
+    ops = [np.eye(2), 2.0 * PAULI_X]
+    ch = Channel(QUBIT, ops)
+    assert ch.kraus.shape == (2, 2, 2) and len(ch.kraus) == 2
+    first, second = ch.kraus
+    assert np.array_equal(first, np.eye(2)) and np.array_equal(second, 2.0 * PAULI_X)
+    with pytest.raises(ValueError):
+        ch.kraus[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        ch.liouville[0, 0] = 5.0
+    ops[0][0, 0] = 5.0  # the channel holds its own copy
+    assert ch.kraus[0, 0, 0] == 1.0
+
+
+def test_channel_rejects_ragged_empty_or_misshaped_kraus():
+    with pytest.raises(ValueError):
+        Channel(QUBIT, [np.eye(2), np.eye(3)])
+    for kraus in ([np.eye(3)], [], np.zeros((0, 2, 2)), np.eye(2)):
+        with pytest.raises(ValueError, match="one or more 2 x 2 matrices"):
+            Channel(QUBIT, kraus)
+
+
+def test_mixture_liouville_matches_its_kraus_union():
+    rng = np.random.default_rng(89)
+    for space in (QUBIT, QUTRIT):
+        members = [random_channel(space, rng, n, scale=0.9) for n in (1, 2, 16)]
+        for weights in (None, [0.2, 0.5, 0.3], [0.0, 1.0, 0.0]):
+            mixed = mix(members, weights)
+            assert len(mixed.kraus) == 19
+            assert np.max(np.abs(mixed.liouville - kraus_liouville(mixed.kraus))) < 1e-14
+            assert np.max(np.abs(mixed.liouville - Channel(space, mixed.kraus).liouville)) < 1e-14
+
+
+def test_mix_rejects_empty_input():
+    with pytest.raises(ValueError, match="at least one channel"):
+        mix([])
+
+
+def test_mix_rejects_a_weight_count_mismatch():
+    ch = filter_z(0.02)
+    with pytest.raises(ValueError, match="2 weights for 1 channels"):
+        mix([ch], [1.0, 2.0])
+    with pytest.raises(ValueError, match="1 weights for 2 channels"):
+        mix([ch, ch], [1.0])
+
+
+def test_mix_rejects_negative_or_non_finite_weights():
+    ch = filter_z(0.02)
+    for weights in ([-0.5, 1.5], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mix([ch, ch], weights)
 
 
 def test_composition_is_matrix_multiplication():
