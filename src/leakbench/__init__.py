@@ -22,15 +22,12 @@ from .gatesets import (
     shelving_gateset,
     signed_design_gateset,
     twirl,
-    verify_1design,
 )
 from .liouville import (
     DEFAULT_TOL,
     Channel,
     ChannelDiagnostics,
     SpaceSpec,
-    channel_from_json,
-    channel_to_json,
     choi_matrix,
     coherent_survival,
     compose,
@@ -38,7 +35,6 @@ from .liouville import (
     decay_eigenvalues,
     direct_sum,
     incoherent_survival,
-    kron,
     leakage_rates,
     subspace_transfer_matrix,
     survival_rate,
@@ -50,7 +46,6 @@ from .noise import (
     averaged_coherent_channel,
     filter_channel,
     sample_coherent_noise,
-    sample_filter_model,
 )
 from .protocol import (
     ConfigError,

@@ -11,10 +11,12 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 
+from . import __version__
 from .fitting import FitNonConvergence, fit
 from .gatesets import (
     GateSet,
@@ -46,6 +48,7 @@ from .protocol import (
     DecayDataset,
     ExperimentConfig,
     _experiment_components,
+    _write_json,
     brute_force_expectation,
     exact_expectations,
     predicted_expectation,
@@ -62,25 +65,17 @@ EXIT_FIT_ERROR = 4
 #: Sub-stream tag for the Monte Carlo theory oracle.
 ORACLE_KEY = 2
 
-#: The two bundled benchmark scenarios with their validation targets.
+#: The validation targets of the two bundled benchmark scenarios.  Each one's
+#: experiment is the config file ``scenarios/<name>.json`` of the package, whose
+#: seed is the scenario's default seed.
 FIGURES = {
     "fig1": {
-        "gateset": "pauli",
-        "noise": {"id": "filter", "params": {}},
-        "m_list": list(range(10, 101, 10)),
-        "n_sequences": 30,
         "model": "single-exp",
-        "default_seed": 20260801,
         "reference": {"decay": 0.9880, "stderr": 0.0002, "r_squared": 0.9991,
                       "oracle": 0.9879},
     },
     "fig2": {
-        "gateset": "shelving",
-        "noise": {"id": "shelving", "params": {"phi": 0.01, "sigma_gamma": 0.06}},
-        "m_list": list(range(10, 101, 10)),
-        "n_sequences": 200,
         "model": "tp-constrained",
-        "default_seed": 101,
         "reference": {"decay": 0.992, "stderr": 0.002, "r_squared": 0.9904,
                       "oracle": 0.995},
     },
@@ -90,44 +85,31 @@ FIGURES = {
 ORACLE_SAMPLES = 1_000_000
 
 
-@dataclass
-class RunManifest:
-    """Record of one CLI run: config echo, seed, outputs, timing.
+def figure_config(figure: str, seed: int | None = None) -> ExperimentConfig:
+    """A bundled scenario's packaged config file, with ``seed``, when given, for its seed."""
+    path = resources.files("leakbench") / "scenarios" / f"{figure}.json"
+    cfg = ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return cfg if seed is None else replace(cfg, seed=seed)
+
+
+def _write_manifest(out_dir, cfg: ExperimentConfig, outputs: list, started: float, timings: dict):
+    """Write the run record ``manifest.json`` to ``out_dir``; returns its path.
 
     ``timings`` holds the wall seconds of each stage of the run.  The stages
     are disjoint parts of ``duration_seconds``, except ``sample`` and
     ``evolve``: a serial run's parts of ``simulate``.
     """
-
-    config: dict
-    seed: int
-    tool_version: str
-    outputs: list
-    duration_seconds: float
-    timings: dict
-
-    def write(self, path: str):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def figure_config(figure: str, seed: int | None = None) -> ExperimentConfig:
-    """The experiment configuration of a bundled scenario."""
-    spec = FIGURES[figure]
-    return ExperimentConfig(
-        gateset=spec["gateset"],
-        noise=spec["noise"],
-        m_list=tuple(spec["m_list"]),
-        n_sequences=spec["n_sequences"],
-        seed=spec["default_seed"] if seed is None else seed,
-    )
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
+    path = out_dir / "manifest.json"
+    manifest = {
+        "config": cfg.to_dict(),
+        "seed": cfg.seed,
+        "tool_version": __version__,
+        "outputs": outputs,
+        "duration_seconds": time.monotonic() - started,
+        "timings": timings,
+    }
+    _write_json(path, manifest)
+    return path
 
 
 def _write_dataset(dataset: DecayDataset, out_dir, outputs: list, extras=None):
@@ -172,16 +154,7 @@ def cmd_simulate(args) -> int:
     outputs: list = []
     with timed_stage(timings, "write"):
         _write_dataset(dataset, out_dir, outputs)
-    manifest = RunManifest(
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        tool_version=_tool_version(),
-        outputs=outputs,
-        duration_seconds=time.monotonic() - started,
-        timings=timings,
-    )
-    manifest_path = out_dir / "manifest.json"
-    manifest.write(str(manifest_path))
+    manifest_path = _write_manifest(out_dir, cfg, outputs, started, timings)
     print(f"wrote {', '.join(outputs + [str(manifest_path)])}")
     return EXIT_OK
 
@@ -213,22 +186,13 @@ def cmd_fit(args) -> int:
     try:
         result = fit(args.model, dataset, weighted=not args.unweighted)
     except FitNonConvergence as exc:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"converged": False, "error": str(exc), **exc.diagnostics},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        _write_json(out_path, {"converged": False, "error": str(exc), **exc.diagnostics})
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT_ERROR
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_path, result.to_dict())
     print(_summary_line(result))
     return EXIT_OK
 
@@ -328,20 +292,10 @@ def cmd_reproduce(args) -> int:
     with timed_stage(timings, "write"):
         extras = [{"exact_mean": r["exact_mean"], "z": r["z"]} for r in report["per_length"]]
         _write_dataset(dataset, out_dir, outputs, extras)
-        for path, doc in ((fit_path, result.to_dict()), (report_path, report)):
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        _write_json(fit_path, result.to_dict())
+        _write_json(report_path, report)
     outputs.extend([str(fit_path), str(report_path)])
-    manifest = RunManifest(
-        config=cfg.to_dict(),
-        seed=report["seed"],
-        tool_version=_tool_version(),
-        outputs=outputs,
-        duration_seconds=time.monotonic() - started,
-        timings=timings,
-    )
-    manifest.write(str(out_dir / "manifest.json"))
+    _write_manifest(out_dir, cfg, outputs, started, timings)
     verdict = "PASS" if report["pass"] else "FAIL"
     print(
         f"{args.figure} {verdict}: fitted decay {report['fitted_decay']:.6f} "
@@ -448,6 +402,13 @@ def cmd_check(_args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """The value of ``--jobs``: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leakbench",
@@ -460,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--shots", type=int, default=None, help="finite sampling per sequence")
-    p_sim.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sim.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit a decay model to a dataset")
@@ -478,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("figure", choices=sorted(FIGURES))
     p_rep.add_argument("--out", required=True, help="output directory")
     p_rep.add_argument("--seed", type=int, default=None)
-    p_rep.add_argument("--jobs", type=int, default=1)
+    p_rep.add_argument("--jobs", type=_positive_int, default=1)
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_check = sub.add_parser("check", help="run the fast invariant suite")

@@ -34,17 +34,26 @@ def _int_powers(base: float, exponents: np.ndarray) -> np.ndarray:
     return np.power(base, exponents.astype(int))
 
 
+def _power_derivative(base: float, exponents: np.ndarray) -> np.ndarray:
+    """d/d(base) of base^e for integer e >= 0."""
+    e = exponents.astype(int)
+    return np.where(e == 0, 0.0, e * np.power(base, np.maximum(e - 1, 0)))
+
+
 class DecayModel:
-    """A named decay curve family with analytic predictions and Jacobians."""
+    """The named curve sum_k a_k decay_k^(m-1), with analytic predictions and Jacobians.
 
-    def __init__(self, kind: str, param_names, decay_params):
+    Parameters are the amplitudes, then the decays (clamped to [-1, 1]).
+    Amplitude k multiplies decay k; an amplitude with no decay of its own is
+    a constant term.
+    """
+
+    def __init__(self, kind: str, amplitudes, decays):
         self.kind = kind
-        self.param_names = tuple(param_names)
-        self.decay_params = tuple(decay_params)  # indices clamped to [-1, 1]
-
-    @property
-    def n_params(self) -> int:
-        return len(self.param_names)
+        self.param_names = tuple(amplitudes) + tuple(decays)
+        self.n_params = len(self.param_names)
+        self.n_amplitudes = len(amplitudes)
+        self.decay_params = tuple(range(self.n_amplitudes, self.n_params))
 
     def clamp(self, params: np.ndarray) -> np.ndarray:
         out = np.array(params, dtype=float)
@@ -52,83 +61,29 @@ class DecayModel:
             out[i] = min(max(out[i], -1.0), 1.0)
         return out
 
+    def _amplitude_terms(self, params, ms: np.ndarray) -> list:
+        """The curve's derivative by each amplitude: decay_k^(m-1), or 1 for the constant."""
+        powers = [_int_powers(params[i], ms - 1) for i in self.decay_params]
+        return powers + [np.ones_like(ms, dtype=float)] * (self.n_amplitudes - len(powers))
+
     def predict(self, params: np.ndarray, ms: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        terms = [a * t for a, t in zip(params, self._amplitude_terms(params, ms))]
+        return sum(terms[1:], terms[0])
 
     def jacobian(self, params: np.ndarray, ms: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-def _power_derivative(base: float, exponents: np.ndarray) -> np.ndarray:
-    """d/d(base) of base^e for integer e >= 0."""
-    e = exponents.astype(int)
-    return np.where(e == 0, 0.0, e * np.power(base, np.maximum(e - 1, 0)))
-
-
-class _SingleExp(DecayModel):
-    def __init__(self):
-        super().__init__("single-exp", ("amplitude", "decay"), decay_params=(1,))
-
-    def predict(self, params, ms):
-        amp, decay = params
-        return amp * _int_powers(decay, ms - 1)
-
-    def jacobian(self, params, ms):
-        amp, decay = params
-        return np.column_stack(
-            [_int_powers(decay, ms - 1), amp * _power_derivative(decay, ms - 1)]
-        )
-
-
-class _DoubleExp(DecayModel):
-    def __init__(self):
-        super().__init__(
-            "double-exp",
-            ("amp_plus", "amp_minus", "decay_plus", "decay_minus"),
-            decay_params=(2, 3),
-        )
-
-    def predict(self, params, ms):
-        bp, bm, lp, lm = params
-        return bp * _int_powers(lp, ms - 1) + bm * _int_powers(lm, ms - 1)
-
-    def jacobian(self, params, ms):
-        bp, bm, lp, lm = params
-        return np.column_stack(
-            [
-                _int_powers(lp, ms - 1),
-                _int_powers(lm, ms - 1),
-                bp * _power_derivative(lp, ms - 1),
-                bm * _power_derivative(lm, ms - 1),
-            ]
-        )
-
-
-class _TpConstrained(DecayModel):
-    def __init__(self):
-        super().__init__(
-            "tp-constrained", ("amplitude", "offset", "decay"), decay_params=(2,)
-        )
-
-    def predict(self, params, ms):
-        amp, offset, decay = params
-        return amp * _int_powers(decay, ms - 1) + offset
-
-    def jacobian(self, params, ms):
-        amp, offset, decay = params
-        return np.column_stack(
-            [
-                _int_powers(decay, ms - 1),
-                np.ones_like(ms, dtype=float),
-                amp * _power_derivative(decay, ms - 1),
-            ]
-        )
+        by_decay = [
+            params[k] * _power_derivative(params[i], ms - 1)
+            for k, i in enumerate(self.decay_params)
+        ]
+        return np.column_stack(self._amplitude_terms(params, ms) + by_decay)
 
 
 MODELS = {
-    "single-exp": _SingleExp(),
-    "double-exp": _DoubleExp(),
-    "tp-constrained": _TpConstrained(),
+    "single-exp": DecayModel("single-exp", ("amplitude",), ("decay",)),
+    "double-exp": DecayModel(
+        "double-exp", ("amp_plus", "amp_minus"), ("decay_plus", "decay_minus")
+    ),
+    "tp-constrained": DecayModel("tp-constrained", ("amplitude", "offset"), ("decay",)),
 }
 
 
@@ -367,7 +322,9 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     Minimizes the sem-weighted sum of squared residuals (unit weights if any
     sem is zero or ``weighted`` is false).  Standard errors come from the
     inverse weighted normal matrix at the optimum, scaled by the residual
-    variance; r^2 is computed on unweighted residuals.
+    variance; r^2 is computed on unweighted residuals.  A length below 1 (where
+    the Jacobian's power rule fails), a mean outside [0, 1] (NaN included) or
+    a negative or non-finite sem is a ValueError naming the first such point's m.
     """
     if isinstance(model, str):
         model = model_by_name(model)
@@ -376,8 +333,15 @@ def fit(model, data, weighted: bool = True) -> FitResult:
         raise ValueError(
             f"{model.kind} needs at least {model.n_params + 1} distinct lengths"
         )
-    if ys.min() < -1e-9 or ys.max() > 1.0 + 1e-9:
-        raise ValueError("means must lie in [0, 1]")
+    sems = data.sems
+    for values, bad, what in (
+        (ms, ms < 1, "lengths must be >= 1"),
+        (ys, ~((ys >= -1e-9) & (ys <= 1.0 + 1e-9)), "means must lie in [0, 1]"),
+        (sems, ~(np.isfinite(sems) & (sems >= 0)), "sems must be finite and >= 0"),
+    ):
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise ValueError(f"{what}, got {float(values[i])!r} at m = {ms[i]:g}")
     w = _weights(data, weighted)
     used_weights = bool(weighted and np.all(data.sems > 0))
 
@@ -441,7 +405,7 @@ def _canonicalize(model: DecayModel, x: np.ndarray) -> np.ndarray:
 
 def _is_degenerate(model: DecayModel, x: np.ndarray) -> bool:
     if model.kind == "double-exp":
-        return abs(x[2] - x[3]) < DEGENERACY_TOL
+        return bool(abs(x[2] - x[3]) < DEGENERACY_TOL)
     return False
 
 

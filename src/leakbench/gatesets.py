@@ -19,7 +19,6 @@ from .liouville import (
     _kron_conj,
     _operator_stack,
     matrix_from_pairs,
-    matrix_to_pairs,
     mix,
     vec,
 )
@@ -136,12 +135,6 @@ def predicted_twirl_matrix(space: SpaceSpec) -> np.ndarray:
     return np.outer(v1, v1.conj()) + np.outer(v2, v2.conj())
 
 
-def verify_1design(gs: GateSet, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the set's twirl equals the closed form for its declared structure."""
-    expected = predicted_twirl_matrix(gs.space)
-    return bool(np.max(np.abs(twirl(gs).matrix - expected)) <= tol)
-
-
 class NoiseAssignment:
     """Per-gate error channels for a gate set.
 
@@ -168,13 +161,6 @@ class NoiseAssignment:
     @property
     def stochastic(self) -> bool:
         return self.sampler is not None
-
-    def channel_for(self, index: int, rng: np.random.Generator | None = None) -> Channel:
-        if self.stochastic:
-            if rng is None:
-                raise ValueError("stochastic noise needs a random generator")
-            return self.sampler.sample(rng)
-        return self.channels[index]
 
 
 def average_noise(na: NoiseAssignment) -> Channel:
@@ -228,15 +214,6 @@ def gateset_by_id(name: str) -> GateSet:
         with open(name, "r", encoding="utf-8") as fh:
             return gateset_from_dict(json.load(fh))
     raise ValueError(f"unknown gate set {name!r}")
-
-
-def gateset_to_dict(gs: GateSet) -> dict:
-    return {
-        "d1": gs.space.d1,
-        "d2": gs.space.d2,
-        "label": gs.label,
-        "gates": [matrix_to_pairs(g) for g in gs.gates],
-    }
 
 
 def gateset_from_dict(doc: dict) -> GateSet:

@@ -10,7 +10,6 @@ unitary U acts as kron(U, U.conj()).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +53,6 @@ class SpaceSpec:
 def vec(op: np.ndarray) -> np.ndarray:
     """Row-major vectorization; coordinates of op in the elementary basis."""
     return np.asarray(op, dtype=complex).reshape(-1)
-
-
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v, dtype=complex).reshape(d, d)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (a kron b)[i*rB+k, j*cB+l] = a[i,j] b[k,l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -337,11 +326,3 @@ def channel_from_dict(doc: dict) -> Channel:
     space = SpaceSpec(d1=int(doc["d1"]), d2=int(doc.get("d2", 0)))
     kraus = [matrix_from_pairs(p, space.d) for p in doc["kraus"]]
     return Channel(space, kraus)
-
-
-def channel_to_json(ch: Channel) -> str:
-    return json.dumps(channel_to_dict(ch))
-
-
-def channel_from_json(text: str) -> Channel:
-    return channel_from_dict(json.loads(text))

@@ -20,53 +20,36 @@ from .liouville import Channel, SpaceSpec
 
 QUTRIT = SpaceSpec(d1=2, d2=1)
 
-_BIT_GENERATORS = {
-    "pcg64": np.random.PCG64,
-    "philox": np.random.Philox,
-}
-
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Specification of a deterministic random stream.
+    """Specification of a deterministic PCG64 random stream.
 
-    The same (seed, algorithm, key) triple always yields the same deviate
-    sequence, across runs and platforms.  ``child`` derives independent
-    sub-streams for workers or per-sequence use.
+    The same (seed, key) pair always yields the same deviate sequence, across
+    runs and platforms.  ``child`` derives independent sub-streams for
+    workers or per-sequence use.
     """
 
     seed: int
-    algorithm: str = "pcg64"
     key: tuple = ()
-
-    def __post_init__(self):
-        if self.algorithm not in _BIT_GENERATORS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"choose from {sorted(_BIT_GENERATORS)}"
-            )
 
     def generator(self) -> np.random.Generator:
         """A fresh stateful generator positioned at the start of the stream."""
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
-        return np.random.Generator(_BIT_GENERATORS[self.algorithm](seq))
+        return np.random.Generator(np.random.PCG64(seq))
 
     def child(self, *key: int) -> "RandomStream":
-        return RandomStream(self.seed, self.algorithm, self.key + tuple(key))
+        return RandomStream(self.seed, self.key + tuple(key))
 
     def child_generators(self, keys):
         """Yield, for each row of ``keys``, a generator at the start of ``child(*row)``.
 
-        The draws are bit for bit those of ``child(*row).generator()``.  For
-        PCG64 the seeding of every key is computed in one vectorized pass
+        The draws are bit for bit those of ``child(*row).generator()``.  The
+        seeding of every key is computed in one vectorized pass
         (:func:`pcg64_seeds`) and one Generator is re-seated per key, so a
         yielded generator is valid only until the next one is taken.
         """
         keys = np.asarray(keys, dtype=np.uint64)
-        if self.algorithm != "pcg64":
-            for row in keys.tolist():
-                yield self.child(*row).generator()
-            return
         prefix = np.broadcast_to(np.array(self.key, dtype=np.uint64), (len(keys), len(self.key)))
         gen = np.random.Generator(np.random.PCG64(0))
         for state in _state_dicts(pcg64_seeds(self.seed, np.hstack([prefix, keys]))):
@@ -354,12 +337,6 @@ def sample_filter_assignment(rng, n_gates: int = 4):
     return NoiseAssignment(SpaceSpec(d1=2, d2=0), channels=channels), params
 
 
-def sample_filter_model(rng, n_gates: int = 4) -> NoiseAssignment:
-    """Gate-dependent filter noise for a qubit 1-design, one draw per gate."""
-    assignment, _ = sample_filter_assignment(rng, n_gates)
-    return assignment
-
-
 # ---------------------------------------------------------------------------
 # Shelving (coherent) model
 # ---------------------------------------------------------------------------
@@ -453,11 +430,6 @@ class ShelvingNoiseSampler:
         shelving_unitaries(self.params.phi, gammas, z, out)
         return out.T.reshape(normals.shape[:-1] + (3, 3))
 
-    def sample(self, rng) -> Channel:
-        """One draw from ``rng``, as a unitary channel."""
-        normals = as_generator(rng).standard_normal(self.n_normals)
-        return Channel.unitary(QUTRIT, self.unitaries(normals))
-
 
 def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
     """One draw of the composite shelving-noise unitary on the qutrit.
@@ -466,38 +438,42 @@ def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
     rotation, and an imperfect unshelving pulse; all four error variables are
     drawn independently.  The result is unitary, hence trace-preserving on
     the combined space, but trace-decreasing when restricted to the code
-    space for generic pulse angles.
+    space for generic pulse angles.  The draw takes the sampler's
+    ``n_normals`` standard normals from ``rng``.
     """
-    return ShelvingNoiseSampler(sp).sample(rng)
+    sampler = ShelvingNoiseSampler(sp)
+    normals = as_generator(rng).standard_normal(sampler.n_normals)
+    return Channel.unitary(QUTRIT, sampler.unitaries(normals))
 
+
+#: Draws per batch of the Monte Carlo average: the pinned layout of its stream.
+_MC_BATCH = 50_000
 
 #: Draws per chunk of the Monte Carlo average; bounds its peak memory.
 _MC_CHUNK = 10_000
 
 
-def averaged_coherent_channel(
-    sp: ShelvingParams, n_samples: int, rng, batch_size: int = 50_000
-) -> Channel:
+def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channel:
     """Monte Carlo average of the shelving-noise channel over its parameters.
 
     The Liouville matrix is the mean over n_samples independent draws; the
     returned channel serves as the theory oracle for the coherent survival
     rate.  Each batch of b draws takes 18 b standard normals into one buffer:
     the pulse angles (b, 2), then the real and imaginary parts of the first
-    and of the second Ginibre matrices (b, 2, 2) each, so the result is fully
-    determined by the stream and the batch size.  The kernel runs on chunks of
-    the batch, copied into contiguous rows.
+    and of the second Ginibre matrices (b, 2, 2) each, in batches of
+    ``_MC_BATCH`` draws, so the result is fully determined by the stream.  The
+    kernel runs on chunks of the batch, copied into contiguous rows.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     gen = as_generator(rng)
-    buffer = np.empty(18 * min(batch_size, n_samples))
-    width = min(_MC_CHUNK, batch_size, n_samples)
+    buffer = np.empty(18 * min(_MC_BATCH, n_samples))
+    width = min(_MC_CHUNK, n_samples)
     gammas, z = np.empty((2, width)), np.empty((4, 2, width), dtype=complex)
     entries = np.empty((9, width), dtype=complex)
     gram = np.zeros((9, 9), dtype=complex)  # sum of vec(U) vec(U)^dag
-    for start in range(0, n_samples, batch_size):
-        b = min(batch_size, n_samples - start)
+    for start in range(0, n_samples, _MC_BATCH):
+        b = min(_MC_BATCH, n_samples - start)
         draws = buffer[: 18 * b]
         gen.standard_normal(out=draws)
         draws[: 2 * b] *= sp.sigma_gamma

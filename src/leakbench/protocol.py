@@ -27,11 +27,9 @@ from .liouville import (
     Channel,
     SpaceSpec,
     channel_from_dict,
-    channel_to_dict,
     decay_eigenvalues,
     incoherent_survival,
     matrix_from_pairs,
-    matrix_to_pairs,
     subspace_transfer_matrix,
     vec,
 )
@@ -109,18 +107,6 @@ def spam_from_dict(doc: dict | None, space: SpaceSpec) -> SpamSpec:
             )
         given[key] = value
     return replace(spam, **given)
-
-
-def spam_to_dict(spam: SpamSpec) -> dict:
-    doc = {
-        "rho": matrix_to_pairs(spam.rho),
-        "effect": matrix_to_pairs(spam.effect),
-    }
-    if spam.prep is not None:
-        doc["prep"] = channel_to_dict(spam.prep)
-    if spam.meas is not None:
-        doc["meas"] = channel_to_dict(spam.meas)
-    return doc
 
 
 def _integer(key: str, value) -> int:
@@ -247,6 +233,13 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _write_json(path, doc):
+    """Write ``doc`` to ``path`` as JSON: indented, keys sorted, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass(frozen=True)
 class DecayPoint:
     m: int
@@ -319,9 +312,7 @@ class DecayDataset:
             ],
             "provenance": self.provenance,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, doc)
 
     @classmethod
     def from_json(cls, path: str) -> "DecayDataset":

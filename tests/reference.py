@@ -23,7 +23,7 @@ import numpy as np
 
 from leakbench.gatesets import PAULI_X
 from leakbench.liouville import DEFAULT_TOL, Channel, SpaceSpec, direct_sum, vec
-from leakbench.noise import QUTRIT, ShelvingParams, as_generator
+from leakbench.noise import QUTRIT, ShelvingParams, as_generator, sample_coherent_noise
 from leakbench.protocol import SpamSpec
 
 
@@ -215,8 +215,12 @@ def run_sequence(indices, gateset, noise, spam=None, rng=None) -> float:
     for idx in indices:
         if not 0 <= idx < len(gateset):
             raise ValueError(f"gate index {idx} out of range")
-        if noise is not None:
-            state = noise.channel_for(idx, rng).liouville @ state
+        if noise is not None and noise.stochastic:
+            if rng is None:
+                raise ValueError("stochastic noise needs a random generator")
+            state = sample_coherent_noise(noise.sampler.params, rng).liouville @ state
+        elif noise is not None:
+            state = noise.channels[idx].liouville @ state
         state = gate_lios[idx] @ state
     return float(np.real(spam.effect_vector() @ state))
 

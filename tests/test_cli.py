@@ -1,27 +1,33 @@
+import argparse
+import csv
 import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import numeric_rank
 
 import leakbench as lb
 from leakbench.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_SIMULATION_ERROR,
+    FIGURES,
     build_parser,
     check_sequence_average_closed_form,
     check_shelving_unitary,
+    check_twirl_closed_form,
     check_twirl_idempotent,
     figure_config,
     main,
     reproduce_figure,
     run_checks,
 )
-from leakbench.gatesets import GateSet, PAULI_X
+from leakbench.gatesets import GateSet, PAULI_X, PAULIS
 from leakbench.liouville import SpaceSpec
 from leakbench.noise import RandomStream, ShelvingNoiseSampler
 from leakbench.protocol import (
@@ -32,6 +38,7 @@ from leakbench.protocol import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SCENARIOS = resources.files("leakbench") / "scenarios"
 
 
 def write_config(tmp_path, doc) -> str:
@@ -92,7 +99,7 @@ def test_simulate_seed_override_changes_output(tmp_path):
 
 def test_simulate_fig1_config_shape(tmp_path):
     out = tmp_path / "out"
-    code = main(["simulate", "--config", str(CONFIGS / "fig1.json"), "--out", str(out)])
+    code = main(["simulate", "--config", str(SCENARIOS / "fig1.json"), "--out", str(out)])
     assert code == EXIT_OK
     ds = DecayDataset.from_csv(str(out / "decay.csv"))
     assert list(ds.ms.astype(int)) == list(range(10, 101, 10))
@@ -204,6 +211,34 @@ def test_simulate_spam_on_the_wrong_space_is_config_error(tmp_path, capsys):
 def test_bundled_configs_load():
     for path in sorted(CONFIGS.glob("*.json")):
         ExperimentConfig.from_json_file(str(path))
+    for figure in FIGURES:
+        packaged = ExperimentConfig.from_json_file(str(SCENARIOS / f"{figure}.json"))
+        assert packaged == figure_config(figure)
+        assert figure_config(figure, seed=5) == ExperimentConfig.from_dict(
+            {**packaged.to_dict(), "seed": 5}
+        )
+
+
+def test_scenario_files_resolve_as_package_resources():
+    files = resources.files("leakbench") / "scenarios"
+    names = sorted(p.name for p in files.iterdir() if p.name.endswith(".json"))
+    assert names == ["fig1.json", "fig2.json"]
+    for name in names:
+        doc = json.loads((files / name).read_text(encoding="utf-8"))
+        assert ExperimentConfig.from_dict(doc).to_dict() == doc
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return subparsers.choices[name]
+
+
+def test_reproduce_choices_are_the_packaged_scenarios():
+    (figure,) = [a for a in _subcommand("reproduce")._actions if a.dest == "figure"]
+    packaged = [p.name[: -len(".json")] for p in SCENARIOS.iterdir() if p.name.endswith(".json")]
+    assert sorted(figure.choices) == sorted(packaged) == sorted(FIGURES)
 
 
 def test_reproduce_negative_seed_is_config_error(tmp_path, capsys):
@@ -213,10 +248,27 @@ def test_reproduce_negative_seed_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bundled_configs_match_figure_definitions():
-    for fig in ("fig1", "fig2"):
-        on_disk = json.loads((CONFIGS / fig).with_suffix(".json").read_text())
-        assert on_disk == figure_config(fig).to_dict()
+def test_bundled_configs_match_figure_definitions(tmp_path, capsys):
+    # simulate on a packaged scenario file is reproduce at its default seed.
+    for figure in ("fig1", "fig2"):
+        sim, rep = tmp_path / f"sim-{figure}", tmp_path / f"rep-{figure}"
+        config = str(SCENARIOS / f"{figure}.json")
+        assert main(["simulate", "--config", config, "--out", str(sim)]) == EXIT_OK
+        assert main(["reproduce", figure, "--out", str(rep)]) == EXIT_OK
+        assert (sim / "decay.csv").read_bytes() == (rep / "decay.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "1.5", "two"])
+def test_jobs_must_be_a_positive_integer(tmp_path, capsys, command, jobs):
+    out = tmp_path / "out"
+    args = ["--config", write_config(tmp_path, NOISELESS)] if command == "simulate" else ["fig1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--out", str(out), "--jobs", jobs])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert f"argument --jobs: must be a positive integer, got '{jobs}'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, *args, "--out", str(out), "--jobs", "1"]) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +312,51 @@ def test_fit_command_insufficient_data(tmp_path):
     csv_path = tmp_path / "decay.csv"
     ds.to_csv(str(csv_path))
     assert main(["fit", str(csv_path), "--model", "single-exp"]) == EXIT_CONFIG_ERROR
+
+
+def _write_points(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, ["m", "mean", "sem", "n"])
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "row, field, value, message",
+    [
+        (1, "mean", "nan", "means must lie in [0, 1], got nan at m = 20"),
+        (2, "sem", "-0.01", "sems must be finite and >= 0, got -0.01 at m = 30"),
+        (3, "sem", "nan", "sems must be finite and >= 0, got nan at m = 40"),
+        (5, "sem", "inf", "sems must be finite and >= 0, got inf at m = 60"),
+        (4, "m", "-5", "lengths must be >= 1, got -5.0 at m = -5"),
+        (0, "m", "0", "lengths must be >= 1, got 0.0 at m = 0"),
+    ],
+)
+def test_fit_command_rejects_malformed_points(tmp_path, capsys, row, field, value, message):
+    rows = [
+        {"m": m, "mean": repr(0.97 * 0.985 ** (m - 1)), "sem": "0.001", "n": 30}
+        for m in range(10, 101, 10)
+    ]
+    rows[row][field] = value
+    csv_path = tmp_path / "decay.csv"
+    _write_points(csv_path, rows)
+    assert main(["fit", str(csv_path), "--model", "single-exp"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "fit.json").exists()
+    unweighted = ["fit", str(csv_path), "--model", "single-exp", "--unweighted"]
+    assert main(unweighted) == EXIT_CONFIG_ERROR
+
+
+def test_fit_command_writes_a_double_exp_fit(tmp_path, capsys):
+    ms = np.arange(10, 101, 10)
+    ys = 0.6 * 0.99 ** (ms - 1) + 0.3 * 0.95 ** (ms - 1)
+    csv_path = tmp_path / "decay.csv"
+    DecayDataset.from_arrays(ms, ys, np.full(ms.size, 0.001)).to_csv(str(csv_path))
+    assert main(["fit", str(csv_path), "--model", "double-exp"]) == EXIT_OK
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    assert doc["converged"] is True and doc["degenerate"] is False
+    assert abs(doc["params"]["decay_minus"] - 0.95) < 1e-6
+    assert capsys.readouterr().out.startswith("double-exp: amp_plus = 0.600000")
 
 
 def test_fit_command_nonconvergence_exit_code(tmp_path, monkeypatch):
@@ -425,6 +522,22 @@ def test_corrupted_gateset_fails_idempotence_check():
     passed, detail = check_twirl_idempotent(gs)
     assert not passed
     assert "G^2" in detail
+
+
+def test_twirl_closed_form_check():
+    assert check_twirl_closed_form(lb.pauli_gateset())[0]
+    assert check_twirl_closed_form(lb.shelving_gateset())[0]
+    assert check_twirl_closed_form(lb.signed_design_gateset(PAULIS, PAULIS, label="blocks"))[0]
+    ix = GateSet(SpaceSpec(2, 0), [np.eye(2), PAULI_X], label="ix")
+    assert not check_twirl_closed_form(ix)[0]
+    assert numeric_rank(lb.twirl(ix).matrix) > 1
+
+
+def test_twirl_closed_form_check_phase_invariant():
+    rng = np.random.default_rng(67)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
+    gs = GateSet(SpaceSpec(2, 0), [ph * g for ph, g in zip(phases, PAULIS)], label="phased")
+    assert check_twirl_closed_form(gs)[0]
 
 
 def test_closed_form_check_covers_both_sets():

@@ -244,6 +244,36 @@ def test_insufficient_data_and_range_validation():
         model_by_name("triple-exp")
 
 
+def test_models_are_exponential_sums_with_amplitudes_then_decays():
+    ms = np.arange(1, 41, dtype=float)
+    cases = {
+        "single-exp": ([0.9, 0.97], lambda a, l: a * l ** (ms - 1)),
+        "tp-constrained": ([0.4, 0.5, 0.97], lambda a, b, l: a * l ** (ms - 1) + b),
+        "double-exp": (
+            [0.6, 0.3, 0.99, -0.8],
+            lambda a, b, l, k: a * l ** (ms - 1) + b * k ** (ms - 1),
+        ),
+    }
+    for name, (x, curve) in cases.items():
+        model = model_by_name(name)
+        assert np.allclose(model.predict(np.array(x), ms), curve(*x), rtol=1e-14, atol=0)
+
+
+def test_malformed_points_are_rejected_naming_their_length():
+    ms = np.arange(10, 101, 10)
+    ys, sems = 0.97 * 0.985 ** (ms - 1), np.full(ms.size, 0.001)
+    for means, errors, lengths, message in (
+        (np.where(ms == 30, np.nan, ys), sems, ms, r"means .* got nan at m = 30$"),
+        (ys, np.where(ms == 70, -0.01, sems), ms, r"sems .* got -0.01 at m = 70$"),
+        (ys, np.where(ms == 80, np.inf, sems), ms, r"sems .* got inf at m = 80$"),
+        (ys, sems, np.where(ms == 90, -5, ms), r"lengths .* at m = -5$"),
+        (ys, sems, np.where(ms == 10, 0, ms), r"lengths must be >= 1, got 0.0 at m = 0$"),
+    ):
+        for name in fitting.MODELS:
+            with pytest.raises(ValueError, match=message):
+                fit(name, DecayDataset.from_arrays(lengths, means, errors), weighted=False)
+
+
 # ---------------------------------------------------------------------------
 # Physics identities on fitted parameters
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from helpers import random_channel, random_density, random_hermitian
@@ -19,12 +21,12 @@ import leakbench as lb
 from leakbench import Channel, SpaceSpec
 from leakbench.gatesets import PAULI_X
 from leakbench.liouville import (
-    channel_from_json,
-    channel_to_json,
+    _kron_conj,
+    channel_from_dict,
+    channel_to_dict,
     matrix_from_pairs,
     matrix_to_pairs,
     mix,
-    unvec,
     vec,
 )
 
@@ -100,22 +102,23 @@ def test_normalized_pauli_basis_is_orthonormal():
 
 
 def test_kron_identities():
-    assert np.allclose(lb.kron(np.eye(2), np.eye(2)), np.eye(4))
-    xx = lb.kron(PAULI_X, PAULI_X)
+    # kron(A, A.conj()) of each operator of a stack, as Liouville matrices are built.
+    assert np.allclose(_kron_conj(np.eye(2, dtype=complex)[None]), np.eye(4))
+    xx = _kron_conj(PAULI_X[None])[0]
     assert np.allclose(xx, np.fliplr(np.eye(4)))
 
 
 def test_kron_against_index_formula():
     rng = np.random.default_rng(101)
-    a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    got = lb.kron(a, b)
-    expected = np.zeros((6, 6), dtype=complex)
-    for i in range(2):
-        for j in range(3):
-            for k in range(3):
-                for l in range(2):
-                    expected[i * 3 + k, j * 2 + l] = a[i, j] * b[k, l]
+    a = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    got = _kron_conj(a)
+    expected = np.zeros((2, 9, 9), dtype=complex)
+    for n in range(2):
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    for l in range(3):
+                        expected[n, i * 3 + k, j * 3 + l] = a[n, i, j] * a[n, k, l].conj()
     assert np.max(np.abs(got - expected)) < 1e-14
 
 
@@ -166,7 +169,7 @@ def test_filter_liouville_matches_kraus_application():
     for _ in range(10):
         rho = random_density(2, rng)
         via_kraus = apply_kraus(ch.kraus, rho)
-        via_liouville = unvec(ch.liouville @ vec(rho), 2)
+        via_liouville = (ch.liouville @ vec(rho)).reshape(2, 2)
         assert np.max(np.abs(via_kraus - via_liouville)) < 1e-12
 
 
@@ -411,7 +414,8 @@ def test_kraus_and_liouville_agree_on_random_channels():
         for _ in range(5):
             ch = random_channel(space, rng, scale=float(rng.uniform(0.5, 1.0)))
             rho = random_density(space.d, rng)
-            diff = apply_kraus(ch.kraus, rho) - unvec(ch.liouville @ vec(rho), space.d)
+            via_liouville = (ch.liouville @ vec(rho)).reshape(space.d, space.d)
+            diff = apply_kraus(ch.kraus, rho) - via_liouville
             assert np.max(np.abs(diff)) < 1e-10
 
 
@@ -515,7 +519,7 @@ def test_full_space_survival_nonincreasing_under_composition():
 
 def test_channel_json_roundtrip():
     ch = lb.sample_coherent_noise(lb.ShelvingParams(), lb.RandomStream(15))
-    rebuilt = channel_from_json(channel_to_json(ch))
+    rebuilt = channel_from_dict(json.loads(json.dumps(channel_to_dict(ch))))
     assert rebuilt.space == ch.space
     assert len(rebuilt.kraus) == len(ch.kraus)
     assert np.max(np.abs(rebuilt.liouville - ch.liouville)) < 1e-15

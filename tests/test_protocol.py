@@ -807,15 +807,19 @@ def test_decay_parameters_space_mismatch():
 
 
 def test_spam_config_roundtrip_and_execution():
-    from leakbench.liouville import matrix_to_pairs
-    from leakbench.protocol import spam_from_dict, spam_to_dict
+    import json
+
+    from leakbench.liouville import channel_to_dict, matrix_to_pairs
+    from leakbench.protocol import spam_from_dict
 
     excited = np.diag([0.0, 1.0]).astype(complex)
     doc = {"rho": matrix_to_pairs(excited), "effect": matrix_to_pairs(excited)}
     spam = spam_from_dict(doc, QUBIT)
     assert np.allclose(spam.rho, excited)
-    rebuilt = spam_from_dict(spam_to_dict(spam), QUBIT)
-    assert np.allclose(rebuilt.effect, excited)
+    assert np.allclose(spam.effect, excited) and spam.prep is None is spam.meas
+    prep = lb.filter_channel(lb.FilterParams(p=0.2, bloch=(0.0, 0.0, 1.0)))
+    rebuilt = spam_from_dict(json.loads(json.dumps({**doc, "prep": channel_to_dict(prep)})), QUBIT)
+    assert np.array_equal(rebuilt.prep.liouville, prep.liouville) and rebuilt.meas is None
     gs = lb.pauli_gateset()
     # identity gate keeps |1><1| on itself; X flips it off the effect
     assert abs(run_sequence((0,), gs, None, spam) - 1.0) < 1e-12
