@@ -16,8 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__
-from .fitting import FitNonConvergence, fit
+from .fitting import MODELS, FitNonConvergence, fit
 from .gatesets import (
     GateSet,
     NoiseAssignment,
@@ -92,18 +91,19 @@ def figure_config(figure: str, seed: int | None = None) -> ExperimentConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
-def _write_manifest(out_dir, cfg: ExperimentConfig, outputs: list, started: float, timings: dict):
+def _write_manifest(out_dir, provenance: dict, outputs: list, started: float, timings: dict):
     """Write the run record ``manifest.json`` to ``out_dir``; returns its path.
 
-    ``timings`` holds the wall seconds of each stage of the run.  The stages
-    are disjoint parts of ``duration_seconds``, except ``sample`` and
-    ``evolve``: a serial run's parts of ``simulate``.
+    Its config, seed and tool version are those of the dataset's
+    ``provenance``.  ``timings`` holds the wall seconds of each stage of the
+    run.  The stages are disjoint parts of ``duration_seconds``, except
+    ``sample`` and ``evolve``: a serial run's parts of ``simulate``.
     """
     path = out_dir / "manifest.json"
     manifest = {
-        "config": cfg.to_dict(),
-        "seed": cfg.seed,
-        "tool_version": __version__,
+        "config": provenance["config"],
+        "seed": provenance["seed"],
+        "tool_version": provenance["tool_version"],
         "outputs": outputs,
         "duration_seconds": time.monotonic() - started,
         "timings": timings,
@@ -126,14 +126,9 @@ def cmd_simulate(args) -> int:
     started = time.monotonic()
     timings: dict = {}
     try:
+        overrides = {"seed": args.seed, "shots": args.shots}
         cfg = ExperimentConfig.from_json_file(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = int(args.seed)
-        if args.shots is not None:
-            overrides["shots"] = int(args.shots)
-        if overrides:
-            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
+        cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -154,7 +149,7 @@ def cmd_simulate(args) -> int:
     outputs: list = []
     with timed_stage(timings, "write"):
         _write_dataset(dataset, out_dir, outputs)
-    manifest_path = _write_manifest(out_dir, cfg, outputs, started, timings)
+    manifest_path = _write_manifest(out_dir, dataset.provenance, outputs, started, timings)
     print(f"wrote {', '.join(outputs + [str(manifest_path)])}")
     return EXIT_OK
 
@@ -273,19 +268,17 @@ def cmd_reproduce(args) -> int:
     started = time.monotonic()
     timings: dict = {}
     try:
-        cfg = figure_config(args.figure, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
         dataset, result, report = reproduce_figure(
             args.figure, seed=args.seed, jobs=args.jobs, timings=timings
         )
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION_ERROR
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list = []
     fit_path = out_dir / "fit.json"
     report_path = out_dir / "report.json"
@@ -295,7 +288,7 @@ def cmd_reproduce(args) -> int:
         _write_json(fit_path, result.to_dict())
         _write_json(report_path, report)
     outputs.extend([str(fit_path), str(report_path)])
-    _write_manifest(out_dir, cfg, outputs, started, timings)
+    _write_manifest(out_dir, dataset.provenance, outputs, started, timings)
     verdict = "PASS" if report["pass"] else "FAIL"
     print(
         f"{args.figure} {verdict}: fitted decay {report['fitted_decay']:.6f} "
@@ -310,38 +303,45 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_twirl_idempotent(gs: GateSet, tol: float = 1e-10):
+#: The invariant suite's tolerance, the draws of each of its sampling checks,
+#: and the longest sequence length its sequence-average checks enumerate.
+CHECK_TOL = 1e-10
+CHECK_DRAWS = 50
+CHECK_MAX_M = 4
+
+
+def check_twirl_idempotent(gs: GateSet):
     g_bar = twirl(gs).matrix
     dev = float(np.max(np.abs(g_bar @ g_bar - g_bar)))
-    return dev <= tol, f"max |G^2 - G| = {dev:.2e}"
+    return dev <= CHECK_TOL, f"max |G^2 - G| = {dev:.2e}"
 
 
-def check_twirl_closed_form(gs: GateSet, tol: float = 1e-10):
+def check_twirl_closed_form(gs: GateSet):
     dev = float(np.max(np.abs(twirl(gs).matrix - predicted_twirl_matrix(gs.space))))
-    return dev <= tol, f"max deviation from closed form = {dev:.2e}"
+    return dev <= CHECK_TOL, f"max deviation from closed form = {dev:.2e}"
 
 
-def check_filter_diagnostics(n_draws: int = 50, tol: float = 1e-10):
+def check_filter_diagnostics():
     gen = RandomStream(7, key=(99,)).generator()
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(CHECK_DRAWS):
         fp = sample_filter_params(gen)
         ch = filter_channel(fp)
-        diag = cp_tp_diagnostics(ch, tol=tol)
+        diag = cp_tp_diagnostics(ch, tol=CHECK_TOL)
         if not (diag.is_cp and diag.is_trace_nonincreasing):
             return False, "filter channel failed CP / trace-nonincreasing"
         eigs = np.sort(np.linalg.eigvalsh(ch.kraus_sum()))
         worst = max(worst, float(np.max(np.abs(eigs - [1.0 - fp.p, 1.0]))))
-    return worst <= tol, f"max spectrum deviation from {{1, 1-p}} = {worst:.2e}"
+    return worst <= CHECK_TOL, f"max spectrum deviation from {{1, 1-p}} = {worst:.2e}"
 
 
-def check_shelving_unitary(n_draws: int = 50, tol: float = 1e-10):
-    # One (n_draws, 18) draw: the normals of n_draws sample_coherent_noise calls.
+def check_shelving_unitary():
+    # One (CHECK_DRAWS, 18) draw: the normals of CHECK_DRAWS sample_coherent_noise calls.
     sampler = ShelvingNoiseSampler(ShelvingParams())
     gen = RandomStream(11, key=(98,)).generator()
-    u = sampler.unitaries(gen.standard_normal((n_draws, sampler.n_normals)))
+    u = sampler.unitaries(gen.standard_normal((CHECK_DRAWS, sampler.n_normals)))
     worst = float(np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(3))))
-    return worst <= tol, f"max |U U^dag - I| = {worst:.2e}"
+    return worst <= CHECK_TOL, f"max |U U^dag - I| = {worst:.2e}"
 
 
 def _gate_independent_assignment(gs: GateSet):
@@ -352,15 +352,15 @@ def _gate_independent_assignment(gs: GateSet):
     return NoiseAssignment.uniform(ch, len(gs))
 
 
-def check_sequence_average_closed_form(gs: GateSet, max_m: int = 4, tol: float = 1e-10):
+def check_sequence_average_closed_form(gs: GateSet):
     na = _gate_independent_assignment(gs)
     channel = average_noise(na)
     worst = 0.0
-    for m in range(1, max_m + 1):
+    for m in range(1, CHECK_MAX_M + 1):
         exact = brute_force_expectation(m, gs, na)
         predicted = predicted_expectation(m, gs, channel)
         worst = max(worst, abs(exact - predicted))
-    return worst <= tol, f"max |exact average - closed form| = {worst:.2e}"
+    return worst <= CHECK_TOL, f"max |exact average - closed form| = {worst:.2e}"
 
 
 def run_checks():
@@ -426,11 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a decay model to a dataset")
     p_fit.add_argument("dataset", help="decay.csv or decay.json produced by simulate")
-    p_fit.add_argument(
-        "--model",
-        required=True,
-        choices=["single-exp", "double-exp", "tp-constrained"],
-    )
+    p_fit.add_argument("--model", required=True, choices=sorted(MODELS))
     p_fit.add_argument("--out", default=None, help="fit.json output path")
     p_fit.add_argument("--unweighted", action="store_true", help="ignore sem weights")
     p_fit.set_defaults(func=cmd_fit)

@@ -9,7 +9,7 @@ report covariance-based standard errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -128,7 +128,7 @@ def init_double_exp(data):
     if len(np.unique(data.ms)) < 5:
         raise ValueError("double-exponential initialization needs >= 5 lengths")
     amp, offset, decay = _asymptote_init(data)
-    return amp, offset, 1.0, decay
+    return offset, amp, 1.0, decay
 
 
 def _asymptote_init(data):
@@ -193,20 +193,7 @@ class FitResult:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": self.params,
-            "stderr": self.stderr,
-            "r_squared": self.r_squared,
-            "chi2_per_dof": self.chi2_per_dof,
-            "derived": self.derived(),
-            "residuals": [float(r) for r in self.residuals],
-            "converged": self.converged,
-            "n_iterations": self.n_iterations,
-            "degenerate": self.degenerate,
-            "weighted": self.weighted,
-            "flags": list(self.flags),
-        }
+        return {**asdict(self), "derived": self.derived(), "residuals": self.residuals.tolist()}
 
 
 def _weights(data, weighted: bool) -> np.ndarray:

@@ -20,7 +20,6 @@ from .liouville import (
     _operator_stack,
     matrix_from_pairs,
     mix,
-    vec,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -121,18 +120,14 @@ def twirl(gs: GateSet) -> TwirlProjector:
 
 
 def predicted_twirl_matrix(space: SpaceSpec) -> np.ndarray:
-    """Closed form of the twirl for a 1-design structure on the space.
+    """Closed form A A^dag of the twirl for a 1-design structure on the space.
 
-    Without leakage: the rank-1 projector onto the vectorized normalized
-    identity.  With leakage: the sum of projectors onto the vectorized
-    normalized subspace projectors P_H1/sqrt(d1) and P_H2/sqrt(d2).
+    A is :attr:`SpaceSpec.twirl_basis`: the vectorized normalized identity
+    without leakage, the normalized subspace projectors P_H1/sqrt(d1) and
+    P_H2/sqrt(d2) with it.
     """
-    if space.d2 == 0:
-        v = vec(np.eye(space.d) / np.sqrt(space.d))
-        return np.outer(v, v.conj())
-    v1 = vec(space.code_projector / np.sqrt(space.d1))
-    v2 = vec(space.leak_projector / np.sqrt(space.d2))
-    return np.outer(v1, v1.conj()) + np.outer(v2, v2.conj())
+    basis = space.twirl_basis
+    return basis @ basis.conj().T
 
 
 class NoiseAssignment:

@@ -17,6 +17,9 @@ import numpy as np
 #: Global default tolerance for positivity / orthonormality / equality checks.
 DEFAULT_TOL = 1e-9
 
+#: Choi eigenvalues at or below this are dropped when Kraus operators are recovered.
+KRAUS_CUTOFF = 1e-12
+
 
 @dataclass(frozen=True)
 class SpaceSpec:
@@ -48,6 +51,19 @@ class SpaceSpec:
         p = np.zeros((self.d, self.d), dtype=complex)
         p[self.d1 :, self.d1 :] = np.eye(self.d2)
         return p
+
+    @property
+    def twirl_basis(self) -> np.ndarray:
+        """Orthonormal columns A (d^2, k) spanning the operators a 1-design twirl keeps.
+
+        They are vec(P_H1)/sqrt(d1) and vec(P_H2)/sqrt(d2) with a leakage
+        subspace, vec(I)/sqrt(d) without.  The twirl is A A^dag, and a
+        channel's transfer block A^dag L A.
+        """
+        if self.d2 == 0:
+            return vec(np.eye(self.d))[:, None] / np.sqrt(self.d)
+        p1, p2 = vec(self.code_projector), vec(self.leak_projector)
+        return np.column_stack([p1 / np.sqrt(self.d1), p2 / np.sqrt(self.d2)])
 
 
 def vec(op: np.ndarray) -> np.ndarray:
@@ -89,13 +105,11 @@ class Channel:
         return cls(space, [u])
 
     @classmethod
-    def from_liouville(
-        cls, space: SpaceSpec, matrix: np.ndarray, cutoff: float = 1e-12
-    ) -> "Channel":
+    def from_liouville(cls, space: SpaceSpec, matrix: np.ndarray) -> "Channel":
         """Recover a Kraus list from an elementary-basis Liouville matrix.
 
-        Eigendecomposes the Choi matrix; eigenvalues below ``cutoff`` are
-        dropped, so the input must be completely positive up to that scale.
+        Eigendecomposes the Choi matrix; eigenvalues below ``KRAUS_CUTOFF``
+        are dropped, so the input must be completely positive up to that scale.
         """
         d = space.d
         matrix = np.asarray(matrix, dtype=complex)
@@ -109,7 +123,7 @@ class Channel:
         if w.min() < -1e-8:
             raise ValueError(f"map is not CP (Choi eigenvalue {w.min():.3e})")
         # Choi index (i, a) holds K[a, i]: unvec each kept eigenvector, then transpose.
-        keep = w > cutoff
+        keep = w > KRAUS_CUTOFF
         kraus = (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, d, d).transpose(0, 2, 1)
         if not keep.any():
             kraus = np.zeros((1, d, d), dtype=complex)
@@ -198,23 +212,16 @@ def incoherent_survival(ch: Channel) -> float:
 
 
 def subspace_transfer_matrix(ch: Channel) -> np.ndarray:
-    """The 2 x 2 block of the twirled channel on span{P_H1, P_H2}.
+    """The 2 x 2 block A^dag L A of the twirled channel on span{P_H1, P_H2}.
 
-    Entry (a, b) is (A_a| E |A_b) for the normalized projector vectors
-    A_1 = P_H1 / sqrt(d1), A_2 = P_H2 / sqrt(d2).  Its eigenvalues drive the
-    double-exponential decay of the coherent-leakage protocol.
+    A is :attr:`SpaceSpec.twirl_basis`, the normalized projectors P_H1/sqrt(d1)
+    and P_H2/sqrt(d2).  Its eigenvalues drive the double-exponential decay of
+    the coherent-leakage protocol.
     """
-    space = ch.space
-    if space.d2 < 1:
+    if ch.space.d2 < 1:
         raise ValueError("transfer matrix needs a leakage subspace (d2 >= 1)")
-    d1, d2 = space.d1, space.d2
-    p1, p2 = space.code_projector, space.leak_projector
-    e_p1, e_p2 = ch.apply(p1), ch.apply(p2)
-    s = np.empty((2, 2), dtype=complex)
-    s[0, 0] = np.trace(p1 @ e_p1) / d1
-    s[1, 1] = np.trace(p2 @ e_p2) / d2
-    s[0, 1] = np.trace(p1 @ e_p2) / np.sqrt(d1 * d2)
-    s[1, 0] = np.trace(p2 @ e_p1) / np.sqrt(d1 * d2)
+    basis = ch.space.twirl_basis
+    s = basis.conj().T @ ch.liouville @ basis
     if np.max(np.abs(s.imag)) < DEFAULT_TOL:
         return s.real.astype(float)
     return s

@@ -318,10 +318,14 @@ def filter_channel(fp: FilterParams) -> Channel:
     return Channel(SpaceSpec(d1=2, d2=0), kraus)
 
 
-def sample_filter_params(rng, p_max: float = 0.05) -> FilterParams:
-    """p uniform on [0, p_max], direction uniform on the unit sphere."""
+#: Upper end of the uniform range of a sampled filter strength p.
+FILTER_P_MAX = 0.05
+
+
+def sample_filter_params(rng) -> FilterParams:
+    """p uniform on [0, FILTER_P_MAX], direction uniform on the unit sphere."""
     gen = as_generator(rng)
-    p = float(gen.uniform(0.0, p_max))
+    p = float(gen.uniform(0.0, FILTER_P_MAX))
     v = gen.normal(size=3)
     while np.linalg.norm(v) < 1e-12:
         v = gen.normal(size=3)
@@ -544,10 +548,7 @@ def build_noise_model(
             raise ValueError("filter noise applies to qubit gate sets only")
         return assignment
     if model_id == "shelving":
-        sp = ShelvingParams(
-            phi=float(params.get("phi", 0.01)),
-            sigma_gamma=float(params.get("sigma_gamma", 0.06)),
-        )
+        sp = ShelvingParams(**{k: float(v) for k, v in params.items() if k != "seed"})
         if gateset.space != QUTRIT:
             raise ValueError("shelving noise acts on the qutrit space (d1=2, d2=1)")
         return NoiseAssignment(QUTRIT, sampler=ShelvingNoiseSampler(sp))

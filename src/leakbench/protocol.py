@@ -17,7 +17,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -155,14 +155,16 @@ class ExperimentConfig:
     """Everything needed to reproduce one benchmarking run."""
 
     gateset: str
-    noise: dict | None
     m_list: tuple
     n_sequences: int
     seed: int
+    noise: dict | None = None
     shots: int | None = None
     spam: dict | None = None
 
     def __post_init__(self):
+        if not isinstance(self.gateset, str):
+            raise ConfigError(f"gateset must be a string, got {self.gateset!r}")
         m_list = tuple(_integer("m_list", m) for m in self.m_list)
         if not m_list or min(m_list) < 1:
             raise ConfigError("m_list must be nonempty with all lengths >= 1")
@@ -194,18 +196,8 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         _reject_unknown(doc, {f.name for f in fields(cls)}, "config")
         try:
-            return cls(
-                gateset=str(doc["gateset"]),
-                noise=doc.get("noise"),
-                m_list=tuple(doc["m_list"]),
-                n_sequences=doc["n_sequences"],
-                seed=doc["seed"],
-                shots=doc.get("shots"),
-                spam=doc.get("spam"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            return cls(**doc)
+        except TypeError as exc:  # a missing key, or an m_list that is not iterable
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
     @classmethod
@@ -218,15 +210,7 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {
-            "gateset": self.gateset,
-            "noise": self.noise,
-            "m_list": list(self.m_list),
-            "n_sequences": self.n_sequences,
-            "shots": self.shots,
-            "seed": self.seed,
-            "spam": self.spam,
-        }
+        return {**asdict(self), "m_list": list(self.m_list)}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -246,6 +230,11 @@ class DecayPoint:
     mean: float
     sem: float
     n: int
+
+    @classmethod
+    def from_row(cls, row) -> "DecayPoint":
+        """The point of a mapping with keys m, mean, sem and n, such as a CSV or JSON row."""
+        return cls(m=int(row["m"]), mean=float(row["mean"]), sem=float(row["sem"]), n=int(row["n"]))
 
 
 @dataclass
@@ -277,7 +266,7 @@ class DecayDataset:
         sems = [0.0] * len(ms) if sems is None else list(sems)
         counts = [1] * len(ms) if counts is None else list(counts)
         points = tuple(
-            DecayPoint(m=int(m), mean=float(mu), sem=float(s), n=int(n))
+            DecayPoint.from_row({"m": m, "mean": mu, "sem": s, "n": n})
             for m, mu, s, n in zip(ms, means, sems, counts)
         )
         return cls(points=points, provenance=provenance or {})
@@ -285,31 +274,20 @@ class DecayDataset:
     def to_csv(self, path: str):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["m", "mean", "sem", "n"])
-            for p in self.points:
-                writer.writerow([p.m, repr(p.mean), repr(p.sem), p.n])
+            writer.writerow([f.name for f in fields(DecayPoint)])
+            writer.writerows(astuple(p) for p in self.points)
 
     @classmethod
     def from_csv(cls, path: str) -> "DecayDataset":
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        points = tuple(
-            DecayPoint(
-                m=int(r["m"]), mean=float(r["mean"]), sem=float(r["sem"]), n=int(r["n"])
-            )
-            for r in rows
-        )
-        return cls(points=points)
+            return cls(points=tuple(map(DecayPoint.from_row, csv.DictReader(fh))))
 
     def to_json(self, path: str, extras=None):
         """Write the points and the provenance; ``extras`` holds one dict of further
         fields per point, merged into its row."""
         extras = [{}] * len(self.points) if extras is None else extras
         doc = {
-            "dataset": [
-                {"m": p.m, "mean": p.mean, "sem": p.sem, "n": p.n, **extra}
-                for p, extra in zip(self.points, extras)
-            ],
+            "dataset": [{**asdict(p), **extra} for p, extra in zip(self.points, extras)],
             "provenance": self.provenance,
         }
         _write_json(path, doc)
@@ -318,10 +296,7 @@ class DecayDataset:
     def from_json(cls, path: str) -> "DecayDataset":
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        points = tuple(
-            DecayPoint(m=int(r["m"]), mean=float(r["mean"]), sem=float(r["sem"]), n=int(r["n"]))
-            for r in doc["dataset"]
-        )
+        points = tuple(map(DecayPoint.from_row, doc["dataset"]))
         return cls(points=points, provenance=doc.get("provenance", {}))
 
 
@@ -602,23 +577,16 @@ def decay_parameters(
         raise ValueError("channel acts on a different space")
     if spam is None:
         spam = SpamSpec.ideal(space)
-    effect = spam.effect_vector()
-    state1 = channel.liouville @ spam.state_vector()
+    basis = space.twirl_basis
+    e = spam.effect_vector() @ basis
+    r = basis.conj().T @ (channel.liouville @ spam.state_vector())
     if space.d2 == 0:
-        a1 = vec(np.eye(space.d) / np.sqrt(space.d))
-        amplitude = float(np.real((effect @ a1) * (a1.conj() @ state1)))
-        return {"amplitude": amplitude, "decay": incoherent_survival(channel)}
-    a1 = vec(space.code_projector / np.sqrt(space.d1))
-    a2 = vec(space.leak_projector / np.sqrt(space.d2))
-    e = np.array([effect @ a1, effect @ a2])
-    r = np.array([a1.conj() @ state1, a2.conj() @ state1])
+        return {"amplitude": float(np.real(e[0] * r[0])), "decay": incoherent_survival(channel)}
     s = subspace_transfer_matrix(channel)
     lam_plus, lam_minus = decay_eigenvalues(s)
     evals, evecs = np.linalg.eig(s)
-    order = [int(np.argmin(np.abs(evals - lam_plus)))]
-    order.append(1 - order[0])
-    evals = evals[order]
-    evecs = evecs[:, order]
+    plus = int(np.argmin(np.abs(evals - lam_plus)))
+    evecs = evecs[:, [plus, 1 - plus]]
     left = e @ evecs
     right = np.linalg.solve(evecs, r)
     return {

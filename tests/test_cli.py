@@ -133,6 +133,15 @@ def test_simulate_non_integral_length_and_negative_seed_are_config_errors(tmp_pa
     assert "seed" in capsys.readouterr().err
 
 
+def test_simulate_non_string_gateset_is_config_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {**NOISELESS, "gateset": 5})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "gateset" in err
+    assert not out.exists()
+
+
 def test_simulate_repeated_length_is_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {**NOISELESS, "m_list": [10, 20, 20, 30]})
     out = tmp_path / "out"
@@ -246,6 +255,19 @@ def test_reproduce_negative_seed_is_config_error(tmp_path, capsys):
     assert main(["reproduce", "fig1", "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG_ERROR
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reproduce_reads_its_scenario_once(tmp_path, monkeypatch, capsys):
+    from leakbench import cli
+
+    reads = []
+    monkeypatch.setattr(
+        cli, "figure_config", lambda *a, **k: reads.append(a) or figure_config(*a, **k)
+    )
+    assert main(["reproduce", "fig1", "--out", str(tmp_path / "rep"), "--seed", "3"]) in (0, 1)
+    assert reads == [("fig1", 3)]
+    manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
+    assert manifest["config"] == figure_config("fig1", 3).to_dict()
 
 
 def test_bundled_configs_match_figure_definitions(tmp_path, capsys):

@@ -5,6 +5,7 @@ import leakbench as lb
 import leakbench.fitting as fitting
 from leakbench.fitting import (
     FitNonConvergence,
+    _cost,
     fit,
     init_double_exp,
     init_single_exp,
@@ -130,9 +131,27 @@ def test_init_double_exp_close_on_saturated_curve():
     )
     b0, c0, lp0, lm0 = init_double_exp(data)
     assert lp0 == 1.0
-    assert abs(b0 - 0.6) / 0.6 < 0.05
-    assert abs(c0 - 0.4) / 0.4 < 0.05
+    assert abs(b0 - 0.4) / 0.4 < 0.05
+    assert abs(c0 - 0.6) / 0.6 < 0.05
     assert abs(lm0 - 0.99) / 0.99 < 0.05
+
+
+@pytest.mark.parametrize(
+    "truth",
+    [
+        {"amp_plus": 0.5, "amp_minus": 0.45, "decay_plus": 1.0, "decay_minus": 0.97},
+        {"amp_plus": 0.2, "amp_minus": 0.7, "decay_plus": 0.999, "decay_minus": 0.95},
+        {"amp_plus": 0.68, "amp_minus": 0.32, "decay_plus": 1.0, "decay_minus": 0.989},
+    ],
+)
+def test_init_double_exp_pairs_the_asymptote_with_decay_plus(truth):
+    # The asymptote belongs to decay_plus = 1 and the excess to the decaying term:
+    # the start costs less than the same numbers with the two amplitudes swapped.
+    data = synthetic("double-exp", truth, sem=0.005)
+    model = model_by_name("double-exp")
+    start = np.array(init_double_exp(data))
+    ms, ys, w = data.ms, data.means, 1.0 / data.sems**2
+    assert _cost(model, start, ms, ys, w) < _cost(model, start[[1, 0, 2, 3]], ms, ys, w)
 
 
 def test_init_double_exp_needs_five_lengths():
