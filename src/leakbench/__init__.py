@@ -7,8 +7,6 @@ from .fitting import (
     FitNonConvergence,
     FitResult,
     fit,
-    init_double_exp,
-    init_single_exp,
     model_by_name,
 )
 from .gatesets import (

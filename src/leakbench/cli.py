@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -120,9 +122,21 @@ def _write_dataset(dataset: DecayDataset, out_dir, outputs: list, extras=None):
     outputs.extend([str(csv_path), str(json_path)])
 
 
-def cmd_simulate(args) -> int:
-    from pathlib import Path
+def _can_write_to(out_dir) -> bool:
+    """Whether ``out_dir`` is, or can be created as, a writable directory.
 
+    Checked before a run, so that a bad ``--out`` does not lose the run's
+    results; when it is not, a config error naming the path is printed.
+    """
+    found = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
+    writable = found.is_dir() and os.access(found, os.W_OK)
+    if not writable:
+        print(f"config error: cannot create output directory {str(out_dir)!r}: "
+              f"{str(found)!r} is not a writable directory", file=sys.stderr)
+    return writable
+
+
+def cmd_simulate(args) -> int:
     started = time.monotonic()
     timings: dict = {}
     try:
@@ -131,6 +145,8 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    if not _can_write_to(args.out):
         return EXIT_CONFIG_ERROR
     try:
         with timed_stage(timings, "simulate"):
@@ -170,14 +186,18 @@ def _summary_line(result) -> str:
 
 
 def cmd_fit(args) -> int:
-    from pathlib import Path
-
     try:
         dataset = _load_dataset(args.dataset)
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: cannot read dataset: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     out_path = Path(args.out) if args.out else Path(args.dataset).parent / "fit.json"
+    if out_path.is_dir():
+        print(f"config error: fit output {str(out_path)!r} is a directory", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    if not _can_write_to(out_path.parent):
+        return EXIT_CONFIG_ERROR
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     try:
         result = fit(args.model, dataset, weighted=not args.unweighted)
     except FitNonConvergence as exc:
@@ -263,10 +283,10 @@ def reproduce_figure(
 
 
 def cmd_reproduce(args) -> int:
-    from pathlib import Path
-
     started = time.monotonic()
     timings: dict = {}
+    if not _can_write_to(args.out):
+        return EXIT_CONFIG_ERROR
     try:
         dataset, result, report = reproduce_figure(
             args.figure, seed=args.seed, jobs=args.jobs, timings=timings
@@ -274,6 +294,9 @@ def cmd_reproduce(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except FitNonConvergence as exc:
+        print(f"fit error: {exc}", file=sys.stderr)
+        return EXIT_FIT_ERROR
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION_ERROR

@@ -1,10 +1,19 @@
-"""Nonlinear least-squares fitting of survival decay curves.
+"""Weighted least-squares fitting of survival decay curves by variable projection.
 
 Three models are supported: a single exponential amplitude * decay^(m-1), a
 double exponential for leakage-subspace experiments, and the trace-
-preserving specialization amplitude * decay^(m-1) + offset.  Fits use damped
-least squares with analytic Jacobians, sem-derived weights by default, and
-report covariance-based standard errors.
+preserving specialization amplitude * decay^(m-1) + offset.  Each is linear
+in its amplitudes once its decays are fixed, so the fit is a search over the
+decays alone, with the amplitudes solved from their weighted normal
+equations inside it (variable projection; Golub and Pereyra, SIAM J. Numer.
+Anal. 10, 413 (1973)).  The projected cost is scanned on a grid of decays in
+[-1, 1], in pairs decay_plus >= decay_minus for the double exponential.
+Gauss-Newton steps on the projected problem then refine the grid's best
+point inside its bracketing grid cell; the second decay of a pair is fitted
+afresh for each value of the first.  When every m - 1 has the same parity,
+(a, decay) and (+-a, -decay) draw the same curve, and the search covers
+decays in [0, 1] only.  Weights are 1/sem^2 by default, and standard errors
+come from the weighted normal matrix of all parameters at the optimum.
 """
 
 from __future__ import annotations
@@ -17,35 +26,24 @@ import numpy as np
 DEGENERACY_TOL = 1e-6
 
 _MAX_ITERATIONS = 200
-_STEP_TOL = 1e-10
-_POLISH_STEPS = 8
+
+#: Points of the decay grid; a scan over two decays takes every second one.
+_GRID_POINTS = 1001
 
 
 class FitNonConvergence(RuntimeError):
-    """Raised when the damped least-squares loop hits the iteration cap."""
+    """Raised when the Gauss-Newton refinement hits the iteration cap."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
         self.diagnostics = diagnostics
 
 
-def _int_powers(base: float, exponents: np.ndarray) -> np.ndarray:
-    # Integer exponents keep negative decay parameters well defined.
-    return np.power(base, exponents.astype(int))
-
-
-def _power_derivative(base: float, exponents: np.ndarray) -> np.ndarray:
-    """d/d(base) of base^e for integer e >= 0."""
-    e = exponents.astype(int)
-    return np.where(e == 0, 0.0, e * np.power(base, np.maximum(e - 1, 0)))
-
-
 class DecayModel:
     """The named curve sum_k a_k decay_k^(m-1), with analytic predictions and Jacobians.
 
-    Parameters are the amplitudes, then the decays (clamped to [-1, 1]).
-    Amplitude k multiplies decay k; an amplitude with no decay of its own is
-    a constant term.
+    Parameters are the amplitudes, then the decays.  Amplitude k multiplies
+    decay k; an amplitude with no decay of its own is a constant term.
     """
 
     def __init__(self, kind: str, amplitudes, decays):
@@ -55,27 +53,29 @@ class DecayModel:
         self.n_amplitudes = len(amplitudes)
         self.decay_params = tuple(range(self.n_amplitudes, self.n_params))
 
-    def clamp(self, params: np.ndarray) -> np.ndarray:
-        out = np.array(params, dtype=float)
-        for i in self.decay_params:
-            out[i] = min(max(out[i], -1.0), 1.0)
-        return out
+    def basis(self, decays: np.ndarray, ms: np.ndarray) -> np.ndarray:
+        """The curve's derivatives by its amplitudes, (..., len(ms), n_amplitudes).
 
-    def _amplitude_terms(self, params, ms: np.ndarray) -> list:
-        """The curve's derivative by each amplitude: decay_k^(m-1), or 1 for the constant."""
-        powers = [_int_powers(params[i], ms - 1) for i in self.decay_params]
-        return powers + [np.ones_like(ms, dtype=float)] * (self.n_amplitudes - len(powers))
+        Column k is decay_k^(m-1), or 1 for the constant; ``decays`` may stack
+        several decay vectors on its leading axes.  Integer exponents keep
+        negative decays well defined.
+        """
+        decays = np.asarray(decays, dtype=float)
+        constant = np.ones(decays.shape[:-1] + (self.n_amplitudes - decays.shape[-1],))
+        bases = np.concatenate([decays, constant], axis=-1)
+        return np.power(bases[..., None, :], ms.astype(int)[:, None] - 1)
 
     def predict(self, params: np.ndarray, ms: np.ndarray) -> np.ndarray:
-        terms = [a * t for a, t in zip(params, self._amplitude_terms(params, ms))]
-        return sum(terms[1:], terms[0])
+        params = np.asarray(params, dtype=float)
+        terms = self.basis(params[self.n_amplitudes:], ms) * params[: self.n_amplitudes]
+        return terms.sum(axis=-1)
 
     def jacobian(self, params: np.ndarray, ms: np.ndarray) -> np.ndarray:
-        by_decay = [
-            params[k] * _power_derivative(params[i], ms - 1)
-            for k, i in enumerate(self.decay_params)
-        ]
-        return np.column_stack(self._amplitude_terms(params, ms) + by_decay)
+        params = np.asarray(params, dtype=float)
+        e = ms.astype(int) - 1  # d/dx x^e = e x^(e-1), and 0 at e = 0
+        by_decay = [params[k] * (e * np.power(params[i], np.maximum(e - 1, 0)))
+                    for k, i in enumerate(self.decay_params)]
+        return np.column_stack([self.basis(params[self.n_amplitudes:], ms)] + by_decay)
 
 
 MODELS = {
@@ -97,65 +97,106 @@ def model_by_name(name: str) -> DecayModel:
 
 
 # ---------------------------------------------------------------------------
-# Initialization
+# Variable projection
 # ---------------------------------------------------------------------------
 
 
-def _log_linear(ms: np.ndarray, ys: np.ndarray):
-    """Regress ln(y) on (m - 1); returns (exp(intercept), exp(slope))."""
-    x = ms - 1.0
-    slope, intercept = np.polyfit(x, np.log(ys), 1)
-    return float(np.exp(intercept)), float(np.exp(slope))
+def _amplitudes(d, q, b) -> list:
+    """Solutions of weighted normal equations in k <= 2 amplitudes, one array per amplitude.
 
-
-def init_single_exp(data):
-    """(amplitude, decay) from a log-linear regression on the positive means."""
-    ms, ys = data.ms, data.means
-    mask = ys > 0
-    if mask.sum() < 2:
-        raise ValueError("need at least two positive means to initialize")
-    amp, decay = _log_linear(ms[mask], ys[mask])
-    return amp, min(decay, 1.0)
-
-
-def init_double_exp(data):
-    """(amp_plus, amp_minus, decay_plus, decay_minus) starting point.
-
-    Uses a near-trace-preserving prior decay_plus = 1, the mean at the
-    largest m as the asymptote estimate, and a log-linear fit of the excess
-    above the asymptote for the decaying term.
+    ``d`` and ``b`` hold, per amplitude, the diagonal entries of the normal
+    matrices and their right sides, and ``q`` is the off-diagonal entry when
+    k = 2; all broadcast together.  The equations are solved in closed form.
+    Where they are singular, because a column vanishes (a decay of 0 at
+    lengths above 1) or the two are parallel, the larger column alone carries
+    the fit.
     """
-    if len(np.unique(data.ms)) < 5:
-        raise ValueError("double-exponential initialization needs >= 5 lengths")
-    amp, offset, decay = _asymptote_init(data)
-    return offset, amp, 1.0, decay
+    lone = [np.where(dk > 0, bk / np.where(dk > 0, dk, 1.0), 0.0) for dk, bk in zip(d, b)]
+    if len(d) == 1:
+        return lone
+    (d0, d1), (b0, b1) = d, b
+    det = d0 * d1 - q * q
+    solvable, first = det > 1e-12 * d0 * d1, d0 >= d1
+    det = np.where(solvable, det, 1.0)
+    return [
+        np.where(solvable, (d1 * b0 - q * b1) / det, np.where(first, lone[0], 0.0)),
+        np.where(solvable, (d0 * b1 - q * b0) / det, np.where(first, 0.0, lone[1])),
+    ]
 
 
-def _asymptote_init(data):
-    """(amplitude, offset, decay) with the offset read off the largest m.
+def _project(model: DecayModel, decays, ms, ys, w):
+    """(amps, b): the best amplitudes at stacked ``decays`` and the right sides of their equations.
 
-    Excess values below 5% of the largest are dropped from the log-linear
-    step: subtracting the asymptote estimate distorts the tail.
+    amps . b is the weighted sum of squares of the data less the least
+    projected cost, so the best decays maximize it.
     """
-    ms, ys = data.ms, data.means
-    offset = float(ys[np.argmax(ms)])
-    excess = ys - offset
-    mask = excess > max(0.05 * excess.max(), 1e-12)
-    if mask.sum() >= 2:
-        amp, decay = _log_linear(ms[mask], excess[mask])
-        decay = min(decay, 1.0)
-    else:
-        # Flat curve: the decaying term is unidentifiable from the data.
-        amp, decay = 0.0, 0.0
-    return amp, offset, decay
+    cols = model.basis(decays, ms)
+    weighted = cols * w[:, None]
+    b = ys @ weighted
+    d, q = (weighted * cols).sum(axis=-2), (weighted[..., 0] * cols[..., -1]).sum(axis=-1)
+    return np.stack(_amplitudes(d.T, q, b.T), axis=-1), b
 
 
-def _initial_params(model: DecayModel, data) -> np.ndarray:
-    if model.kind == "single-exp":
-        return np.array(init_single_exp(data))
-    if model.kind == "double-exp":
-        return np.array(init_double_exp(data))
-    return np.array(_asymptote_init(data))
+def _scan(model: DecayModel, head, grid, ms, ys, w) -> int:
+    """Index in ``grid`` of the first free decay at the least projected cost.
+
+    Two free decays are scanned in pairs decay_plus >= decay_minus, whose
+    normal equations are read off one Gram matrix of the grid's columns.
+    """
+    if len(model.decay_params) - len(head) == 1:
+        amps, b = _project(model, np.column_stack([np.tile(head, (grid.size, 1)), grid]), ms, ys, w)
+        return int(np.argmax((amps * b).sum(axis=-1)))
+    cols = np.power(grid[:, None], ms.astype(int) - 1)
+    gram, rhs = (cols * w) @ cols.T, (cols * w) @ ys
+    d, b = np.diag(gram), (rhs[:, None], rhs[None, :])
+    explained = sum(a * bk for a, bk in zip(_amplitudes((d[:, None], d[None, :]), gram, b), b))
+    explained[np.triu_indices(grid.size, 1)] = -np.inf
+    return int(np.argmax(explained)) // grid.size
+
+
+def _search(model: DecayModel, ms, ys, w, head=()):
+    """(params, converged, steps) of the weighted least-squares fit with the decays ``head`` held.
+
+    The first free decay starts at the grid's best value (see :func:`_scan`;
+    two free decays use every second grid point) and is refined by
+    Gauss-Newton steps inside the grid cell around it, with the decay after
+    it, if any, fitted afresh at each point.  Each step points to the side of
+    its point where the minimum lies, so the cell shrinks to a bracket of it;
+    a step that leaves the bracket, or is not under half the step before it,
+    is replaced by the bracket's midpoint.  The refinement has converged when
+    a step or the bracket is a few units of rounding.  ``steps`` counts every
+    step.
+    """
+    last = len(head) + 1 == len(model.decay_params)
+    # Sign rule: with one parity of m - 1, a negative decay repeats a positive one.
+    lower = 0.0 if np.unique((ms.astype(int) - 1) % 2).size == 1 else -1.0
+    grid = np.linspace(lower, 1.0, _GRID_POINTS)[:: 1 if last else 2]
+    at = _scan(model, head, grid, ms, ys, w)
+    decay, lo, hi = grid[at], grid[max(at - 1, 0)], grid[min(at + 1, grid.size - 1)]
+    free = [*range(model.n_amplitudes), *range(model.n_amplitudes + len(head), model.n_params)]
+    sw, eps, size, steps = np.sqrt(w), np.finfo(float).eps, np.inf, 0
+    for _ in range(_MAX_ITERATIONS):
+        decays = np.append(head, decay)
+        if last:
+            x, converged = np.append(_project(model, decays, ms, ys, w)[0], decays), True
+        else:
+            x, converged, inner = _search(model, ms, ys, w, tuple(decays))
+            steps += inner
+        steps += 1
+        if not converged:
+            break
+        # The cost's gradient in the amplitudes (and in any later decay) is 0 at x,
+        # so this step's part in the decay is the Gauss-Newton step of the projected problem.
+        jac, resid = sw[:, None] * model.jacobian(x, ms)[:, free], sw * (ys - model.predict(x, ms))
+        step = np.linalg.lstsq(jac, resid, rcond=None)[0][model.n_amplitudes]
+        lo, hi = (decay, hi) if step > 0 else (lo, decay)
+        if abs(step) <= 4 * eps or hi - lo <= 4 * eps:
+            return x, True, steps
+        if lo < decay + step < hi and abs(step) < size / 2:
+            decay, size = decay + step, abs(step)
+        else:
+            decay, size = (lo + hi) / 2, (hi - lo) / 2
+    return x, False, steps
 
 
 # ---------------------------------------------------------------------------
@@ -196,111 +237,9 @@ class FitResult:
         return {**asdict(self), "derived": self.derived(), "residuals": self.residuals.tolist()}
 
 
-def _weights(data, weighted: bool) -> np.ndarray:
-    sems = data.sems
-    if weighted and np.all(sems > 0):
-        return 1.0 / sems ** 2
-    return np.ones_like(sems)
-
-
 def _cost(model, params, ms, ys, w) -> float:
     r = ys - model.predict(params, ms)
     return float(np.sum(w * r * r))
-
-
-def _damped_step(model, x, normal, grad, mu):
-    """A damped step clamped to the box, re-solved on the free coordinates.
-
-    When the raw step drives a decay parameter past a bound, that coordinate
-    is pinned at the bound and the normal equations are re-solved for the
-    rest; plain clipping leaves a crippled step that creeps along the bound.
-    """
-    damping = np.diag(np.maximum(np.diag(normal), 1e-14))
-    step = np.linalg.solve(normal + mu * damping, grad)
-    candidate = model.clamp(x + step)
-    pinned = [
-        i for i in model.decay_params if abs(candidate[i] - (x[i] + step[i])) > 0
-    ]
-    if not pinned:
-        return candidate
-    free = [i for i in range(len(x)) if i not in pinned]
-    if not free:
-        return candidate
-    delta_pinned = candidate[pinned] - x[pinned]
-    rhs = grad[free] - normal[np.ix_(free, pinned)] @ delta_pinned
-    sub = normal[np.ix_(free, free)] + mu * damping[np.ix_(free, free)]
-    refined = candidate.copy()
-    refined[free] = x[free] + np.linalg.solve(sub, rhs)
-    return model.clamp(refined)
-
-
-def _lm_minimize(model: DecayModel, x0, ms, ys, w):
-    """Damped least squares, polished by Gauss-Newton steps on the free parameters.
-
-    The damped iteration stops once a step no longer lowers the cost at
-    working precision, up to about sqrt(eps) times the parameter errors short
-    of the optimum.  Undamped steps (a parameter pushed past its bound is
-    pinned there) follow while each is at most half the one before and does
-    not raise the cost by more than its rounding, so the fit depends on the
-    data alone and not on the path of the iteration.
-    """
-    x, cost, converged, n_iter = _lm_iterate(model, x0, ms, ys, w)
-    size, eps = np.inf, np.finfo(float).eps
-    for _ in range(_POLISH_STEPS if converged else 0):
-        jac, resid = model.jacobian(x, ms), ys - model.predict(x, ms)
-        try:
-            candidate = _damped_step(model, x, jac.T @ (w[:, None] * jac), jac.T @ (w * resid), 0.0)
-        except np.linalg.LinAlgError:
-            break
-        candidate_cost = _cost(model, candidate, ms, ys, w)
-        step, rounding = np.max(np.abs(candidate - x)), 8 * eps * np.sum(w * np.abs(resid * ys))
-        if not (step <= size / 2 and candidate_cost <= cost + rounding):
-            break
-        x, cost, size = candidate, candidate_cost, step
-        if size <= 4 * eps * np.max(np.abs(x)):
-            break
-    return x, cost, converged, n_iter
-
-
-def _lm_iterate(model: DecayModel, x0, ms, ys, w):
-    """Damped least squares with multiplicative damping on the normal matrix."""
-    x = model.clamp(np.asarray(x0, dtype=float))
-    cost = _cost(model, x, ms, ys, w)
-    mu = 1e-3
-    for iteration in range(1, _MAX_ITERATIONS + 1):
-        jac = model.jacobian(x, ms)
-        resid = ys - model.predict(x, ms)
-        normal = jac.T @ (w[:, None] * jac)
-        grad = jac.T @ (w * resid)
-        if np.max(np.abs(grad)) < 1e-16:
-            return x, cost, True, iteration
-        accepted = False
-        for _ in range(60):
-            try:
-                candidate = _damped_step(model, x, normal, grad, mu)
-            except np.linalg.LinAlgError:
-                mu *= 10.0
-                continue
-            candidate_cost = _cost(model, candidate, ms, ys, w)
-            # Strict decrease: accepting equal-cost steps lets the iteration
-            # wander gauge valleys (degenerate decays) without terminating.
-            if candidate_cost < cost:
-                rel_step = float(
-                    np.max(np.abs(candidate - x) / np.maximum(np.abs(x), 1e-12))
-                )
-                x, cost = candidate, candidate_cost
-                mu = max(mu / 10.0, 1e-14)
-                accepted = True
-                if rel_step < _STEP_TOL:
-                    return x, cost, True, iteration
-                break
-            mu *= 10.0
-            if mu > 1e15:
-                break
-        if not accepted:
-            # Damping saturated: no descent direction at working precision.
-            return x, cost, True, iteration
-    return x, cost, False, _MAX_ITERATIONS
 
 
 def fit(model, data, weighted: bool = True) -> FitResult:
@@ -309,9 +248,11 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     Minimizes the sem-weighted sum of squared residuals (unit weights if any
     sem is zero or ``weighted`` is false).  Standard errors come from the
     inverse weighted normal matrix at the optimum, scaled by the residual
-    variance; r^2 is computed on unweighted residuals.  A length below 1 (where
-    the Jacobian's power rule fails), a mean outside [0, 1] (NaN included) or
-    a negative or non-finite sem is a ValueError naming the first such point's m.
+    variance; r^2 is computed on unweighted residuals.  ``n_iterations`` counts
+    the Gauss-Newton steps that refine the grid's best decays.  A length below
+    1 (where the Jacobian's power rule fails), a mean outside [0, 1] (NaN
+    included) or a negative or non-finite sem is a ValueError naming the first
+    such point's m.
     """
     if isinstance(model, str):
         model = model_by_name(model)
@@ -329,16 +270,16 @@ def fit(model, data, weighted: bool = True) -> FitResult:
         if bad.any():
             i = np.flatnonzero(bad)[0]
             raise ValueError(f"{what}, got {float(values[i])!r} at m = {ms[i]:g}")
-    w = _weights(data, weighted)
-    used_weights = bool(weighted and np.all(data.sems > 0))
+    used_weights = bool(weighted and np.all(sems > 0))
+    w = 1.0 / sems**2 if used_weights else np.ones_like(sems)
 
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     if model.kind != "single-exp" and ss_tot < 1e-24:
         # Flat curve: only the offset is identifiable.
         return _flat_result(model, data, used_weights)
 
-    x0 = _initial_params(model, data)
-    x, cost, converged, n_iter = _lm_minimize(model, x0, ms, ys, w)
+    x, converged, n_iter = _search(model, ms, ys, w)
+    cost = _cost(model, x, ms, ys, w)
     if not converged:
         raise FitNonConvergence(
             f"{model.kind} fit did not converge in {_MAX_ITERATIONS} iterations",
@@ -349,7 +290,8 @@ def fit(model, data, weighted: bool = True) -> FitResult:
                 "n_iterations": n_iter,
             },
         )
-    x = _canonicalize(model, x)
+    if model.kind == "double-exp" and x[3] > x[2]:
+        x = x[[1, 0, 3, 2]]  # the canonical order: decay_plus >= decay_minus
 
     resid = ys - model.predict(x, ms)
     jac = model.jacobian(x, ms)
@@ -384,12 +326,6 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     )
 
 
-def _canonicalize(model: DecayModel, x: np.ndarray) -> np.ndarray:
-    if model.kind == "double-exp" and x[3] > x[2]:
-        x = x[[1, 0, 3, 2]]
-    return x
-
-
 def _is_degenerate(model: DecayModel, x: np.ndarray) -> bool:
     if model.kind == "double-exp":
         return bool(abs(x[2] - x[3]) < DEGENERACY_TOL)
@@ -397,20 +333,15 @@ def _is_degenerate(model: DecayModel, x: np.ndarray) -> bool:
 
 
 def _flat_result(model: DecayModel, data, used_weights: bool) -> FitResult:
-    ys = data.means
-    offset = float(ys.mean())
-    if model.kind == "double-exp":
-        params = {"amp_plus": offset, "amp_minus": 0.0, "decay_plus": 1.0, "decay_minus": 0.0}
-    else:
-        params = {"amplitude": 0.0, "offset": offset, "decay": 0.0}
-    resid = ys - offset
+    offset = float(data.means.mean())
+    values = [offset, 0.0, 1.0, 0.0] if model.kind == "double-exp" else [0.0, offset, 0.0]
     return FitResult(
         model=model.kind,
-        params=params,
+        params=dict(zip(model.param_names, values)),
         stderr={name: 0.0 for name in model.param_names},
         r_squared=None,
         chi2_per_dof=None,
-        residuals=resid,
+        residuals=data.means - offset,
         converged=True,
         n_iterations=0,
         degenerate=True,

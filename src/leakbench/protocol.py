@@ -28,7 +28,6 @@ from .liouville import (
     SpaceSpec,
     channel_from_dict,
     decay_eigenvalues,
-    incoherent_survival,
     matrix_from_pairs,
     subspace_transfer_matrix,
     vec,
@@ -566,11 +565,12 @@ def decay_parameters(
 ) -> dict:
     """Closed-form decay constants for gate-independent noise.
 
-    Without a leakage subspace the expectation is amplitude * decay^(m-1)
-    with the decay equal to the incoherent survival rate.  With one, it is
-    amp_plus * decay_plus^(m-1) + amp_minus * decay_minus^(m-1) with the
-    decays the eigenvalues of the subspace transfer matrix and amplitudes
-    fixed by SPAM and the eigenvector frame.
+    The decays come from the transfer block A^dag L A of the channel on the
+    twirl basis A (:attr:`SpaceSpec.twirl_basis`).  Without a leakage subspace
+    the block is 1 x 1, the incoherent survival rate, and the expectation is
+    amplitude * decay^(m-1).  With one, it is amp_plus * decay_plus^(m-1) +
+    amp_minus * decay_minus^(m-1) with the decays the eigenvalues of the 2 x 2
+    block and amplitudes fixed by SPAM and the eigenvector frame.
     """
     space = gateset.space
     if channel.space != space:
@@ -581,7 +581,8 @@ def decay_parameters(
     e = spam.effect_vector() @ basis
     r = basis.conj().T @ (channel.liouville @ spam.state_vector())
     if space.d2 == 0:
-        return {"amplitude": float(np.real(e[0] * r[0])), "decay": incoherent_survival(channel)}
+        decay = (basis.conj().T @ channel.liouville @ basis)[0, 0]
+        return {"amplitude": float(np.real(e[0] * r[0])), "decay": float(decay.real)}
     s = subspace_transfer_matrix(channel)
     lam_plus, lam_minus = decay_eigenvalues(s)
     evals, evecs = np.linalg.eig(s)

@@ -14,9 +14,12 @@ gate application).  The scalar factors of the shelving noise
 and the Monte Carlo oracle as it was before it drew into one reused buffer
 and computed u X u^dag in closed form: separate ``gen.normal`` draws per
 batch, a Gram-Schmidt Haar step per draw and the product of the four factors
-formed from the u entries.
+formed from the u entries.  The least weighted cost of a decay model over a
+grid of decays (``least_scanned_cost``: one ``lstsq`` per grid point), against
+which the variable-projection fit is checked.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,3 +354,24 @@ def averaged_coherent_channel(
     # Reorder [(i, j), (k, l)] to the Liouville index [(i, k), (j, l)] of kron(U, U*).
     total = gram.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
     return Channel.from_liouville(QUTRIT, total / n_samples)
+
+
+def least_scanned_cost(model, ms, ys, w, points: int = 8001, pair_points: int = 71) -> float:
+    """The least weighted sum of squared residuals over a grid of decays in [-1, 1].
+
+    Each grid point's amplitudes come from one ``np.linalg.lstsq`` of the
+    sqrt(w)-weighted columns decay^(m-1) (and 1 for a constant term).  One
+    decay is scanned on ``points`` values, two on all pairs of
+    ``pair_points`` values.
+    """
+    ms, ys, w = (np.asarray(a, dtype=float) for a in (ms, ys, w))
+    sw, n_decays = np.sqrt(w), len(model.decay_params)
+    values = np.linspace(-1.0, 1.0, points if n_decays == 1 else pair_points)
+    best = np.inf
+    for decays in itertools.product(values, repeat=n_decays):
+        cols = [np.power(decay, (ms - 1).astype(int)) for decay in decays]
+        cols += [np.ones_like(ms)] * (model.n_amplitudes - n_decays)
+        a = np.column_stack(cols)
+        amps = np.linalg.lstsq(sw[:, None] * a, sw * ys, rcond=None)[0]
+        best = min(best, float(np.sum(w * (ys - a @ amps) ** 2)))
+    return best

@@ -14,6 +14,7 @@ from reference import numeric_rank
 import leakbench as lb
 from leakbench.cli import (
     EXIT_CONFIG_ERROR,
+    EXIT_FIT_ERROR,
     EXIT_OK,
     EXIT_SIMULATION_ERROR,
     FIGURES,
@@ -257,6 +258,16 @@ def test_reproduce_negative_seed_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reproduce_fit_nonconvergence_is_a_fit_error(tmp_path, monkeypatch, capsys):
+    import leakbench.fitting as fitting
+
+    monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 1)
+    out = tmp_path / "rep"
+    assert main(["reproduce", "fig1", "--out", str(out)]) == EXIT_FIT_ERROR
+    assert capsys.readouterr().err.startswith("fit error: single-exp fit did not converge")
+    assert not out.exists()
+
+
 def test_reproduce_reads_its_scenario_once(tmp_path, monkeypatch, capsys):
     from leakbench import cli
 
@@ -395,6 +406,35 @@ def test_fit_command_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert code == 4
     doc = json.loads((tmp_path / "fit.json").read_text())
     assert doc["converged"] is False and "params" in doc
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "reproduce"])
+def test_uncreatable_out_is_a_config_error_before_the_run(tmp_path, monkeypatch, capsys, command):
+    from leakbench import cli
+
+    for name in ("run_experiment", "fit", "reproduce_figure"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("the run started"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    csv_path = tmp_path / "decay.csv"
+    ms = np.arange(10, 101, 10)
+    DecayDataset.from_arrays(ms, 0.97 * 0.985 ** (ms - 1)).to_csv(str(csv_path))
+    argv = {
+        "simulate": ["simulate", "--config", write_config(tmp_path, NOISELESS), "--out", str(out)],
+        "fit": ["fit", str(csv_path), "--model", "single-exp", "--out", str(out / "fit.json")],
+        "reproduce": ["reproduce", "fig1", "--out", str(out)],
+    }[command]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (
+        f"config error: cannot create output directory {str(out)!r}: "
+        f"{str(blocker)!r} is not a writable directory\n"
+    )
+    if command == "fit":
+        into_dir = ["fit", str(csv_path), "--model", "single-exp", "--out", str(tmp_path)]
+        assert main(into_dir) == EXIT_CONFIG_ERROR
+        message = f"config error: fit output {str(tmp_path)!r} is a directory\n"
+        assert capsys.readouterr().err == message
 
 
 # ---------------------------------------------------------------------------

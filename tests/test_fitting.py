@@ -1,16 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from reference import least_scanned_cost
 
 import leakbench as lb
 import leakbench.fitting as fitting
-from leakbench.fitting import (
-    FitNonConvergence,
-    _cost,
-    fit,
-    init_double_exp,
-    init_single_exp,
-    model_by_name,
-)
+from leakbench.fitting import FitNonConvergence, _cost, fit, model_by_name
 from leakbench.liouville import mix
 from leakbench.noise import RandomStream
 from leakbench.cli import FIGURES, figure_config
@@ -62,6 +59,53 @@ def test_recovery_with_negative_decay():
         assert abs(result.params[key] - truth) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "name,truth",
+    [
+        ("single-exp", [0.9, 0.97]),
+        ("tp-constrained", [0.5, 0.45, 0.985]),
+        ("double-exp", [0.55, 0.4, 0.998, 0.95]),
+    ],
+)
+def test_fit_cost_is_no_larger_than_a_brute_force_scan(name, truth):
+    # The fitted optimum is at least as good as any grid point of a slow scan.
+    model = model_by_name(name)
+    for seed in range(2):
+        params = dict(zip(model.param_names, truth))
+        data = synthetic(name, params, sem=0.004, seed=seed)
+        ms, ys, w = data.ms, data.means, 1.0 / data.sems**2
+        result = fit(name, data)
+        x = np.array([result.params[key] for key in model.param_names])
+        rounding = 64 * np.finfo(float).eps * np.sum(w * ys * ys)
+        assert _cost(model, x, ms, ys, w) <= least_scanned_cost(model, ms, ys, w) + rounding
+
+
+@pytest.mark.parametrize("first", [10, 11])
+def test_uniform_parity_fits_a_nonnegative_decay_on_the_same_curve(first):
+    # With every m - 1 odd (first = 10) or every one even (first = 11),
+    # (a, decay) and (+-a, -decay) draw the same curve; the fit takes decay >= 0.
+    ms = np.arange(first, first + 91, 10)
+    data = synthetic("tp-constrained", {"amplitude": 0.3, "offset": 0.5, "decay": -0.97}, ms=ms)
+    result = fit("tp-constrained", data)
+    assert abs(result.params["decay"] - 0.97) < 1e-8
+    sign = (-1.0) ** (first - 1)
+    assert abs(result.params["amplitude"] - 0.3 * sign) < 1e-8
+    assert np.max(np.abs(result.residuals)) < 1e-12
+
+
+def test_refit_of_every_pinned_dataset_matches_its_fitted_decay():
+    # Every (m, mean, sem) pinned in perfbench/reference.json refits to its
+    # fitted_decay within that file's tolerance (1e-9, as perfbench/run.py checks).
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    pinned = json.loads(path.read_text(encoding="utf-8"))
+    for workload, figure in (("fig1-sweep", "fig1"), ("fig2-coherent", "fig2")):
+        for seed, outputs in pinned[workload].items():
+            run = outputs["reproduce"]
+            data = DecayDataset.from_arrays(run["m"], run["mean"], run["sem"], run["n"])
+            decay = fit(FIGURES[figure]["model"], data).params["decay"]
+            assert abs(decay - run["fitted_decay"]) <= 1e-9, (workload, seed)
+
+
 # ---------------------------------------------------------------------------
 # Jacobians
 # ---------------------------------------------------------------------------
@@ -91,72 +135,6 @@ def test_jacobian_finite_at_m_equal_one():
     model = model_by_name("single-exp")
     jac = model.jacobian(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
     assert np.all(np.isfinite(jac))
-
-
-# ---------------------------------------------------------------------------
-# Initialization
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("amp,decay", [(1.0, 0.98), (0.9, 0.95)])
-def test_init_single_exp_exact(amp, decay):
-    data = synthetic("single-exp", {"amplitude": amp, "decay": decay})
-    a0, s0 = init_single_exp(data)
-    assert abs(a0 - amp) < 1e-12
-    assert abs(s0 - decay) < 1e-12
-
-
-def test_init_single_exp_noisy_within_ten_percent():
-    rng = np.random.default_rng(1)
-    for rep in range(50):
-        ys = 1.0 * 0.98 ** (MS - 1)
-        sem = 0.01 * ys
-        noisy = ys + rng.normal(0.0, sem)
-        a0, s0 = init_single_exp(DecayDataset.from_arrays(MS, noisy, sem))
-        assert abs(a0 - 1.0) <= 0.1
-        assert abs(s0 - 0.98) <= 0.098
-
-
-def test_init_single_exp_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        init_single_exp(DecayDataset.from_arrays([1, 2, 3], [0.0, 0.0, 0.0]))
-
-
-def test_init_double_exp_close_on_saturated_curve():
-    ms = np.arange(50, 1001, 50)
-    data = synthetic(
-        "double-exp",
-        {"amp_plus": 0.4, "amp_minus": 0.6, "decay_plus": 1.0, "decay_minus": 0.99},
-        ms=ms,
-    )
-    b0, c0, lp0, lm0 = init_double_exp(data)
-    assert lp0 == 1.0
-    assert abs(b0 - 0.4) / 0.4 < 0.05
-    assert abs(c0 - 0.6) / 0.6 < 0.05
-    assert abs(lm0 - 0.99) / 0.99 < 0.05
-
-
-@pytest.mark.parametrize(
-    "truth",
-    [
-        {"amp_plus": 0.5, "amp_minus": 0.45, "decay_plus": 1.0, "decay_minus": 0.97},
-        {"amp_plus": 0.2, "amp_minus": 0.7, "decay_plus": 0.999, "decay_minus": 0.95},
-        {"amp_plus": 0.68, "amp_minus": 0.32, "decay_plus": 1.0, "decay_minus": 0.989},
-    ],
-)
-def test_init_double_exp_pairs_the_asymptote_with_decay_plus(truth):
-    # The asymptote belongs to decay_plus = 1 and the excess to the decaying term:
-    # the start costs less than the same numbers with the two amplitudes swapped.
-    data = synthetic("double-exp", truth, sem=0.005)
-    model = model_by_name("double-exp")
-    start = np.array(init_double_exp(data))
-    ms, ys, w = data.ms, data.means, 1.0 / data.sems**2
-    assert _cost(model, start, ms, ys, w) < _cost(model, start[[1, 0, 2, 3]], ms, ys, w)
-
-
-def test_init_double_exp_needs_five_lengths():
-    with pytest.raises(ValueError):
-        init_double_exp(DecayDataset.from_arrays([10, 20, 30, 40], [0.9, 0.8, 0.7, 0.6]))
 
 
 def test_flat_data_reports_offset_only_with_flag():
