@@ -29,9 +29,12 @@ from .gatesets import (
     twirl,
 )
 from .liouville import (
-    cp_tp_diagnostics,
+    _hermitian_part,
     decay_eigenvalues,
     incoherent_survival,
+    kraus_sums,
+    liouville_from_kraus,
+    liouville_to_choi,
     subspace_transfer_matrix,
 )
 from .noise import (
@@ -41,8 +44,9 @@ from .noise import (
     ShelvingParams,
     averaged_coherent_channel,
     filter_channel,
+    filter_kraus,
     sample_coherent_noise,
-    sample_filter_params,
+    sample_filter_batch,
 )
 from .protocol import (
     ConfigError,
@@ -50,7 +54,6 @@ from .protocol import (
     ExperimentConfig,
     _experiment_components,
     _write_json,
-    brute_force_expectation,
     exact_expectations,
     predicted_expectation,
     run_experiment,
@@ -150,8 +153,9 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG_ERROR
     try:
         with timed_stage(timings, "simulate"):
-            # Resolves the SPAM section against the gate set's space, so a bad
-            # one is a config error; an unknown gate set is a simulation error.
+            # Loads the gate set and resolves the SPAM section against its space,
+            # so a gate-set file that cannot be read or a bad SPAM section is a
+            # config error; an unknown gate-set name is a simulation error.
             components = _experiment_components(cfg)
             dataset = run_experiment(cfg, args.jobs, components, timings)
     except ConfigError as exc:
@@ -345,16 +349,18 @@ def check_twirl_closed_form(gs: GateSet):
 
 
 def check_filter_diagnostics():
-    gen = RandomStream(7, key=(99,)).generator()
-    worst = 0.0
-    for _ in range(CHECK_DRAWS):
-        fp = sample_filter_params(gen)
-        ch = filter_channel(fp)
-        diag = cp_tp_diagnostics(ch, tol=CHECK_TOL)
-        if not (diag.is_cp and diag.is_trace_nonincreasing):
-            return False, "filter channel failed CP / trace-nonincreasing"
-        eigs = np.sort(np.linalg.eigvalsh(ch.kraus_sum()))
-        worst = max(worst, float(np.max(np.abs(eigs - [1.0 - fp.p, 1.0]))))
+    """CP, trace-nonincrease and the Kraus-sum spectrum {1-p, 1} of CHECK_DRAWS sampled
+    filter channels, each quantity one stacked ``eigvalsh`` over all of them."""
+    p, bloch = sample_filter_batch(RandomStream(7, key=(99,)).generator(), CHECK_DRAWS)
+    kraus = filter_kraus(p, bloch)
+    sums = kraus_sums(kraus)
+    choi = liouville_to_choi(liouville_from_kraus(kraus), 2)
+    choi_min = np.linalg.eigvalsh(_hermitian_part(choi)).min()
+    sums_max = np.linalg.eigvalsh(_hermitian_part(sums)).max()
+    if not (choi_min >= -CHECK_TOL and sums_max <= 1.0 + CHECK_TOL):
+        return False, "filter channel failed CP / trace-nonincreasing"
+    spectra = np.linalg.eigvalsh(sums)
+    worst = float(np.max(np.abs(spectra - np.column_stack([1.0 - p, np.ones_like(p)]))))
     return worst <= CHECK_TOL, f"max spectrum deviation from {{1, 1-p}} = {worst:.2e}"
 
 
@@ -377,12 +383,9 @@ def _gate_independent_assignment(gs: GateSet):
 
 def check_sequence_average_closed_form(gs: GateSet):
     na = _gate_independent_assignment(gs)
-    channel = average_noise(na)
-    worst = 0.0
-    for m in range(1, CHECK_MAX_M + 1):
-        exact = brute_force_expectation(m, gs, na)
-        predicted = predicted_expectation(m, gs, channel)
-        worst = max(worst, abs(exact - predicted))
+    ms = np.arange(1, CHECK_MAX_M + 1)
+    exact = exact_expectations(ms, gs, na)
+    worst = float(np.max(np.abs(exact - predicted_expectation(ms, gs, average_noise(na)))))
     return worst <= CHECK_TOL, f"max |exact average - closed form| = {worst:.2e}"
 
 

@@ -119,7 +119,7 @@ class Channel:
         herm_err = np.max(np.abs(choi - choi.conj().T))
         if herm_err > 1e-8:
             raise ValueError(f"Choi matrix not Hermitian (deviation {herm_err:.3e})")
-        w, v = np.linalg.eigh((choi + choi.conj().T) / 2.0)
+        w, v = np.linalg.eigh(_hermitian_part(choi))
         if w.min() < -1e-8:
             raise ValueError(f"map is not CP (Choi eigenvalue {w.min():.3e})")
         # Choi index (i, a) holds K[a, i]: unvec each kept eigenvector, then transpose.
@@ -133,7 +133,7 @@ class Channel:
     def liouville(self) -> np.ndarray:
         """The d^2 x d^2 matrix sum_k kron(K_k, K_k.conj()), cached and read-only."""
         if self._liouville is None:
-            self._liouville = _kron_conj(self.kraus).sum(axis=0)
+            self._liouville = liouville_from_kraus(self.kraus)
             self._liouville.flags.writeable = False
         return self._liouville
 
@@ -144,8 +144,7 @@ class Channel:
 
     def kraus_sum(self) -> np.ndarray:
         """sum_k K_k^dag K_k; equals the identity iff trace-preserving."""
-        rows = self.kraus.reshape(-1, self.space.d)  # the K_k stacked vertically
-        return rows.conj().T @ rows
+        return kraus_sums(self.kraus)
 
 
 def _operator_stack(ops, d: int, what: str) -> np.ndarray:
@@ -158,9 +157,27 @@ def _operator_stack(ops, d: int, what: str) -> np.ndarray:
 
 
 def _kron_conj(ops: np.ndarray) -> np.ndarray:
-    """kron(A, A.conj()) of each A of a stack (k, d, d), entry for entry as np.kron forms it."""
-    k, d, _ = ops.shape
-    return (ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]).reshape(k, d * d, d * d)
+    """kron(A, A.conj()) of each A of a stack (..., d, d), entry for entry as np.kron forms it."""
+    *lead, d, _ = ops.shape
+    outer = ops[..., :, None, :, None] * ops.conj()[..., None, :, None, :]
+    return outer.reshape(*lead, d * d, d * d)
+
+
+def _hermitian_part(ops: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2 of one matrix or of each of a stack (..., d, d)."""
+    return (ops + ops.conj().swapaxes(-1, -2)) / 2.0
+
+
+def liouville_from_kraus(kraus: np.ndarray) -> np.ndarray:
+    """sum_k kron(K_k, K_k.conj()) of each Kraus set of a stack (..., k, d, d)."""
+    return _kron_conj(kraus).sum(axis=-3)
+
+
+def kraus_sums(kraus: np.ndarray) -> np.ndarray:
+    """sum_k K_k^dag K_k of each Kraus set of a stack (..., k, d, d)."""
+    *lead, k, d, _ = kraus.shape
+    rows = kraus.reshape(*lead, k * d, d)  # each set's K_k stacked vertically
+    return rows.conj().swapaxes(-1, -2) @ rows
 
 
 def compose(after: Channel, before: Channel) -> Channel:
@@ -268,13 +285,12 @@ def choi_matrix(ch: Channel) -> np.ndarray:
 
 
 def liouville_to_choi(lio: np.ndarray, d: int) -> np.ndarray:
-    """Reshuffle Choi[(i,a),(j,b)] = L[(a,b),(i,j)]."""
-    return (
-        np.asarray(lio, dtype=complex)
-        .reshape(d, d, d, d)
-        .transpose(2, 0, 3, 1)
-        .reshape(d * d, d * d)
-    )
+    """Reshuffle Choi[(i,a),(j,b)] = L[(a,b),(i,j)], for one matrix or a stack (..., d^2, d^2)."""
+    lio = np.asarray(lio, dtype=complex)
+    *lead, _, _ = lio.shape
+    k = len(lead)
+    blocks = lio.reshape(*lead, d, d, d, d).transpose(*range(k), k + 2, k, k + 3, k + 1)
+    return blocks.reshape(*lead, d * d, d * d)
 
 
 @dataclass(frozen=True)
@@ -290,9 +306,9 @@ class ChannelDiagnostics:
 def cp_tp_diagnostics(ch: Channel, tol: float = DEFAULT_TOL) -> ChannelDiagnostics:
     """Check complete positivity, trace-nonincrease and trace preservation."""
     choi = choi_matrix(ch)
-    choi_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0).min())
+    choi_min = float(np.linalg.eigvalsh(_hermitian_part(choi)).min())
     ks = ch.kraus_sum()
-    ks_eigs = np.linalg.eigvalsh((ks + ks.conj().T) / 2.0)
+    ks_eigs = np.linalg.eigvalsh(_hermitian_part(ks))
     tp_dev = float(np.max(np.abs(ks - np.eye(ch.space.d))))
     return ChannelDiagnostics(
         is_cp=choi_min >= -tol,

@@ -11,6 +11,7 @@ code-rotation errors.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .gatesets import GateSet, NoiseAssignment, PAULI_X, PAULI_Y, PAULI_Z
 from .liouville import Channel, SpaceSpec
 
+QUBIT = SpaceSpec(d1=2, d2=0)
 QUTRIT = SpaceSpec(d1=2, d2=1)
 
 
@@ -306,39 +308,65 @@ class FilterParams:
         object.__setattr__(self, "bloch", tuple(float(x) for x in r))
 
 
+def filter_kraus(p, bloch) -> np.ndarray:
+    """Kraus pairs (n, 2, 2, 2) {sqrt(p) (I + r.sigma)/2, sqrt(1-p) I} of n filter channels.
+
+    ``p`` (n,) holds the strengths and ``bloch`` (n, 3) the unit directions r.
+    """
+    p = np.asarray(p, dtype=float)[:, None, None]
+    rx, ry, rz = np.asarray(bloch, dtype=float).T[..., None, None]
+    proj = (np.eye(2, dtype=complex) + rx * PAULI_X + ry * PAULI_Y + rz * PAULI_Z) / 2.0
+    return np.stack([np.sqrt(p) * proj, np.sqrt(1.0 - p) * np.eye(2, dtype=complex)], axis=1)
+
+
 def filter_channel(fp: FilterParams) -> Channel:
     """rho -> (p/4)(I + r.sigma) rho (I + r.sigma) + (1 - p) rho.
 
-    Kraus operators {sqrt(p) (I + r.sigma)/2, sqrt(1-p) I}; trace-decreasing
-    for p > 0 (the component orthogonal to the +r state is absorbed).
+    Kraus operators :func:`filter_kraus`; trace-decreasing for p > 0 (the
+    component orthogonal to the +r state is absorbed).
     """
-    rx, ry, rz = fp.bloch
-    proj = (np.eye(2, dtype=complex) + rx * PAULI_X + ry * PAULI_Y + rz * PAULI_Z) / 2.0
-    kraus = [np.sqrt(fp.p) * proj, np.sqrt(1.0 - fp.p) * np.eye(2, dtype=complex)]
-    return Channel(SpaceSpec(d1=2, d2=0), kraus)
+    return Channel(QUBIT, filter_kraus([fp.p], [fp.bloch])[0])
 
 
 #: Upper end of the uniform range of a sampled filter strength p.
 FILTER_P_MAX = 0.05
 
 
-def sample_filter_params(rng) -> FilterParams:
-    """p uniform on [0, FILTER_P_MAX], direction uniform on the unit sphere."""
+def sample_filter_batch(rng, n: int):
+    """Strengths p (n,) uniform on [0, FILTER_P_MAX] and directions bloch (n, 3)
+    uniform on the unit sphere.
+
+    Draw i takes a uniform, then standard normals three at a time until
+    their norm ``sqrt(v . v)`` (that of ``np.linalg.norm``) is at least 1e-12,
+    and its direction is v over that norm.  The draws are in stream order,
+    so n draws of one are bit for bit one draw of n and leave the stream in
+    the same place.
+    """
     gen = as_generator(rng)
-    p = float(gen.uniform(0.0, FILTER_P_MAX))
-    v = gen.normal(size=3)
-    while np.linalg.norm(v) < 1e-12:
-        v = gen.normal(size=3)
-    v = v / np.linalg.norm(v)
-    return FilterParams(p=p, bloch=tuple(v))
+    p, v, norms = np.empty(n), np.empty((n, 3)), np.empty((n, 1))
+    uniform, normal = gen.uniform, gen.normal
+    for i in range(n):
+        p[i] = uniform(0.0, FILTER_P_MAX)
+        norm = 0.0
+        while norm < 1e-12:
+            row = normal(size=3)
+            norm = math.sqrt(row.dot(row))
+        v[i], norms[i] = row, norm
+    return p, v / norms
+
+
+def sample_filter_params(rng) -> FilterParams:
+    """One draw of :func:`sample_filter_batch`."""
+    (p,), (bloch,) = sample_filter_batch(rng, 1)
+    return FilterParams(p=float(p), bloch=tuple(bloch))
 
 
 def sample_filter_assignment(rng, n_gates: int = 4):
-    """n independent filter channels; returns (assignment, params)."""
-    gen = as_generator(rng)
-    params = tuple(sample_filter_params(gen) for _ in range(n_gates))
-    channels = [filter_channel(fp) for fp in params]
-    return NoiseAssignment(SpaceSpec(d1=2, d2=0), channels=channels), params
+    """n independent filter channels, one :func:`sample_filter_batch`; returns (assignment, params)."""
+    p, bloch = sample_filter_batch(rng, n_gates)
+    channels = [Channel(QUBIT, kraus) for kraus in filter_kraus(p, bloch)]
+    params = tuple(FilterParams(p=float(s), bloch=tuple(r)) for s, r in zip(p, bloch))
+    return NoiseAssignment(QUBIT, channels=channels), params
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +565,8 @@ def build_noise_model(
             ]
             if len(fps) != len(gateset):
                 raise ValueError(f"noise.params.gates lists {len(fps)} of {len(gateset)} gates")
-            channels = [filter_channel(fp) for fp in fps]
-            return NoiseAssignment(gateset.space, channels=channels)
+            kraus = filter_kraus([fp.p for fp in fps], [fp.bloch for fp in fps])
+            return NoiseAssignment(gateset.space, channels=[Channel(QUBIT, k) for k in kraus])
         if "seed" in params:
             stream = RandomStream(int(params["seed"]))
         assignment, _ = sample_filter_assignment(

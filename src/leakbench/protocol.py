@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -84,8 +85,8 @@ def spam_from_dict(doc: dict | None, space: SpaceSpec) -> SpamSpec:
     if doc is None:
         return spam
     parsers = {
-        "rho": lambda v: matrix_from_pairs(v, space.d),
-        "effect": lambda v: matrix_from_pairs(v, space.d),
+        "rho": lambda v: _density_matrix(matrix_from_pairs(v, space.d)),
+        "effect": lambda v: _effect_operator(matrix_from_pairs(v, space.d)),
         "prep": channel_from_dict,
         "meas": channel_from_dict,
     }
@@ -108,14 +109,45 @@ def spam_from_dict(doc: dict | None, space: SpaceSpec) -> SpamSpec:
     return replace(spam, **given)
 
 
+def _hermitian_spectrum(op: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a finite Hermitian ``op``; a ValueError if it is not one."""
+    if not np.all(np.isfinite(op)):
+        raise ValueError("entries must be finite")
+    dev = float(np.max(np.abs(op - op.conj().T)))
+    if dev > DEFAULT_TOL:
+        raise ValueError(f"not Hermitian (deviation {dev:.3e})")
+    return np.linalg.eigvalsh(op)
+
+
+def _density_matrix(rho: np.ndarray) -> np.ndarray:
+    """``rho``, or a ValueError unless it is Hermitian, of trace 1 and positive semidefinite."""
+    eigs = _hermitian_spectrum(rho)
+    trace = float(np.trace(rho).real)
+    if abs(trace - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"a density matrix has trace 1, got {trace:.6g}")
+    if eigs[0] < -DEFAULT_TOL:
+        raise ValueError(f"a density matrix is positive semidefinite, got eigenvalue {eigs[0]:.3e}")
+    return rho
+
+
+def _effect_operator(effect: np.ndarray) -> np.ndarray:
+    """``effect``, or a ValueError unless it is Hermitian with eigenvalues in [0, 1]."""
+    eigs = _hermitian_spectrum(effect)
+    if eigs[0] < -DEFAULT_TOL or eigs[-1] > 1.0 + DEFAULT_TOL:
+        raise ValueError(f"an effect has eigenvalues in [0, 1], got {eigs[0]:.6g} to {eigs[-1]:.6g}")
+    return effect
+
+
 def _integer(key: str, value) -> int:
-    """``value`` as an int; a ConfigError naming ``key`` if it is not integral."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key} must hold integers, got {value!r}")
-    try:
+    """``value`` as an int; a ConfigError naming ``key`` unless it is an integral number.
+
+    A bool or a string is not a number here, though Python would convert it.
+    """
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must hold integers, got {value!r}") from exc
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{key} must hold integers, got {value!r}")
 
 
 def _reject_unknown(doc, known, what: str):
@@ -164,6 +196,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.gateset, str):
             raise ConfigError(f"gateset must be a string, got {self.gateset!r}")
+        if not isinstance(self.m_list, (list, tuple)):
+            raise ConfigError(f"m_list must be a list of integers, got {self.m_list!r}")
         m_list = tuple(_integer("m_list", m) for m in self.m_list)
         if not m_list or min(m_list) < 1:
             raise ConfigError("m_list must be nonempty with all lengths >= 1")
@@ -172,7 +206,7 @@ class ExperimentConfig:
             raise ConfigError(f"m_list repeats the length {repeated}")
         object.__setattr__(self, "m_list", m_list)
         for key in ("n_sequences", "seed", "shots"):
-            if getattr(self, key) is not None:
+            if key != "shots" or self.shots is not None:  # only shots may be null
                 object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.n_sequences < 1:
             raise ConfigError("n_sequences must be >= 1")
@@ -305,7 +339,10 @@ class DecayDataset:
 
 
 def _experiment_components(cfg: ExperimentConfig):
-    gs = gateset_by_id(cfg.gateset)
+    try:
+        gs = gateset_by_id(cfg.gateset)
+    except OSError as exc:  # a gate-set file that cannot be read
+        raise ConfigError(f"cannot read gateset {cfg.gateset!r}: {exc}") from exc
     params = (cfg.noise or {}).get("params") or {}
     noise_root = RandomStream(int(params.get("seed", cfg.seed)))
     try:
@@ -599,9 +636,9 @@ def decay_parameters(
 
 
 def predicted_expectation(
-    m: int, gateset: GateSet, channel: Channel, spam: SpamSpec | None = None
-) -> float:
-    """Evaluate the closed-form decay model at sequence length m."""
+    m: int | np.ndarray, gateset: GateSet, channel: Channel, spam: SpamSpec | None = None
+) -> float | np.ndarray:
+    """Evaluate the closed-form decay model at sequence length m, or at each of an array of them."""
     params = decay_parameters(gateset, channel, spam)
     if "amplitude" in params:
         return params["amplitude"] * params["decay"] ** (m - 1)

@@ -9,7 +9,9 @@ checked.  The per-operator loop forms of the channel and gate-set algebra
 (``numeric_rank``), against which the stacked contractions are checked.
 The per-sequence engine (``sample_sequence``, ``run_sequence`` and
 ``shot_estimate``: one generator per sequence and one Liouville product per
-gate application).  The scalar factors of the shelving noise
+gate application).  The scalar filter model (``filter_params``: one draw per
+call, ``filter_channel``: one Kraus pair per channel) and the filter check of
+the invariant suite run one channel at a time (``filter_diagnostics``).  The scalar factors of the shelving noise
 (``shelving_pulse``, ``code_rotation`` and the LAPACK QR ``haar_unitary``),
 and the Monte Carlo oracle as it was before it drew into one reused buffer
 and computed u X u^dag in closed form: separate ``gen.normal`` draws per
@@ -24,9 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from leakbench.gatesets import PAULI_X
-from leakbench.liouville import DEFAULT_TOL, Channel, SpaceSpec, direct_sum, vec
-from leakbench.noise import QUTRIT, ShelvingParams, as_generator, sample_coherent_noise
+from leakbench.gatesets import PAULI_X, PAULI_Y, PAULI_Z
+from leakbench.liouville import (
+    DEFAULT_TOL,
+    Channel,
+    SpaceSpec,
+    cp_tp_diagnostics,
+    direct_sum,
+    vec,
+)
+from leakbench.noise import (
+    QUTRIT,
+    FilterParams,
+    RandomStream,
+    ShelvingParams,
+    as_generator,
+    sample_coherent_noise,
+)
 from leakbench.protocol import SpamSpec
 
 
@@ -236,6 +252,42 @@ def shot_estimate(p: float, shots: int, rng) -> float:
         raise ValueError(f"probability {p} outside [0, 1]")
     gen = as_generator(rng)
     return float(gen.binomial(shots, min(max(p, 0.0), 1.0))) / shots
+
+
+def filter_params(rng) -> FilterParams:
+    """One filter draw: p uniform on [0, 0.05], then normal triples until one has
+    norm >= 1e-12, normalized by ``np.linalg.norm``."""
+    gen = as_generator(rng)
+    p = float(gen.uniform(0.0, 0.05))
+    v = gen.normal(size=3)
+    while np.linalg.norm(v) < 1e-12:
+        v = gen.normal(size=3)
+    return FilterParams(p=p, bloch=tuple(v / np.linalg.norm(v)))
+
+
+def filter_channel(fp: FilterParams) -> Channel:
+    """The filter channel with Kraus operators sqrt(p) (I + r.sigma)/2 and sqrt(1-p) I."""
+    rx, ry, rz = fp.bloch
+    proj = (np.eye(2, dtype=complex) + rx * PAULI_X + ry * PAULI_Y + rz * PAULI_Z) / 2.0
+    kraus = [np.sqrt(fp.p) * proj, np.sqrt(1.0 - fp.p) * np.eye(2, dtype=complex)]
+    return Channel(SpaceSpec(d1=2, d2=0), kraus)
+
+
+def filter_diagnostics(draws: int = 50, tol: float = 1e-10):
+    """The filter check of ``leakbench check``, one channel at a time: ``draws`` channels
+    from the stream (7, 99), each through ``cp_tp_diagnostics`` and one more
+    ``eigvalsh`` of its Kraus sum; returns (passed, detail)."""
+    gen = RandomStream(7, key=(99,)).generator()
+    worst = 0.0
+    for _ in range(draws):
+        fp = filter_params(gen)
+        ch = filter_channel(fp)
+        diag = cp_tp_diagnostics(ch, tol=tol)
+        if not (diag.is_cp and diag.is_trace_nonincreasing):
+            return False, "filter channel failed CP / trace-nonincreasing"
+        eigs = np.sort(np.linalg.eigvalsh(ch.kraus_sum()))
+        worst = max(worst, float(np.max(np.abs(eigs - [1.0 - fp.p, 1.0]))))
+    return worst <= tol, f"max spectrum deviation from {{1, 1-p}} = {worst:.2e}"
 
 
 def shelving_pulse(gamma: float) -> np.ndarray:

@@ -9,16 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import numeric_rank
+from reference import filter_diagnostics, numeric_rank
 
 import leakbench as lb
+import leakbench.cli as cli
+import leakbench.noise as noise
 from leakbench.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_FIT_ERROR,
     EXIT_OK,
     EXIT_SIMULATION_ERROR,
     FIGURES,
+    _gate_independent_assignment,
     build_parser,
+    check_filter_diagnostics,
     check_sequence_average_closed_form,
     check_shelving_unitary,
     check_twirl_closed_form,
@@ -28,14 +32,16 @@ from leakbench.cli import (
     reproduce_figure,
     run_checks,
 )
-from leakbench.gatesets import GateSet, PAULI_X, PAULIS
-from leakbench.liouville import SpaceSpec
+from leakbench.gatesets import GateSet, PAULI_X, PAULIS, average_noise
+from leakbench.liouville import SpaceSpec, matrix_to_pairs
 from leakbench.noise import RandomStream, ShelvingNoiseSampler
 from leakbench.protocol import (
     DecayDataset,
     ExperimentConfig,
     _experiment_components,
+    brute_force_expectation,
     exact_expectations,
+    predicted_expectation,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -193,6 +199,41 @@ FILTER_GATE = {"p": 0.01, "r": [0, 0, 1]}
 def test_simulate_bad_noise_value_is_config_error(tmp_path, capsys, base, params, key):
     noise = {"id": "shelving" if base is SHELVING else "filter", "params": params}
     cfg_path = write_config(tmp_path, {**base, "noise": noise})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"seed": True}, "seed"),
+        ({"n_sequences": True}, "n_sequences"),
+        ({"shots": True}, "shots"),
+        ({"m_list": "123"}, "m_list"),
+        ({"m_list": 10}, "m_list"),
+        ({"spam": {"rho": matrix_to_pairs(np.eye(2))}}, "spam.rho"),
+        ({"spam": {"rho": matrix_to_pairs(np.diag([1.05, -0.05]))}}, "spam.rho"),
+        ({"spam": {"effect": matrix_to_pairs(np.diag([1.2, 0.0]))}}, "spam.effect"),
+        ({"gateset": "no-such-gateset.json"}, "gateset"),
+    ],
+    ids=[
+        "bool-seed",
+        "bool-n-sequences",
+        "bool-shots",
+        "string-m-list",
+        "number-m-list",
+        "rho-trace-2",
+        "rho-negative",
+        "effect-above-identity",
+        "missing-gateset-file",
+    ],
+)
+def test_simulate_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, change, key):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, {**NOISELESS, **change})
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
@@ -603,10 +644,24 @@ def test_twirl_closed_form_check_phase_invariant():
 
 
 def test_closed_form_check_covers_both_sets():
-    passed, _ = check_sequence_average_closed_form(lb.pauli_gateset())
-    assert passed
-    passed, _ = check_sequence_average_closed_form(lb.shelving_gateset())
-    assert passed
+    for gs in (lb.pauli_gateset(), lb.shelving_gateset()):
+        # The check's one pass over m = 1..4 against one closed-form call per length.
+        na = _gate_independent_assignment(gs)
+        worst = max(
+            abs(brute_force_expectation(m, gs, na) - predicted_expectation(m, gs, average_noise(na)))
+            for m in range(1, 5)
+        )
+        expected = f"max |exact average - closed form| = {worst:.2e}"
+        assert check_sequence_average_closed_form(gs) == (True, expected)
+
+
+def test_filter_check_is_the_per_channel_loop():
+    assert check_filter_diagnostics() == filter_diagnostics()
+
+
+def test_filter_check_fails_on_a_trace_increasing_channel(monkeypatch):
+    monkeypatch.setattr(cli, "filter_kraus", lambda p, bloch: 1.01 * noise.filter_kraus(p, bloch))
+    assert check_filter_diagnostics() == (False, "filter channel failed CP / trace-nonincreasing")
 
 
 def test_run_checks_names_are_stable():

@@ -5,6 +5,8 @@ import pytest
 from helpers import random_density
 from reference import _haar_entries, code_rotation, haar_unitary, shelving_pulse
 from reference import averaged_coherent_channel as reference_average
+from reference import filter_channel as reference_filter_channel
+from reference import filter_params as reference_filter_params
 
 import leakbench as lb
 from leakbench import SpaceSpec
@@ -19,6 +21,7 @@ from leakbench.noise import (
     pcg64_integers,
     pcg64_seeds,
     sample_filter_assignment,
+    sample_filter_batch,
     sample_filter_params,
 )
 
@@ -182,18 +185,71 @@ def test_sample_filter_assignment_reproducible():
 
 
 def test_sampled_filter_strength_distribution():
-    gen = RandomStream(202).generator()
-    draws = [sample_filter_params(gen) for _ in range(100_000)]
-    ps = np.array([fp.p for fp in draws])
+    ps, _ = sample_filter_batch(RandomStream(202).generator(), 100_000)
     assert ps.min() >= 0.0 and ps.max() <= 0.05
     assert abs(ps.mean() - 0.025) < 0.001
 
 
 def test_sampled_filter_directions_cover_sphere():
-    gen = RandomStream(203).generator()
-    vs = np.array([sample_filter_params(gen).bloch for _ in range(100_000)])
+    _, vs = sample_filter_batch(RandomStream(203).generator(), 100_000)
     assert np.max(np.abs(vs.mean(axis=0))) < 0.01
     assert np.max(np.abs(np.linalg.norm(vs, axis=1) - 1.0)) < 1e-9
+
+
+def _assert_same_draws(batched, sequential):
+    p, bloch = batched
+    assert np.array_equal(p, [fp.p for fp in sequential])
+    assert np.array_equal(bloch, [fp.bloch for fp in sequential])
+
+
+def test_filter_batch_is_the_sequential_draws():
+    batched, one_at_a_time, scalar = (RandomStream(204).generator() for _ in range(3))
+    draws = sample_filter_batch(batched, 1000)
+    _assert_same_draws(draws, [sample_filter_params(one_at_a_time) for _ in range(1000)])
+    _assert_same_draws(draws, [reference_filter_params(scalar) for _ in range(1000)])
+    # All three generators are left at the same stream position.
+    after = [sample_filter_params(gen) for gen in (batched, one_at_a_time, scalar)]
+    assert after[0] == after[1] == after[2]
+
+
+class _ZeroFirstNormals(np.random.Generator):
+    """A generator of the stream whose first ``zeros`` normal draws are zero, and take no bits."""
+
+    def __init__(self, stream, zeros):
+        super().__init__(stream.generator().bit_generator)
+        self.zeros = zeros
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        if self.zeros:
+            self.zeros -= 1
+            return np.zeros(size)
+        return super().normal(loc, scale, size)
+
+
+def test_filter_batch_redraws_a_zero_direction():
+    stub = _ZeroFirstNormals(RandomStream(205), zeros=2)
+    p, bloch = sample_filter_batch(stub, 20)
+    assert stub.zeros == 0 and np.all(np.isfinite(bloch))
+    reference = _ZeroFirstNormals(RandomStream(205), zeros=2)
+    _assert_same_draws((p, bloch), [reference_filter_params(reference) for _ in range(20)])
+    # The first uniform is followed by two zero triples and one redrawn triple.
+    gen = RandomStream(205).generator()
+    assert p[0] == gen.uniform(0.0, 0.05)
+    v = gen.normal(size=3)
+    assert np.array_equal(bloch[0], v / np.linalg.norm(v))
+
+
+def test_filter_kraus_stack_is_the_per_channel_kraus():
+    p, bloch = sample_filter_batch(RandomStream(206).generator(), 200)
+    stack = lb.noise.filter_kraus(p, bloch)
+    expected = [
+        reference_filter_channel(lb.FilterParams(p=float(s), bloch=tuple(r))).kraus
+        for s, r in zip(p, bloch)
+    ]
+    assert stack.shape == (200, 2, 2, 2) and np.array_equal(stack, expected)
+    na, params = sample_filter_assignment(RandomStream(206).generator(), n_gates=200)
+    assert np.array_equal([ch.kraus for ch in na.channels], expected)
+    _assert_same_draws((p, bloch), params)
 
 
 # ---------------------------------------------------------------------------

@@ -609,18 +609,12 @@ def test_stream_seeding_does_not_grow_with_the_sequence_count(monkeypatch):
 
 
 def test_run_experiment_rejects_out_of_range_probability():
-    from leakbench.liouville import matrix_to_pairs
-
-    cfg = ExperimentConfig(
-        gateset="pauli",
-        noise=None,
-        m_list=(2,),
-        n_sequences=3,
-        seed=5,
-        spam={"effect": matrix_to_pairs(2.0 * np.eye(2))},
-    )
+    # A config refuses such an effect when it loads, so the SPAM is built in code.
+    cfg = ExperimentConfig(gateset="pauli", noise=None, m_list=(2,), n_sequences=3, seed=5)
+    gs, noise, spam, root = _experiment_components(cfg)
+    components = (gs, noise, SpamSpec(rho=spam.rho, effect=2.0 * np.eye(2)), root)
     with pytest.raises(ValueError, match="outside"):
-        run_experiment(cfg)
+        run_experiment(cfg, components=components)
 
 
 def test_run_experiment_noise_seed_decouples_from_protocol_seed():
