@@ -26,16 +26,11 @@ from .liouville import (
     Channel,
     ChannelDiagnostics,
     SpaceSpec,
-    choi_matrix,
-    coherent_survival,
     compose,
     cp_tp_diagnostics,
-    decay_eigenvalues,
     direct_sum,
-    incoherent_survival,
-    leakage_rates,
-    subspace_transfer_matrix,
     survival_rate,
+    transfer_matrix,
 )
 from .noise import (
     FilterParams,

@@ -30,12 +30,10 @@ from .gatesets import (
 )
 from .liouville import (
     _hermitian_part,
-    decay_eigenvalues,
-    incoherent_survival,
     kraus_sums,
     liouville_from_kraus,
     liouville_to_choi,
-    subspace_transfer_matrix,
+    transfer_matrix,
 )
 from .noise import (
     FilterParams,
@@ -154,8 +152,8 @@ def cmd_simulate(args) -> int:
     try:
         with timed_stage(timings, "simulate"):
             # Loads the gate set and resolves the SPAM section against its space,
-            # so a gate-set file that cannot be read or a bad SPAM section is a
-            # config error; an unknown gate-set name is a simulation error.
+            # so a gate-set file that cannot be read or is malformed, or a bad SPAM
+            # section, is a config error; an unknown gate-set name is a simulation error.
             components = _experiment_components(cfg)
             dataset = run_experiment(cfg, args.jobs, components, timings)
     except ConfigError as exc:
@@ -258,12 +256,13 @@ def reproduce_figure(
         if stochastic:
             stream = RandomStream(cfg.seed).child(ORACLE_KEY)
             avg = averaged_coherent_channel(noise.sampler.params, oracle_samples, stream)
-            oracle = float(decay_eigenvalues(subspace_transfer_matrix(avg))[1])
             # Noise drawn afresh at every step, independently of the gate, acts
             # on average as the same channel on every gate.
             noise = NoiseAssignment.uniform(avg, len(gs))
         else:
-            oracle = incoherent_survival(average_noise(noise))
+            avg = average_noise(noise)
+        # The decaying eigenvalue of the averaged channel's transfer block.
+        oracle = float(np.linalg.eigvals(transfer_matrix(avg)).real.min())
     with timed_stage(timings, "exact"):
         exact = exact_expectations(cfg.m_list, gs, noise, spam)
     passed = abs(fitted - oracle) <= 3.0 * stderr

@@ -158,6 +158,14 @@ class NoiseAssignment:
         return self.sampler is not None
 
 
+def _step_liouvilles(gs: GateSet, na: NoiseAssignment | None) -> np.ndarray:
+    """The |G| step matrices L(G_g) L(E_g) of fixed noise (L(G_g) alone without noise), stacked."""
+    steps = gs.gate_liouvilles
+    if na is not None:
+        steps = steps @ np.array([ch.liouville for ch in na.channels])
+    return steps
+
+
 def average_noise(na: NoiseAssignment) -> Channel:
     """The uniform mixture of the per-gate channels.
 
@@ -184,8 +192,7 @@ def gate_dependence_epsilon(gs: GateSet, na: NoiseAssignment) -> float:
         raise ValueError("gate-dependence is undefined for re-sampled noise")
     if len(na.channels) != len(gs):
         raise ValueError("noise assignment does not match the gate count")
-    lios = np.array([ch.liouville for ch in na.channels])
-    delta = (gs.gate_liouvilles @ lios).mean(axis=0)
+    delta = _step_liouvilles(gs, na).mean(axis=0)
     delta -= twirl(gs).matrix @ average_noise(na).liouville
     sigma_max = float(np.linalg.svd(delta, compute_uv=False)[0])
     return gs.space.d * sigma_max

@@ -222,66 +222,16 @@ def survival_rate(rho: np.ndarray, ch: Channel) -> float:
     return float(np.trace(p1 @ ch.apply(rho)).real / tr)
 
 
-def incoherent_survival(ch: Channel) -> float:
-    """Tr[E(I/d)]; the average probability of not being lost from H entirely."""
-    d = ch.space.d
-    return float(np.trace(ch.apply(np.eye(d) / d)).real)
+def transfer_matrix(ch: Channel) -> np.ndarray:
+    """The real k x k transfer block A^dag L A of the channel on the twirl basis A.
 
-
-def subspace_transfer_matrix(ch: Channel) -> np.ndarray:
-    """The 2 x 2 block A^dag L A of the twirled channel on span{P_H1, P_H2}.
-
-    A is :attr:`SpaceSpec.twirl_basis`, the normalized projectors P_H1/sqrt(d1)
-    and P_H2/sqrt(d2).  Its eigenvalues drive the double-exponential decay of
-    the coherent-leakage protocol.
+    A is :attr:`SpaceSpec.twirl_basis`, so the block is 1 x 1, Tr[E(I/d)],
+    without a leakage subspace and 2 x 2 with one.  Its entries
+    Tr[P_a E(P_b)]/sqrt(d_a d_b) are real for any CP map, and its eigenvalues
+    are the decays of the twirled channel.
     """
-    if ch.space.d2 < 1:
-        raise ValueError("transfer matrix needs a leakage subspace (d2 >= 1)")
     basis = ch.space.twirl_basis
-    s = basis.conj().T @ ch.liouville @ basis
-    if np.max(np.abs(s.imag)) < DEFAULT_TOL:
-        return s.real.astype(float)
-    return s
-
-
-def decay_eigenvalues(block: np.ndarray):
-    """Eigenvalues (plus, minus) of a 2 x 2 block.
-
-    plus/minus = tr/2 +/- sqrt((s11 - s22)^2 + 4 s12 s21) / 2; their sum is
-    exactly the trace.  Real values are returned as floats.
-    """
-    block = np.asarray(block)
-    s11, s22 = block[0, 0], block[1, 1]
-    half_tr = (s11 + s22) / 2.0
-    half_gap = np.sqrt(complex((s11 - s22) ** 2 + 4.0 * block[0, 1] * block[1, 0])) / 2.0
-    plus, minus = half_tr + half_gap, half_tr - half_gap
-    if abs(plus.imag) < DEFAULT_TOL and abs(minus.imag) < DEFAULT_TOL:
-        return float(plus.real), float(minus.real)
-    return complex(plus), complex(minus)
-
-
-def coherent_survival(ch: Channel) -> float:
-    """Tr[P_H1 E(P_H1/d1)] + Tr[P_H2 E(P_H2/d2)]; equals 2 for the identity."""
-    s = subspace_transfer_matrix(ch)
-    return float(np.real(s[0, 0] + s[1, 1]))
-
-
-def leakage_rates(ch: Channel):
-    """(incoherent, coherent) leakage rates.
-
-    Incoherent: 1 - Tr[E(I/d)].  Coherent: Tr[E(I/d)] minus the coherent
-    survival rate; only defined with a leakage subspace (None when d2 = 0).
-    Note the verbatim definitions give -1 for the identity channel, since an
-    ideal channel has coherent survival 2.
-    """
-    s_inc = incoherent_survival(ch)
-    l_coh = s_inc - coherent_survival(ch) if ch.space.d2 >= 1 else None
-    return 1.0 - s_inc, l_coh
-
-
-def choi_matrix(ch: Channel) -> np.ndarray:
-    """Choi = sum_ij |i><j| (x) E(|i><j|), built from the Liouville matrix."""
-    return liouville_to_choi(ch.liouville, ch.space.d)
+    return (basis.conj().T @ ch.liouville @ basis).real
 
 
 def liouville_to_choi(lio: np.ndarray, d: int) -> np.ndarray:
@@ -305,7 +255,7 @@ class ChannelDiagnostics:
 
 def cp_tp_diagnostics(ch: Channel, tol: float = DEFAULT_TOL) -> ChannelDiagnostics:
     """Check complete positivity, trace-nonincrease and trace preservation."""
-    choi = choi_matrix(ch)
+    choi = liouville_to_choi(ch.liouville, ch.space.d)
     choi_min = float(np.linalg.eigvalsh(_hermitian_part(choi)).min())
     ks = ch.kraus_sum()
     ks_eigs = np.linalg.eigvalsh(_hermitian_part(ks))

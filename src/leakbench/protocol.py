@@ -22,15 +22,15 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .gatesets import GateSet, NoiseAssignment, gateset_by_id
+from .fitting import MODELS
+from .gatesets import GateSet, NoiseAssignment, _step_liouvilles, gateset_by_id
 from .liouville import (
     DEFAULT_TOL,
     Channel,
     SpaceSpec,
     channel_from_dict,
-    decay_eigenvalues,
     matrix_from_pairs,
-    subspace_transfer_matrix,
+    transfer_matrix,
     vec,
 )
 from .noise import NOISE_PARAMS, RandomStream, build_noise_model
@@ -341,8 +341,11 @@ class DecayDataset:
 def _experiment_components(cfg: ExperimentConfig):
     try:
         gs = gateset_by_id(cfg.gateset)
-    except OSError as exc:  # a gate-set file that cannot be read
-        raise ConfigError(f"cannot read gateset {cfg.gateset!r}: {exc}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        if not cfg.gateset.endswith(".json"):  # an unknown gate-set name
+            raise
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"cannot load gateset {cfg.gateset!r}: {detail}") from exc
     params = (cfg.noise or {}).get("params") or {}
     noise_root = RandomStream(int(params.get("seed", cfg.seed)))
     try:
@@ -350,14 +353,6 @@ def _experiment_components(cfg: ExperimentConfig):
     except ValueError as exc:  # a noise model that does not fit the gate set
         raise ConfigError(f"bad noise: {exc}") from exc
     return gs, noise, spam_from_dict(cfg.spam, gs.space), noise_root
-
-
-def _step_liouvilles(gateset: GateSet, noise: NoiseAssignment | None) -> np.ndarray:
-    """The |G| step matrices G_g E_g of fixed noise (G_g alone without noise), stacked."""
-    steps = gateset.gate_liouvilles
-    if noise is not None:
-        steps = steps @ np.array([ch.liouville for ch in noise.channels])
-    return steps
 
 
 #: Step-matrix entries gathered per chunk of steps (128 KiB of complex): the
@@ -557,6 +552,22 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 
+def _power_expectations(ms, step: np.ndarray, effect, state, start: int = 0) -> np.ndarray:
+    """effect . step^(m - start) . state at every length m of ``ms``.
+
+    ``state`` is the vector after ``start`` steps.  One pass over the sorted
+    lengths applies ``step`` once per extra unit of m.
+    """
+    values, done = {}, start
+    for m in sorted(set(ms)):
+        if m < start:
+            raise ValueError(f"sequence length must be >= {start}, got {m}")
+        for _ in range(m - done):
+            state = step @ state
+        values[m], done = float(np.real(effect @ state)), m
+    return np.array([values[m] for m in ms])
+
+
 def exact_expectations(
     m_list,
     gateset: GateSet,
@@ -567,24 +578,14 @@ def exact_expectations(
 
     Gates are drawn i.i.d. and uniformly, so the mean over all |G|^m sequences
     of effect . S_{g_m} ... S_{g_1} . state, with step S_g = G_g E_g, is
-    effect . S^m . state for the averaged step S = mean_g S_g.  One pass over
-    the sorted lengths applies S once per extra unit of m.
+    effect . S^m . state for the averaged step S = mean_g S_g.
     """
     if noise is not None and noise.stochastic:
         raise ValueError("the exact average needs a deterministic noise assignment")
     if spam is None:
         spam = SpamSpec.ideal(gateset.space)
     step = _step_liouvilles(gateset, noise).mean(axis=0)
-    effect = spam.effect_vector()
-    state = spam.state_vector()
-    means, done = {}, 0
-    for m in sorted(set(m_list)):
-        if m < 0:
-            raise ValueError(f"sequence length must be >= 0, got {m}")
-        for _ in range(m - done):
-            state = step @ state
-        means[m], done = float(np.real(effect @ state)), m
-    return np.array([means[m] for m in m_list])
+    return _power_expectations(m_list, step, spam.effect_vector(), spam.state_vector())
 
 
 def brute_force_expectation(
@@ -597,17 +598,12 @@ def brute_force_expectation(
     return float(exact_expectations((m,), gateset, noise, spam)[0])
 
 
-def decay_parameters(
-    gateset: GateSet, channel: Channel, spam: SpamSpec | None = None
-) -> dict:
-    """Closed-form decay constants for gate-independent noise.
+def _transfer_frame(gateset: GateSet, channel: Channel, spam: SpamSpec | None):
+    """(effect . A, B, A^dag L . state) of gate-independent noise ``channel``.
 
-    The decays come from the transfer block A^dag L A of the channel on the
-    twirl basis A (:attr:`SpaceSpec.twirl_basis`).  Without a leakage subspace
-    the block is 1 x 1, the incoherent survival rate, and the expectation is
-    amplitude * decay^(m-1).  With one, it is amp_plus * decay_plus^(m-1) +
-    amp_minus * decay_minus^(m-1) with the decays the eigenvalues of the 2 x 2
-    block and amplitudes fixed by SPAM and the eigenvector frame.
+    A is :attr:`SpaceSpec.twirl_basis` and B the transfer block
+    (:func:`transfer_matrix`).  The twirl is A A^dag, so the sequence average
+    at length m is effect . A B^(m-1) A^dag L . state.
     """
     space = gateset.space
     if channel.space != space:
@@ -615,34 +611,34 @@ def decay_parameters(
     if spam is None:
         spam = SpamSpec.ideal(space)
     basis = space.twirl_basis
-    e = spam.effect_vector() @ basis
-    r = basis.conj().T @ (channel.liouville @ spam.state_vector())
-    if space.d2 == 0:
-        decay = (basis.conj().T @ channel.liouville @ basis)[0, 0]
-        return {"amplitude": float(np.real(e[0] * r[0])), "decay": float(decay.real)}
-    s = subspace_transfer_matrix(channel)
-    lam_plus, lam_minus = decay_eigenvalues(s)
-    evals, evecs = np.linalg.eig(s)
-    plus = int(np.argmin(np.abs(evals - lam_plus)))
-    evecs = evecs[:, [plus, 1 - plus]]
-    left = e @ evecs
-    right = np.linalg.solve(evecs, r)
-    return {
-        "amp_plus": float(np.real(left[0] * right[0])),
-        "amp_minus": float(np.real(left[1] * right[1])),
-        "decay_plus": lam_plus,
-        "decay_minus": lam_minus,
-    }
+    state = basis.conj().T @ (channel.liouville @ spam.state_vector())
+    return spam.effect_vector() @ basis, transfer_matrix(channel), state
+
+
+def decay_parameters(gateset: GateSet, channel: Channel, spam: SpamSpec | None = None) -> dict:
+    """Closed-form decay constants for gate-independent noise, largest decay first.
+
+    The decays are the eigenvalues of the transfer block B, and with
+    B = V diag(decays) V^-1 the expectation at length m is
+    sum_k amplitude_k decay_k^(m-1), amplitude_k = (effect . A V)_k (V^-1 A^dag L . state)_k.
+    The parameters are named as those of the single-exp fit without a leakage
+    subspace, and of the double-exp fit with one.
+    """
+    effect, block, state = _transfer_frame(gateset, channel, spam)
+    decays, vecs = np.linalg.eig(block)
+    order = np.argsort(-decays.real, kind="stable")
+    decays, vecs = decays[order], vecs[:, order]
+    amplitudes = (effect @ vecs) * np.linalg.solve(vecs, state)
+    model = MODELS["single-exp" if len(decays) == 1 else "double-exp"]
+    return dict(zip(model.param_names, np.concatenate([amplitudes, decays]).real.tolist()))
 
 
 def predicted_expectation(
     m: int | np.ndarray, gateset: GateSet, channel: Channel, spam: SpamSpec | None = None
 ) -> float | np.ndarray:
-    """Evaluate the closed-form decay model at sequence length m, or at each of an array of them."""
-    params = decay_parameters(gateset, channel, spam)
-    if "amplitude" in params:
-        return params["amplitude"] * params["decay"] ** (m - 1)
-    return (
-        params["amp_plus"] * params["decay_plus"] ** (m - 1)
-        + params["amp_minus"] * params["decay_minus"] ** (m - 1)
-    )
+    """The twirled sequence average of gate-independent noise at length m >= 1, or at
+    each of an array of them: effect . A B^(m-1) A^dag L . state (see :func:`decay_parameters`)."""
+    effect, block, state = _transfer_frame(gateset, channel, spam)
+    lengths = np.asarray(m)
+    values = _power_expectations(lengths.ravel().tolist(), block, effect, state, start=1)
+    return values.reshape(lengths.shape) if lengths.ndim else float(values[0])

@@ -7,6 +7,11 @@ checked.  The per-operator loop forms of the channel and gate-set algebra
 (``kraus_liouville``, ``apply_kraus``, ``kraus_sum``, ``group_deviation``,
 ``gate_dependence_epsilon``) and the numeric rank of a projector
 (``numeric_rank``), against which the stacked contractions are checked.
+The decays of a twirled channel as trace formulas: the incoherent survival
+``Tr[E(I/d)]`` (``incoherent_survival``), the 2 x 2 block of a channel with a
+leakage subspace (``transfer_block``) and its roots in closed form
+(``decay_eigenvalues``), against which ``transfer_matrix`` and its
+eigenvalues are checked.
 The per-sequence engine (``sample_sequence``, ``run_sequence`` and
 ``shot_estimate``: one generator per sequence and one Liouville product per
 gate application).  The scalar filter model (``filter_params``: one draw per
@@ -168,6 +173,35 @@ def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     for k in kraus:
         out += k @ rho @ k.conj().T
     return out
+
+
+def incoherent_survival(ch: Channel) -> float:
+    """Tr[E(I/d)] by one Kraus application to the maximally mixed state."""
+    d = ch.space.d
+    return float(np.trace(apply_kraus(ch.kraus, np.eye(d) / d)).real)
+
+
+def transfer_block(ch: Channel) -> np.ndarray:
+    """The 2 x 2 block Tr[P_a E(P_b)] / sqrt(d_a d_b) of a channel with a leakage subspace,
+    one Kraus application per projector."""
+    space = ch.space
+    projectors = (space.code_projector, space.leak_projector)
+    dims = np.array([space.d1, space.d2])
+    images = [apply_kraus(ch.kraus, p) for p in projectors]
+    traces = np.array([[np.trace(pa @ eb).real for eb in images] for pa in projectors])
+    return traces / np.sqrt(np.outer(dims, dims))
+
+
+def decay_eigenvalues(block: np.ndarray) -> tuple:
+    """The roots (plus, minus) of a 2 x 2 block's characteristic polynomial in closed form:
+    tr/2 +- sqrt((s11 - s22)^2 + 4 s12 s21) / 2."""
+    s11, s22 = block[0, 0], block[1, 1]
+    half_tr = (s11 + s22) / 2.0
+    half_gap = np.sqrt(complex((s11 - s22) ** 2 + 4.0 * block[0, 1] * block[1, 0])) / 2.0
+    plus, minus = half_tr + half_gap, half_tr - half_gap
+    if abs(plus.imag) < DEFAULT_TOL and abs(minus.imag) < DEFAULT_TOL:
+        return float(plus.real), float(minus.real)
+    return complex(plus), complex(minus)
 
 
 def kraus_sum(kraus) -> np.ndarray:

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import filter_diagnostics, numeric_rank
+from reference import (
+    decay_eigenvalues,
+    filter_diagnostics,
+    incoherent_survival,
+    numeric_rank,
+    transfer_block,
+)
 
 import leakbench as lb
 import leakbench.cli as cli
@@ -218,6 +224,9 @@ def test_simulate_bad_noise_value_is_config_error(tmp_path, capsys, base, params
         ({"spam": {"rho": matrix_to_pairs(np.diag([1.05, -0.05]))}}, "spam.rho"),
         ({"spam": {"effect": matrix_to_pairs(np.diag([1.2, 0.0]))}}, "spam.effect"),
         ({"gateset": "no-such-gateset.json"}, "gateset"),
+        ({"gateset": "not-json.json"}, "gateset"),
+        ({"gateset": "no-gates.json"}, "gateset"),
+        ({"gateset": "non-unitary.json"}, "gateset"),
     ],
     ids=[
         "bool-seed",
@@ -229,16 +238,29 @@ def test_simulate_bad_noise_value_is_config_error(tmp_path, capsys, base, params
         "rho-negative",
         "effect-above-identity",
         "missing-gateset-file",
+        "gateset-file-not-json",
+        "gateset-file-without-gates",
+        "gateset-file-non-unitary-gate",
     ],
 )
 def test_simulate_malformed_input_is_config_error(tmp_path, monkeypatch, capsys, change, key):
     monkeypatch.chdir(tmp_path)
+    for name, text in MALFORMED_GATESET_FILES.items():
+        (tmp_path / name).write_text(text)
     cfg_path = write_config(tmp_path, {**NOISELESS, **change})
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert not out.exists()
+
+
+#: Gate-set files that exist but hold no valid gate set, by name.
+MALFORMED_GATESET_FILES = {
+    "not-json.json": "{not json",
+    "no-gates.json": json.dumps({"d1": 2}),
+    "non-unitary.json": json.dumps({"d1": 2, "gates": [matrix_to_pairs(2 * np.eye(2))]}),
+}
 
 
 def test_simulate_spam_on_the_wrong_space_is_config_error(tmp_path, capsys):
@@ -523,6 +545,25 @@ def test_reproduce_fig2_per_length_uses_the_oracle_channel():
     exact = [r["exact_mean"] for r in rows]
     assert all(1.0 > a > b > 0.5 for a, b in zip(exact, exact[1:]))
     assert all(abs(r["z"]) < 5 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "figure, seed", [("fig1", None), ("fig1", 1), ("fig1", 77), ("fig1", 5150), ("fig2", None)]
+)
+def test_reproduce_oracle_matches_the_trace_formulas(figure, seed):
+    """The oracle is Tr[E(I/d)] of the averaged filter noise for fig1, and the smaller
+    closed-form root of the Monte Carlo channel's 2 x 2 block for fig2 (at 20,000
+    samples here, drawn from the stream the run's oracle draws from)."""
+    _, _, report = reproduce_figure(figure, seed=seed, oracle_samples=20_000)
+    cfg = figure_config(figure, seed)
+    gs, noise_model, _, _ = _experiment_components(cfg)
+    if noise_model.stochastic:
+        stream = RandomStream(cfg.seed).child(cli.ORACLE_KEY)
+        avg = lb.averaged_coherent_channel(noise_model.sampler.params, 20_000, stream)
+        expected = decay_eigenvalues(transfer_block(avg))[1]
+    else:
+        expected = incoherent_survival(average_noise(noise_model))
+    assert abs(report["oracle_decay"] - expected) < 1e-12
 
 
 def test_reproduce_fig1_byte_identical(tmp_path):

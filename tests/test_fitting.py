@@ -297,7 +297,7 @@ def test_fitted_sum_matches_channel_coherent_survival():
     channel, data = _shelving_dataset(seed=41, sem=0.002)
     result = fit("double-exp", data)
     fitted_sum = result.params["decay_plus"] + result.params["decay_minus"]
-    expected = lb.coherent_survival(channel)
+    expected = np.trace(lb.transfer_matrix(channel))
     spread = result.stderr["decay_plus"] + result.stderr["decay_minus"]
     assert abs(fitted_sum - expected) <= 3.0 * spread
     assert abs(result.derived()["coherent_survival"] - fitted_sum) < 1e-15

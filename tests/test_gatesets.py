@@ -208,9 +208,9 @@ def test_average_noise_liouville_is_mean():
     avg = lb.average_noise(na)
     mean_lio = np.mean([c.liouville for c in channels], axis=0)
     assert np.max(np.abs(avg.liouville - mean_lio)) < 1e-12
-    assert abs(lb.incoherent_survival(avg) - 0.9875) < 1e-12
-    expected = np.mean([lb.incoherent_survival(c) for c in channels])
-    assert abs(lb.incoherent_survival(avg) - expected) < 1e-12
+    assert abs(lb.transfer_matrix(avg)[0, 0] - 0.9875) < 1e-12
+    expected = np.mean([lb.transfer_matrix(c)[0, 0] for c in channels])
+    assert abs(lb.transfer_matrix(avg)[0, 0] - expected) < 1e-12
 
 
 def test_noise_assignment_validation():

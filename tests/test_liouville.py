@@ -7,13 +7,16 @@ from reference import (
     OperatorBasis,
     apply_kraus,
     born_probability,
+    decay_eigenvalues,
     elementary_basis,
     haar_unitary,
+    incoherent_survival,
     kraus_liouville,
     kraus_sum,
     normalized_pauli_basis,
     shelving_pulse,
     to_liouville,
+    transfer_block,
     vectorize,
 )
 
@@ -275,8 +278,8 @@ def test_survival_rejects_zero_trace():
 
 def test_incoherent_survival_trace_preserving_is_one():
     rng = np.random.default_rng(31)
-    ch = random_channel(QUTRIT, rng, scale=1.0)
-    assert abs(lb.incoherent_survival(ch) - 1.0) < 1e-12
+    ch = random_channel(SpaceSpec(d1=3, d2=0), rng, scale=1.0)
+    assert abs(lb.transfer_matrix(ch)[0, 0] - 1.0) < 1e-12
 
 
 def test_incoherent_survival_filter():
@@ -284,58 +287,47 @@ def test_incoherent_survival_filter():
     # Kraus oracle on the maximally mixed state.
     oracle = np.trace(apply_kraus(ch.kraus, np.eye(2) / 2)).real
     assert abs(oracle - 0.98) < 1e-12
-    assert abs(lb.incoherent_survival(ch) - 0.98) < 1e-12
+    assert lb.transfer_matrix(ch).shape == (1, 1)
+    assert abs(lb.transfer_matrix(ch)[0, 0] - 0.98) < 1e-12
 
 
 def test_incoherent_survival_linear_in_mixture():
     channels = [filter_z(p) for p in (0.01, 0.02, 0.03, 0.04)]
     mixed = mix(channels)
-    expected = np.mean([lb.incoherent_survival(c) for c in channels])
-    assert abs(lb.incoherent_survival(mixed) - expected) < 1e-12
+    expected = np.mean([lb.transfer_matrix(c) for c in channels], axis=0)
+    assert abs(lb.transfer_matrix(mixed)[0, 0] - expected[0, 0]) < 1e-12
 
 
 def test_transfer_matrix_identity():
-    s = lb.subspace_transfer_matrix(Channel.identity(QUTRIT))
+    s = lb.transfer_matrix(Channel.identity(QUTRIT))
     assert np.max(np.abs(s - np.eye(2))) < 1e-12
-
-
-def _transfer_oracle(ch: Channel) -> np.ndarray:
-    """Direct trace-formula oracle for the 2 x 2 transfer block."""
-    d1, d2 = ch.space.d1, ch.space.d2
-    p1, p2 = ch.space.code_projector, ch.space.leak_projector
-    e1 = apply_kraus(ch.kraus, p1)
-    e2 = apply_kraus(ch.kraus, p2)
-    return np.array(
-        [
-            [np.trace(p1 @ e1).real / d1, np.trace(p1 @ e2).real / np.sqrt(d1 * d2)],
-            [np.trace(p2 @ e1).real / np.sqrt(d1 * d2), np.trace(p2 @ e2).real / d2],
-        ]
-    )
 
 
 def test_transfer_matrix_ideal_shelving_pulse():
     ch = Channel.unitary(QUTRIT, shelving_pulse(0.0))
-    s = lb.subspace_transfer_matrix(ch)
-    assert np.max(np.abs(s - _transfer_oracle(ch))) < 1e-12
+    s = lb.transfer_matrix(ch)
+    assert np.max(np.abs(s - transfer_block(ch))) < 1e-12
     # swaps the leak level with one code level
     assert np.allclose(s, [[0.5, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0.0]], atol=1e-12)
 
 
 def test_transfer_matrix_quarter_pulse_keeps_leak_population():
     ch = Channel.unitary(QUTRIT, shelving_pulse(np.pi / 2))
-    s = lb.subspace_transfer_matrix(ch)
-    assert np.max(np.abs(s - _transfer_oracle(ch))) < 1e-12
+    s = lb.transfer_matrix(ch)
+    assert np.max(np.abs(s - transfer_block(ch))) < 1e-12
     assert abs(s[1, 1] - 1.0) < 1e-12
 
 
-def test_transfer_matrix_requires_leak_subspace():
-    with pytest.raises(ValueError):
-        lb.subspace_transfer_matrix(filter_z(0.01))
+def test_transfer_matrix_without_leak_subspace_is_incoherent_survival():
+    ch = filter_z(0.01)
+    s = lb.transfer_matrix(ch)
+    assert s.shape == (1, 1) and s.dtype == float
+    assert abs(s[0, 0] - incoherent_survival(ch)) < 1e-12
 
 
 def test_decay_eigenvalues_identity_and_diagonal():
-    assert lb.decay_eigenvalues(np.eye(2)) == (1.0, 1.0)
-    plus, minus = lb.decay_eigenvalues(np.array([[1.0, 0.0], [0.0, 0.5]]))
+    assert decay_eigenvalues(np.eye(2)) == (1.0, 1.0)
+    plus, minus = decay_eigenvalues(np.array([[1.0, 0.0], [0.0, 0.5]]))
     assert abs(plus - 1.0) < 1e-15 and abs(minus - 0.5) < 1e-15
 
 
@@ -343,7 +335,7 @@ def test_decay_eigenvalues_match_characteristic_roots():
     rng = np.random.default_rng(37)
     for _ in range(50):
         s = rng.normal(size=(2, 2))
-        plus, minus = lb.decay_eigenvalues(s)
+        plus, minus = decay_eigenvalues(s)
         roots = np.roots([1.0, -np.trace(s), np.linalg.det(s)])
         got = sorted([plus, minus], key=lambda z: (np.real(z), np.imag(z)))
         expected = sorted(roots, key=lambda z: (np.real(z), np.imag(z)))
@@ -352,25 +344,34 @@ def test_decay_eigenvalues_match_characteristic_roots():
 
 
 def test_coherent_survival_identity_is_two():
-    assert abs(lb.coherent_survival(Channel.identity(QUTRIT)) - 2.0) < 1e-12
+    # Tr[P1 E(P1/d1)] + Tr[P2 E(P2/d2)] is the trace of the transfer block.
+    assert abs(np.trace(lb.transfer_matrix(Channel.identity(QUTRIT))) - 2.0) < 1e-12
 
 
-def test_leakage_rates_identity_reported_verbatim():
-    l_inc, l_coh = lb.leakage_rates(Channel.identity(QUTRIT))
-    assert abs(l_inc) < 1e-12
-    assert abs(l_coh - (-1.0)) < 1e-12
+def _differential_channels():
+    """Random filter channels, sampled shelving noise and mixtures of both with
+    random trace-decreasing channels, on the qubit and the qutrit."""
+    rng = np.random.default_rng(61)
+    qubit, qutrit = [], []
+    for i in range(10):
+        p, r = lb.noise.sample_filter_batch(rng, 1)
+        qubit.append(lb.filter_channel(lb.FilterParams(p=float(p[0]), bloch=tuple(r[0]))))
+        qubit.append(mix([qubit[-1], random_channel(QUBIT, rng, scale=0.9)], [0.7, 0.3]))
+        qutrit.append(lb.sample_coherent_noise(lb.ShelvingParams(), lb.RandomStream(400 + i)))
+        qutrit.append(mix([qutrit[-1], random_channel(QUTRIT, rng, scale=0.95)], [0.6, 0.4]))
+    return qubit, qutrit
 
 
-def test_leakage_rates_filter():
-    l_inc, l_coh = lb.leakage_rates(filter_z(0.04))
-    assert abs(l_inc - 0.02) < 1e-12
-    assert l_coh is None
-
-
-def test_leakage_rates_trace_preserving_shelving_noise():
-    ch = lb.sample_coherent_noise(lb.ShelvingParams(), lb.RandomStream(3))
-    l_inc, _ = lb.leakage_rates(ch)
-    assert abs(l_inc) < 1e-12
+def test_transfer_matrix_spectrum_matches_trace_formulas():
+    qubit, qutrit = _differential_channels()
+    for ch in qubit:
+        (decay,) = np.linalg.eigvals(lb.transfer_matrix(ch))
+        assert abs(decay - incoherent_survival(ch)) < 1e-12
+    for ch in qutrit:
+        s = lb.transfer_matrix(ch)
+        assert np.max(np.abs(s - transfer_block(ch))) < 1e-12
+        decays = np.sort(np.linalg.eigvals(s))[::-1]
+        assert np.max(np.abs(decays - decay_eigenvalues(transfer_block(ch)))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +500,8 @@ def test_survival_rates_linear_in_channel():
     ch2 = random_channel(QUTRIT, rng, scale=1.0)
     for alpha in (0.0, 0.25, 0.7, 1.0):
         mixed = mix([ch1, ch2], [alpha, 1.0 - alpha])
-        expected_inc = alpha * lb.incoherent_survival(ch1) + (1 - alpha) * lb.incoherent_survival(ch2)
-        expected_coh = alpha * lb.coherent_survival(ch1) + (1 - alpha) * lb.coherent_survival(ch2)
-        assert abs(lb.incoherent_survival(mixed) - expected_inc) < 1e-10
-        assert abs(lb.coherent_survival(mixed) - expected_coh) < 1e-10
+        expected = alpha * lb.transfer_matrix(ch1) + (1 - alpha) * lb.transfer_matrix(ch2)
+        assert np.max(np.abs(lb.transfer_matrix(mixed) - expected)) < 1e-10
 
 
 def test_full_space_survival_nonincreasing_under_composition():

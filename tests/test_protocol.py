@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 from helpers import random_channel, random_density
-from reference import run_sequence, sample_sequence, shot_estimate
+from reference import (
+    decay_eigenvalues,
+    incoherent_survival,
+    run_sequence,
+    sample_sequence,
+    shot_estimate,
+    transfer_block,
+)
 
 import leakbench as lb
 import leakbench.protocol as protocol
@@ -724,7 +731,7 @@ def test_single_exponential_closed_form_gate_independent():
     ch = lb.filter_channel(lb.FilterParams(p=0.03, bloch=(0.6, 0.0, 0.8)))
     na = NoiseAssignment.uniform(ch, 4)
     params = decay_parameters(gs, ch)
-    assert abs(params["decay"] - lb.incoherent_survival(ch)) < 1e-12
+    assert abs(params["decay"] - incoherent_survival(ch)) < 1e-12
     for m in range(1, 6):
         brute = brute_force_expectation(m, gs, na)
         assert abs(brute - predicted_expectation(m, gs, ch)) < 1e-12
@@ -735,8 +742,7 @@ def test_double_exponential_closed_form_gate_independent():
     ch = fixed_shelving_channel()
     na = NoiseAssignment.uniform(ch, 8)
     params = decay_parameters(gs, ch)
-    s = lb.subspace_transfer_matrix(ch)
-    plus, minus = lb.decay_eigenvalues(s)
+    plus, minus = decay_eigenvalues(transfer_block(ch))
     assert abs(params["decay_plus"] - plus) < 1e-12
     assert abs(params["decay_minus"] - minus) < 1e-12
     for m in range(1, 6):
@@ -765,13 +771,12 @@ def test_twirl_sandwich_identity():
         space = gs.space
         if space.d2 == 0:
             vecs = [vec(np.eye(space.d) / np.sqrt(space.d))]
-            block = np.array([[lb.incoherent_survival(ch)]])
         else:
             vecs = [
                 vec(space.code_projector / np.sqrt(space.d1)),
                 vec(space.leak_projector / np.sqrt(space.d2)),
             ]
-            block = lb.subspace_transfer_matrix(ch)
+        block = lb.transfer_matrix(ch)
         expected = np.zeros_like(sandwich)
         for a, va in enumerate(vecs):
             for b, vb in enumerate(vecs):
@@ -793,6 +798,50 @@ def test_closed_form_with_spam_channels():
     for m in range(1, 5):
         brute = brute_force_expectation(m, gs, na, spam)
         assert abs(brute - predicted_expectation(m, gs, ch, spam)) < 1e-10
+
+
+def _eigen_sum(params: dict, ms: np.ndarray) -> np.ndarray:
+    """sum_k amplitude_k decay_k^(m-1) of the parameters of :func:`decay_parameters`."""
+    names = list(params)
+    half = len(names) // 2
+    return sum(
+        params[a] * params[d] ** (ms - 1) for a, d in zip(names[:half], names[half:])
+    )
+
+
+@pytest.mark.parametrize(
+    "gateset, channel",
+    [
+        ("pauli", lambda: filter_z(0.03)),
+        ("pauli", lambda: Channel.identity(QUBIT)),
+        ("shelving", fixed_shelving_channel),
+        ("shelving", lambda: lb.sample_coherent_noise(lb.ShelvingParams(), RandomStream(5))),
+        ("shelving", lambda: Channel.identity(QUTRIT)),
+    ],
+    ids=["filter", "pauli-identity", "shelving-fixed", "shelving-tp", "shelving-identity"],
+)
+def test_predicted_expectation_matches_eigen_sum(gateset, channel):
+    gs, ch = lb.gateset_by_id(gateset), channel()
+    ms = np.arange(1, 101)
+    params = decay_parameters(gs, ch)
+    predicted = predicted_expectation(ms, gs, ch)
+    assert predicted.shape == ms.shape
+    assert np.max(np.abs(predicted - _eigen_sum(params, ms))) < 1e-12
+    assert predicted_expectation(7, gs, ch) == predicted[6]
+
+
+def test_decay_parameters_named_as_the_fit_models_largest_decay_first():
+    single = decay_parameters(lb.pauli_gateset(), filter_z(0.03))
+    assert list(single) == ["amplitude", "decay"]
+    double = decay_parameters(lb.shelving_gateset(), fixed_shelving_channel())
+    assert list(double) == ["amp_plus", "amp_minus", "decay_plus", "decay_minus"]
+    assert double["decay_plus"] > double["decay_minus"]
+    assert all(type(v) is float for v in (*single.values(), *double.values()))
+
+
+def test_predicted_expectation_rejects_length_below_one():
+    with pytest.raises(ValueError, match=">= 1"):
+        predicted_expectation(0, lb.pauli_gateset(), filter_z(0.03))
 
 
 def test_decay_parameters_space_mismatch():
