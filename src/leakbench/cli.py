@@ -154,7 +154,8 @@ def cmd_simulate(args) -> int:
             # Loads the gate set and resolves the SPAM section against its space,
             # so a gate-set file that cannot be read or is malformed, or a bad SPAM
             # section, is a config error; an unknown gate-set name is a simulation error.
-            components = _experiment_components(cfg)
+            with timed_stage(timings, "build"):
+                components = _experiment_components(cfg)
             dataset = run_experiment(cfg, args.jobs, components, timings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -237,14 +238,15 @@ def reproduce_figure(
 ):
     """Run a bundled scenario end to end; returns (dataset, fit, report).
 
-    The wall seconds of the simulate, fit, oracle and exact stages, and of a
-    serial run's sample and evolve parts of simulate, are added to ``timings``
-    when given.
+    The wall seconds of the simulate, fit, oracle and exact stages, of the
+    build and aggregate parts of simulate, and of a serial run's sample and
+    evolve parts, are added to ``timings`` when given.
     """
     spec = FIGURES[figure]
     cfg = figure_config(figure, seed)
     with timed_stage(timings, "simulate"):
-        components = _experiment_components(cfg)
+        with timed_stage(timings, "build"):
+            components = _experiment_components(cfg)
         dataset = run_experiment(cfg, jobs=jobs, components=components, timings=timings)
     with timed_stage(timings, "fit"):
         result = fit(spec["model"], dataset)

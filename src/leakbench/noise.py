@@ -398,11 +398,35 @@ def _code_rotations(phi: float, z: np.ndarray):
     2i s Re(det* z00 z10) and a01 = i s (det* z00^2 - det z10*^2).
     """
     z00, z01, z10, z11 = z
-    det = z00 * z11 - z10 * z01
-    norm = np.sqrt(det.real**2 + det.imag**2)
-    norm *= z00.real**2 + z00.imag**2 + z10.real**2 + z10.imag**2
-    s, p, q = np.sin(phi) / norm, det.conj() * z00, det.conj() * z10
-    return np.cos(phi) - 2j * (s * (p * z10).real), 1j * s * (p * z00 - (q * z10).conj())
+    # The formulas' operations in their order, in place: the same values, fewer arrays.
+    det, p = np.multiply(z00, z11), np.multiply(z10, z01)
+    det -= p
+    norm, scale, part = np.square(det.real), np.square(det.imag), np.empty(det.shape)
+    norm += scale
+    np.sqrt(norm, out=norm)
+    np.square(z00.real, out=scale)
+    scale += np.square(z00.imag, out=part)
+    scale += np.square(z10.real, out=part)
+    scale += np.square(z10.imag, out=part)
+    norm *= scale
+    s = np.divide(np.sin(phi), norm, out=norm)
+    np.conjugate(det, out=det)
+    np.multiply(det, z00, out=p)
+    a00 = np.multiply(p, z10)
+    np.multiply(s, a00.real, out=part)
+    a00.real = np.cos(phi)
+    np.multiply(part, -2.0, out=a00.imag)
+    # a01 = i s w with w = p z00 - (q z10)*, q = det* z10, written into det.
+    np.multiply(p, z00, out=p)
+    np.multiply(det, z10, out=det)
+    np.multiply(det, z10, out=det)
+    np.conjugate(det, out=det)
+    np.subtract(p, det, out=p)
+    a01 = det
+    np.multiply(p.imag, s, out=a01.real)
+    np.negative(a01.real, out=a01.real)
+    np.multiply(p.real, s, out=a01.imag)
+    return a00, a01
 
 
 def shelving_unitaries(phi: float, gammas: np.ndarray, z: np.ndarray, out: np.ndarray):
@@ -414,24 +438,36 @@ def shelving_unitaries(phi: float, gammas: np.ndarray, z: np.ndarray, out: np.nd
     (:func:`_code_rotations`) mixes levels {0, 1}.  U's nine entries,
     row-major, go to ``out`` (9, n), which is returned.
     """
-    (a00, b00), (a01, b01) = _code_rotations(phi, z)
-    a10, a11, b10, b11 = -a01.conj(), a00.conj(), -b01.conj(), b00.conj()
+    rot00, rot01 = _code_rotations(phi, z)
+    (a00, b00), (a01, b01) = rot00, rot01
+    lower = np.conjugate(rot01)
+    (a10, b10), (a11, b11) = np.negative(lower, out=lower), np.conjugate(rot00)
     # Row 1 of V(g1) R(u1) is (t0, t1, c1), row 2 (c1 a10, c1 a11, i s1).  R(u2)
     # makes row 0 final and row 1 (x0, x1, x2), which V(g2) mixes with row 2.
     (c1, c2), (s1, s2) = np.cos(gammas), np.sin(gammas)
     i_s1 = 1j * s1
-    t0, t1 = i_s1 * a10, i_s1 * a11
-    np.add(b00 * a00, b01 * t0, out=out[0])
-    np.add(b00 * a01, b01 * t1, out=out[1])
-    np.multiply(c1, b01, out=out[2])
-    x0, x1, x2 = b10 * a00 + b11 * t0, b10 * a01 + b11 * t1, c1 * b11
+    t0, t1, term = i_s1 * a10, i_s1 * a11, np.empty_like(a00)
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = out
+
+    def pair_sum(entry, x, y, u, v):
+        """entry = x y + u v, in place."""
+        np.add(np.multiply(x, y, out=entry), np.multiply(u, v, out=term), out=entry)
+
+    pair_sum(u00, b00, a00, b01, t0)
+    pair_sum(u01, b00, a01, b01, t1)
+    np.multiply(c1, b01, out=u02)
+    # x0, x1 and x2 overwrite b00, b01 and b10, which are no longer read.
+    x0, x1, x2 = b00, b01, b10
+    pair_sum(x0, b10, a00, b11, t0)
+    pair_sum(x1, b10, a01, b11, t1)
+    np.multiply(c1, b11, out=x2)
     i_s2, c2c1, i_s2c1 = 1j * s2, c2 * c1, 1j * (s2 * c1)
-    np.add(i_s2 * x0, c2c1 * a10, out=out[3])
-    np.add(i_s2 * x1, c2c1 * a11, out=out[4])
-    np.add(i_s2 * x2, c2 * i_s1, out=out[5])
-    np.add(c2 * x0, i_s2c1 * a10, out=out[6])
-    np.add(c2 * x1, i_s2c1 * a11, out=out[7])
-    np.subtract(c2 * x2, s2 * s1, out=out[8])
+    pair_sum(u10, i_s2, x0, c2c1, a10)
+    pair_sum(u11, i_s2, x1, c2c1, a11)
+    pair_sum(u12, i_s2, x2, c2, i_s1)
+    pair_sum(u20, c2, x0, i_s2c1, a10)
+    pair_sum(u21, c2, x1, i_s2c1, a11)
+    np.subtract(np.multiply(c2, x2, out=u22), s2 * s1, out=u22)
     return out
 
 
@@ -449,18 +485,25 @@ class ShelvingNoiseSampler:
         self.params = params
         self.space = QUTRIT
 
+    def entries(self, normals: np.ndarray) -> np.ndarray:
+        """The nine entries, row-major, (9, ...) of the composite unitaries of
+        standard normals (..., 18), written by :func:`shelving_unitaries`."""
+        rows = np.moveaxis(np.asarray(normals), -1, 0)
+        shape = rows.shape[1:]
+        # Contiguous kernel inputs: the scaled angles (2, ...) and Ginibre entries (4, 2, ...).
+        gammas = np.multiply(self.params.sigma_gamma, rows[:2], order="C")
+        re_im = rows[2:].reshape((2, 2, 4) + shape)  # [u1 or u2][real or imaginary][entry]
+        z = np.empty((4, 2) + shape, dtype=complex)
+        z.real, z.imag = re_im[:, 0].swapaxes(0, 1), re_im[:, 1].swapaxes(0, 1)
+        out = np.empty((9,) + shape, dtype=complex)
+        return shelving_unitaries(self.params.phi, gammas, z, out)
+
     def unitaries(self, normals: np.ndarray) -> np.ndarray:
-        """Map standard normals (..., 18) to composite unitaries (..., 3, 3)."""
+        """Map standard normals (..., 18) to composite unitaries (..., 3, 3), :meth:`entries`
+        reshaped."""
         normals = np.asarray(normals)
-        rows = normals.reshape(-1, self.n_normals).T
-        # Contiguous kernel inputs: the scaled angles (2, n) and Ginibre entries (4, 2, n).
-        gammas = self.params.sigma_gamma * rows[:2]
-        re_im = rows[2:].reshape(2, 2, 4, -1).transpose(2, 0, 1, 3)
-        z = np.empty((4, 2, rows.shape[1]), dtype=complex)
-        z.real, z.imag = re_im[:, :, 0], re_im[:, :, 1]
-        out = np.empty((9, rows.shape[1]), dtype=complex)
-        shelving_unitaries(self.params.phi, gammas, z, out)
-        return out.T.reshape(normals.shape[:-1] + (3, 3))
+        entries = self.entries(normals.reshape(-1, self.n_normals))
+        return entries.T.reshape(normals.shape[:-1] + (3, 3))
 
 
 def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
@@ -482,7 +525,7 @@ def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
 _MC_BATCH = 50_000
 
 #: Draws per chunk of the Monte Carlo average; bounds its peak memory.
-_MC_CHUNK = 10_000
+_MC_CHUNK = 2_500
 
 
 def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channel:

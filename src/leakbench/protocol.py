@@ -355,9 +355,28 @@ def _experiment_components(cfg: ExperimentConfig):
     return gs, noise, spam_from_dict(cfg.spam, gs.space), noise_root
 
 
-#: Step-matrix entries gathered per chunk of steps (128 KiB of complex): the
-#: chunk bounds the engine's working memory, whatever n and m are.
+#: Step-matrix entries gathered per chunk of steps of fixed noise (128 KiB of
+#: complex): the chunk bounds the engine's working memory, whatever n and m are.
 _CHUNK_ENTRIES = 1 << 13
+
+#: Unitaries drawn per chunk of steps of stochastic noise, in one kernel call
+#: (64 KiB per complex entry row).
+_CHUNK_SAMPLES = 1 << 12
+
+
+def _chunks(lengths: np.ndarray, budget: int):
+    """(k, t, stop) for each chunk of steps t..stop-1, evolved by the k rows longer than t.
+
+    A chunk holds about ``budget`` row-steps, at least one step, and ends
+    where the shortest of its rows does.
+    """
+    negated, last = -lengths, lengths.tolist()
+    t = 0
+    while t < last[0]:
+        k = int(np.searchsorted(negated, -t))
+        stop = min(t + max(1, budget // k), last[k - 1])
+        yield k, t, stop
+        t = stop
 
 
 def run_sequences(
@@ -376,13 +395,10 @@ def run_sequences(
     (N, M); row i holds sequence i in its first ``lengths[i]`` entries (all
     M by default) and padding after them, which is never read.  ``lengths``
     must be non-increasing, so the rows longer than step t are a prefix of
-    the batch, found by binary search.  The step matrices of those rows are
-    gathered a chunk of steps at a time, and a chunk ends where one of its
-    rows does.  Fixed noise gathers G_g E_g and applies it to the (N, d^2)
-    stacked states.
-    Stochastic noise maps ``normals`` (N, M, k) to one unitary U per sequence
-    and step through its sampler, multiplies the steps G_g U into one unitary
-    V per sequence, one product per step, and pairs the effect with V rho V^dag.
+    the batch, found by binary search.  The steps of those rows are taken a
+    chunk at a time, and a chunk ends where one of its rows does.  Fixed
+    noise gathers the step matrices G_g E_g and applies them to the (N, d^2)
+    stacked states.  Stochastic noise is evolved by :func:`_evolve_columns`.
     """
     if noise is not None and noise.space != gateset.space:
         raise ValueError("noise assignment acts on a different space")
@@ -398,37 +414,49 @@ def run_sequences(
         raise ValueError(f"gate index out of range [0, {len(gateset)})")
     if spam is None:
         spam = SpamSpec.ideal(gateset.space)
-    stochastic = noise is not None and noise.stochastic
-    if stochastic and normals is None:
-        raise ValueError("stochastic noise needs per-step normals")
-    d = gateset.space.d
-    state = spam.state_vector()
-    if stochastic:
-        gates = gateset.gates
-        total = np.tile(np.eye(d, dtype=complex), (n, 1, 1))
-    else:
-        steps = _step_liouvilles(gateset, noise)
-        states = np.tile(state, (n, 1))
-    entries = d * d if stochastic else d**4
-    negated, last = -lengths, lengths.tolist()
-    t = 0
-    while t < last[0]:
-        # The k rows longer than t; the chunk stops at the shortest one's end.
-        k = int(np.searchsorted(negated, -t))
-        stop = min(t + max(1, _CHUNK_ENTRIES // (k * entries)), last[k - 1])
-        chunk = indices[:k, t:stop].T
-        if stochastic:
-            unitaries = noise.sampler.unitaries(normals[:k, t:stop].swapaxes(0, 1))
-            for step in np.einsum("tnij,tnjk->tnik", gates[chunk], unitaries):
-                total[:k] = np.einsum("nij,njk->nik", step, total[:k])
-        else:
-            for step in steps[chunk]:
-                states[:k] = np.einsum("nij,nj->ni", step, states[:k])
-        t = stop
-    if stochastic:
-        rho = total @ state.reshape(d, d) @ np.conj(np.swapaxes(total, -1, -2))
-        states = rho.reshape(n, -1)
+    if noise is not None and noise.stochastic:
+        if normals is None:
+            raise ValueError("stochastic noise needs per-step normals")
+        return _evolve_columns(indices, lengths, gateset, noise.sampler, spam, normals)
+    steps = _step_liouvilles(gateset, noise)
+    states = np.tile(spam.state_vector(), (n, 1))
+    for k, t, stop in _chunks(lengths, _CHUNK_ENTRIES // gateset.space.d**4):
+        for step in steps[indices[:k, t:stop].T]:
+            states[:k] = np.einsum("nij,nj->ni", step, states[:k])
     return np.real(states @ spam.effect_vector())
+
+
+def _evolve_columns(indices, lengths, gateset: GateSet, sampler, spam: SpamSpec, normals):
+    """Survival probabilities under noise drawn afresh at every step from ``normals`` (N, M, .).
+
+    Every step S = G_g U is unitary, so a sequence is one unitary V and its
+    state V rho V^dag = C rho_s C^dag, where s holds the rows and columns in
+    which the prepared rho is nonzero (one for ideal SPAM), rho_s = rho[s, s]
+    and C = V[:, s].  Only C evolves.  Each chunk's normals go to the
+    sampler's kernel in one call, which writes U's entries (d, d, T, k) in
+    step-major order.  At each step U and then the gathered G_g act on C,
+    each as one broadcast product summed over its d columns: 2 d^2 |s|
+    multiplications per row, never more than the d^3 + d^2 |s| of forming S
+    first.
+    """
+    d = gateset.space.d
+    rho = spam.state_vector().reshape(d, d)
+    support = np.flatnonzero(np.any(rho != 0, axis=0) | np.any(rho != 0, axis=1))
+    gates = np.moveaxis(gateset.gates, 0, -1)  # (d, d, |G|)
+    columns = np.zeros((d, len(support), len(indices)), dtype=complex)
+    columns[support, np.arange(len(support))] = 1.0
+    for k, t, stop in _chunks(lengths, _CHUNK_SAMPLES):
+        chunk = indices[:k, t:stop].T
+        unitaries = sampler.entries(normals[:k, t:stop].swapaxes(0, 1))
+        unitaries = unitaries.reshape((d, d) + chunk.shape)
+        picked = gates[:, :, chunk]
+        evolving = columns[..., :k]
+        for gate, unitary in zip(np.moveaxis(picked, 2, 0), np.moveaxis(unitaries, 2, 0)):
+            for factor in (unitary, gate):
+                evolving[...] = (factor[:, :, None] * evolving).sum(axis=1)
+    weighted = np.einsum("ab,iak->ibk", rho[np.ix_(support, support)], columns)
+    effect = spam.effect_vector().reshape(d, d)
+    return np.real(np.einsum("ij,ibk,jbk->k", effect, weighted, columns.conj()))
 
 
 def _stream_keys(ms, n: int, tag: int) -> np.ndarray:
@@ -515,7 +543,8 @@ def run_experiment(
     dealt round-robin to min(jobs, len(m_list), cpu count) processes, with
     output identical to the serial run.  A serial run reuses ``components``, the
     result of ``_experiment_components(cfg)``, when given, and adds the wall
-    seconds of its ``sample`` and ``evolve`` stages to ``timings``.
+    seconds of its ``sample`` and ``evolve`` stages to ``timings``; every run
+    adds those of its ``aggregate`` stage, the per-length means and sems.
     """
     workers = min(jobs, len(cfg.m_list), os.cpu_count() or 1)
     if workers > 1:
@@ -532,10 +561,11 @@ def run_experiment(
     else:
         probabilities = _lengths_probabilities(cfg, cfg.m_list, components, timings)
     points = []
-    for m in cfg.m_list:
-        ps = probabilities[m]
-        sem = float(ps.std(ddof=1) / np.sqrt(len(ps))) if len(ps) > 1 else 0.0
-        points.append(DecayPoint(m=m, mean=float(ps.mean()), sem=sem, n=len(ps)))
+    with timed_stage(timings, "aggregate"):
+        for m in cfg.m_list:
+            ps = probabilities[m]
+            sem = float(ps.std(ddof=1) / np.sqrt(len(ps))) if len(ps) > 1 else 0.0
+            points.append(DecayPoint(m=m, mean=float(ps.mean()), sem=sem, n=len(ps)))
     from . import __version__
 
     provenance = {
@@ -615,6 +645,10 @@ def _transfer_frame(gateset: GateSet, channel: Channel, spam: SpamSpec | None):
     return spam.effect_vector() @ basis, transfer_matrix(channel), state
 
 
+#: The largest eigenvector condition number :func:`decay_parameters` accepts.
+_MAX_CONDITION = 1.0 / np.sqrt(np.finfo(float).eps)
+
+
 def decay_parameters(gateset: GateSet, channel: Channel, spam: SpamSpec | None = None) -> dict:
     """Closed-form decay constants for gate-independent noise, largest decay first.
 
@@ -622,10 +656,19 @@ def decay_parameters(gateset: GateSet, channel: Channel, spam: SpamSpec | None =
     B = V diag(decays) V^-1 the expectation at length m is
     sum_k amplitude_k decay_k^(m-1), amplitude_k = (effect . A V)_k (V^-1 A^dag L . state)_k.
     The parameters are named as those of the single-exp fit without a leakage
-    subspace, and of the double-exp fit with one.
+    subspace, and of the double-exp fit with one.  A block that is not
+    diagonalizable has a term m decay^(m-2) that no sum of exponentials
+    holds; it is a ValueError, found by the condition number of V: past
+    1/sqrt(eps), the amplitudes keep less than half of their digits.
     """
     effect, block, state = _transfer_frame(gateset, channel, spam)
     decays, vecs = np.linalg.eig(block)
+    condition = np.linalg.cond(vecs)
+    if not condition <= _MAX_CONDITION:
+        raise ValueError(
+            f"the transfer block is not diagonalizable (eigenvector condition number "
+            f"{condition:.3g}), so its expectation is no sum of exponentials"
+        )
     order = np.argsort(-decays.real, kind="stable")
     decays, vecs = decays[order], vecs[:, order]
     amplitudes = (effect @ vecs) * np.linalg.solve(vecs, state)

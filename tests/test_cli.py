@@ -584,6 +584,10 @@ def test_reproduce_fig2_byte_identical_serial_and_parallel(tmp_path, capsys):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+#: The disjoint parts of the simulate stage of a serial run.
+SIMULATE_PARTS = ["build", "sample", "evolve", "aggregate"]
+
+
 def _assert_stage_timings(out, stages, parts=()):
     """The disjoint ``stages`` fit in the duration, and the ``parts`` of simulate in it."""
     manifest = json.loads((out / "manifest.json").read_text())
@@ -598,15 +602,13 @@ def test_manifest_records_stage_timings(tmp_path):
     cfg_path = write_config(tmp_path, NOISELESS)
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
-    _assert_stage_timings(out, ["simulate", "write"], ["sample", "evolve"])
+    _assert_stage_timings(out, ["simulate", "write"], SIMULATE_PARTS)
     out = tmp_path / "sim-jobs"
     assert main(["simulate", "--config", cfg_path, "--out", str(out), "--jobs", "2"]) == 0
-    _assert_stage_timings(out, ["simulate", "write"])
+    _assert_stage_timings(out, ["simulate", "write"], ["build", "aggregate"])
     out = tmp_path / "rep"
     assert main(["reproduce", "fig1", "--out", str(out)]) == EXIT_OK
-    _assert_stage_timings(
-        out, ["simulate", "fit", "oracle", "exact", "write"], ["sample", "evolve"]
-    )
+    _assert_stage_timings(out, ["simulate", "fit", "oracle", "exact", "write"], SIMULATE_PARTS)
     for name in ("decay.csv", "decay.json", "report.json"):
         assert "timings" not in (out / name).read_text()
 

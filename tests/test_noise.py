@@ -417,6 +417,10 @@ def test_sampler_batch_matches_single_draws():
     assert batch.shape == (4, 5, 3, 3)
     for idx in np.ndindex(4, 5):
         assert np.max(np.abs(batch[idx] - sampler.unitaries(normals[idx]))) < 1e-15
+    # The entry layout of a strided, step-major view, as the engine reads it.
+    entries = sampler.entries(normals.swapaxes(0, 1))
+    assert entries.shape == (9, 5, 4)
+    assert np.array_equal(entries.reshape(3, 3, 5, 4), batch.transpose(2, 3, 1, 0))
 
 
 # ---------------------------------------------------------------------------

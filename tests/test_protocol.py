@@ -17,7 +17,7 @@ import leakbench.protocol as protocol
 from leakbench import Channel, SpaceSpec
 from leakbench.gatesets import NoiseAssignment
 from leakbench.liouville import mix, vec
-from leakbench.noise import RandomStream, pcg64_integers, pcg64_seeds
+from leakbench.noise import RandomStream, ShelvingNoiseSampler, pcg64_integers, pcg64_seeds
 from leakbench.protocol import (
     ConfigError,
     DecayDataset,
@@ -412,7 +412,24 @@ def test_batched_engine_matches_per_sequence_reference(gateset, noise, spam, sho
     assert np.max(np.abs(dataset.sems - sems)) < 1e-12
 
 
-@pytest.mark.parametrize("chunk_entries", [1, 200])
+#: Chunk bounds (_CHUNK_ENTRIES, _CHUNK_SAMPLES) of one-step chunks ("1"), of
+#: chunks that do not divide the lengths of the tests below ("200"), and the
+#: defaults ("None"), named by their bound of fixed noise.
+CHUNKS = [
+    pytest.param((1, 1), id="1"),
+    pytest.param((200, 20), id="200"),
+    pytest.param(None, id="None"),
+]
+
+
+def _set_chunks(monkeypatch, chunks):
+    """Patch the engine's chunk bounds of fixed and of stochastic noise to ``chunks``."""
+    if chunks is not None:
+        monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", chunks[0])
+        monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", chunks[1])
+
+
+@pytest.mark.parametrize("chunks", CHUNKS[:2])
 @pytest.mark.parametrize(
     "gateset, noise, spam",
     [
@@ -421,9 +438,9 @@ def test_batched_engine_matches_per_sequence_reference(gateset, noise, spam, sho
     ],
     ids=["shelving-spam", "filter-spam"],
 )
-def test_step_chunks_match_per_sequence_reference(monkeypatch, chunk_entries, gateset, noise, spam):
+def test_step_chunks_match_per_sequence_reference(monkeypatch, chunks, gateset, noise, spam):
     # Chunks of one step, and chunks that do not divide m, against one chunk.
-    monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", chunk_entries)
+    _set_chunks(monkeypatch, chunks)
     cfg = ExperimentConfig(
         gateset=gateset,
         noise=noise,
@@ -456,13 +473,13 @@ def test_any_shard_of_lengths_draws_the_same_streams():
 
 
 class _NanSampler:
-    """A per-step sampler whose unitaries are all NaN."""
+    """A per-step sampler whose unitaries' entries are all NaN."""
 
     n_normals = 18
     space = QUTRIT
 
-    def unitaries(self, normals):
-        return np.full(np.shape(normals)[:-1] + (3, 3), np.nan, dtype=complex)
+    def entries(self, normals):
+        return np.full((9,) + np.shape(normals)[:-1], np.nan, dtype=complex)
 
 
 def test_nan_probability_is_rejected():
@@ -489,7 +506,7 @@ def _ragged_batch(gs, stochastic, seed):
     return indices, lengths, normals
 
 
-@pytest.mark.parametrize("chunk_entries", [1, 200, None])
+@pytest.mark.parametrize("chunks", CHUNKS)
 @pytest.mark.parametrize(
     "gateset, noise, spam",
     [
@@ -499,11 +516,8 @@ def _ragged_batch(gs, stochastic, seed):
     ],
     ids=["filter-spam", "noiseless-spam", "shelving-spam"],
 )
-def test_ragged_batch_matches_per_sequence_reference(
-    monkeypatch, chunk_entries, gateset, noise, spam
-):
-    if chunk_entries is not None:
-        monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", chunk_entries)
+def test_ragged_batch_matches_per_sequence_reference(monkeypatch, chunks, gateset, noise, spam):
+    _set_chunks(monkeypatch, chunks)
     cfg = ExperimentConfig(
         gateset=gateset, noise=noise, m_list=(1,), n_sequences=1, seed=3, spam=_spam_doc(spam, 47)
     )
@@ -514,6 +528,48 @@ def test_ragged_batch_matches_per_sequence_reference(
     ps = run_sequences(indices, gs, na, spam, normals, lengths)
     for i, (row, length) in enumerate(zip(indices, lengths)):
         rng = RandomStream(seed, key=(i,)).generator() if stochastic else None
+        assert abs(ps[i] - run_sequence(row[:length], gs, na, spam, rng=rng)) < 1e-12
+
+
+def _prepared_states():
+    """SPAM whose prepared states have the supports {0, 1} (pure, off the basis),
+    {0, 2} (rank 2) and {0, 1, 2} (a prep channel makes it full rank)."""
+    rng = np.random.default_rng(71)
+    psi = np.array([np.cos(0.7), np.exp(0.4j) * np.sin(0.7), 0.0])
+    mixed = np.zeros((3, 3), dtype=complex)
+    mixed[np.ix_([0, 2], [0, 2])] = random_density(2, rng)
+    ideal = SpamSpec.ideal(QUTRIT)
+    return {
+        "pure-off-basis": SpamSpec(rho=np.outer(psi, psi.conj()), effect=ideal.effect),
+        "rank-2": SpamSpec(rho=mixed, effect=ideal.effect),
+        "full-rank-prep": SpamSpec(
+            rho=ideal.rho,
+            effect=ideal.effect,
+            prep=random_channel(QUTRIT, rng, scale=0.98),
+            meas=random_channel(QUTRIT, rng, scale=0.99),
+        ),
+    }
+
+
+@pytest.mark.parametrize("chunks", CHUNKS)
+@pytest.mark.parametrize("prepared", ["pure-off-basis", "rank-2", "full-rank-prep"])
+def test_stochastic_columns_match_per_sequence_reference(monkeypatch, chunks, prepared):
+    # The engine evolves one column of V per row of the prepared state's support.
+    _set_chunks(monkeypatch, chunks)
+    spam = _prepared_states()[prepared]
+    rho = spam.state_vector().reshape(3, 3)
+    support, rank = {"pure-off-basis": (2, 1), "rank-2": (2, 2), "full-rank-prep": (3, 3)}[prepared]
+    assert len(np.flatnonzero(np.abs(rho).sum(axis=0))) == support
+    assert np.linalg.matrix_rank(rho) == rank
+    gs = lb.shelving_gateset()
+    na = NoiseAssignment(
+        QUTRIT, sampler=ShelvingNoiseSampler(lb.ShelvingParams(phi=0.2, sigma_gamma=0.4))
+    )
+    seed = 73
+    indices, lengths, normals = _ragged_batch(gs, True, seed)
+    ps = run_sequences(indices, gs, na, spam, normals, lengths)
+    for i, (row, length) in enumerate(zip(indices, lengths)):
+        rng = RandomStream(seed, key=(i,)).generator()
         assert abs(ps[i] - run_sequence(row[:length], gs, na, spam, rng=rng)) < 1e-12
 
 
@@ -847,6 +903,23 @@ def test_predicted_expectation_rejects_length_below_one():
 def test_decay_parameters_space_mismatch():
     with pytest.raises(ValueError):
         decay_parameters(lb.pauli_gateset(), Channel.identity(QUTRIT))
+
+
+def test_decay_parameters_rejects_a_defective_block():
+    # Code and leak levels both kept with probability 0.9, and the leak level
+    # seeping into |0> with probability 0.05: the transfer block is the
+    # defective block [[0.9, 0.0354], [0, 0.9]], whose expectation has an
+    # m 0.9^(m-2) term: eigenvector amplitudes of about +-1e14 would sum to
+    # 0.453 at m = 1, not 0.475.
+    kraus = np.zeros((2, 3, 3), dtype=complex)
+    kraus[0] = np.sqrt(0.9) * np.eye(3)
+    kraus[1, 0, 2] = np.sqrt(0.05)
+    gs, ch = lb.shelving_gateset(), Channel(QUTRIT, kraus)
+    spam = SpamSpec(rho=np.diag([0.5, 0.0, 0.5]).astype(complex), effect=QUTRIT.code_projector)
+    assert np.allclose(lb.transfer_matrix(ch), [[0.9, np.sqrt(0.05 / 40)], [0.0, 0.9]])
+    with pytest.raises(ValueError, match="not diagonalizable"):
+        decay_parameters(gs, ch, spam)
+    assert abs(predicted_expectation(1, gs, ch, spam) - 0.475) < 1e-12
 
 
 def test_spam_config_roundtrip_and_execution():
