@@ -169,7 +169,8 @@ def _search(model: DecayModel, ms, ys, w, head=()):
     """
     last = len(head) + 1 == len(model.decay_params)
     # Sign rule: with one parity of m - 1, a negative decay repeats a positive one.
-    lower = 0.0 if np.unique((ms.astype(int) - 1) % 2).size == 1 else -1.0
+    parity = (ms.astype(int) - 1) % 2
+    lower = 0.0 if parity.min() == parity.max() else -1.0
     grid = np.linspace(lower, 1.0, _GRID_POINTS)[:: 1 if last else 2]
     at = _scan(model, head, grid, ms, ys, w)
     decay, lo, hi = grid[at], grid[max(at - 1, 0)], grid[min(at + 1, grid.size - 1)]
@@ -257,7 +258,9 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     if isinstance(model, str):
         model = model_by_name(model)
     ms, ys = data.ms, data.means
-    if len(np.unique(ms)) < model.n_params + 1:
+    # Distinct lengths, NaNs counted as one; np.unique would import numpy.ma (~20 ms).
+    nan = np.isnan(ms)
+    if len(set(ms[~nan].tolist())) + nan.any() < model.n_params + 1:
         raise ValueError(
             f"{model.kind} needs at least {model.n_params + 1} distinct lengths"
         )

@@ -281,9 +281,15 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def matrix_from_pairs(pairs, d: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs])
+    """The d x d matrix of the row-major list ``pairs`` of [re, im] entries; a
+    ValueError saying that shape unless ``pairs`` has it."""
+    expected = f"a list of {d * d} [re, im] number pairs (a {d}x{d} matrix, row-major)"
+    try:
+        flat = np.array([complex(re, im) for re, im in pairs])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"expected {expected}, got {pairs!r:.40}") from exc
     if flat.size != d * d:
-        raise ValueError(f"expected {d*d} entries, got {flat.size}")
+        raise ValueError(f"expected {expected}, got {flat.size} entries")
     return flat.reshape(d, d)
 
 

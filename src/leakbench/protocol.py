@@ -214,6 +214,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.shots is not None and self.shots < 1:
             raise ConfigError("shots must be >= 1 when given")
+        limit = int(np.iinfo(np.int64).max)  # numpy holds lengths, counts and shots as int64
+        largest = {"m_list": max(m_list), "n_sequences": self.n_sequences, "shots": self.shots}
+        for key, value in largest.items():
+            if value is not None and value > limit:
+                raise ConfigError(f"{key} must hold integers <= {limit}, got {value}")
         if self.noise is not None:
             _reject_unknown(self.noise, ("id", "params"), "noise")
             model_id = "none" if self.noise.get("id") is None else self.noise["id"]
@@ -355,8 +360,9 @@ def _experiment_components(cfg: ExperimentConfig):
     return gs, noise, spam_from_dict(cfg.spam, gs.space), noise_root
 
 
-#: Step-matrix entries gathered per chunk of steps of fixed noise (128 KiB of
-#: complex): the chunk bounds the engine's working memory, whatever n and m are.
+#: Matrix entries of the word table of fixed noise (128 KiB of complex): its
+#: words are as long as this bound allows, except that the |G| one-gate words
+#: are always held.
 _CHUNK_ENTRIES = 1 << 13
 
 #: Unitaries drawn per chunk of steps of stochastic noise, in one kernel call
@@ -395,10 +401,14 @@ def run_sequences(
     (N, M); row i holds sequence i in its first ``lengths[i]`` entries (all
     M by default) and padding after them, which is never read.  ``lengths``
     must be non-increasing, so the rows longer than step t are a prefix of
-    the batch, found by binary search.  The steps of those rows are taken a
-    chunk at a time, and a chunk ends where one of its rows does.  Fixed
-    noise gathers the step matrices G_g E_g and applies them to the (N, d^2)
-    stacked states.  Stochastic noise is evolved by :func:`_evolve_columns`.
+    the batch, found by binary search.  Fixed noise is evolved K steps at a
+    time from a table of the products of every word of 1..K step matrices
+    G_g E_g (:func:`_word_table`): one gather and one product per block of
+    steps t = 0, K, 2K, ... on the (N, d^2) stacked states, where a row that
+    ends inside a block takes the word of its remaining gates.  Every row is
+    cut into the same blocks, whatever else is in the batch, so a row's
+    probability depends on its own gates only.  Stochastic noise is evolved
+    by :func:`_evolve_columns`.
     """
     if noise is not None and noise.space != gateset.space:
         raise ValueError("noise assignment acts on a different space")
@@ -409,21 +419,47 @@ def run_sequences(
         raise ValueError("lengths must hold one non-increasing length per row")
     if lengths[-1] < 0 or lengths[0] > m:
         raise ValueError(f"lengths must lie in [0, {m}]")
-    used = indices[np.arange(m) < lengths[:, None]]
-    if used.size and (used.min() < 0 or used.max() >= len(gateset)):
-        raise ValueError(f"gate index out of range [0, {len(gateset)})")
+    if indices.size and not 0 <= indices.min() <= indices.max() < len(gateset):
+        # Some entry is out of range, perhaps only in the padding: check the used ones.
+        for k, t, stop in _chunks(lengths, n * m):
+            used = indices[:k, t:stop]
+            if used.min() < 0 or used.max() >= len(gateset):
+                raise ValueError(f"gate index out of range [0, {len(gateset)})")
     if spam is None:
         spam = SpamSpec.ideal(gateset.space)
     if noise is not None and noise.stochastic:
         if normals is None:
             raise ValueError("stochastic noise needs per-step normals")
         return _evolve_columns(indices, lengths, gateset, noise.sampler, spam, normals)
-    steps = _step_liouvilles(gateset, noise)
+    table, offsets = _word_table(_step_liouvilles(gateset, noise), _CHUNK_ENTRIES)
+    width = len(offsets) - 1
+    digits, negated = len(gateset) ** np.arange(width), -lengths
     states = np.tile(spam.state_vector(), (n, 1))
-    for k, t, stop in _chunks(lengths, _CHUNK_ENTRIES // gateset.space.d**4):
-        for step in steps[indices[:k, t:stop].T]:
-            states[:k] = np.einsum("nij,nj->ni", step, states[:k])
+    for t in range(0, lengths[0], width):
+        k = int(np.searchsorted(negated, -t))  # the rows longer than t
+        left = np.minimum(lengths[:k] - t, width)
+        block = indices[:k, t:t + width]
+        if left[-1] < block.shape[1]:  # some rows end inside the block: mask their padding
+            block = np.where(np.arange(block.shape[1]) < left[:, None], block, 0)
+        words = offsets[left - 1] + block @ digits[: block.shape[1]]
+        states[:k] = np.einsum("nij,nj->ni", table[words], states[:k])
     return np.real(states @ spam.effect_vector())
+
+
+def _word_table(steps: np.ndarray, budget: int):
+    """(table, offsets): the products of every word of 1..K of the |G| step matrices ``steps``.
+
+    The word g_0 g_1 ... g_(j-1), with g_0 applied first, is the product
+    steps[g_(j-1)] ... steps[g_0], at row offsets[j - 1] + sum_i g_i |G|^i of the
+    table.  K is the longest word for which the whole table holds at most
+    ``budget`` matrix entries, and at least 1.
+    """
+    count, dim = steps.shape[:2]
+    words = [steps]
+    while sum(map(len, words)) + count ** (len(words) + 1) <= budget // dim**2:
+        words.append((steps[:, None] @ words[-1][None]).reshape(-1, dim, dim))
+    offsets = np.cumsum([0] + [len(w) for w in words])
+    return np.concatenate(words), offsets
 
 
 def _evolve_columns(indices, lengths, gateset: GateSet, sampler, spam: SpamSpec, normals):
@@ -487,11 +523,13 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
     (noise seed, m, j, 1); every sub-stream of ``ms`` is seeded in one pass.
     Noise without per-step normals evolves every length in one batch, rows
     ordered longest first; noise with them evolves one length at a time, so
-    that only one length's normals are held.  The gate indices of a batch are
-    drawn in one vectorized pass (:func:`pcg64_integers`), and each sequence's
-    shots continue its stream from the state that pass ends in.  The seeding
-    and the draws are timed as the ``sample`` stage of ``timings``, the
-    evolution as ``evolve``.
+    that only one length's normals are held, each in the front of one buffer
+    sized for the longest length: a fresh array per length left several MB
+    of freed heap under the Monte Carlo oracle's peak.  The gate indices of a
+    batch are drawn in one vectorized pass (:func:`pcg64_integers`), and each
+    sequence's shots continue its stream from the state that pass ends in.
+    The seeding and the draws are timed as the ``sample`` stage of
+    ``timings``, the evolution as ``evolve``.
     """
     gs, noise, spam, noise_root = components or _experiment_components(cfg)
     n = cfg.n_sequences
@@ -501,6 +539,7 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
         seeds = pcg64_seeds(cfg.seed, _stream_keys(order, n, _SEQ_KEY))
     if stochastic:
         noise_gens = noise_root.child_generators(_stream_keys(order, n, _NOISE_KEY))
+        buffer = np.empty(n * order[0] * noise.sampler.n_normals)
     probabilities, start = {}, 0
     for batch in [[m] for m in order] if stochastic else [order]:
         lengths = np.repeat(batch, n)
@@ -512,7 +551,8 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
             )
             normals = None
             if stochastic:
-                normals = np.empty(indices.shape + (noise.sampler.n_normals,))
+                normals = buffer[: indices.size * noise.sampler.n_normals]
+                normals = normals.reshape(indices.shape + (-1,))
                 for row, m in zip(normals, lengths.tolist()):
                     next(noise_gens).standard_normal(out=row[:m])
         with timed_stage(timings, "evolve"):

@@ -263,6 +263,28 @@ MALFORMED_GATESET_FILES = {
 }
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"m_list": [1, 10**30]}, "m_list must hold integers <= 9223372036854775807"),
+        ({"n_sequences": 10**30}, "n_sequences must hold integers <= 9223372036854775807"),
+        ({"shots": 10**30}, "shots must hold integers <= 9223372036854775807"),
+        ({"spam": {"rho": "x"}}, "bad spam.rho: expected a list of 4 [re, im] number pairs"),
+        (
+            {"spam": {"prep": {"d1": 2, "kraus": [[[1, 0, 0]] * 4]}}},
+            "bad spam.prep: expected a list of 4 [re, im] number pairs",
+        ),
+    ],
+    ids=["huge-length", "huge-n-sequences", "huge-shots", "rho-string", "prep-triples"],
+)
+def test_simulate_config_error_says_what_was_expected(tmp_path, capsys, change, message):
+    cfg_path = write_config(tmp_path, {**NOISELESS, **change})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
 def test_simulate_spam_on_the_wrong_space_is_config_error(tmp_path, capsys):
     from leakbench.liouville import channel_to_dict
 
@@ -660,6 +682,18 @@ def test_import_does_not_load_the_process_pool():
     result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_reproduce_fig1_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (about 20 ms and 1 MB) on its first call.
+    code = (
+        "import sys; from leakbench.cli import main; "
+        f"code = main(['reproduce', 'fig1', '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    result = _run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 
 
 def test_corrupted_gateset_fails_idempotence_check():

@@ -11,7 +11,7 @@ from leakbench.fitting import FitNonConvergence, _cost, fit, model_by_name
 from leakbench.liouville import mix
 from leakbench.noise import RandomStream
 from leakbench.cli import FIGURES, figure_config
-from leakbench.protocol import DecayDataset, decay_parameters, run_experiment
+from leakbench.protocol import DecayDataset, DecayPoint, decay_parameters, run_experiment
 
 MS = np.arange(10, 101, 10)
 
@@ -269,6 +269,14 @@ def test_malformed_points_are_rejected_naming_their_length():
         for name in fitting.MODELS:
             with pytest.raises(ValueError, match=message):
                 fit(name, DecayDataset.from_arrays(lengths, means, errors), weighted=False)
+
+
+def test_too_few_distinct_lengths_are_rejected():
+    # A repeated length counts once, and so do all NaN lengths together, as in np.unique.
+    for lengths in ([10, 20, 20, 10], [10, np.nan, np.nan]):
+        points = tuple(DecayPoint(m=m, mean=0.9, sem=0.01, n=30) for m in lengths)
+        with pytest.raises(ValueError, match="single-exp needs at least 3 distinct lengths"):
+            fit("single-exp", DecayDataset(points=points))
 
 
 # ---------------------------------------------------------------------------

@@ -492,11 +492,11 @@ def test_nan_probability_is_rejected():
         _lengths_probabilities(cfg, cfg.m_list, components)
 
 
-def _ragged_batch(gs, stochastic, seed):
-    """Rows of lengths 9, 9, 6, 6, 6, 3, 1, 0 padded to 11 steps with out-of-range
-    indices and NaN normals, which must never be read, and one generator seed per row."""
+def _ragged_batch(gs, stochastic, seed, lengths=(9, 9, 6, 6, 6, 3, 1, 0)):
+    """Rows of ``lengths`` padded to 11 steps with out-of-range indices and NaN
+    normals, which must never be read, and one generator seed per row."""
     rng = np.random.default_rng(seed)
-    lengths = np.array([9, 9, 6, 6, 6, 3, 1, 0])
+    lengths = np.array(lengths)
     indices = np.full((len(lengths), 11), len(gs) + 5)
     normals = np.full((len(lengths), 11, 18), np.nan) if stochastic else None
     for i, length in enumerate(lengths):
@@ -529,6 +529,53 @@ def test_ragged_batch_matches_per_sequence_reference(monkeypatch, chunks, gatese
     for i, (row, length) in enumerate(zip(indices, lengths)):
         rng = RandomStream(seed, key=(i,)).generator() if stochastic else None
         assert abs(ps[i] - run_sequence(row[:length], gs, na, spam, rng=rng)) < 1e-12
+
+
+def _word_budget(gs, width):
+    """The least ``_CHUNK_ENTRIES`` whose word table for ``gs`` holds the words of 1..width gates."""
+    return sum(len(gs) ** j for j in range(1, width + 1)) * gs.space.d**4
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, None])
+@pytest.mark.parametrize(
+    "gateset, noise, spam, default_width",
+    [
+        ("pauli", {"id": "filter", "params": {"seed": 6}}, QUBIT, 4),
+        ("shelving", None, QUTRIT, 2),
+    ],
+    ids=["filter-spam", "noiseless-spam"],
+)
+def test_word_engine_matches_per_sequence_reference(
+    monkeypatch, width, gateset, noise, spam, default_width
+):
+    # Words of K = 1, 2, 3 gates and the default K; rows whose lengths are not multiples
+    # of K, of the full 11 columns (so the last block is narrower than K) and empty.
+    cfg = ExperimentConfig(
+        gateset=gateset, noise=noise, m_list=(1,), n_sequences=1, seed=3, spam=_spam_doc(spam, 79)
+    )
+    gs, na, spam, _ = _experiment_components(cfg)
+    if width is not None:
+        monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", _word_budget(gs, width))
+        # One entry fewer leaves the words one gate shorter.
+        _, offsets = protocol._word_table(gs.gate_liouvilles, _word_budget(gs, width) - 1)
+        assert len(offsets) - 1 == max(width - 1, 1)
+    width = width or default_width
+    _, offsets = protocol._word_table(gs.gate_liouvilles, protocol._CHUNK_ENTRIES)
+    assert len(offsets) - 1 == width
+    calls = []
+    einsum = np.einsum
+
+    def counting_einsum(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    indices, lengths, _ = _ragged_batch(gs, False, 83, lengths=(11, 11, 10, 8, 7, 5, 4, 2, 1, 0, 0))
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    ps = run_sequences(indices, gs, na, spam, lengths=lengths)
+    monkeypatch.undo()
+    assert len(calls) == -(-11 // width)  # one product per block of K steps
+    for row, length, p in zip(indices, lengths, ps):
+        assert abs(p - run_sequence(row[:length], gs, na, spam)) < 1e-12
 
 
 def _prepared_states():
@@ -583,9 +630,13 @@ def test_run_sequences_rejects_rows_not_ordered_by_length():
     with pytest.raises(ValueError, match="gate index"):
         run_sequences(indices, gs, None, lengths=[4, 4, 2])
     assert np.allclose(run_sequences(indices, gs, None, lengths=[4, 3, 3]), 1.0)
+    indices[2, 2] = -1
+    with pytest.raises(ValueError, match="gate index"):
+        run_sequences(indices, gs, None, lengths=[4, 3, 3])
+    assert np.allclose(run_sequences(indices, gs, None, lengths=[4, 3, 2]), 1.0)
 
 
-@pytest.mark.parametrize("chunk_entries", [1, 200, None])
+@pytest.mark.parametrize("chunk_entries", [1, 200, 1344, None])  # words of 1, 1, 3 and 4 gates
 @pytest.mark.parametrize(
     "noise, spam, shots",
     [({"id": "filter", "params": {}}, QUBIT, 250), (None, QUBIT, None)],
