@@ -94,6 +94,19 @@ def figure_config(figure: str, seed: int | None = None) -> ExperimentConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far in MiB; None without ``resource`` (Windows).
+
+    ``ru_maxrss`` is in KiB on Linux and in bytes on macOS.
+    """
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def _write_manifest(out_dir, provenance: dict, outputs: list, started: float, timings: dict):
     """Write the run record ``manifest.json`` to ``out_dir``; returns its path.
 
@@ -101,6 +114,7 @@ def _write_manifest(out_dir, provenance: dict, outputs: list, started: float, ti
     ``provenance``.  ``timings`` holds the wall seconds of each stage of the
     run.  The stages are disjoint parts of ``duration_seconds``, except
     ``sample`` and ``evolve``: a serial run's parts of ``simulate``.
+    ``peak_rss_mb`` is the process's peak memory when the manifest is written.
     """
     path = out_dir / "manifest.json"
     manifest = {
@@ -110,6 +124,7 @@ def _write_manifest(out_dir, provenance: dict, outputs: list, started: float, ti
         "outputs": outputs,
         "duration_seconds": time.monotonic() - started,
         "timings": timings,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     _write_json(path, manifest)
     return path

@@ -429,19 +429,21 @@ def _code_rotations(phi: float, z: np.ndarray):
     return a00, a01
 
 
-def shelving_unitaries(phi: float, gammas: np.ndarray, z: np.ndarray, out: np.ndarray):
+def shelving_unitaries(gammas: np.ndarray, first, second, out: np.ndarray):
     """Entries of the composite unitaries V(g2) R(u2) V(g1) R(u1) on the qutrit, batched.
 
-    gammas (2, n) holds the pulse angles g1, g2 and z (4, 2, n) the entries
-    z00, z01, z10, z11 of the Ginibre matrices of u1 and u2.  V(g) = 1 (+)
-    [[i sin g, cos g], [cos g, i sin g]] mixes levels {1, 2} and R(u) = A (+) 1
-    (:func:`_code_rotations`) mixes levels {0, 1}.  U's nine entries,
+    gammas (2, n) holds the pulse angles g1, g2, and ``first`` and ``second``
+    the entries (a00, a01) of the code rotations A of u1 and u2
+    (:func:`_code_rotations`), each (n,); those of ``second`` are
+    overwritten.  V(g) = 1 (+) [[i sin g, cos g], [cos g, i sin g]] mixes
+    levels {1, 2} and R(u) = A (+) 1 mixes levels {0, 1}.  U's nine entries,
     row-major, go to ``out`` (9, n), which is returned.
     """
-    rot00, rot01 = _code_rotations(phi, z)
-    (a00, b00), (a01, b01) = rot00, rot01
-    lower = np.conjugate(rot01)
-    (a10, b10), (a11, b11) = np.negative(lower, out=lower), np.conjugate(rot00)
+    (a00, a01), (b00, b01) = first, second
+    a10, b10 = np.conjugate(a01), np.conjugate(b01)
+    np.negative(a10, out=a10)
+    np.negative(b10, out=b10)
+    a11, b11 = np.conjugate(a00), np.conjugate(b00)
     # Row 1 of V(g1) R(u1) is (t0, t1, c1), row 2 (c1 a10, c1 a11, i s1).  R(u2)
     # makes row 0 final and row 1 (x0, x1, x2), which V(g2) mixes with row 2.
     (c1, c2), (s1, s2) = np.cos(gammas), np.sin(gammas)
@@ -485,18 +487,22 @@ class ShelvingNoiseSampler:
         self.params = params
         self.space = QUTRIT
 
-    def entries(self, normals: np.ndarray) -> np.ndarray:
+    def entries(self, normals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The nine entries, row-major, (9, ...) of the composite unitaries of
-        standard normals (..., 18), written by :func:`shelving_unitaries`."""
+        standard normals (..., 18), written by :func:`shelving_unitaries` into
+        ``out`` (C-contiguous), or a new array.  The Ginibre entries (4, 2, ...)
+        of both code rotations, made in one call, are built in its first rows."""
         rows = np.moveaxis(np.asarray(normals), -1, 0)
         shape = rows.shape[1:]
+        if out is None:
+            out = np.empty((9,) + shape, dtype=complex)
         # Contiguous kernel inputs: the scaled angles (2, ...) and Ginibre entries (4, 2, ...).
         gammas = np.multiply(self.params.sigma_gamma, rows[:2], order="C")
         re_im = rows[2:].reshape((2, 2, 4) + shape)  # [u1 or u2][real or imaginary][entry]
-        z = np.empty((4, 2) + shape, dtype=complex)
+        z = out[:8].reshape((4, 2) + shape)
         z.real, z.imag = re_im[:, 0].swapaxes(0, 1), re_im[:, 1].swapaxes(0, 1)
-        out = np.empty((9,) + shape, dtype=complex)
-        return shelving_unitaries(self.params.phi, gammas, z, out)
+        rot00, rot01 = _code_rotations(self.params.phi, z)
+        return shelving_unitaries(gammas, (rot00[0], rot01[0]), (rot00[1], rot01[1]), out)
 
     def unitaries(self, normals: np.ndarray) -> np.ndarray:
         """Map standard normals (..., 18) to composite unitaries (..., 3, 3), :meth:`entries`
@@ -524,7 +530,8 @@ def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
 #: Draws per batch of the Monte Carlo average: the pinned layout of its stream.
 _MC_BATCH = 50_000
 
-#: Draws per chunk of the Monte Carlo average; bounds its peak memory.
+#: Draws per chunk of the Monte Carlo average: of its imaginary Ginibre parts
+#: drawn and of its rotations and unitaries made in one call.
 _MC_CHUNK = 2_500
 
 
@@ -533,34 +540,53 @@ def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channe
 
     The Liouville matrix is the mean over n_samples independent draws; the
     returned channel serves as the theory oracle for the coherent survival
-    rate.  Each batch of b draws takes 18 b standard normals into one buffer:
-    the pulse angles (b, 2), then the real and imaginary parts of the first
-    and of the second Ginibre matrices (b, 2, 2) each, in batches of
-    ``_MC_BATCH`` draws, so the result is fully determined by the stream.  The
-    kernel runs on chunks of the batch, copied into contiguous rows.
+    rate.  A batch of ``_MC_BATCH`` (or fewer) draws takes, in stream order,
+    the pulse angles (b, 2), then the real and the imaginary parts of the
+    first and of the second Ginibre matrices (b, 2, 2) each, so the result
+    is fully determined by the stream.  Of these 18 b normals only 10 b
+    doubles are held: the angles, one real-part array (the first, then the
+    second), and the first rotations' entries.  The imaginary parts are
+    drawn ``_MC_CHUNK`` draws at a time: each chunk of the first is made
+    into its rotations at once, and each chunk of the second into its
+    unitaries, added to the Gram sum.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     gen = as_generator(rng)
-    buffer = np.empty(18 * min(_MC_BATCH, n_samples))
-    width = min(_MC_CHUNK, n_samples)
-    gammas, z = np.empty((2, width)), np.empty((4, 2, width), dtype=complex)
-    entries = np.empty((9, width), dtype=complex)
+    size, width = min(_MC_BATCH, n_samples), min(_MC_CHUNK, n_samples)
+    angles, real = np.empty(2 * size), np.empty(4 * size)
+    first = np.empty((2, size), dtype=complex)  # the first rotations' a00, a01
+    imag, z = np.empty(4 * width), np.empty((4, width), dtype=complex)
+    gammas, entries = np.empty((2, width)), np.empty((9, width), dtype=complex)
     gram = np.zeros((9, 9), dtype=complex)  # sum of vec(U) vec(U)^dag
+
+    def draw(buffer, n, per_draw):
+        """n draws of ``per_draw`` normals, into the front of ``buffer``; (per_draw, n)."""
+        rows = buffer[: n * per_draw]
+        gen.standard_normal(out=rows)
+        return rows.reshape(n, per_draw).T
+
+    def rotations(ginibre_real, lo, hi):
+        """The code rotations of draws lo..hi-1, whose imaginary parts are drawn now."""
+        n = hi - lo
+        z.real[:, :n], z.imag[:, :n] = ginibre_real[:, lo:hi], draw(imag, n, 4)
+        return _code_rotations(sp.phi, z[:, :n])
+
     for start in range(0, n_samples, _MC_BATCH):
         b = min(_MC_BATCH, n_samples - start)
-        draws = buffer[: 18 * b]
-        gen.standard_normal(out=draws)
-        draws[: 2 * b] *= sp.sigma_gamma
-        angles = draws[: 2 * b].reshape(b, 2).T
-        # [entry][u1 or u2][real or imaginary][draw]
-        re_im = draws[2 * b :].reshape(2, 2, b, 4).transpose(3, 0, 1, 2)
+        pulses = draw(angles, b, 2)
+        pulses *= sp.sigma_gamma
+        ginibre_real = draw(real, b, 4)
+        for lo in range(0, b, _MC_CHUNK):
+            hi = min(lo + _MC_CHUNK, b)
+            first[0, lo:hi], first[1, lo:hi] = rotations(ginibre_real, lo, hi)
+        ginibre_real = draw(real, b, 4)  # the second real parts overwrite the first
         for lo in range(0, b, _MC_CHUNK):
             hi = min(lo + _MC_CHUNK, b)
             n = hi - lo
-            gammas[:, :n] = angles[:, lo:hi]
-            z.real[..., :n], z.imag[..., :n] = re_im[..., 0, lo:hi], re_im[..., 1, lo:hi]
-            u = shelving_unitaries(sp.phi, gammas[:, :n], z[..., :n], entries[:, :n])
+            gammas[:, :n] = pulses[:, lo:hi]
+            second = rotations(ginibre_real, lo, hi)
+            u = shelving_unitaries(gammas[:, :n], first[:, lo:hi], second, entries[:, :n])
             gram += u @ u.conj().T
     # Reorder [(i, j), (k, l)] to the Liouville index [(i, k), (j, l)] of kron(U, U*).
     total = gram.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)

@@ -469,11 +469,13 @@ def _evolve_columns(indices, lengths, gateset: GateSet, sampler, spam: SpamSpec,
     state V rho V^dag = C rho_s C^dag, where s holds the rows and columns in
     which the prepared rho is nonzero (one for ideal SPAM), rho_s = rho[s, s]
     and C = V[:, s].  Only C evolves.  Each chunk's normals go to the
-    sampler's kernel in one call, which writes U's entries (d, d, T, k) in
-    step-major order.  At each step U and then the gathered G_g act on C,
-    each as one broadcast product summed over its d columns: 2 d^2 |s|
-    multiplications per row, never more than the d^3 + d^2 |s| of forming S
-    first.
+    sampler's kernel in one call, ``entries(normals, out)``, which writes U's
+    entries (d^2, T, k) in step-major order into ``out`` and returns it.  At
+    each step U and then the gathered G_g act on C, each as one broadcast
+    product summed over its d columns: 2 d^2 |s| multiplications per row,
+    never more than the d^3 + d^2 |s| of forming S first.  U's entries and
+    the gathered gates of every chunk are views of two work arrays allocated
+    once, sized for the largest chunk.
     """
     d = gateset.space.d
     rho = spam.state_vector().reshape(d, d)
@@ -481,11 +483,16 @@ def _evolve_columns(indices, lengths, gateset: GateSet, sampler, spam: SpamSpec,
     gates = np.moveaxis(gateset.gates, 0, -1)  # (d, d, |G|)
     columns = np.zeros((d, len(support), len(indices)), dtype=complex)
     columns[support, np.arange(len(support))] = 1.0
-    for k, t, stop in _chunks(lengths, _CHUNK_SAMPLES):
+    chunks = list(_chunks(lengths, _CHUNK_SAMPLES))
+    size = max((k * (stop - t) for k, t, stop in chunks), default=0)
+    unitary_work, gate_work = np.empty((2, d * d * size), dtype=complex)
+    for k, t, stop in chunks:
         chunk = indices[:k, t:stop].T
-        unitaries = sampler.entries(normals[:k, t:stop].swapaxes(0, 1))
-        unitaries = unitaries.reshape((d, d) + chunk.shape)
-        picked = gates[:, :, chunk]
+        count, shape = d * d * chunk.size, (d, d) + chunk.shape
+        out = unitary_work[:count].reshape((d * d,) + chunk.shape)
+        unitaries = sampler.entries(normals[:k, t:stop].swapaxes(0, 1), out).reshape(shape)
+        # run_sequences checked the indices, so "clip" skips take's buffered bounds check.
+        picked = gates.take(chunk, axis=2, out=gate_work[:count].reshape(shape), mode="clip")
         evolving = columns[..., :k]
         for gate, unitary in zip(np.moveaxis(picked, 2, 0), np.moveaxis(unitaries, 2, 0)):
             for factor in (unitary, gate):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -618,6 +619,7 @@ def _assert_stage_timings(out, stages, parts=()):
     assert all(t >= 0.0 for t in timings.values())
     assert sum(timings[s] for s in stages) <= manifest["duration_seconds"]
     assert sum(timings[p] for p in parts) <= timings["simulate"]
+    assert manifest["peak_rss_mb"] > 0.0
 
 
 def test_manifest_records_stage_timings(tmp_path):
@@ -633,6 +635,24 @@ def test_manifest_records_stage_timings(tmp_path):
     _assert_stage_timings(out, ["simulate", "fit", "oracle", "exact", "write"], SIMULATE_PARTS)
     for name in ("decay.csv", "decay.json", "report.json"):
         assert "timings" not in (out / name).read_text()
+
+
+def test_manifest_peak_rss_is_null_without_resource(tmp_path, monkeypatch):
+    # A platform without the resource module (Windows) records null.
+    monkeypatch.setitem(sys.modules, "resource", None)
+    cfg_path = write_config(tmp_path, NOISELESS)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")]) == 0
+    assert json.loads((tmp_path / "sim" / "manifest.json").read_text())["peak_rss_mb"] is None
+
+
+@pytest.mark.parametrize("platform, megabytes", [("linux", 2.0**20), ("darwin", 1024.0)])
+def test_peak_rss_units(monkeypatch, platform, megabytes):
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    usage = SimpleNamespace(ru_maxrss=2**30)
+    fake = SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage)
+    monkeypatch.setitem(sys.modules, "resource", fake)
+    monkeypatch.setattr(sys, "platform", platform)
+    assert cli._peak_rss_mb() == megabytes
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +758,24 @@ def test_filter_check_is_the_per_channel_loop():
 
 def test_filter_check_fails_on_a_trace_increasing_channel(monkeypatch):
     monkeypatch.setattr(cli, "filter_kraus", lambda p, bloch: 1.01 * noise.filter_kraus(p, bloch))
+    assert check_filter_diagnostics() == (False, "filter channel failed CP / trace-nonincreasing")
+
+
+def test_filter_check_fails_on_a_partial_transpose_choi(monkeypatch):
+    # The CP half: with each Choi matrix partially transposed, a filter channel
+    # near the identity has a Choi eigenvalue near -1.
+    def partial_transpose(lio, d):
+        choi = lb.liouville.liouville_to_choi(lio, d)
+        blocks = choi.reshape(choi.shape[:-2] + (d, d, d, d))
+        return np.swapaxes(blocks, -3, -1).reshape(choi.shape)
+
+    monkeypatch.setattr(cli, "liouville_to_choi", partial_transpose)
+    assert check_filter_diagnostics() == (False, "filter channel failed CP / trace-nonincreasing")
+
+
+def test_filter_check_fails_on_trace_increasing_kraus_sums(monkeypatch):
+    # The trace half alone: the Choi matrices stay those of the true channels.
+    monkeypatch.setattr(cli, "kraus_sums", lambda kraus: 1.001 * lb.liouville.kraus_sums(kraus))
     assert check_filter_diagnostics() == (False, "filter channel failed CP / trace-nonincreasing")
 
 

@@ -478,8 +478,9 @@ class _NanSampler:
     n_normals = 18
     space = QUTRIT
 
-    def entries(self, normals):
-        return np.full((9,) + np.shape(normals)[:-1], np.nan, dtype=complex)
+    def entries(self, normals, out):
+        out.fill(np.nan)
+        return out
 
 
 def test_nan_probability_is_rejected():
