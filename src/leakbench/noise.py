@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -388,20 +390,47 @@ class ShelvingParams:
             raise ValueError(f"sigma_gamma must be finite and nonnegative, got {self.sigma_gamma}")
 
 
-def _code_rotations(phi: float, z: np.ndarray):
+class KernelWork:
+    """Scratch arrays of the shelving kernel, held by its caller and reused by every call.
+
+    ``work(name, shape, dtype)`` is the front of the flat array kept under
+    ``name``, viewed at ``shape``; the array is allocated afresh only when it
+    is too small, so calls on chunks no larger than the first allocate
+    nothing.  The arrays a kernel call returns are among them, valid until
+    the next call.
+    """
+
+    def __init__(self):
+        self.arrays = {}
+
+    def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self.arrays.get(name)
+        if flat is None or flat.size < size:
+            flat = self.arrays[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _code_rotations(phi: float, z: np.ndarray, work: KernelWork | None = None):
     """Entries a00, a01 of A = cos(phi) I + i sin(phi) u X u^dag = [[a00, a01], [-a01*, a00*]].
 
     u is the Haar unitary of the Ginibre matrix z (4, ...), the Q of its QR
     with R's diagonal real-positive: its columns are z's first normalized,
     (a, c), and (-c*, a*) times the phase of det z, so A needs no u.  With
     s = sin(phi) / (|det z| (|z00|^2 + |z10|^2)), a00 = cos(phi) -
-    2i s Re(det* z00 z10) and a01 = i s (det* z00^2 - det z10*^2).
+    2i s Re(det* z00 z10) and a01 = i s (det* z00^2 - det z10*^2).  The
+    temporaries and the entries are arrays of ``work`` (a fresh one by default).
     """
+    work = KernelWork() if work is None else work
     z00, z01, z10, z11 = z
+    shape = z00.shape
     # The formulas' operations in their order, in place: the same values, fewer arrays.
-    det, p = np.multiply(z00, z11), np.multiply(z10, z01)
+    det = np.multiply(z00, z11, out=work("det", shape, complex))
+    p = np.multiply(z10, z01, out=work("p", shape, complex))
     det -= p
-    norm, scale, part = np.square(det.real), np.square(det.imag), np.empty(det.shape)
+    norm = np.square(det.real, out=work("norm", shape))
+    scale = np.square(det.imag, out=work("scale", shape))
+    part = work("part", shape)
     norm += scale
     np.sqrt(norm, out=norm)
     np.square(z00.real, out=scale)
@@ -412,7 +441,7 @@ def _code_rotations(phi: float, z: np.ndarray):
     s = np.divide(np.sin(phi), norm, out=norm)
     np.conjugate(det, out=det)
     np.multiply(det, z00, out=p)
-    a00 = np.multiply(p, z10)
+    a00 = np.multiply(p, z10, out=work("a00", shape, complex))
     np.multiply(s, a00.real, out=part)
     a00.real = np.cos(phi)
     np.multiply(part, -2.0, out=a00.imag)
@@ -429,7 +458,9 @@ def _code_rotations(phi: float, z: np.ndarray):
     return a00, a01
 
 
-def shelving_unitaries(gammas: np.ndarray, first, second, out: np.ndarray):
+def shelving_unitaries(
+    gammas: np.ndarray, first, second, out: np.ndarray, work: KernelWork | None = None
+):
     """Entries of the composite unitaries V(g2) R(u2) V(g1) R(u1) on the qutrit, batched.
 
     gammas (2, n) holds the pulse angles g1, g2, and ``first`` and ``second``
@@ -437,18 +468,26 @@ def shelving_unitaries(gammas: np.ndarray, first, second, out: np.ndarray):
     (:func:`_code_rotations`), each (n,); those of ``second`` are
     overwritten.  V(g) = 1 (+) [[i sin g, cos g], [cos g, i sin g]] mixes
     levels {1, 2} and R(u) = A (+) 1 mixes levels {0, 1}.  U's nine entries,
-    row-major, go to ``out`` (9, n), which is returned.
+    row-major, go to ``out`` (9, n), which is returned.  The temporaries are
+    arrays of ``work`` (a :class:`KernelWork`, a fresh one by default).
     """
+    work = KernelWork() if work is None else work
     (a00, a01), (b00, b01) = first, second
-    a10, b10 = np.conjugate(a01), np.conjugate(b01)
+
+    def temp(name, dtype=complex):
+        return work(name, a00.shape, dtype)
+
+    a10, b10 = np.conjugate(a01, out=temp("a10")), np.conjugate(b01, out=temp("b10"))
     np.negative(a10, out=a10)
     np.negative(b10, out=b10)
-    a11, b11 = np.conjugate(a00), np.conjugate(b00)
+    a11, b11 = np.conjugate(a00, out=temp("a11")), np.conjugate(b00, out=temp("b11"))
     # Row 1 of V(g1) R(u1) is (t0, t1, c1), row 2 (c1 a10, c1 a11, i s1).  R(u2)
     # makes row 0 final and row 1 (x0, x1, x2), which V(g2) mixes with row 2.
-    (c1, c2), (s1, s2) = np.cos(gammas), np.sin(gammas)
-    i_s1 = 1j * s1
-    t0, t1, term = i_s1 * a10, i_s1 * a11, np.empty_like(a00)
+    cos, sin = work("cos", gammas.shape), work("sin", gammas.shape)
+    (c1, c2), (s1, s2) = np.cos(gammas, out=cos), np.sin(gammas, out=sin)
+    i_s1 = np.multiply(1j, s1, out=temp("i_s1"))
+    t0, t1 = np.multiply(i_s1, a10, out=temp("t0")), np.multiply(i_s1, a11, out=temp("t1"))
+    term = temp("term")
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = out
 
     def pair_sum(entry, x, y, u, v):
@@ -463,13 +502,16 @@ def shelving_unitaries(gammas: np.ndarray, first, second, out: np.ndarray):
     pair_sum(x0, b10, a00, b11, t0)
     pair_sum(x1, b10, a01, b11, t1)
     np.multiply(c1, b11, out=x2)
-    i_s2, c2c1, i_s2c1 = 1j * s2, c2 * c1, 1j * (s2 * c1)
+    i_s2 = np.multiply(1j, s2, out=temp("i_s2"))
+    c2c1 = np.multiply(c2, c1, out=temp("c2c1", float))
+    i_s2c1 = np.multiply(1j, np.multiply(s2, c1, out=temp("s2c1", float)), out=temp("i_s2c1"))
     pair_sum(u10, i_s2, x0, c2c1, a10)
     pair_sum(u11, i_s2, x1, c2c1, a11)
     pair_sum(u12, i_s2, x2, c2, i_s1)
     pair_sum(u20, c2, x0, i_s2c1, a10)
     pair_sum(u21, c2, x1, i_s2c1, a11)
-    np.subtract(np.multiply(c2, x2, out=u22), s2 * s1, out=u22)
+    s2s1 = np.multiply(s2, s1, out=temp("s2c1", float))  # s2 c1 is no longer read
+    np.subtract(np.multiply(c2, x2, out=u22), s2s1, out=u22)
     return out
 
 
@@ -487,22 +529,27 @@ class ShelvingNoiseSampler:
         self.params = params
         self.space = QUTRIT
 
-    def entries(self, normals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def entries(
+        self, normals: np.ndarray, out: np.ndarray | None = None, work: KernelWork | None = None
+    ) -> np.ndarray:
         """The nine entries, row-major, (9, ...) of the composite unitaries of
         standard normals (..., 18), written by :func:`shelving_unitaries` into
         ``out`` (C-contiguous), or a new array.  The Ginibre entries (4, 2, ...)
-        of both code rotations, made in one call, are built in its first rows."""
+        of both code rotations, made in one call, are built in its first rows.
+        The kernel's temporaries are arrays of ``work`` (a fresh one by default)."""
         rows = np.moveaxis(np.asarray(normals), -1, 0)
         shape = rows.shape[1:]
+        work = KernelWork() if work is None else work
         if out is None:
             out = np.empty((9,) + shape, dtype=complex)
         # Contiguous kernel inputs: the scaled angles (2, ...) and Ginibre entries (4, 2, ...).
-        gammas = np.multiply(self.params.sigma_gamma, rows[:2], order="C")
+        gammas = np.multiply(self.params.sigma_gamma, rows[:2], out=work("gammas", rows[:2].shape))
         re_im = rows[2:].reshape((2, 2, 4) + shape)  # [u1 or u2][real or imaginary][entry]
         z = out[:8].reshape((4, 2) + shape)
         z.real, z.imag = re_im[:, 0].swapaxes(0, 1), re_im[:, 1].swapaxes(0, 1)
-        rot00, rot01 = _code_rotations(self.params.phi, z)
-        return shelving_unitaries(gammas, (rot00[0], rot01[0]), (rot00[1], rot01[1]), out)
+        rot00, rot01 = _code_rotations(self.params.phi, z, work)
+        first, second = (rot00[0], rot01[0]), (rot00[1], rot01[1])
+        return shelving_unitaries(gammas, first, second, out, work)
 
     def unitaries(self, normals: np.ndarray) -> np.ndarray:
         """Map standard normals (..., 18) to composite unitaries (..., 3, 3), :meth:`entries`
@@ -531,8 +578,109 @@ def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
 _MC_BATCH = 50_000
 
 #: Draws per chunk of the Monte Carlo average: of its imaginary Ginibre parts
-#: drawn and of its rotations and unitaries made in one call.
+#: read and of its rotations and unitaries made in one call.
 _MC_CHUNK = 2_500
+
+#: Normals per piece of the oracle's prefetching tape: one chunk's imaginary
+#: parts, so every chunk of a full batch reads exactly one piece.
+_TAPE_PIECE = 4 * _MC_CHUNK
+
+#: Pieces in the tape's ring (80 KB each): how far its draws may run ahead of
+#: the arithmetic.
+_TAPE_DEPTH = 8
+
+#: The fewest CPUs the process may run on for the tape to draw on a thread of
+#: its own; with fewer, the thread would only take turns with the arithmetic.
+_PREFETCH_CPUS = 2
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where that cannot be asked."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _NormalTape:
+    """The next ``total`` standard normals of ``gen``, read in order into the reader's arrays.
+
+    The values, and the generator's position after the last of them, are
+    those of one ``gen.standard_normal(total)``: drawing a stream in pieces
+    gives bit for bit the values of one call.  With at least
+    ``_PREFETCH_CPUS`` usable CPUs a worker thread draws them ahead of the
+    reader, ``_TAPE_PIECE`` at a time, into a ring of ``_TAPE_DEPTH`` pieces;
+    ``standard_normal(out=)`` releases the GIL, so the draws run beside the
+    reader's arithmetic.  Otherwise each read draws inline.  Leaving the
+    ``with`` block stops and joins the worker, and a draw's exception is
+    raised by the read that needs it.
+    """
+
+    def __init__(self, gen: np.random.Generator, total: int):
+        self.gen, self.total = gen, total
+        threaded = _usable_cpus() >= _PREFETCH_CPUS
+        self.ring = np.empty((_TAPE_DEPTH if threaded else 1, _TAPE_PIECE))
+        self.worker = threading.Thread(target=self._fill, daemon=True) if threaded else None
+        self.filled, self.free = threading.Semaphore(0), threading.Semaphore(len(self.ring))
+        self.stopped, self.error = False, None
+        self.piece, self.offset, self.count = self.ring[0, :0], 0, 0
+
+    def __enter__(self):
+        if self.worker is not None:
+            self.worker.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.worker is not None:
+            self.stopped = True
+            self.free.release()  # wakes a worker waiting for a free piece
+            self.worker.join()
+
+    def _fill(self):
+        """The worker: draw every piece in order, each once its slot of the ring is free."""
+        try:
+            for index, start in enumerate(range(0, self.total, _TAPE_PIECE)):
+                self.free.acquire()
+                if self.stopped:
+                    return
+                size = min(_TAPE_PIECE, self.total - start)
+                self.gen.standard_normal(out=self.ring[index % len(self.ring), :size])
+                self.filled.release()
+        except BaseException as exc:  # handed to the reader, which raises it
+            self.error = exc
+            self.filled.release()
+
+    def _next_piece(self) -> np.ndarray:
+        self.filled.acquire()
+        if self.error is not None:
+            raise self.error
+        slot, start = self.count % len(self.ring), self.count * _TAPE_PIECE
+        self.count += 1
+        return self.ring[slot, : min(_TAPE_PIECE, self.total - start)]
+
+    def read(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the tape's next ``out.size`` normals, in C order; returns ``out``."""
+        contiguous = out.flags.c_contiguous
+        if self.worker is None:
+            rows = out.reshape(-1) if contiguous else self.ring[0, : out.size]
+            self.gen.standard_normal(out=rows)
+            if not contiguous:
+                out[...] = rows.reshape(out.shape)
+            return out
+        n, done = out.size, 0
+        while done < n:
+            if self.offset == len(self.piece):
+                self.piece, self.offset = self._next_piece(), 0
+            k = min(n - done, len(self.piece) - self.offset)
+            segment = self.piece[self.offset : self.offset + k]
+            if k == n:
+                out[...] = segment.reshape(out.shape)
+            else:  # a read across pieces
+                (out.reshape(-1) if contiguous else out.flat)[done : done + k] = segment
+            done, self.offset = done + k, self.offset + k
+            if self.offset == len(self.piece):
+                self.free.release()
+        return out
 
 
 def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channel:
@@ -543,12 +691,15 @@ def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channe
     rate.  A batch of ``_MC_BATCH`` (or fewer) draws takes, in stream order,
     the pulse angles (b, 2), then the real and the imaginary parts of the
     first and of the second Ginibre matrices (b, 2, 2) each, so the result
-    is fully determined by the stream.  Of these 18 b normals only 10 b
-    doubles are held: the angles, one real-part array (the first, then the
-    second), and the first rotations' entries.  The imaginary parts are
-    drawn ``_MC_CHUNK`` draws at a time: each chunk of the first is made
-    into its rotations at once, and each chunk of the second into its
-    unitaries, added to the Gram sum.
+    is fully determined by the stream.  The normals are read from a
+    :class:`_NormalTape`, which on two or more CPUs draws them on a second
+    thread while this one computes, and the generator ends after exactly
+    18 n_samples of them.  Of each batch's 18 b normals only 10 b doubles
+    are held: the angles, one real-part array (the first, then the second),
+    and the first rotations' entries.  The imaginary parts are read
+    ``_MC_CHUNK`` draws at a time: each chunk of the first is made into its
+    rotations at once, and each chunk of the second into its unitaries,
+    added to the Gram sum.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -556,38 +707,38 @@ def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channe
     size, width = min(_MC_BATCH, n_samples), min(_MC_CHUNK, n_samples)
     angles, real = np.empty(2 * size), np.empty(4 * size)
     first = np.empty((2, size), dtype=complex)  # the first rotations' a00, a01
-    imag, z = np.empty(4 * width), np.empty((4, width), dtype=complex)
+    z = np.empty((4, width), dtype=complex)
     gammas, entries = np.empty((2, width)), np.empty((9, width), dtype=complex)
     gram = np.zeros((9, 9), dtype=complex)  # sum of vec(U) vec(U)^dag
 
     def draw(buffer, n, per_draw):
         """n draws of ``per_draw`` normals, into the front of ``buffer``; (per_draw, n)."""
-        rows = buffer[: n * per_draw]
-        gen.standard_normal(out=rows)
-        return rows.reshape(n, per_draw).T
+        return tape.read(buffer[: n * per_draw]).reshape(n, per_draw).T
 
     def rotations(ginibre_real, lo, hi):
-        """The code rotations of draws lo..hi-1, whose imaginary parts are drawn now."""
+        """The code rotations of draws lo..hi-1, whose imaginary parts are read now."""
         n = hi - lo
-        z.real[:, :n], z.imag[:, :n] = ginibre_real[:, lo:hi], draw(imag, n, 4)
+        z.real[:, :n] = ginibre_real[:, lo:hi]
+        tape.read(z.imag[:, :n].T)
         return _code_rotations(sp.phi, z[:, :n])
 
-    for start in range(0, n_samples, _MC_BATCH):
-        b = min(_MC_BATCH, n_samples - start)
-        pulses = draw(angles, b, 2)
-        pulses *= sp.sigma_gamma
-        ginibre_real = draw(real, b, 4)
-        for lo in range(0, b, _MC_CHUNK):
-            hi = min(lo + _MC_CHUNK, b)
-            first[0, lo:hi], first[1, lo:hi] = rotations(ginibre_real, lo, hi)
-        ginibre_real = draw(real, b, 4)  # the second real parts overwrite the first
-        for lo in range(0, b, _MC_CHUNK):
-            hi = min(lo + _MC_CHUNK, b)
-            n = hi - lo
-            gammas[:, :n] = pulses[:, lo:hi]
-            second = rotations(ginibre_real, lo, hi)
-            u = shelving_unitaries(gammas[:, :n], first[:, lo:hi], second, entries[:, :n])
-            gram += u @ u.conj().T
+    with _NormalTape(gen, ShelvingNoiseSampler.n_normals * n_samples) as tape:
+        for start in range(0, n_samples, _MC_BATCH):
+            b = min(_MC_BATCH, n_samples - start)
+            pulses = draw(angles, b, 2)
+            pulses *= sp.sigma_gamma
+            ginibre_real = draw(real, b, 4)
+            for lo in range(0, b, _MC_CHUNK):
+                hi = min(lo + _MC_CHUNK, b)
+                first[0, lo:hi], first[1, lo:hi] = rotations(ginibre_real, lo, hi)
+            ginibre_real = draw(real, b, 4)  # the second real parts overwrite the first
+            for lo in range(0, b, _MC_CHUNK):
+                hi = min(lo + _MC_CHUNK, b)
+                n = hi - lo
+                gammas[:, :n] = pulses[:, lo:hi]
+                second = rotations(ginibre_real, lo, hi)
+                u = shelving_unitaries(gammas[:, :n], first[:, lo:hi], second, entries[:, :n])
+                gram += u @ u.conj().T
     # Reorder [(i, j), (k, l)] to the Liouville index [(i, k), (j, l)] of kron(U, U*).
     total = gram.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
     return Channel.from_liouville(QUTRIT, total / n_samples)

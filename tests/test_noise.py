@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -471,18 +472,137 @@ def test_averaged_channel_rejects_bad_count():
         lb.averaged_coherent_channel(lb.ShelvingParams(), 0, RandomStream(1))
 
 
+#: Values of ``_PREFETCH_CPUS`` that select each fill mode of the oracle's
+#: normal tape on any machine: a worker thread, or draws inline.
+FILL_MODES = {"thread": 1, "inline": 1 << 30}
+
+
 @pytest.mark.parametrize("batch_size", [50_000])  # the pinned stream layout
-@pytest.mark.parametrize("n", [1, 7, 2_499, 2_501, 10_001, 49_999, 50_000, 50_001, 120_000])
-def test_averaged_channel_matches_reference(n, batch_size):
-    # The segment-by-segment draws and closed-form rotations against the
+@pytest.mark.parametrize(
+    "n", [1, 7, 2_499, 2_501, 9_999, 10_000, 10_001, 49_999, 50_000, 50_001, 120_000]
+)
+def test_averaged_channel_matches_reference(monkeypatch, n, batch_size):
+    # The segment-by-segment reads and closed-form rotations against the
     # separate gen.normal draws and Gram-Schmidt Haar entries, stream position
     # included; the reference draws in the batches of the pinned stream layout.
+    # Both fill modes of the tape give the same bits and end position.
     sp = lb.ShelvingParams()
-    fast_gen, slow_gen = RandomStream(31).generator(), RandomStream(31).generator()
-    fast = lb.averaged_coherent_channel(sp, n, fast_gen)
+    results = []
+    for cpus in FILL_MODES.values():
+        monkeypatch.setattr(noise, "_PREFETCH_CPUS", cpus)
+        gen = RandomStream(31).generator()
+        liouville = lb.averaged_coherent_channel(sp, n, gen).liouville
+        results.append((liouville, gen.standard_normal(4)))
+    (threaded, threaded_next), (inline, inline_next) = results
+    slow_gen = RandomStream(31).generator()
     slow = reference_average(sp, n, slow_gen, batch_size=batch_size)
-    assert np.max(np.abs(fast.liouville - slow.liouville)) < 1e-13
-    assert np.array_equal(fast_gen.standard_normal(4), slow_gen.standard_normal(4))
+    assert np.array_equal(threaded, inline)
+    assert np.array_equal(threaded_next, inline_next)
+    assert np.max(np.abs(threaded - slow.liouville)) < 1e-13
+    assert np.array_equal(threaded_next, slow_gen.standard_normal(4))
+
+
+@pytest.mark.parametrize("mode", FILL_MODES)
+def test_normal_tape_reads_one_stream(monkeypatch, mode):
+    # Reads of any size, into contiguous and strided arrays, within and across
+    # the ring's pieces, give the values and end position of one call.
+    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES[mode])
+    piece = noise._TAPE_PIECE
+    outs = [
+        np.empty(3),
+        np.empty((4, piece // 4)).T,  # strided, across two pieces
+        np.empty(2 * piece + 5),
+        np.empty((4, piece // 4)).T,
+        np.empty((4, 7)).T,
+        np.empty(piece - 1),
+        np.empty((2, 3)),
+    ]
+    total = sum(out.size for out in outs)
+    gen, one_call = RandomStream(9).generator(), RandomStream(9).generator()
+    with noise._NormalTape(gen, total) as tape:
+        values = np.concatenate([tape.read(out).reshape(-1) for out in outs])
+    assert np.array_equal(values, one_call.standard_normal(total))
+    assert np.array_equal(gen.standard_normal(4), one_call.standard_normal(4))
+
+
+class _FailingGenerator(np.random.Generator):
+    """A generator whose ``fail_at``-th ``standard_normal`` call raises."""
+
+    def __init__(self, fail_at: int):
+        super().__init__(np.random.PCG64(1))
+        self.calls, self.fail_at = 0, fail_at
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError(f"fill {self.calls} failed")
+        return super().standard_normal(*args, **kwargs)
+
+
+def _raised_and_threads(call):
+    """(the exception call() raised, or None; the threads alive before; after).
+
+    call() runs on a helper thread joined with a timeout, so that a hang fails
+    the test instead of stalling the suite.
+    """
+    outcome = []
+
+    def target():
+        before = threading.active_count()
+        try:
+            call()
+        except Exception as exc:
+            outcome.append(exc)
+        else:
+            outcome.append(None)
+        outcome.extend([before, threading.active_count()])
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(timeout=60)
+    assert not helper.is_alive(), "the call hung"
+    return tuple(outcome)
+
+
+@pytest.mark.parametrize("mode", FILL_MODES)
+def test_averaged_channel_leaves_no_thread_behind(monkeypatch, mode):
+    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES[mode])
+    call = lambda: lb.averaged_coherent_channel(lb.ShelvingParams(), 60_000, RandomStream(3))
+    raised, before, after = _raised_and_threads(call)
+    assert raised is None and after == before
+
+
+@pytest.mark.parametrize("fail_at", [1, 9, 60])
+@pytest.mark.parametrize("mode", FILL_MODES)
+def test_averaged_channel_raises_a_draw_error(monkeypatch, mode, fail_at):
+    # A draw that fails, on the worker or inline, fails the call with its own
+    # error, and the worker is stopped and joined.
+    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES[mode])
+    gen = _FailingGenerator(fail_at)
+    call = lambda: lb.averaged_coherent_channel(lb.ShelvingParams(), 120_000, gen)
+    raised, before, after = _raised_and_threads(call)
+    assert isinstance(raised, RuntimeError) and str(raised) == f"fill {fail_at} failed"
+    assert after == before
+
+
+@pytest.mark.parametrize("fail_at", [1, 3])
+@pytest.mark.parametrize("mode", FILL_MODES)
+def test_averaged_channel_stops_the_worker_on_a_reader_error(monkeypatch, mode, fail_at):
+    # An error in the arithmetic, while the worker draws ahead or waits for a
+    # free piece, stops and joins the worker.
+    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES[mode])
+    calls, kernel = [], noise.shelving_unitaries
+
+    def failing_kernel(*args):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise FloatingPointError("kernel failed")
+        return kernel(*args)
+
+    monkeypatch.setattr(noise, "shelving_unitaries", failing_kernel)
+    call = lambda: lb.averaged_coherent_channel(lb.ShelvingParams(), 120_000, RandomStream(4))
+    raised, before, after = _raised_and_threads(call)
+    assert isinstance(raised, FloatingPointError) and after == before
 
 
 def test_averaged_channel_peak_memory():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -288,6 +289,23 @@ def test_dataset_csv_json_roundtrip(tmp_path):
     assert np.array_equal(back2.means, ds.means)
 
 
+def test_write_json_matches_json_dump(tmp_path):
+    # One write of the whole text gives the bytes of json.dump's token-by-token writes.
+    doc = {
+        "z": [[1, 2.5, None], {"b": -0.1, "a": [1e-300, 3.0]}],
+        "a": None,
+        "m": 0.30000000000000004,
+        "nested": {"y": [], "x": {}, "w": ["s", True]},
+    }
+    written = tmp_path / "one.json"
+    protocol._write_json(written, doc)
+    dumped = tmp_path / "dump.json"
+    with open(dumped, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert written.read_bytes() == dumped.read_bytes()
+
+
 def test_run_experiment_noiseless():
     cfg = ExperimentConfig(
         gateset="pauli", noise=None, m_list=(1, 5, 10), n_sequences=6, seed=11
@@ -478,7 +496,7 @@ class _NanSampler:
     n_normals = 18
     space = QUTRIT
 
-    def entries(self, normals, out):
+    def entries(self, normals, out, work):
         out.fill(np.nan)
         return out
 
