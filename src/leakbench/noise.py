@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -577,20 +578,17 @@ def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
 #: Draws per batch of the Monte Carlo average: the pinned layout of its stream.
 _MC_BATCH = 50_000
 
-#: Draws per chunk of the Monte Carlo average: of its imaginary Ginibre parts
-#: read and of its rotations and unitaries made in one call.
+#: Draws per chunk of the Monte Carlo average: of its rotations and unitaries
+#: made in one call, and of each piece of its real and imaginary Ginibre parts.
 _MC_CHUNK = 2_500
 
-#: Normals per piece of the oracle's prefetching tape: one chunk's imaginary
-#: parts, so every chunk of a full batch reads exactly one piece.
-_TAPE_PIECE = 4 * _MC_CHUNK
+#: Pieces the oracle's worker thread may draw beyond those its reader holds
+#: (80 KB each at the shipped size).
+_TAPE_LOOKAHEAD = 8
 
-#: Pieces in the tape's ring (80 KB each): how far its draws may run ahead of
-#: the arithmetic.
-_TAPE_DEPTH = 8
-
-#: The fewest CPUs the process may run on for the tape to draw on a thread of
-#: its own; with fewer, the thread would only take turns with the arithmetic.
+#: The fewest CPUs the process may run on for the oracle to draw its normals on
+#: a thread of their own; with fewer, the thread only takes turns with the
+#: arithmetic.
 _PREFETCH_CPUS = 2
 
 
@@ -603,27 +601,31 @@ def _usable_cpus() -> int:
 
 
 class _NormalTape:
-    """The next ``total`` standard normals of ``gen``, read in order into the reader's arrays.
+    """The standard normals of ``gen`` for consecutive segments of the given lengths,
+    taken in stream order as pieces of at most ``piece`` normals.
 
-    The values, and the generator's position after the last of them, are
-    those of one ``gen.standard_normal(total)``: drawing a stream in pieces
-    gives bit for bit the values of one call.  With at least
-    ``_PREFETCH_CPUS`` usable CPUs a worker thread draws them ahead of the
-    reader, ``_TAPE_PIECE`` at a time, into a ring of ``_TAPE_DEPTH`` pieces;
+    Each segment starts a new piece.  A piece is a view of a slot of a ring,
+    valid until it is released; the reader holds at most ``held`` pieces at
+    once.  With at least ``_PREFETCH_CPUS`` usable CPUs a worker thread draws
+    the pieces, into any free slot, up to ``_TAPE_LOOKAHEAD`` pieces ahead:
     ``standard_normal(out=)`` releases the GIL, so the draws run beside the
-    reader's arithmetic.  Otherwise each read draws inline.  Leaving the
-    ``with`` block stops and joins the worker, and a draw's exception is
-    raised by the read that needs it.
+    reader's arithmetic.  Otherwise a piece is drawn when it is taken.  Either
+    way the pieces in order are bit for bit one ``gen.standard_normal`` call
+    of every segment's length, and the generator ends where that call leaves
+    it.  Leaving the ``with`` block stops and joins the worker, and a draw's
+    exception is raised by the take that needs its piece.
     """
 
-    def __init__(self, gen: np.random.Generator, total: int):
-        self.gen, self.total = gen, total
+    def __init__(self, gen: np.random.Generator, segments, piece: int, held: int):
+        self.gen = gen
+        self.sizes = (min(piece, n - start) for n in segments for start in range(0, n, piece))
         threaded = _usable_cpus() >= _PREFETCH_CPUS
-        self.ring = np.empty((_TAPE_DEPTH if threaded else 1, _TAPE_PIECE))
+        self.ring = np.empty((held + _TAPE_LOOKAHEAD if threaded else held, piece))
         self.worker = threading.Thread(target=self._fill, daemon=True) if threaded else None
-        self.filled, self.free = threading.Semaphore(0), threading.Semaphore(len(self.ring))
-        self.stopped, self.error = False, None
-        self.piece, self.offset, self.count = self.ring[0, :0], 0, 0
+        self.filled, self.free = queue.SimpleQueue(), queue.SimpleQueue()
+        for slot in range(len(self.ring)):
+            self.free.put(slot)
+        self.stopped = False
 
     def __enter__(self):
         if self.worker is not None:
@@ -633,54 +635,37 @@ class _NormalTape:
     def __exit__(self, *exc_info):
         if self.worker is not None:
             self.stopped = True
-            self.free.release()  # wakes a worker waiting for a free piece
+            self.free.put(None)  # wakes a worker waiting for a free slot
             self.worker.join()
 
+    def _draw(self, slot: int, size: int):
+        self.gen.standard_normal(out=self.ring[slot, :size])
+        return slot, size
+
     def _fill(self):
-        """The worker: draw every piece in order, each once its slot of the ring is free."""
+        """The worker: draw every piece in order, each into the next slot released."""
         try:
-            for index, start in enumerate(range(0, self.total, _TAPE_PIECE)):
-                self.free.acquire()
+            for size in self.sizes:
+                slot = self.free.get()
                 if self.stopped:
                     return
-                size = min(_TAPE_PIECE, self.total - start)
-                self.gen.standard_normal(out=self.ring[index % len(self.ring), :size])
-                self.filled.release()
+                self.filled.put(self._draw(slot, size))
         except BaseException as exc:  # handed to the reader, which raises it
-            self.error = exc
-            self.filled.release()
+            self.filled.put(exc)
 
-    def _next_piece(self) -> np.ndarray:
-        self.filled.acquire()
-        if self.error is not None:
-            raise self.error
-        slot, start = self.count % len(self.ring), self.count * _TAPE_PIECE
-        self.count += 1
-        return self.ring[slot, : min(_TAPE_PIECE, self.total - start)]
-
-    def read(self, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with the tape's next ``out.size`` normals, in C order; returns ``out``."""
-        contiguous = out.flags.c_contiguous
+    def take(self):
+        """The next piece: (its slot, its normals)."""
         if self.worker is None:
-            rows = out.reshape(-1) if contiguous else self.ring[0, : out.size]
-            self.gen.standard_normal(out=rows)
-            if not contiguous:
-                out[...] = rows.reshape(out.shape)
-            return out
-        n, done = out.size, 0
-        while done < n:
-            if self.offset == len(self.piece):
-                self.piece, self.offset = self._next_piece(), 0
-            k = min(n - done, len(self.piece) - self.offset)
-            segment = self.piece[self.offset : self.offset + k]
-            if k == n:
-                out[...] = segment.reshape(out.shape)
-            else:  # a read across pieces
-                (out.reshape(-1) if contiguous else out.flat)[done : done + k] = segment
-            done, self.offset = done + k, self.offset + k
-            if self.offset == len(self.piece):
-                self.free.release()
-        return out
+            item = self._draw(self.free.get_nowait(), next(self.sizes))
+        else:
+            item = self.filled.get()
+        if isinstance(item, BaseException):
+            raise item
+        slot, size = item
+        return slot, self.ring[slot, :size]
+
+    def release(self, slot: int):
+        self.free.put(slot)
 
 
 def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channel:
@@ -691,52 +676,59 @@ def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channe
     rate.  A batch of ``_MC_BATCH`` (or fewer) draws takes, in stream order,
     the pulse angles (b, 2), then the real and the imaginary parts of the
     first and of the second Ginibre matrices (b, 2, 2) each, so the result
-    is fully determined by the stream.  The normals are read from a
+    is fully determined by the stream.  The normals come from a
     :class:`_NormalTape`, which on two or more CPUs draws them on a second
     thread while this one computes, and the generator ends after exactly
-    18 n_samples of them.  Of each batch's 18 b normals only 10 b doubles
-    are held: the angles, one real-part array (the first, then the second),
-    and the first rotations' entries.  The imaginary parts are read
-    ``_MC_CHUNK`` draws at a time: each chunk of the first is made into its
-    rotations at once, and each chunk of the second into its unitaries,
-    added to the Gram sum.
+    18 n_samples of them.  The tape cuts every segment into pieces of
+    ``4 _MC_CHUNK`` normals: one chunk of draws' real or imaginary Ginibre
+    parts, or two chunks' angles.  The angles' and the real parts' pieces
+    stay on the tape until their chunks are done.  When a chunk's piece of
+    imaginary parts arrives, its first Ginibre matrices are made into
+    rotations, held until the second; its second, into unitaries, added to
+    the Gram sum.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     gen = as_generator(rng)
     size, width = min(_MC_BATCH, n_samples), min(_MC_CHUNK, n_samples)
-    angles, real = np.empty(2 * size), np.empty(4 * size)
     first = np.empty((2, size), dtype=complex)  # the first rotations' a00, a01
-    z = np.empty((4, width), dtype=complex)
     gammas, entries = np.empty((2, width)), np.empty((9, width), dtype=complex)
+    z = entries[:4]  # the Ginibre entries, read before the unitaries are written
     gram = np.zeros((9, 9), dtype=complex)  # sum of vec(U) vec(U)^dag
+    batches = [min(_MC_BATCH, n_samples - start) for start in range(0, n_samples, _MC_BATCH)]
+    segments = [n for b in batches for n in (2 * b, 4 * b, 4 * b, 4 * b, 4 * b)]
 
-    def draw(buffer, n, per_draw):
-        """n draws of ``per_draw`` normals, into the front of ``buffer``; (per_draw, n)."""
-        return tape.read(buffer[: n * per_draw]).reshape(n, per_draw).T
-
-    def rotations(ginibre_real, lo, hi):
-        """The code rotations of draws lo..hi-1, whose imaginary parts are read now."""
-        n = hi - lo
-        z.real[:, :n] = ginibre_real[:, lo:hi]
-        tape.read(z.imag[:, :n].T)
+    def rotations(real):
+        """The code rotations of the chunk whose real parts are the piece ``real``."""
+        slot, values = real
+        n = len(values) // 4
+        z.real[:, :n] = values.reshape(n, 4).T
+        tape.release(slot)
+        slot, values = tape.take()
+        z.imag[:, :n] = values.reshape(n, 4).T
+        tape.release(slot)
         return _code_rotations(sp.phi, z[:, :n])
 
-    with _NormalTape(gen, ShelvingNoiseSampler.n_normals * n_samples) as tape:
-        for start in range(0, n_samples, _MC_BATCH):
-            b = min(_MC_BATCH, n_samples - start)
-            pulses = draw(angles, b, 2)
-            pulses *= sp.sigma_gamma
-            ginibre_real = draw(real, b, 4)
-            for lo in range(0, b, _MC_CHUNK):
+    # The reader holds at most a batch's pieces of angles and of real parts.
+    held = -(-size // (2 * width)) + -(-size // width)
+    with _NormalTape(gen, segments, 4 * width, held) as tape:
+        for b in batches:
+            chunks = range(0, b, _MC_CHUNK)
+            pulses = [tape.take() for _ in range(0, b, 2 * width)]
+            for _, values in pulses:
+                values *= sp.sigma_gamma
+            for lo, real in zip(chunks, [tape.take() for _ in chunks]):
                 hi = min(lo + _MC_CHUNK, b)
-                first[0, lo:hi], first[1, lo:hi] = rotations(ginibre_real, lo, hi)
-            ginibre_real = draw(real, b, 4)  # the second real parts overwrite the first
-            for lo in range(0, b, _MC_CHUNK):
+                first[0, lo:hi], first[1, lo:hi] = rotations(real)
+            for k, (lo, real) in enumerate(zip(chunks, [tape.take() for _ in chunks])):
                 hi = min(lo + _MC_CHUNK, b)
                 n = hi - lo
-                gammas[:, :n] = pulses[:, lo:hi]
-                second = rotations(ginibre_real, lo, hi)
+                slot, values = pulses[k // 2]
+                offset = 2 * width * (k % 2)
+                gammas[:, :n] = values[offset : offset + 2 * n].reshape(n, 2).T
+                if k % 2 or hi == b:  # the piece's last chunk
+                    tape.release(slot)
+                second = rotations(real)
                 u = shelving_unitaries(gammas[:, :n], first[:, lo:hi], second, entries[:, :n])
                 gram += u @ u.conj().T
     # Reorder [(i, j), (k, l)] to the Liouville index [(i, k), (j, l)] of kron(U, U*).

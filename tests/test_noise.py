@@ -482,8 +482,8 @@ FILL_MODES = {"thread": 1, "inline": 1 << 30}
     "n", [1, 7, 2_499, 2_501, 9_999, 10_000, 10_001, 49_999, 50_000, 50_001, 120_000]
 )
 def test_averaged_channel_matches_reference(monkeypatch, n, batch_size):
-    # The segment-by-segment reads and closed-form rotations against the
-    # separate gen.normal draws and Gram-Schmidt Haar entries, stream position
+    # The piece-by-piece draws and closed-form rotations against the separate
+    # gen.normal draws and Gram-Schmidt Haar entries, stream position
     # included; the reference draws in the batches of the pinned stream layout.
     # Both fill modes of the tape give the same bits and end position.
     sp = lb.ShelvingParams()
@@ -503,25 +503,22 @@ def test_averaged_channel_matches_reference(monkeypatch, n, batch_size):
 
 
 @pytest.mark.parametrize("mode", FILL_MODES)
-def test_normal_tape_reads_one_stream(monkeypatch, mode):
-    # Reads of any size, into contiguous and strided arrays, within and across
-    # the ring's pieces, give the values and end position of one call.
+def test_normal_tape_pieces_are_one_stream(monkeypatch, mode):
+    # Pieces taken in order and released in any order join into one call of
+    # the segments' total length, each segment starting a piece, and leave
+    # the generator where that call does.
     monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES[mode])
-    piece = noise._TAPE_PIECE
-    outs = [
-        np.empty(3),
-        np.empty((4, piece // 4)).T,  # strided, across two pieces
-        np.empty(2 * piece + 5),
-        np.empty((4, piece // 4)).T,
-        np.empty((4, 7)).T,
-        np.empty(piece - 1),
-        np.empty((2, 3)),
-    ]
-    total = sum(out.size for out in outs)
+    segments, piece = [3, 25, 10, 7, 40], 10
     gen, one_call = RandomStream(9).generator(), RandomStream(9).generator()
-    with noise._NormalTape(gen, total) as tape:
-        values = np.concatenate([tape.read(out).reshape(-1) for out in outs])
-    assert np.array_equal(values, one_call.standard_normal(total))
+    pieces = []
+    with noise._NormalTape(gen, segments, piece, held=4) as tape:
+        for n in segments:
+            taken = [tape.take() for _ in range(0, n, piece)]
+            pieces += [values.copy() for _, values in taken]
+            for slot, _ in reversed(taken):
+                tape.release(slot)
+    assert [len(p) for p in pieces] == [3, 10, 10, 5, 10, 7, 10, 10, 10, 10]
+    assert np.array_equal(np.concatenate(pieces), one_call.standard_normal(sum(segments)))
     assert np.array_equal(gen.standard_normal(4), one_call.standard_normal(4))
 
 
@@ -605,11 +602,13 @@ def test_averaged_channel_stops_the_worker_on_a_reader_error(monkeypatch, mode, 
     assert isinstance(raised, FloatingPointError) and after == before
 
 
-def test_averaged_channel_peak_memory():
-    # 10 doubles held per batch draw, not its 18 normals (the angles, one
-    # real-part array and the first rotations), and 2.5k-draw chunks of
-    # kernel work: 5.73 MiB here, against 8.92 MiB with the whole batch in
-    # one buffer and 14.66 MiB with a complex copy of it.
+def test_averaged_channel_peak_memory(monkeypatch):
+    # 10 doubles held per batch draw, not its 18 normals (the angles' and the
+    # real parts' pieces on the tape and the first rotations), the worker's
+    # 8 pieces of lookahead, and 2.5k-draw chunks of kernel work: 6.10 MiB
+    # here with the worker (5.49 MiB inline), against 8.92 MiB with the whole
+    # batch in one buffer and 14.66 MiB with a complex copy of it.
+    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES["thread"])
     tracemalloc.start()
     try:
         lb.averaged_coherent_channel(lb.ShelvingParams(), 200_000, RandomStream(5))
