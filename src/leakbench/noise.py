@@ -391,47 +391,20 @@ class ShelvingParams:
             raise ValueError(f"sigma_gamma must be finite and nonnegative, got {self.sigma_gamma}")
 
 
-class KernelWork:
-    """Scratch arrays of the shelving kernel, held by its caller and reused by every call.
-
-    ``work(name, shape, dtype)`` is the front of the flat array kept under
-    ``name``, viewed at ``shape``; the array is allocated afresh only when it
-    is too small, so calls on chunks no larger than the first allocate
-    nothing.  The arrays a kernel call returns are among them, valid until
-    the next call.
-    """
-
-    def __init__(self):
-        self.arrays = {}
-
-    def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self.arrays.get(name)
-        if flat is None or flat.size < size:
-            flat = self.arrays[name] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
-
-
-def _code_rotations(phi: float, z: np.ndarray, work: KernelWork | None = None):
+def _code_rotations(phi: float, z: np.ndarray):
     """Entries a00, a01 of A = cos(phi) I + i sin(phi) u X u^dag = [[a00, a01], [-a01*, a00*]].
 
     u is the Haar unitary of the Ginibre matrix z (4, ...), the Q of its QR
     with R's diagonal real-positive: its columns are z's first normalized,
     (a, c), and (-c*, a*) times the phase of det z, so A needs no u.  With
     s = sin(phi) / (|det z| (|z00|^2 + |z10|^2)), a00 = cos(phi) -
-    2i s Re(det* z00 z10) and a01 = i s (det* z00^2 - det z10*^2).  The
-    temporaries and the entries are arrays of ``work`` (a fresh one by default).
+    2i s Re(det* z00 z10) and a01 = i s (det* z00^2 - det z10*^2).
     """
-    work = KernelWork() if work is None else work
     z00, z01, z10, z11 = z
-    shape = z00.shape
     # The formulas' operations in their order, in place: the same values, fewer arrays.
-    det = np.multiply(z00, z11, out=work("det", shape, complex))
-    p = np.multiply(z10, z01, out=work("p", shape, complex))
+    det, p = np.multiply(z00, z11), np.multiply(z10, z01)
     det -= p
-    norm = np.square(det.real, out=work("norm", shape))
-    scale = np.square(det.imag, out=work("scale", shape))
-    part = work("part", shape)
+    norm, scale, part = np.square(det.real), np.square(det.imag), np.empty(det.shape)
     norm += scale
     np.sqrt(norm, out=norm)
     np.square(z00.real, out=scale)
@@ -442,7 +415,7 @@ def _code_rotations(phi: float, z: np.ndarray, work: KernelWork | None = None):
     s = np.divide(np.sin(phi), norm, out=norm)
     np.conjugate(det, out=det)
     np.multiply(det, z00, out=p)
-    a00 = np.multiply(p, z10, out=work("a00", shape, complex))
+    a00 = np.multiply(p, z10)
     np.multiply(s, a00.real, out=part)
     a00.real = np.cos(phi)
     np.multiply(part, -2.0, out=a00.imag)
@@ -459,9 +432,7 @@ def _code_rotations(phi: float, z: np.ndarray, work: KernelWork | None = None):
     return a00, a01
 
 
-def shelving_unitaries(
-    gammas: np.ndarray, first, second, out: np.ndarray, work: KernelWork | None = None
-):
+def shelving_unitaries(gammas: np.ndarray, first, second, out: np.ndarray):
     """Entries of the composite unitaries V(g2) R(u2) V(g1) R(u1) on the qutrit, batched.
 
     gammas (2, n) holds the pulse angles g1, g2, and ``first`` and ``second``
@@ -469,26 +440,18 @@ def shelving_unitaries(
     (:func:`_code_rotations`), each (n,); those of ``second`` are
     overwritten.  V(g) = 1 (+) [[i sin g, cos g], [cos g, i sin g]] mixes
     levels {1, 2} and R(u) = A (+) 1 mixes levels {0, 1}.  U's nine entries,
-    row-major, go to ``out`` (9, n), which is returned.  The temporaries are
-    arrays of ``work`` (a :class:`KernelWork`, a fresh one by default).
+    row-major, go to ``out`` (9, n), which is returned.
     """
-    work = KernelWork() if work is None else work
     (a00, a01), (b00, b01) = first, second
-
-    def temp(name, dtype=complex):
-        return work(name, a00.shape, dtype)
-
-    a10, b10 = np.conjugate(a01, out=temp("a10")), np.conjugate(b01, out=temp("b10"))
+    a10, b10 = np.conjugate(a01), np.conjugate(b01)
     np.negative(a10, out=a10)
     np.negative(b10, out=b10)
-    a11, b11 = np.conjugate(a00, out=temp("a11")), np.conjugate(b00, out=temp("b11"))
+    a11, b11 = np.conjugate(a00), np.conjugate(b00)
     # Row 1 of V(g1) R(u1) is (t0, t1, c1), row 2 (c1 a10, c1 a11, i s1).  R(u2)
     # makes row 0 final and row 1 (x0, x1, x2), which V(g2) mixes with row 2.
-    cos, sin = work("cos", gammas.shape), work("sin", gammas.shape)
-    (c1, c2), (s1, s2) = np.cos(gammas, out=cos), np.sin(gammas, out=sin)
-    i_s1 = np.multiply(1j, s1, out=temp("i_s1"))
-    t0, t1 = np.multiply(i_s1, a10, out=temp("t0")), np.multiply(i_s1, a11, out=temp("t1"))
-    term = temp("term")
+    (c1, c2), (s1, s2) = np.cos(gammas), np.sin(gammas)
+    i_s1 = 1j * s1
+    t0, t1, term = i_s1 * a10, i_s1 * a11, np.empty_like(a00)
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = out
 
     def pair_sum(entry, x, y, u, v):
@@ -503,16 +466,13 @@ def shelving_unitaries(
     pair_sum(x0, b10, a00, b11, t0)
     pair_sum(x1, b10, a01, b11, t1)
     np.multiply(c1, b11, out=x2)
-    i_s2 = np.multiply(1j, s2, out=temp("i_s2"))
-    c2c1 = np.multiply(c2, c1, out=temp("c2c1", float))
-    i_s2c1 = np.multiply(1j, np.multiply(s2, c1, out=temp("s2c1", float)), out=temp("i_s2c1"))
+    i_s2, c2c1, i_s2c1 = 1j * s2, c2 * c1, 1j * (s2 * c1)
     pair_sum(u10, i_s2, x0, c2c1, a10)
     pair_sum(u11, i_s2, x1, c2c1, a11)
     pair_sum(u12, i_s2, x2, c2, i_s1)
     pair_sum(u20, c2, x0, i_s2c1, a10)
     pair_sum(u21, c2, x1, i_s2c1, a11)
-    s2s1 = np.multiply(s2, s1, out=temp("s2c1", float))  # s2 c1 is no longer read
-    np.subtract(np.multiply(c2, x2, out=u22), s2s1, out=u22)
+    np.subtract(np.multiply(c2, x2, out=u22), s2 * s1, out=u22)
     return out
 
 
@@ -530,27 +490,22 @@ class ShelvingNoiseSampler:
         self.params = params
         self.space = QUTRIT
 
-    def entries(
-        self, normals: np.ndarray, out: np.ndarray | None = None, work: KernelWork | None = None
-    ) -> np.ndarray:
+    def entries(self, normals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The nine entries, row-major, (9, ...) of the composite unitaries of
         standard normals (..., 18), written by :func:`shelving_unitaries` into
         ``out`` (C-contiguous), or a new array.  The Ginibre entries (4, 2, ...)
-        of both code rotations, made in one call, are built in its first rows.
-        The kernel's temporaries are arrays of ``work`` (a fresh one by default)."""
+        of both code rotations, made in one call, are built in its first rows."""
         rows = np.moveaxis(np.asarray(normals), -1, 0)
         shape = rows.shape[1:]
-        work = KernelWork() if work is None else work
         if out is None:
             out = np.empty((9,) + shape, dtype=complex)
         # Contiguous kernel inputs: the scaled angles (2, ...) and Ginibre entries (4, 2, ...).
-        gammas = np.multiply(self.params.sigma_gamma, rows[:2], out=work("gammas", rows[:2].shape))
+        gammas = np.multiply(self.params.sigma_gamma, rows[:2], order="C")
         re_im = rows[2:].reshape((2, 2, 4) + shape)  # [u1 or u2][real or imaginary][entry]
         z = out[:8].reshape((4, 2) + shape)
         z.real, z.imag = re_im[:, 0].swapaxes(0, 1), re_im[:, 1].swapaxes(0, 1)
-        rot00, rot01 = _code_rotations(self.params.phi, z, work)
-        first, second = (rot00[0], rot01[0]), (rot00[1], rot01[1])
-        return shelving_unitaries(gammas, first, second, out, work)
+        rot00, rot01 = _code_rotations(self.params.phi, z)
+        return shelving_unitaries(gammas, (rot00[0], rot01[0]), (rot00[1], rot01[1]), out)
 
     def unitaries(self, normals: np.ndarray) -> np.ndarray:
         """Map standard normals (..., 18) to composite unitaries (..., 3, 3), :meth:`entries`
@@ -622,9 +577,11 @@ class _NormalTape:
         threaded = _usable_cpus() >= _PREFETCH_CPUS
         self.ring = np.empty((held + _TAPE_LOOKAHEAD if threaded else held, piece))
         self.worker = threading.Thread(target=self._fill, daemon=True) if threaded else None
-        self.filled, self.free = queue.SimpleQueue(), queue.SimpleQueue()
+        # The free slots: a queue the worker waits on, or, inline, a stack, so
+        # that a piece is drawn into the slot just read, still in cache.
+        self.filled, self.free = queue.SimpleQueue(), queue.SimpleQueue() if threaded else []
         for slot in range(len(self.ring)):
-            self.free.put(slot)
+            self.release(slot)
         self.stopped = False
 
     def __enter__(self):
@@ -656,7 +613,7 @@ class _NormalTape:
     def take(self):
         """The next piece: (its slot, its normals)."""
         if self.worker is None:
-            item = self._draw(self.free.get_nowait(), next(self.sizes))
+            item = self._draw(self.free.pop(), next(self.sizes))
         else:
             item = self.filled.get()
         if isinstance(item, BaseException):
@@ -665,7 +622,10 @@ class _NormalTape:
         return slot, self.ring[slot, :size]
 
     def release(self, slot: int):
-        self.free.put(slot)
+        if self.worker is None:
+            self.free.append(slot)
+        else:
+            self.free.put(slot)
 
 
 def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channel:

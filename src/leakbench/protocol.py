@@ -34,7 +34,7 @@ from .liouville import (
     vec,
 )
 from .noise import NOISE_PARAMS, RandomStream, build_noise_model
-from .noise import KernelWork, pcg64_integers, pcg64_seeds
+from .noise import pcg64_integers, pcg64_seeds
 from .noise import FilterParams, ShelvingParams
 
 # Sub-stream tags: sequence/shot draws vs. per-step noise draws.
@@ -490,13 +490,11 @@ def _evolve_columns(indices, lengths, gateset: GateSet, sampler, spam: SpamSpec,
     chunks = list(_chunks(lengths, _CHUNK_SAMPLES))
     size = max((k * (stop - t) for k, t, stop in chunks), default=0)
     unitary_work, gate_work = np.empty((2, d * d * size), dtype=complex)
-    kernel_work = KernelWork()
     for k, t, stop in chunks:
         chunk = indices[:k, t:stop].T
         count, shape = d * d * chunk.size, (d, d) + chunk.shape
         out = unitary_work[:count].reshape((d * d,) + chunk.shape)
-        chunk_normals = normals[:k, t:stop].swapaxes(0, 1)
-        unitaries = sampler.entries(chunk_normals, out, kernel_work).reshape(shape)
+        unitaries = sampler.entries(normals[:k, t:stop].swapaxes(0, 1), out).reshape(shape)
         # run_sequences checked the indices, so "clip" skips take's buffered bounds check.
         picked = gates.take(chunk, axis=2, out=gate_work[:count].reshape(shape), mode="clip")
         evolving = columns[..., :k]

@@ -496,7 +496,7 @@ class _NanSampler:
     n_normals = 18
     space = QUTRIT
 
-    def entries(self, normals, out, work):
+    def entries(self, normals, out):
         out.fill(np.nan)
         return out
 
