@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import queue
 import threading
 from dataclasses import dataclass
 
@@ -572,6 +571,8 @@ class _NormalTape:
     """
 
     def __init__(self, gen: np.random.Generator, segments, piece: int, held: int):
+        import queue  # here, so that runs with no Monte Carlo oracle never load it
+
         self.gen = gen
         self.sizes = (min(piece, n - start) for n in segments for start in range(0, n, piece))
         threaded = _usable_cpus() >= _PREFETCH_CPUS
