@@ -605,9 +605,9 @@ def test_averaged_channel_stops_the_worker_on_a_reader_error(monkeypatch, mode, 
 def test_averaged_channel_peak_memory(monkeypatch):
     # 10 doubles held per batch draw, not its 18 normals (the angles' and the
     # real parts' pieces on the tape and the first rotations), the worker's
-    # 8 pieces of lookahead, and 2.5k-draw chunks of kernel work: 6.10 MiB
-    # here with the worker (5.49 MiB inline), against 8.92 MiB with the whole
-    # batch in one buffer and 14.66 MiB with a complex copy of it.
+    # 8 pieces of lookahead, and 2.5k-draw chunks of kernel work: 6.18 MiB
+    # with the worker in a fresh process (5.57 MiB inline), against 8.92 MiB
+    # with the whole batch in one buffer and 14.66 MiB with a complex copy.
     monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES["thread"])
     tracemalloc.start()
     try:
