@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -520,6 +521,43 @@ def test_normal_tape_pieces_are_one_stream(monkeypatch, mode):
     assert [len(p) for p in pieces] == [3, 10, 10, 5, 10, 7, 10, 10, 10, 10]
     assert np.array_equal(np.concatenate(pieces), one_call.standard_normal(sum(segments)))
     assert np.array_equal(gen.standard_normal(4), one_call.standard_normal(4))
+
+
+def test_normal_tape_under_thread_switching(monkeypatch):
+    # Four readers, each with its worker, on two CPUs, switching threads every
+    # 10 us: a slot refilled while its piece was still held would change the
+    # piece before it is copied at its release.
+    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES["thread"])
+    segments, piece, held = [50] * 40, 7, 3
+    expected = RandomStream(11).generator().standard_normal(sum(segments))
+    results = []
+
+    def read():
+        values, taken = [], []
+        with noise._NormalTape(RandomStream(11).generator(), segments, piece, held) as tape:
+            for _ in range(sum(-(-n // piece) for n in segments)):
+                taken.append(tape.take())
+                if len(taken) == held:
+                    for slot, piece_values in taken:
+                        values.append(piece_values.copy())
+                        tape.release(slot)
+                    taken = []
+            for slot, piece_values in taken:
+                values.append(piece_values.copy())
+        results.append(np.array_equal(np.concatenate(values), expected))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [threading.Thread(target=read, daemon=True) for _ in range(4)]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert results == [True] * 4
 
 
 class _FailingGenerator(np.random.Generator):
