@@ -23,9 +23,8 @@ from .gatesets import (
     GateSet,
     NoiseAssignment,
     average_noise,
-    pauli_gateset,
+    gateset_by_id,
     predicted_twirl_matrix,
-    shelving_gateset,
     twirl,
 )
 from .liouville import (
@@ -407,8 +406,7 @@ def check_sequence_average_closed_form(gs: GateSet):
 
 def run_checks():
     """The fast invariant suite; returns a list of (name, passed, detail)."""
-    pauli = pauli_gateset()
-    shelving = shelving_gateset()
+    pauli, shelving = gateset_by_id("pauli"), gateset_by_id("shelving")
     checks = [
         ("twirl idempotence (pauli)", lambda: check_twirl_idempotent(pauli)),
         ("twirl idempotence (shelving)", lambda: check_twirl_idempotent(shelving)),

@@ -8,6 +8,7 @@ be assembled from any pair of unitary 1-designs on the two subspaces.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from .liouville import (
     SpaceSpec,
     _kron_conj,
     _operator_stack,
+    _read_only,
     matrix_from_pairs,
     mix,
 )
@@ -32,16 +34,16 @@ PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
 class GateSet:
     """A finite set of unitaries on H whose averaged action is a group average.
 
-    Gates and their Liouville matrices are read-only stacks.  Construction
-    verifies unitarity and the projector property of the averaged
-    conjugation action, which is what sequence averaging relies on.
+    Gates, their Liouville matrices and the twirl matrix are read-only and
+    computed once.  Construction verifies unitarity and the projector property
+    of the averaged conjugation action, which is what sequence averaging
+    relies on.
     """
 
     def __init__(self, space: SpaceSpec, gates, label: str, validate: bool = True):
         self.space = space
         self.gates = _operator_stack(gates, space.d, "gates")
         self.label = label
-        self._liouvilles: np.ndarray | None = None
         if validate:
             self._check_unitary()
             self._check_group_structure()
@@ -58,7 +60,7 @@ class GateSet:
         # sets like {P (+) +-1} close only up to subspace-relative phases
         # ((X (+) -1)(Y (+) -1) = iZ (+) 1), which a literal matrix-closure
         # test would reject but the averaged action cancels.
-        avg = twirl(self).matrix
+        avg = self.twirl_matrix
         lios = self.gate_liouvilles
         dev = np.max(np.abs(np.concatenate([[avg @ avg], avg @ lios, lios @ avg]) - avg))
         if dev > tol:
@@ -67,13 +69,15 @@ class GateSet:
                 f"(deviation {dev:.3e})"
             )
 
-    @property
+    @functools.cached_property
     def gate_liouvilles(self) -> np.ndarray:
-        """kron(g, g.conj()) per gate (n, d^2, d^2), cached; phase-invariant."""
-        if self._liouvilles is None:
-            self._liouvilles = _kron_conj(self.gates)
-            self._liouvilles.flags.writeable = False
-        return self._liouvilles
+        """kron(g, g.conj()) per gate (n, d^2, d^2); phase-invariant."""
+        return _read_only(_kron_conj(self.gates))
+
+    @functools.cached_property
+    def twirl_matrix(self) -> np.ndarray:
+        """The mean of :attr:`gate_liouvilles`; idempotent for a group."""
+        return _read_only(self.gate_liouvilles.mean(axis=0))
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -115,8 +119,8 @@ class TwirlProjector:
 
 
 def twirl(gs: GateSet) -> TwirlProjector:
-    """Average of kron(g, g.conj()) over the set; idempotent for a group."""
-    return TwirlProjector(gs.gate_liouvilles.mean(axis=0))
+    """Average of kron(g, g.conj()) over the set (:attr:`GateSet.twirl_matrix`)."""
+    return TwirlProjector(gs.twirl_matrix)
 
 
 def predicted_twirl_matrix(space: SpaceSpec) -> np.ndarray:
@@ -134,7 +138,8 @@ class NoiseAssignment:
     """Per-gate error channels for a gate set.
 
     Either a fixed tuple of channels (one per gate index) or a stochastic
-    sampler drawing a fresh channel at every application.
+    sampler drawing a fresh channel at every application.  The average of
+    fixed channels is computed once (:func:`average_noise`).
     """
 
     def __init__(self, space: SpaceSpec, channels=None, sampler=None):
@@ -157,6 +162,10 @@ class NoiseAssignment:
     def stochastic(self) -> bool:
         return self.sampler is not None
 
+    @functools.cached_property
+    def _average(self) -> Channel:
+        return mix(self.channels)
+
 
 def _step_liouvilles(gs: GateSet, na: NoiseAssignment | None) -> np.ndarray:
     """The |G| step matrices L(G_g) L(E_g) of fixed noise (L(G_g) alone without noise), stacked."""
@@ -170,14 +179,15 @@ def average_noise(na: NoiseAssignment) -> Channel:
     """The uniform mixture of the per-gate channels.
 
     The Kraus list is the union of member lists scaled by 1/sqrt(n), so the
-    Liouville matrix is the arithmetic mean of the members'.
+    Liouville matrix is the arithmetic mean of the members'.  Every call on
+    ``na`` returns the same channel.
     """
     if na.stochastic:
         raise ValueError(
             "stochastic noise has no fixed average; use a Monte Carlo "
             "average with a declared sample count instead"
         )
-    return mix(na.channels)
+    return na._average
 
 
 def gate_dependence_epsilon(gs: GateSet, na: NoiseAssignment) -> float:
@@ -193,7 +203,7 @@ def gate_dependence_epsilon(gs: GateSet, na: NoiseAssignment) -> float:
     if len(na.channels) != len(gs):
         raise ValueError("noise assignment does not match the gate count")
     delta = _step_liouvilles(gs, na).mean(axis=0)
-    delta -= twirl(gs).matrix @ average_noise(na).liouville
+    delta -= gs.twirl_matrix @ average_noise(na).liouville
     sigma_max = float(np.linalg.svd(delta, compute_uv=False)[0])
     return gs.space.d * sigma_max
 
@@ -202,14 +212,16 @@ def gate_dependence_epsilon(gs: GateSet, na: NoiseAssignment) -> float:
 # Lookup by id / JSON loading
 # ---------------------------------------------------------------------------
 
+#: The named gate sets, each built and validated once per process.
 _NAMED_GATESETS = {
-    "pauli": pauli_gateset,
-    "shelving": shelving_gateset,
+    "pauli": functools.cache(pauli_gateset),
+    "shelving": functools.cache(shelving_gateset),
 }
 
 
 def gateset_by_id(name: str) -> GateSet:
-    """Resolve "pauli" or "shelving", or load a custom set from a JSON file."""
+    """Resolve "pauli" or "shelving" to its shared set, or load a custom set
+    afresh from a JSON file."""
     if name in _NAMED_GATESETS:
         return _NAMED_GATESETS[name]()
     if name.endswith(".json"):

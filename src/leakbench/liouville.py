@@ -10,6 +10,7 @@ unitary U acts as kron(U, U.conj()).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,11 @@ KRAUS_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Dimensions of the code subspace H1, leakage subspace H2 and H = H1 (+) H2."""
+    """Dimensions of the code subspace H1, leakage subspace H2 and H = H1 (+) H2.
+
+    Its projectors and twirl basis are computed once per instance and are
+    read-only; equality, hashing and pickling see the two dimensions only.
+    """
 
     d1: int
     d2: int = 0
@@ -34,25 +39,24 @@ class SpaceSpec:
         if self.d2 < 0:
             raise ValueError(f"leakage dimension must be >= 0, got {self.d2}")
 
+    def __reduce__(self):
+        return SpaceSpec, (self.d1, self.d2)
+
     @property
     def d(self) -> int:
         return self.d1 + self.d2
 
-    @property
+    @functools.cached_property
     def code_projector(self) -> np.ndarray:
         """Projector onto H1 as a d x d matrix."""
-        p = np.zeros((self.d, self.d), dtype=complex)
-        p[: self.d1, : self.d1] = np.eye(self.d1)
-        return p
+        return _read_only(np.diag(np.arange(self.d) < self.d1).astype(complex))
 
-    @property
+    @functools.cached_property
     def leak_projector(self) -> np.ndarray:
         """Projector onto H2 as a d x d matrix (zero when d2 = 0)."""
-        p = np.zeros((self.d, self.d), dtype=complex)
-        p[self.d1 :, self.d1 :] = np.eye(self.d2)
-        return p
+        return _read_only(np.diag(np.arange(self.d) >= self.d1).astype(complex))
 
-    @property
+    @functools.cached_property
     def twirl_basis(self) -> np.ndarray:
         """Orthonormal columns A (d^2, k) spanning the operators a 1-design twirl keeps.
 
@@ -61,9 +65,15 @@ class SpaceSpec:
         channel's transfer block A^dag L A.
         """
         if self.d2 == 0:
-            return vec(np.eye(self.d))[:, None] / np.sqrt(self.d)
+            return _read_only(vec(np.eye(self.d))[:, None] / np.sqrt(self.d))
         p1, p2 = vec(self.code_projector), vec(self.leak_projector)
-        return np.column_stack([p1 / np.sqrt(self.d1), p2 / np.sqrt(self.d2)])
+        return _read_only(np.column_stack([p1 / np.sqrt(self.d1), p2 / np.sqrt(self.d2)]))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a value that callers share."""
+    array.flags.writeable = False
+    return array
 
 
 def vec(op: np.ndarray) -> np.ndarray:
@@ -133,8 +143,7 @@ class Channel:
     def liouville(self) -> np.ndarray:
         """The d^2 x d^2 matrix sum_k kron(K_k, K_k.conj()), cached and read-only."""
         if self._liouville is None:
-            self._liouville = liouville_from_kraus(self.kraus)
-            self._liouville.flags.writeable = False
+            self._liouville = _read_only(liouville_from_kraus(self.kraus))
         return self._liouville
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -152,8 +161,7 @@ def _operator_stack(ops, d: int, what: str) -> np.ndarray:
     stack = np.array(ops, dtype=complex)
     if stack.ndim != 3 or not stack.size or stack.shape[1:] != (d, d):
         raise ValueError(f"{what} must be one or more {d} x {d} matrices for this space")
-    stack.flags.writeable = False
-    return stack
+    return _read_only(stack)
 
 
 def _kron_conj(ops: np.ndarray) -> np.ndarray:
@@ -207,8 +215,8 @@ def mix(channels, weights=None) -> Channel:
         raise ValueError(f"mix weights must be finite and nonnegative, got {weights.tolist()}")
     scales = np.repeat(np.sqrt(weights), [len(ch.kraus) for ch in channels])
     mixed = Channel(space, scales[:, None, None] * np.concatenate([ch.kraus for ch in channels]))
-    mixed._liouville = np.tensordot(weights, np.array([ch.liouville for ch in channels]), axes=1)
-    mixed._liouville.flags.writeable = False
+    lios = np.array([ch.liouville for ch in channels])
+    mixed._liouville = _read_only(np.tensordot(weights, lios, axes=1))
     return mixed
 
 

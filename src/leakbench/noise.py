@@ -386,8 +386,12 @@ class ShelvingParams:
     def __post_init__(self):
         if not np.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
-        if not 0.0 <= self.sigma_gamma < np.inf:
-            raise ValueError(f"sigma_gamma must be finite and nonnegative, got {self.sigma_gamma}")
+        # numpy's standard normals stay below 13.71 in magnitude, so every angle
+        # sigma_gamma * x is finite when 14 * sigma_gamma is.
+        if not 0.0 <= 14.0 * self.sigma_gamma < np.inf:
+            raise ValueError(
+                f"sigma_gamma must be nonnegative with 14 * sigma_gamma finite, got {self.sigma_gamma}"
+            )
 
 
 def _code_rotations(phi: float, z: np.ndarray):

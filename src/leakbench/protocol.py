@@ -12,6 +12,7 @@ oracle for the fitted decay models.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import numbers
@@ -28,6 +29,7 @@ from .liouville import (
     DEFAULT_TOL,
     Channel,
     SpaceSpec,
+    _read_only,
     channel_from_dict,
     matrix_from_pairs,
     transfer_matrix,
@@ -56,11 +58,13 @@ class SpamSpec:
     meas: Channel | None = None
 
     @classmethod
+    @functools.cache
     def ideal(cls, space: SpaceSpec) -> "SpamSpec":
-        """rho = |0><0| and effect = P_H1, with no SPAM channels."""
+        """rho = |0><0| and effect = P_H1, with no SPAM channels: one shared,
+        read-only value per space."""
         rho = np.zeros((space.d, space.d), dtype=complex)
         rho[0, 0] = 1.0
-        return cls(rho=rho, effect=space.code_projector)
+        return cls(rho=_read_only(rho), effect=space.code_projector)
 
     def state_vector(self) -> np.ndarray:
         v = vec(self.rho)

@@ -1,8 +1,20 @@
-"""Shared test utilities: random operators and channels."""
+"""Shared test utilities: random operators and channels, and a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import leakbench
 from leakbench import Channel, SpaceSpec
+
+
+def run_python(*args):
+    """A fresh interpreter that imports leakbench from where this process does."""
+    env = {**os.environ, "PYTHONPATH": str(Path(leakbench.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,8 +1,6 @@
 import argparse
 import csv
 import json
-import os
-import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -10,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import run_python
 from reference import (
     decay_eigenvalues,
     filter_diagnostics,
@@ -201,6 +200,7 @@ FILTER_GATE = {"p": 0.01, "r": [0, 0, 1]}
         (NOISELESS, {"gates": [FILTER_GATE] * 3 + [{"p": 1.5, "r": [1, 0, 0]}]}, "gates[3].p"),
         (NOISELESS, {"gates": [FILTER_GATE, {"p": 0.01}] * 2}, "gates[1].r"),
         (NOISELESS, {"gates": [FILTER_GATE] * 3}, "noise.params.gates"),
+        (SHELVING, {"sigma_gamma": 1e308}, "noise.params.sigma_gamma"),
     ],
 )
 def test_simulate_bad_noise_value_is_config_error(tmp_path, capsys, base, params, key):
@@ -211,6 +211,22 @@ def test_simulate_bad_noise_value_is_config_error(tmp_path, capsys, base, params
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert not out.exists()
+
+
+def test_simulate_refuses_overflowing_angles_before_any_warning(tmp_path):
+    # numpy's normals stay below 13.71 in magnitude: every angle of sigma_gamma = 1e307
+    # is finite, and some of 1e308's overflow.
+    stderr = {}
+    for sigma_gamma, code in ((1e308, EXIT_CONFIG_ERROR), (1e307, EXIT_OK)):
+        noise = {"id": "shelving", "params": {"sigma_gamma": sigma_gamma}}
+        cfg_path = write_config(tmp_path, {**SHELVING, "noise": noise})
+        out = tmp_path / f"out-{sigma_gamma:g}"
+        result = run_python("-m", "leakbench", "simulate", "--config", cfg_path, "--out", str(out))
+        assert result.returncode == code, result.stderr
+        stderr[sigma_gamma] = result.stderr
+    assert stderr[1e308].startswith("config error: bad noise.params.sigma_gamma: ")
+    assert stderr[1e308].count("\n") == 1 and "Warning" not in stderr[1e308]
+    assert stderr[1e307] == ""
 
 
 @pytest.mark.parametrize(
@@ -685,21 +701,15 @@ def test_check_command_passes(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
-def _run_python(*args):
-    """A fresh interpreter that imports leakbench from where this process does."""
-    env = {**os.environ, "PYTHONPATH": str(Path(lb.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-
-
 def test_python_dash_m_runs_the_cli():
-    result = _run_python("-m", "leakbench", "check")
+    result = run_python("-m", "leakbench", "check")
     assert result.returncode == EXIT_OK, result.stderr
     assert result.stdout.count("PASS") == 8
 
 
 def test_import_does_not_load_the_process_pool():
     code = "import sys, leakbench; print('concurrent.futures.process' in sys.modules)"
-    result = _run_python("-c", code)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 
@@ -711,7 +721,7 @@ def test_reproduce_fig1_does_not_import_numpy_ma(tmp_path):
         f"code = main(['reproduce', 'fig1', '--out', {str(tmp_path / 'out')!r}]); "
         "print(code, 'numpy.ma' in sys.modules)"
     )
-    result = _run_python("-c", code)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 

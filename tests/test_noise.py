@@ -139,9 +139,11 @@ def test_shelving_params_refuse_non_finite_values():
         ("sigma_gamma", np.nan),
         ("sigma_gamma", np.inf),
         ("sigma_gamma", -1.0),
+        ("sigma_gamma", 1e308),  # finite, but 1e308 * x overflows for |x| > 1.8
     ):
         with pytest.raises(ValueError, match=key):
             lb.ShelvingParams(**{key: value})
+    assert lb.ShelvingParams(sigma_gamma=1e307).sigma_gamma == 1e307
 
 
 def test_filter_channel_zero_strength_is_identity():

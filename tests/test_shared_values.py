@@ -1,0 +1,232 @@
+"""The derived values that immutable objects compute once and share.
+
+Each cached value is checked against a fresh computation, for identity on a
+second access, and for refusing an in-place write; the callers that share
+them are checked to give the same results with the caches warm.
+"""
+
+import copy
+import functools
+import json
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+import pytest
+from helpers import random_channel, run_python
+
+import leakbench as lb
+import leakbench.cli as cli
+import leakbench.gatesets as gatesets
+from leakbench import GateSet, NoiseAssignment, SpaceSpec
+from leakbench.gatesets import PAULIS, average_noise, gateset_by_id, twirl
+from leakbench.liouville import matrix_to_pairs, mix, vec
+from leakbench.noise import ShelvingNoiseSampler
+from leakbench.protocol import (
+    ExperimentConfig,
+    SpamSpec,
+    _lengths_probabilities,
+    run_experiment,
+)
+
+#: The pauli set, the shelving set and a signed design on SpaceSpec(2, 2).
+GATESETS = {
+    "pauli": lambda: gateset_by_id("pauli"),
+    "shelving": lambda: gateset_by_id("shelving"),
+    "blocks": lambda: lb.signed_design_gateset(PAULIS, PAULIS, label="blocks"),
+}
+SPACES = [SpaceSpec(2, 0), SpaceSpec(2, 1), SpaceSpec(2, 2)]
+
+
+def fresh_projectors(space: SpaceSpec):
+    d = space.d
+    code, leak = np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+    code[: space.d1, : space.d1] = np.eye(space.d1)
+    leak[space.d1 :, space.d1 :] = np.eye(space.d2)
+    return code, leak
+
+
+def fresh_twirl_basis(space: SpaceSpec) -> np.ndarray:
+    if space.d2 == 0:
+        return vec(np.eye(space.d))[:, None] / np.sqrt(space.d)
+    code, leak = fresh_projectors(space)
+    return np.column_stack([vec(code) / np.sqrt(space.d1), vec(leak) / np.sqrt(space.d2)])
+
+
+def assert_shared_read_only(owner, attr: str, expected: np.ndarray):
+    """``owner.attr`` equals ``expected`` bit for bit, is the same object on a
+    second access, and refuses an in-place write."""
+    value = getattr(owner, attr)
+    assert value.dtype == expected.dtype and np.array_equal(value, expected)
+    assert getattr(owner, attr) is value
+    with pytest.raises(ValueError, match="read-only"):
+        value[(0,) * value.ndim] = 2.0
+
+
+@pytest.mark.parametrize("space", SPACES, ids=str)
+def test_space_values_match_fresh_computation(space):
+    code, leak = fresh_projectors(space)
+    assert_shared_read_only(space, "code_projector", code)
+    assert_shared_read_only(space, "leak_projector", leak)
+    assert_shared_read_only(space, "twirl_basis", fresh_twirl_basis(space))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=str)
+def test_space_copies_carry_no_cached_arrays(space):
+    warm = (space.code_projector, space.leak_projector, space.twirl_basis)
+    for other in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space), copy.copy(space)):
+        assert other == space and hash(other) == hash(space)
+        assert not {"code_projector", "leak_projector", "twirl_basis"} & set(vars(other))
+        copied = (other.code_projector, other.leak_projector, other.twirl_basis)
+        for mine, theirs in zip(warm, copied):
+            assert np.array_equal(mine, theirs) and not theirs.flags.writeable
+
+
+@pytest.mark.parametrize("name", GATESETS)
+def test_gateset_values_match_fresh_computation(name):
+    gs = GATESETS[name]()
+    lios = np.array([np.kron(g, g.conj()) for g in gs.gates])
+    assert_shared_read_only(gs, "gate_liouvilles", lios)
+    assert_shared_read_only(gs, "twirl_matrix", lios.mean(axis=0))
+    first, second = twirl(gs), twirl(gs)
+    assert first is not second and first.matrix is second.matrix is gs.twirl_matrix
+
+
+@pytest.mark.parametrize("space", SPACES, ids=str)
+def test_ideal_spam_is_one_shared_value_per_space(space):
+    spam = SpamSpec.ideal(space)
+    assert SpamSpec.ideal(SpaceSpec(space.d1, space.d2)) is spam
+    rho = np.zeros((space.d, space.d), dtype=complex)
+    rho[0, 0] = 1.0
+    assert_shared_read_only(spam, "rho", rho)
+    assert_shared_read_only(spam, "effect", fresh_projectors(space)[0])
+    assert spam.prep is None and spam.meas is None
+
+
+@pytest.mark.parametrize("space", SPACES, ids=str)
+def test_average_noise_is_computed_once(space):
+    rng = np.random.default_rng(space.d)
+    channels = [random_channel(space, rng) for _ in range(4)]
+    na = NoiseAssignment(space, channels=channels)
+    avg = average_noise(na)
+    assert average_noise(na) is avg
+    fresh = mix(channels)
+    assert_shared_read_only(avg, "kraus", fresh.kraus)
+    assert_shared_read_only(avg, "liouville", fresh.liouville)
+    assert np.allclose(avg.liouville, np.mean([ch.liouville for ch in channels], axis=0))
+
+
+def test_stochastic_noise_has_no_average_on_any_call():
+    sampler = ShelvingNoiseSampler(lb.ShelvingParams())
+    na = NoiseAssignment(sampler.space, sampler=sampler)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no fixed average"):
+            average_noise(na)
+
+
+@pytest.mark.parametrize("name, build", [("pauli", lb.pauli_gateset), ("shelving", lb.shelving_gateset)])
+def test_named_gateset_is_shared_and_matches_a_fresh_build(name, build):
+    shared = gateset_by_id(name)
+    assert gateset_by_id(name) is shared
+    fresh = build()
+    assert fresh is not build() and fresh is not shared
+    assert shared.label == fresh.label and shared.space == fresh.space
+    assert np.array_equal(shared.gates, fresh.gates)
+    assert np.array_equal(shared.twirl_matrix, fresh.twirl_matrix)
+
+
+def test_gateset_json_path_is_read_afresh(tmp_path):
+    path = tmp_path / "gates.json"
+
+    def write(gates, label):
+        doc = {"d1": 2, "gates": [matrix_to_pairs(g) for g in gates], "label": label}
+        path.write_text(json.dumps(doc))
+
+    write(PAULIS, "paulis")
+    first = gateset_by_id(str(path))
+    write([np.eye(2)], "identity")
+    second = gateset_by_id(str(path))
+    assert (first.label, len(first)) == ("paulis", 4)
+    assert (second.label, len(second)) == ("identity", 1)
+    assert gateset_by_id(str(path)) is not second
+
+
+# ---------------------------------------------------------------------------
+# Callers with the caches warm: a run_checks() call first builds both named
+# sets, their spaces' projectors and twirl bases, their twirl matrices and the
+# ideal SPAM of both spaces.
+# ---------------------------------------------------------------------------
+
+
+def test_run_checks_with_warm_caches_match_fresh_gate_sets(monkeypatch):
+    warm = cli.run_checks()
+    assert cli.run_checks() == warm
+    builders = {"pauli": lb.pauli_gateset, "shelving": lb.shelving_gateset}
+    monkeypatch.setattr(cli, "gateset_by_id", lambda name: builders[name]())
+    assert cli.run_checks() == warm
+
+
+def test_check_stdout_with_warm_caches_matches_a_fresh_process(capsys):
+    cli.run_checks()
+    assert cli.main(["check"]) == cli.EXIT_OK
+    fresh = run_python("-m", "leakbench", "check")
+    assert fresh.returncode == cli.EXIT_OK, fresh.stderr
+    assert capsys.readouterr().out == fresh.stdout
+
+
+def test_run_checks_group_checks_each_named_set_once(monkeypatch):
+    for name, build in (("pauli", lb.pauli_gateset), ("shelving", lb.shelving_gateset)):
+        monkeypatch.setitem(gatesets._NAMED_GATESETS, name, functools.cache(build))  # cold
+    checked = []
+    check = GateSet._check_group_structure
+
+    def counted(self, *args, **kwargs):
+        checked.append(self.label)
+        return check(self, *args, **kwargs)
+
+    monkeypatch.setattr(GateSet, "_check_group_structure", counted)
+    cli.run_checks()
+    cli.run_checks()
+    assert sorted(checked) == ["pauli", "shelving"]
+
+
+SHELVING_CFG = ExperimentConfig(
+    gateset="shelving",
+    noise={"id": "shelving", "params": {"phi": 0.2, "sigma_gamma": 0.4}},
+    m_list=(3, 1, 2),
+    n_sequences=4,
+    seed=23,
+)
+
+
+def test_jobs_match_serial_with_warm_caches():
+    cli.run_checks()
+    assert run_experiment(SHELVING_CFG, jobs=2).points == run_experiment(SHELVING_CFG).points
+
+
+def _worker_writeable_arrays(cfg: ExperimentConfig) -> dict:
+    """In a worker process: run the lengths of ``cfg`` as a ``--jobs`` worker does,
+    then report which shared arrays that run used are writeable."""
+    _lengths_probabilities(cfg, cfg.m_list)
+    gs = gateset_by_id(cfg.gateset)
+    spam = SpamSpec.ideal(gs.space)
+    shared = {
+        "code_projector": gs.space.code_projector,
+        "leak_projector": gs.space.leak_projector,
+        "twirl_basis": gs.space.twirl_basis,
+        "gates": gs.gates,
+        "gate_liouvilles": gs.gate_liouvilles,
+        "twirl_matrix": gs.twirl_matrix,
+        "ideal rho": spam.rho,
+        "ideal effect": spam.effect,
+    }
+    return {name: bool(array.flags.writeable) for name, array in shared.items()}
+
+
+def test_spawned_worker_gets_no_writable_shared_array():
+    cli.run_checks()
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        flags = pool.submit(_worker_writeable_arrays, SHELVING_CFG).result(timeout=120)
+    assert flags == dict.fromkeys(flags, False) and len(flags) == 8
