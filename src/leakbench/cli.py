@@ -89,8 +89,10 @@ ORACLE_SAMPLES = 1_000_000
 def figure_config(figure: str, seed: int | None = None) -> ExperimentConfig:
     """A bundled scenario's packaged config file, with ``seed``, when given, for its seed."""
     path = resources.files("leakbench") / "scenarios" / f"{figure}.json"
-    cfg = ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    return cfg if seed is None else replace(cfg, seed=seed)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if seed is not None:
+        doc["seed"] = seed
+    return ExperimentConfig.from_dict(doc)
 
 
 def _peak_rss_mb() -> float | None:
@@ -154,16 +156,12 @@ def _can_write_to(out_dir) -> bool:
 def cmd_simulate(args) -> int:
     started = time.monotonic()
     timings: dict = {}
+    if not _can_write_to(args.out):
+        return EXIT_CONFIG_ERROR
     try:
         overrides = {"seed": args.seed, "shots": args.shots}
         cfg = ExperimentConfig.from_json_file(args.config)
         cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if not _can_write_to(args.out):
-        return EXIT_CONFIG_ERROR
-    try:
         with timed_stage(timings, "simulate"):
             # Loads the gate set and resolves the SPAM section against its space,
             # so a gate-set file that cannot be read or is malformed, or a bad SPAM
@@ -205,7 +203,7 @@ def _summary_line(result) -> str:
 def cmd_fit(args) -> int:
     try:
         dataset = _load_dataset(args.dataset)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: cannot read dataset: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     out_path = Path(args.out) if args.out else Path(args.dataset).parent / "fit.json"

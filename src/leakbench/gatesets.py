@@ -15,13 +15,18 @@ import numpy as np
 
 from .liouville import (
     DEFAULT_TOL,
+    DIMENSIONS,
+    REQUIRED,
     Channel,
     SpaceSpec,
     _kron_conj,
     _operator_stack,
     _read_only,
-    matrix_from_pairs,
+    complex_entries,
+    list_of,
     mix,
+    read_operators,
+    text,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -230,7 +235,14 @@ def gateset_by_id(name: str) -> GateSet:
     raise ValueError(f"unknown gate set {name!r}")
 
 
-def gateset_from_dict(doc: dict) -> GateSet:
-    space = SpaceSpec(d1=int(doc["d1"]), d2=int(doc.get("d2", 0)))
-    gates = [matrix_from_pairs(p, space.d) for p in doc["gates"]]
-    return GateSet(space, gates, label=str(doc.get("label", "custom")))
+#: The gate-set JSON: {d1, d2, label, gates: [[[re, im], ...row-major...], ...]}.
+GATESET_FIELDS = {
+    **DIMENSIONS,
+    "label": (text, "custom"),
+    "gates": (list_of(complex_entries), REQUIRED),
+}
+
+
+def gateset_from_dict(doc: dict, path: str = "") -> GateSet:
+    values, space, gates = read_operators(doc, path, GATESET_FIELDS, "gates")
+    return GateSet(space, gates, label=values["label"])

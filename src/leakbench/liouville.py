@@ -6,11 +6,18 @@ stored as Kraus-operator lists; their Liouville matrices are derived on
 demand in the canonical matrix-unit basis |i><j| with row-major (i, j)
 ordering, so that a density operator vectorizes to ``rho.reshape(-1)`` and a
 unitary U acts as kron(U, U.conj()).
+
+Input documents are read here too: each section of a config, channel,
+gate-set or dataset document has one table of its fields, read by
+:func:`read_fields` with one integer and one real parser.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,26 +286,142 @@ def cp_tp_diagnostics(ch: Channel, tol: float = DEFAULT_TOL) -> ChannelDiagnosti
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: {d1, d2, kraus: [[[re, im], ...row-major...], ...]}
+# Input documents: one field table per section, read by one helper
 # ---------------------------------------------------------------------------
+
+
+class ConfigError(ValueError):
+    """A malformed input document: a config, channel, gate set or dataset.  The
+    message names the bad key by its full path, such as ``spam.prep.d1``."""
+
+
+#: The default of a field that must be given.
+REQUIRED = object()
+
+
+def _refuse(path: str, expected: str, value):
+    raise ConfigError(f"bad {path}: expected {expected}, got {value!r:.60}")
+
+
+def read_fields(doc, path: str, fields: dict) -> dict:
+    """The values of the mapping ``doc``, named ``path`` ("" at the top level),
+    read through ``fields``: {key: (parser, default)}.
+
+    An absent key takes its default, and so does a null given for a key whose
+    default is null; any other value v is ``parser(v, its path)``.  A ``doc``
+    that is not an object, an unknown key and an absent REQUIRED key are
+    ConfigErrors.  This helper is itself the parser of a nested section.
+    """
+    if not isinstance(doc, dict):
+        _refuse(path or "top level", "an object", doc)
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in fields:
+            known = f"one of {', '.join(fields)}" if fields else "none"
+            raise ConfigError(f"bad {prefix}{key}: unknown key, expected {known}")
+    values = {}
+    for key, (parse, default) in fields.items():
+        value = doc.get(key)
+        if value is not None or key in doc and default is not None:
+            values[key] = parse(value, prefix + key)
+        elif default is REQUIRED:
+            raise ConfigError(f"bad {prefix}{key}: required, and missing")
+        else:
+            values[key] = default
+    return values
+
+
+def _range(low, high) -> str:
+    if high == math.inf:
+        return "" if low == -math.inf else f" >= {low}"
+    return f" in [{low}, {high}]"
+
+
+def integer(value, path: str, low=-math.inf, high=math.inf) -> int:
+    """``value`` as an int in [low, high]; else a ConfigError naming ``path``.  An int
+    or an integral float is one; a bool or a string is not, though Python converts it."""
+    whole = isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral)
+    if whole and not isinstance(value, bool) and low <= value <= high:
+        return int(value)
+    _refuse(path, f"an integer{_range(low, high)}", value)
+
+
+def real(value, path: str, low=-math.inf, high=math.inf) -> float:
+    """``value`` as a finite float in [low, high]; else a ConfigError naming ``path``.
+    An int or a float is one; a bool, a string or null is not."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max and low <= value <= high:
+            return float(value)
+    _refuse(path, f"a finite real number{_range(low, high)}", value)
+
+
+def text(value, path: str) -> str:
+    if not isinstance(value, str):
+        _refuse(path, "a string", value)
+    return value
+
+
+def mapping(value, path: str) -> dict:
+    """An object of any keys, kept as given."""
+    if not isinstance(value, dict):
+        _refuse(path, "an object", value)
+    return value
+
+
+def items(value, path: str, parse) -> list:
+    """The nonempty list ``value`` with its item i read by ``parse`` as ``path[i]``."""
+    if not isinstance(value, (list, tuple)) or not value:
+        _refuse(path, "a nonempty list", value)
+    return [parse(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+
+def list_of(parse):
+    """The parser of a nonempty list whose items ``parse`` reads."""
+    return functools.partial(items, parse=parse)
+
+
+def section(fields: dict):
+    """The parser of a nested section read through ``fields``."""
+    return functools.partial(read_fields, fields=fields)
+
+
+def complex_entries(value, path: str) -> np.ndarray:
+    """The list ``value`` of [re, im] number pairs as a flat complex array."""
+    if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
+        _refuse(path, "a list of [re, im] number pairs", value)
+    parts = [real(part, f"{path}[{i}]") for i, pair in enumerate(value) for part in pair]
+    return np.array(parts, dtype=float).view(complex)
+
+
+def square_matrix(entries: np.ndarray, d: int, path: str, dims: str) -> np.ndarray:
+    """The flat ``entries`` as a row-major d x d matrix, where d is ``dims``."""
+    if entries.size != d * d:
+        _refuse(path, f"{d * d} [re, im] pairs (a {d}x{d} matrix for {dims} = {d})", entries.size)
+    return entries.reshape(d, d)
+
+
+#: The dimensions of a channel or gate-set document.
+DIMENSIONS = {
+    "d1": (functools.partial(integer, low=1), REQUIRED),
+    "d2": (functools.partial(integer, low=0), 0),
+}
+
+
+def read_operators(doc, path: str, fields: dict, key: str):
+    """(values, space, matrices) of a channel or gate-set document read through
+    ``fields``: its values, the space of d1 and d2, and its list ``key`` of matrices."""
+    values = read_fields(doc, path, fields)
+    space = SpaceSpec(d1=values["d1"], d2=values["d2"])
+    prefix = f"{path}." if path else ""
+    dims = f"{prefix}d1 + {prefix}d2"
+    return values, space, [
+        square_matrix(m, space.d, f"{prefix}{key}[{i}]", dims) for i, m in enumerate(values[key])
+    ]
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
     """Row-major list of [re, im] pairs."""
     return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]
-
-
-def matrix_from_pairs(pairs, d: int) -> np.ndarray:
-    """The d x d matrix of the row-major list ``pairs`` of [re, im] entries; a
-    ValueError saying that shape unless ``pairs`` has it."""
-    expected = f"a list of {d * d} [re, im] number pairs (a {d}x{d} matrix, row-major)"
-    try:
-        flat = np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"expected {expected}, got {pairs!r:.40}") from exc
-    if flat.size != d * d:
-        raise ValueError(f"expected {expected}, got {flat.size} entries")
-    return flat.reshape(d, d)
 
 
 def channel_to_dict(ch: Channel) -> dict:
@@ -309,7 +432,10 @@ def channel_to_dict(ch: Channel) -> dict:
     }
 
 
-def channel_from_dict(doc: dict) -> Channel:
-    space = SpaceSpec(d1=int(doc["d1"]), d2=int(doc.get("d2", 0)))
-    kraus = [matrix_from_pairs(p, space.d) for p in doc["kraus"]]
+#: The channel JSON: {d1, d2, kraus: [[[re, im], ...row-major...], ...]}.
+CHANNEL_FIELDS = {**DIMENSIONS, "kraus": (list_of(complex_entries), REQUIRED)}
+
+
+def channel_from_dict(doc: dict, path: str = "") -> Channel:
+    _, space, kraus = read_operators(doc, path, CHANNEL_FIELDS, "kraus")
     return Channel(space, kraus)

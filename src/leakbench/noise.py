@@ -19,7 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gatesets import GateSet, NoiseAssignment, PAULI_X, PAULI_Y, PAULI_Z
-from .liouville import Channel, SpaceSpec
+from .liouville import (
+    REQUIRED,
+    Channel,
+    ConfigError,
+    SpaceSpec,
+    integer,
+    items,
+    list_of,
+    mapping,
+    read_fields,
+    real,
+    section,
+)
 
 QUBIT = SpaceSpec(d1=2, d2=0)
 QUTRIT = SpaceSpec(d1=2, d2=1)
@@ -294,6 +306,18 @@ def as_generator(rng) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def unit_vector(value, path: str) -> tuple:
+    """A Bloch direction: a list of three real numbers of norm 1 (within 1e-6)."""
+    r = items(value, path, real)
+    if len(r) != 3 or not abs(math.hypot(*r) - 1.0) <= 1e-6:
+        raise ConfigError(f"bad {path}: expected a unit 3-vector, got {value!r:.60}")
+    return tuple(r)
+
+
+#: The parser of a filter strength p.
+_STRENGTH = functools.partial(real, low=0.0, high=1.0)
+
+
 @dataclass(frozen=True)
 class FilterParams:
     """Strength p and Bloch direction of a weakly filtering channel."""
@@ -302,12 +326,8 @@ class FilterParams:
     bloch: tuple
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"filter strength must be in [0, 1], got {self.p}")
-        r = np.asarray(self.bloch, dtype=float)
-        if r.shape != (3,) or not abs(np.linalg.norm(r) - 1.0) <= 1e-6:
-            raise ValueError(f"bloch must be a unit 3-vector, got {self.bloch}")
-        object.__setattr__(self, "bloch", tuple(float(x) for x in r))
+        _STRENGTH(self.p, "p")
+        object.__setattr__(self, "bloch", unit_vector(self.bloch, "bloch"))
 
 
 def filter_kraus(p, bloch) -> np.ndarray:
@@ -376,6 +396,12 @@ def sample_filter_assignment(rng, n_gates: int = 4):
 # ---------------------------------------------------------------------------
 
 
+#: The parser of a pulse-angle spread.  numpy's standard normals stay below 13.71
+#: in magnitude, so every angle sigma_gamma * x is finite when 14 * sigma_gamma
+#: is; the bound is the largest such sigma_gamma.
+_SPREAD = functools.partial(real, low=0.0, high=math.nextafter(np.finfo(float).max / 14, 0.0))
+
+
 @dataclass(frozen=True)
 class ShelvingParams:
     """Code-rotation angle phi (fixed) and pulse-angle spread sigma_gamma."""
@@ -384,14 +410,8 @@ class ShelvingParams:
     sigma_gamma: float = 0.06
 
     def __post_init__(self):
-        if not np.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
-        # numpy's standard normals stay below 13.71 in magnitude, so every angle
-        # sigma_gamma * x is finite when 14 * sigma_gamma is.
-        if not 0.0 <= 14.0 * self.sigma_gamma < np.inf:
-            raise ValueError(
-                f"sigma_gamma must be nonnegative with 14 * sigma_gamma finite, got {self.sigma_gamma}"
-            )
+        real(self.phi, "phi")
+        _SPREAD(self.sigma_gamma, "sigma_gamma")
 
 
 def _code_rotations(phi: float, z: np.ndarray):
@@ -708,13 +728,45 @@ def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channe
 #: Derivation tag for model-parameter sampling within a root stream.
 PARAMS_KEY = 0
 
-#: The params each noise model id accepts.  A "seed" roots the model's own
-#: draws (the filter parameters, or the per-step shelving noise).
+#: The params of each noise model id: {key: (parser, default)}.  A "seed" roots
+#: the model's own draws (the filter parameters, or the per-step shelving noise).
+FILTER_GATE_FIELDS = {"p": (_STRENGTH, REQUIRED), "r": (unit_vector, REQUIRED)}
+_SEED = (functools.partial(integer, low=0), None)
 NOISE_PARAMS = {
-    "none": frozenset(),
-    "filter": frozenset({"seed", "gates"}),
-    "shelving": frozenset({"phi", "sigma_gamma", "seed"}),
+    "none": {},
+    "filter": {
+        "seed": _SEED,
+        "gates": (list_of(section(FILTER_GATE_FIELDS)), None),
+    },
+    "shelving": {
+        "phi": (real, ShelvingParams.phi),
+        "sigma_gamma": (_SPREAD, ShelvingParams.sigma_gamma),
+        "seed": _SEED,
+    },
 }
+
+
+def _model_id(value, path: str) -> str:
+    if not (isinstance(value, str) and value in NOISE_PARAMS):
+        raise ConfigError(f"bad {path}: expected one of {', '.join(NOISE_PARAMS)}, got {value!r}")
+    return value
+
+
+#: The noise spec; its params are read by the table of its id.
+NOISE_FIELDS = {"id": (_model_id, None), "params": (mapping, None)}
+
+
+def read_noise_spec(spec, path: str = "noise") -> tuple:
+    """(model id, params) of a noise spec: null, or {"id", "params"} with the params
+    read through ``NOISE_PARAMS[id]``, where a null or absent id is "none"."""
+    if spec is None:
+        return "none", {}
+    values = read_fields(spec, path, NOISE_FIELDS)
+    model_id, params = values["id"] or "none", values["params"]
+    try:
+        return model_id, read_fields(params or {}, f"{path}.params", NOISE_PARAMS[model_id])
+    except ConfigError as exc:  # the params that the id selects
+        raise ConfigError(f"{exc}, for {path}.id {model_id!r}") from None
 
 
 def build_noise_model(
@@ -726,35 +778,28 @@ def build_noise_model(
     with params {"seed": int} or {"gates": [{"p": float, "r": [x, y, z]}]},
     and "shelving" with params {"phi": float, "sigma_gamma": float}.  An
     explicit "seed" in params overrides the stream used for parameter draws.
-    Param names are checked against :data:`NOISE_PARAMS` when a config loads.
+    The spec is read by :func:`read_noise_spec`, as when a config loads; a
+    model that does not fit the gate set is a ConfigError too.
     """
-    if spec is None:
+    model_id, params = read_noise_spec(spec)
+    if model_id == "none":
         return None
-    model_id = spec.get("id")
-    params = dict(spec.get("params") or {})
-    if model_id in (None, "none"):
-        return None
-    if model_id == "filter":
-        if "gates" in params:
-            fps = [
-                FilterParams(p=float(g["p"]), bloch=tuple(float(x) for x in g["r"]))
-                for g in params["gates"]
-            ]
-            if len(fps) != len(gateset):
-                raise ValueError(f"noise.params.gates lists {len(fps)} of {len(gateset)} gates")
-            kraus = filter_kraus([fp.p for fp in fps], [fp.bloch for fp in fps])
-            return NoiseAssignment(gateset.space, channels=[Channel(QUBIT, k) for k in kraus])
-        if "seed" in params:
-            stream = RandomStream(int(params["seed"]))
-        assignment, _ = sample_filter_assignment(
-            stream.child(PARAMS_KEY), n_gates=len(gateset)
+    space = {"filter": QUBIT, "shelving": QUTRIT}[model_id]
+    if gateset.space != space:
+        raise ConfigError(
+            f"bad noise.id: {model_id} noise acts on d1={space.d1}, d2={space.d2}, "
+            f"but the gate set on d1={gateset.space.d1}, d2={gateset.space.d2}"
         )
-        if assignment.space != gateset.space:
-            raise ValueError("filter noise applies to qubit gate sets only")
-        return assignment
     if model_id == "shelving":
-        sp = ShelvingParams(**{k: float(v) for k, v in params.items() if k != "seed"})
-        if gateset.space != QUTRIT:
-            raise ValueError("shelving noise acts on the qutrit space (d1=2, d2=1)")
+        sp = ShelvingParams(phi=params["phi"], sigma_gamma=params["sigma_gamma"])
         return NoiseAssignment(QUTRIT, sampler=ShelvingNoiseSampler(sp))
-    raise ValueError(f"unknown noise model {model_id!r}")
+    gates = params["gates"]
+    if gates is None:
+        if params["seed"] is not None:
+            stream = RandomStream(params["seed"])
+        assignment, _ = sample_filter_assignment(stream.child(PARAMS_KEY), n_gates=len(gateset))
+        return assignment
+    if len(gates) != len(gateset):
+        raise ConfigError(f"bad noise.params.gates: lists {len(gates)} of {len(gateset)} gates")
+    kraus = filter_kraus([g["p"] for g in gates], [g["r"] for g in gates])
+    return NoiseAssignment(QUBIT, channels=[Channel(QUBIT, k) for k in kraus])

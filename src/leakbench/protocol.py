@@ -15,7 +15,6 @@ import csv
 import functools
 import hashlib
 import json
-import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -27,25 +26,34 @@ from .fitting import MODELS
 from .gatesets import GateSet, NoiseAssignment, _step_liouvilles, gateset_by_id
 from .liouville import (
     DEFAULT_TOL,
+    REQUIRED,
     Channel,
+    ConfigError,
     SpaceSpec,
     _read_only,
     channel_from_dict,
-    matrix_from_pairs,
+    complex_entries,
+    integer,
+    items,
+    list_of,
+    mapping,
+    read_fields,
+    real,
+    section,
+    square_matrix,
+    text,
     transfer_matrix,
     vec,
 )
-from .noise import NOISE_PARAMS, RandomStream, build_noise_model
+from .noise import RandomStream, build_noise_model, read_noise_spec
 from .noise import pcg64_integers, pcg64_seeds
-from .noise import FilterParams, ShelvingParams
 
 # Sub-stream tags: sequence/shot draws vs. per-step noise draws.
 _SEQ_KEY = 0
 _NOISE_KEY = 1
 
-
-class ConfigError(ValueError):
-    """Raised when an experiment configuration is malformed."""
+#: The parser of a length, count or number of shots: numpy holds them as int64.
+_COUNT = functools.partial(integer, low=1, high=2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -79,115 +87,82 @@ class SpamSpec:
         return v
 
 
+#: The SPAM section.  Its matrices are sized, and its channels matched, to the
+#: gate set's space by :func:`spam_from_dict`.
+SPAM_FIELDS = {
+    "rho": (complex_entries, None),
+    "effect": (complex_entries, None),
+    "prep": (channel_from_dict, None),
+    "meas": (channel_from_dict, None),
+}
+
+
 def spam_from_dict(doc: dict | None, space: SpaceSpec) -> SpamSpec:
     """The SPAM section resolved against the gate set's space.
 
     Absent or null fields keep the ideal defaults; a malformed field, or one
     sized for another space, is a ConfigError naming its key.
     """
-    spam = SpamSpec.ideal(space)
     if doc is None:
-        return spam
-    parsers = {
-        "rho": lambda v: _density_matrix(matrix_from_pairs(v, space.d)),
-        "effect": lambda v: _effect_operator(matrix_from_pairs(v, space.d)),
-        "prep": channel_from_dict,
-        "meas": channel_from_dict,
-    }
-    given = {}
-    for key, parse in parsers.items():
-        if doc.get(key) is None:
-            continue
-        try:
-            value = parse(doc[key])
-        except KeyError as exc:
-            raise ConfigError(f"bad spam.{key}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad spam.{key}: {exc}") from exc
-        if isinstance(value, Channel) and value.space != space:
+        return SpamSpec.ideal(space)
+    given = {key: v for key, v in read_fields(doc, "spam", SPAM_FIELDS).items() if v is not None}
+    for key in ("rho", "effect"):
+        if key in given:
+            given[key] = _spam_operator(given[key], space.d, f"spam.{key}")
+    for key in ("prep", "meas"):
+        if key in given and given[key].space != space:
             raise ConfigError(
-                f"spam.{key} acts on d1={value.space.d1}, d2={value.space.d2}, "
+                f"bad spam.{key}: acts on d1={given[key].space.d1}, d2={given[key].space.d2}, "
                 f"but the gate set on d1={space.d1}, d2={space.d2}"
             )
-        given[key] = value
-    return replace(spam, **given)
+    return replace(SpamSpec.ideal(space), **given)
 
 
-def _hermitian_spectrum(op: np.ndarray) -> np.ndarray:
-    """The eigenvalues of a finite Hermitian ``op``; a ValueError if it is not one."""
-    if not np.all(np.isfinite(op)):
-        raise ValueError("entries must be finite")
+def _spam_operator(entries: np.ndarray, d: int, path: str) -> np.ndarray:
+    """The d x d matrix of ``entries``: Hermitian with eigenvalues in [0, 1], an
+    effect, and of trace 1 as well for ``spam.rho``, a density matrix."""
+    op = square_matrix(entries, d, path, "the gate set's d1 + d2")
     dev = float(np.max(np.abs(op - op.conj().T)))
     if dev > DEFAULT_TOL:
-        raise ValueError(f"not Hermitian (deviation {dev:.3e})")
-    return np.linalg.eigvalsh(op)
-
-
-def _density_matrix(rho: np.ndarray) -> np.ndarray:
-    """``rho``, or a ValueError unless it is Hermitian, of trace 1 and positive semidefinite."""
-    eigs = _hermitian_spectrum(rho)
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > DEFAULT_TOL:
-        raise ValueError(f"a density matrix has trace 1, got {trace:.6g}")
-    if eigs[0] < -DEFAULT_TOL:
-        raise ValueError(f"a density matrix is positive semidefinite, got eigenvalue {eigs[0]:.3e}")
-    return rho
-
-
-def _effect_operator(effect: np.ndarray) -> np.ndarray:
-    """``effect``, or a ValueError unless it is Hermitian with eigenvalues in [0, 1]."""
-    eigs = _hermitian_spectrum(effect)
+        raise ConfigError(f"bad {path}: expected a Hermitian matrix, got deviation {dev:.3e}")
+    eigs, trace = np.linalg.eigvalsh(op), float(np.trace(op).real)
     if eigs[0] < -DEFAULT_TOL or eigs[-1] > 1.0 + DEFAULT_TOL:
-        raise ValueError(f"an effect has eigenvalues in [0, 1], got {eigs[0]:.6g} to {eigs[-1]:.6g}")
-    return effect
+        raise ConfigError(
+            f"bad {path}: expected eigenvalues in [0, 1], got {eigs[0]:.6g} to {eigs[-1]:.6g}"
+        )
+    if path == "spam.rho" and abs(trace - 1.0) > DEFAULT_TOL:
+        raise ConfigError(f"bad {path}: expected a density matrix of trace 1, got {trace:.6g}")
+    return op
 
 
-def _integer(key: str, value) -> int:
-    """``value`` as an int; a ConfigError naming ``key`` unless it is an integral number.
-
-    A bool or a string is not a number here, though Python would convert it.
-    """
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ConfigError(f"{key} must hold integers, got {value!r}")
+def _lengths(value, path: str) -> tuple:
+    """``m_list``: a nonempty list of distinct lengths, each read by ``_COUNT``."""
+    lengths = tuple(items(value, path, _COUNT))
+    if len(set(lengths)) < len(lengths):
+        repeated = next(m for m in lengths if lengths.count(m) > 1)
+        raise ConfigError(f"bad {path}: repeats the length {repeated}")
+    return lengths
 
 
-def _reject_unknown(doc, known, what: str):
-    """A ConfigError naming the first key of the mapping ``doc`` that is not in ``known``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be an object, got {type(doc).__name__}")
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown {what} key {key!r}")
-
-
-def _check_noise_values(params: dict):
-    """A ConfigError naming the first noise param whose value its noise model refuses."""
-    key = "seed"
-    try:
-        if "seed" in params and _integer("noise.params.seed", params["seed"]) < 0:
-            raise ValueError(f"must be >= 0, got {params['seed']!r}")
-        for key in ("phi", "sigma_gamma"):
-            if key in params:
-                ShelvingParams(**{key: float(params[key])})
-        key = "gates"
-        for i, gate in enumerate(params.get("gates", ())):
-            _reject_unknown(gate, ("p", "r"), f"noise.params.gates[{i}]")
-            key = f"gates[{i}].p"
-            FilterParams(p=float(gate["p"]), bloch=(0.0, 0.0, 1.0))
-            key = f"gates[{i}].r"
-            FilterParams(p=0.0, bloch=tuple(float(x) for x in gate["r"]))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad noise.params.{key}: {exc}") from exc
+#: The experiment config's top level.
+EXPERIMENT_FIELDS = {
+    "gateset": (text, REQUIRED),
+    "m_list": (_lengths, REQUIRED),
+    "n_sequences": (_COUNT, REQUIRED),
+    "seed": (functools.partial(integer, low=0), REQUIRED),
+    "noise": (read_noise_spec, None),
+    "shots": (_COUNT, None),
+    "spam": (section(SPAM_FIELDS), None),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one benchmarking run."""
+    """Everything needed to reproduce one benchmarking run.
+
+    Every field is read through :data:`EXPERIMENT_FIELDS` when the config is
+    made; ``noise`` and ``spam`` are kept as given, and read again at build.
+    """
 
     gateset: str
     m_list: tuple
@@ -198,49 +173,17 @@ class ExperimentConfig:
     spam: dict | None = None
 
     def __post_init__(self):
-        if not isinstance(self.gateset, str):
-            raise ConfigError(f"gateset must be a string, got {self.gateset!r}")
-        if not isinstance(self.m_list, (list, tuple)):
-            raise ConfigError(f"m_list must be a list of integers, got {self.m_list!r}")
-        m_list = tuple(_integer("m_list", m) for m in self.m_list)
-        if not m_list or min(m_list) < 1:
-            raise ConfigError("m_list must be nonempty with all lengths >= 1")
-        if len(set(m_list)) < len(m_list):
-            repeated = next(m for m in m_list if m_list.count(m) > 1)
-            raise ConfigError(f"m_list repeats the length {repeated}")
-        object.__setattr__(self, "m_list", m_list)
-        for key in ("n_sequences", "seed", "shots"):
-            if key != "shots" or self.shots is not None:  # only shots may be null
-                object.__setattr__(self, key, _integer(key, getattr(self, key)))
-        if self.n_sequences < 1:
-            raise ConfigError("n_sequences must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.shots is not None and self.shots < 1:
-            raise ConfigError("shots must be >= 1 when given")
-        limit = int(np.iinfo(np.int64).max)  # numpy holds lengths, counts and shots as int64
-        largest = {"m_list": max(m_list), "n_sequences": self.n_sequences, "shots": self.shots}
-        for key, value in largest.items():
-            if value is not None and value > limit:
-                raise ConfigError(f"{key} must hold integers <= {limit}, got {value}")
-        if self.noise is not None:
-            _reject_unknown(self.noise, ("id", "params"), "noise")
-            model_id = "none" if self.noise.get("id") is None else self.noise["id"]
-            if not isinstance(model_id, str) or model_id not in NOISE_PARAMS:
-                raise ConfigError(f"unknown noise model {model_id!r}")
-            params = self.noise.get("params") or {}
-            _reject_unknown(params, NOISE_PARAMS[model_id], f"{model_id} noise param")
-            _check_noise_values(params)
-        if self.spam is not None:
-            _reject_unknown(self.spam, ("rho", "effect", "prep", "meas"), "spam")
+        values = read_fields(vars(self), "", EXPERIMENT_FIELDS)
+        for key in ("m_list", "n_sequences", "seed", "shots"):
+            object.__setattr__(self, key, values[key])
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        _reject_unknown(doc, {f.name for f in fields(cls)}, "config")
         try:
             return cls(**doc)
-        except TypeError as exc:  # a missing key, or an m_list that is not iterable
-            raise ConfigError(f"bad experiment config: {exc}") from exc
+        except TypeError:  # not an object, or a key unknown or missing: reading it says which
+            read_fields(doc, "", EXPERIMENT_FIELDS)
+            raise
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -278,9 +221,36 @@ class DecayPoint:
     n: int
 
     @classmethod
-    def from_row(cls, row) -> "DecayPoint":
-        """The point of a mapping with keys m, mean, sem and n, such as a CSV or JSON row."""
-        return cls(m=int(row["m"]), mean=float(row["mean"]), sem=float(row["sem"]), n=int(row["n"]))
+    def from_row(cls, row, path: str = "") -> "DecayPoint":
+        """The point of the dataset row ``row``, read through :data:`DATASET_ROW_FIELDS`."""
+        values = read_fields(row, path, DATASET_ROW_FIELDS)
+        return cls(m=values["m"], mean=values["mean"], sem=values["sem"], n=values["n"])
+
+
+#: A dataset row of decay.json or decay.csv; reproduce adds exact_mean and z.
+DATASET_ROW_FIELDS = {
+    "m": (_COUNT, REQUIRED),
+    "mean": (functools.partial(real, low=-DEFAULT_TOL, high=1.0 + DEFAULT_TOL), REQUIRED),
+    "sem": (functools.partial(real, low=0.0), REQUIRED),
+    "n": (_COUNT, REQUIRED),
+    "exact_mean": (real, None),
+    "z": (real, None),
+}
+
+#: The top level of decay.json.
+DATASET_FIELDS = {
+    "dataset": (list_of(DecayPoint.from_row), REQUIRED),
+    "provenance": (mapping, None),
+}
+
+
+def _cell(text: str):
+    """A CSV cell as the JSON value its text spells (a number, true, false or
+    null), or as the text itself; the row's parsers then read it."""
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError):  # a missing cell (None), or text that spells no JSON value
+        return text
 
 
 @dataclass
@@ -308,14 +278,15 @@ class DecayDataset:
 
     @classmethod
     def from_arrays(cls, ms, means, sems=None, counts=None, provenance=None):
-        ms = list(ms)
-        sems = [0.0] * len(ms) if sems is None else list(sems)
-        counts = [1] * len(ms) if counts is None else list(counts)
-        points = tuple(
-            DecayPoint.from_row({"m": m, "mean": mu, "sem": s, "n": n})
-            for m, mu, s, n in zip(ms, means, sems, counts)
-        )
-        return cls(points=points, provenance=provenance or {})
+        """Points of integral lengths and counts, and of any float means and
+        sems: :func:`~leakbench.fitting.fit` checks their ranges."""
+        ms = [integer(m, f"dataset[{i}].m") for i, m in enumerate(ms)]
+        sems = [0.0] * len(ms) if sems is None else np.asarray(sems, dtype=float).tolist()
+        counts = [1] * len(ms) if counts is None else [
+            integer(n, f"dataset[{i}].n") for i, n in enumerate(counts)
+        ]
+        points = map(DecayPoint, ms, np.asarray(means, dtype=float).tolist(), sems, counts)
+        return cls(points=tuple(points), provenance=provenance or {})
 
     def to_csv(self, path: str):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -326,7 +297,9 @@ class DecayDataset:
     @classmethod
     def from_csv(cls, path: str) -> "DecayDataset":
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return cls(points=tuple(map(DecayPoint.from_row, csv.DictReader(fh))))
+            rows = [{key: _cell(cell) for key, cell in row.items()} for row in csv.DictReader(fh)]
+        points = (DecayPoint.from_row(row, f"dataset[{i}]") for i, row in enumerate(rows))
+        return cls(points=tuple(points))
 
     def to_json(self, path: str, extras=None):
         """Write the points and the provenance; ``extras`` holds one dict of further
@@ -341,9 +314,8 @@ class DecayDataset:
     @classmethod
     def from_json(cls, path: str) -> "DecayDataset":
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        points = tuple(map(DecayPoint.from_row, doc["dataset"]))
-        return cls(points=points, provenance=doc.get("provenance", {}))
+            doc = read_fields(json.load(fh), "", DATASET_FIELDS)
+        return cls(points=tuple(doc["dataset"]), provenance=doc["provenance"] or {})
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +326,13 @@ class DecayDataset:
 def _experiment_components(cfg: ExperimentConfig):
     try:
         gs = gateset_by_id(cfg.gateset)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         if not cfg.gateset.endswith(".json"):  # an unknown gate-set name
             raise
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ConfigError(f"cannot load gateset {cfg.gateset!r}: {detail}") from exc
-    params = (cfg.noise or {}).get("params") or {}
-    noise_root = RandomStream(int(params.get("seed", cfg.seed)))
-    try:
-        noise = build_noise_model(cfg.noise, gs, noise_root)
-    except ValueError as exc:  # a noise model that does not fit the gate set
-        raise ConfigError(f"bad noise: {exc}") from exc
+        raise ConfigError(f"cannot load gateset {cfg.gateset!r}: {exc}") from exc
+    seed = read_noise_spec(cfg.noise)[1].get("seed")
+    noise_root = RandomStream(cfg.seed if seed is None else seed)
+    noise = build_noise_model(cfg.noise, gs, noise_root)
     return gs, noise, spam_from_dict(cfg.spam, gs.space), noise_root
 
 

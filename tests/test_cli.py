@@ -181,7 +181,8 @@ def test_simulate_unknown_config_key_is_config_error(tmp_path, capsys, change, k
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("config error") and repr(key) in err
+    assert err.startswith("config error: bad ")
+    assert f"{key}: unknown key" in err or f"got {key!r}" in err
     assert not out.exists()
 
 
@@ -283,13 +284,13 @@ MALFORMED_GATESET_FILES = {
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"m_list": [1, 10**30]}, "m_list must hold integers <= 9223372036854775807"),
-        ({"n_sequences": 10**30}, "n_sequences must hold integers <= 9223372036854775807"),
-        ({"shots": 10**30}, "shots must hold integers <= 9223372036854775807"),
-        ({"spam": {"rho": "x"}}, "bad spam.rho: expected a list of 4 [re, im] number pairs"),
+        ({"m_list": [1, 10**30]}, "bad m_list[1]: expected an integer in [1, 9223372036854775807]"),
+        ({"n_sequences": 10**30}, "bad n_sequences: expected an integer in [1, 9223372036854775807]"),
+        ({"shots": 10**30}, "bad shots: expected an integer in [1, 9223372036854775807]"),
+        ({"spam": {"rho": "x"}}, "bad spam.rho: expected a list of [re, im] number pairs, got 'x'"),
         (
             {"spam": {"prep": {"d1": 2, "kraus": [[[1, 0, 0]] * 4]}}},
-            "bad spam.prep: expected a list of 4 [re, im] number pairs",
+            "bad spam.prep.kraus[0]: expected a list of [re, im] number pairs",
         ),
     ],
     ids=["huge-length", "huge-n-sequences", "huge-shots", "rho-string", "prep-triples"],
@@ -476,10 +477,18 @@ def test_fit_command_rejects_malformed_points(tmp_path, capsys, row, field, valu
     csv_path = tmp_path / "decay.csv"
     _write_points(csv_path, rows)
     assert main(["fit", str(csv_path), "--model", "single-exp"]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read dataset: bad dataset[{row}].{field}: expected ")
+    assert err.rstrip("\n").rsplit(", got ", 1)[1] in (value, repr(value))  # text nan spells no JSON value
     assert not (tmp_path / "fit.json").exists()
     unweighted = ["fit", str(csv_path), "--model", "single-exp", "--unweighted"]
     assert main(unweighted) == EXIT_CONFIG_ERROR
+    # A library caller reaches fit without the file's reading: fit refuses the point itself.
+    rows[row][field] = float(value)
+    columns = [[float(r[key]) for r in rows] for key in ("m", "mean", "sem")]
+    with pytest.raises(ValueError) as info:
+        lb.fit("single-exp", DecayDataset.from_arrays(*columns))
+    assert str(info.value) == message
 
 
 def test_fit_command_writes_a_double_exp_fit(tmp_path, capsys):

@@ -221,7 +221,7 @@ def test_config_validation():
         ExperimentConfig.from_dict(
             {"gateset": "pauli", "m_list": [5], "n_sequences": 2.5, "seed": 1}
         )
-    with pytest.raises(ConfigError, match="m_list repeats the length 20"):
+    with pytest.raises(ConfigError, match=r"bad m_list: repeats the length 20"):
         ExperimentConfig(
             gateset="pauli", noise=None, m_list=(10, 20, 20.0, 30), n_sequences=5, seed=1
         )
@@ -231,13 +231,13 @@ def test_config_validation():
 
 def test_config_sections_must_be_objects():
     doc = {"gateset": "pauli", "noise": None, "m_list": [5], "n_sequences": 2, "seed": 1}
-    with pytest.raises(ConfigError, match="config must be an object"):
+    with pytest.raises(ConfigError, match="bad top level: expected an object"):
         ExperimentConfig.from_dict([doc])
     for change, what in (
-        ({"noise": "filter"}, "noise"),
-        ({"noise": {"id": "filter", "params": [1]}}, "filter noise param"),
-        ({"spam": [1]}, "spam"),
-        ({"noise": {"id": ["filter"]}}, "noise model"),
+        ({"noise": "filter"}, "bad noise: expected an object"),
+        ({"noise": {"id": "filter", "params": [1]}}, "bad noise.params: expected an object"),
+        ({"spam": [1]}, "bad spam: expected an object"),
+        ({"noise": {"id": ["filter"]}}, "bad noise.id: expected one of"),
     ):
         with pytest.raises(ConfigError, match=what):
             ExperimentConfig.from_dict({**doc, **change})
