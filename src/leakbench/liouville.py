@@ -15,6 +15,7 @@ gate-set or dataset document has one table of its fields, read by
 from __future__ import annotations
 
 import functools
+import json
 import math
 import numbers
 import sys
@@ -299,8 +300,9 @@ class ConfigError(ValueError):
 REQUIRED = object()
 
 
-def _refuse(path: str, expected: str, value):
-    raise ConfigError(f"bad {path}: expected {expected}, got {value!r:.60}")
+def refuse(path: str, expected: str, value):
+    """Raise the ConfigError of ``value`` at ``path``, shown as JSON spells it."""
+    raise ConfigError(f"bad {path}: expected {expected}, got {json.dumps(value, default=repr):.60}")
 
 
 def read_fields(doc, path: str, fields: dict) -> dict:
@@ -313,7 +315,7 @@ def read_fields(doc, path: str, fields: dict) -> dict:
     ConfigErrors.  This helper is itself the parser of a nested section.
     """
     if not isinstance(doc, dict):
-        _refuse(path or "top level", "an object", doc)
+        refuse(path or "top level", "an object", doc)
     prefix = f"{path}." if path else ""
     for key in doc:
         if key not in fields:
@@ -343,7 +345,7 @@ def integer(value, path: str, low=-math.inf, high=math.inf) -> int:
     whole = isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral)
     if whole and not isinstance(value, bool) and low <= value <= high:
         return int(value)
-    _refuse(path, f"an integer{_range(low, high)}", value)
+    refuse(path, f"an integer{_range(low, high)}", value)
 
 
 def real(value, path: str, low=-math.inf, high=math.inf) -> float:
@@ -352,26 +354,26 @@ def real(value, path: str, low=-math.inf, high=math.inf) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if abs(value) <= sys.float_info.max and low <= value <= high:
             return float(value)
-    _refuse(path, f"a finite real number{_range(low, high)}", value)
+    refuse(path, f"a finite real number{_range(low, high)}", value)
 
 
 def text(value, path: str) -> str:
     if not isinstance(value, str):
-        _refuse(path, "a string", value)
+        refuse(path, "a string", value)
     return value
 
 
 def mapping(value, path: str) -> dict:
     """An object of any keys, kept as given."""
     if not isinstance(value, dict):
-        _refuse(path, "an object", value)
+        refuse(path, "an object", value)
     return value
 
 
 def items(value, path: str, parse) -> list:
     """The nonempty list ``value`` with its item i read by ``parse`` as ``path[i]``."""
     if not isinstance(value, (list, tuple)) or not value:
-        _refuse(path, "a nonempty list", value)
+        refuse(path, "a nonempty list", value)
     return [parse(item, f"{path}[{i}]") for i, item in enumerate(value)]
 
 
@@ -388,7 +390,7 @@ def section(fields: dict):
 def complex_entries(value, path: str) -> np.ndarray:
     """The list ``value`` of [re, im] number pairs as a flat complex array."""
     if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
-        _refuse(path, "a list of [re, im] number pairs", value)
+        refuse(path, "a list of [re, im] number pairs", value)
     parts = [real(part, f"{path}[{i}]") for i, pair in enumerate(value) for part in pair]
     return np.array(parts, dtype=float).view(complex)
 
@@ -396,7 +398,7 @@ def complex_entries(value, path: str) -> np.ndarray:
 def square_matrix(entries: np.ndarray, d: int, path: str, dims: str) -> np.ndarray:
     """The flat ``entries`` as a row-major d x d matrix, where d is ``dims``."""
     if entries.size != d * d:
-        _refuse(path, f"{d * d} [re, im] pairs (a {d}x{d} matrix for {dims} = {d})", entries.size)
+        refuse(path, f"{d * d} [re, im] pairs (a {d}x{d} matrix for {dims} = {d})", entries.size)
     return entries.reshape(d, d)
 
 

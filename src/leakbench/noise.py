@@ -30,6 +30,7 @@ from .liouville import (
     mapping,
     read_fields,
     real,
+    refuse,
     section,
 )
 
@@ -310,7 +311,7 @@ def unit_vector(value, path: str) -> tuple:
     """A Bloch direction: a list of three real numbers of norm 1 (within 1e-6)."""
     r = items(value, path, real)
     if len(r) != 3 or not abs(math.hypot(*r) - 1.0) <= 1e-6:
-        raise ConfigError(f"bad {path}: expected a unit 3-vector, got {value!r:.60}")
+        refuse(path, "a unit 3-vector", value)
     return tuple(r)
 
 
@@ -748,7 +749,7 @@ NOISE_PARAMS = {
 
 def _model_id(value, path: str) -> str:
     if not (isinstance(value, str) and value in NOISE_PARAMS):
-        raise ConfigError(f"bad {path}: expected one of {', '.join(NOISE_PARAMS)}, got {value!r}")
+        refuse(path, f"one of {', '.join(NOISE_PARAMS)}", value)
     return value
 
 
@@ -766,7 +767,7 @@ def read_noise_spec(spec, path: str = "noise") -> tuple:
     try:
         return model_id, read_fields(params or {}, f"{path}.params", NOISE_PARAMS[model_id])
     except ConfigError as exc:  # the params that the id selects
-        raise ConfigError(f"{exc}, for {path}.id {model_id!r}") from None
+        raise ConfigError(f'{exc}, for {path}.id "{model_id}"') from None
 
 
 def build_noise_model(

@@ -182,7 +182,7 @@ def test_simulate_unknown_config_key_is_config_error(tmp_path, capsys, change, k
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error: bad ")
-    assert f"{key}: unknown key" in err or f"got {key!r}" in err
+    assert f"{key}: unknown key" in err or f"got {json.dumps(key)}" in err
     assert not out.exists()
 
 
@@ -287,7 +287,7 @@ MALFORMED_GATESET_FILES = {
         ({"m_list": [1, 10**30]}, "bad m_list[1]: expected an integer in [1, 9223372036854775807]"),
         ({"n_sequences": 10**30}, "bad n_sequences: expected an integer in [1, 9223372036854775807]"),
         ({"shots": 10**30}, "bad shots: expected an integer in [1, 9223372036854775807]"),
-        ({"spam": {"rho": "x"}}, "bad spam.rho: expected a list of [re, im] number pairs, got 'x'"),
+        ({"spam": {"rho": "x"}}, 'bad spam.rho: expected a list of [re, im] number pairs, got "x"'),
         (
             {"spam": {"prep": {"d1": 2, "kraus": [[[1, 0, 0]] * 4]}}},
             "bad spam.prep.kraus[0]: expected a list of [re, im] number pairs",
@@ -479,7 +479,7 @@ def test_fit_command_rejects_malformed_points(tmp_path, capsys, row, field, valu
     assert main(["fit", str(csv_path), "--model", "single-exp"]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot read dataset: bad dataset[{row}].{field}: expected ")
-    assert err.rstrip("\n").rsplit(", got ", 1)[1] in (value, repr(value))  # text nan spells no JSON value
+    assert err.rstrip("\n").rsplit(", got ", 1)[1] in (value, json.dumps(value))  # nan is text
     assert not (tmp_path / "fit.json").exists()
     unweighted = ["fit", str(csv_path), "--model", "single-exp", "--unweighted"]
     assert main(unweighted) == EXIT_CONFIG_ERROR
