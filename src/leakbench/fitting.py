@@ -63,7 +63,7 @@ class DecayModel:
         decays = np.asarray(decays, dtype=float)
         constant = np.ones(decays.shape[:-1] + (self.n_amplitudes - decays.shape[-1],))
         bases = np.concatenate([decays, constant], axis=-1)
-        return np.power(bases[..., None, :], ms.astype(int)[:, None] - 1)
+        return np.power(bases[..., None, :], ms[:, None] - 1)
 
     def predict(self, params: np.ndarray, ms: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float)
@@ -72,7 +72,7 @@ class DecayModel:
 
     def jacobian(self, params: np.ndarray, ms: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float)
-        e = ms.astype(int) - 1  # d/dx x^e = e x^(e-1), and 0 at e = 0
+        e = ms - 1  # d/dx x^e = e x^(e-1), and 0 at e = 0
         by_decay = [params[k] * (e * np.power(params[i], np.maximum(e - 1, 0)))
                     for k, i in enumerate(self.decay_params)]
         return np.column_stack([self.basis(params[self.n_amplitudes:], ms)] + by_decay)
@@ -146,7 +146,7 @@ def _scan(model: DecayModel, head, grid, ms, ys, w) -> int:
     if len(model.decay_params) - len(head) == 1:
         amps, b = _project(model, np.column_stack([np.tile(head, (grid.size, 1)), grid]), ms, ys, w)
         return int(np.argmax((amps * b).sum(axis=-1)))
-    cols = np.power(grid[:, None], ms.astype(int) - 1)
+    cols = np.power(grid[:, None], ms - 1)
     gram, rhs = (cols * w) @ cols.T, (cols * w) @ ys
     d, b = np.diag(gram), (rhs[:, None], rhs[None, :])
     explained = sum(a * bk for a, bk in zip(_amplitudes((d[:, None], d[None, :]), gram, b), b))
@@ -169,7 +169,7 @@ def _search(model: DecayModel, ms, ys, w, head=()):
     """
     last = len(head) + 1 == len(model.decay_params)
     # Sign rule: with one parity of m - 1, a negative decay repeats a positive one.
-    parity = (ms.astype(int) - 1) % 2
+    parity = (ms - 1) % 2
     lower = 0.0 if parity.min() == parity.max() else -1.0
     grid = np.linspace(lower, 1.0, _GRID_POINTS)[:: 1 if last else 2]
     at = _scan(model, head, grid, ms, ys, w)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import weakref
 
 import numpy as np
 
@@ -87,6 +88,9 @@ class GateSet:
     def __len__(self) -> int:
         return len(self.gates)
 
+    def __reduce__(self):
+        return GateSet, (self.space, self.gates, self.label, False)
+
 
 def pauli_gateset() -> GateSet:
     """{I, X, Y, Z} on a qubit with no leakage subspace."""
@@ -144,7 +148,8 @@ class NoiseAssignment:
 
     Either a fixed tuple of channels (one per gate index) or a stochastic
     sampler drawing a fresh channel at every application.  The average of
-    fixed channels is computed once (:func:`average_noise`).
+    fixed channels is computed once (:func:`average_noise`), and so is their
+    :class:`AveragedStep` on each gate set.
     """
 
     def __init__(self, space: SpaceSpec, channels=None, sampler=None):
@@ -157,6 +162,10 @@ class NoiseAssignment:
         self.space = space
         self.channels = channels
         self.sampler = sampler
+        self._steps = weakref.WeakKeyDictionary()
+
+    def __reduce__(self):
+        return NoiseAssignment, (self.space, self.channels, self.sampler)
 
     @classmethod
     def uniform(cls, channel: Channel, n_gates: int) -> "NoiseAssignment":
@@ -171,13 +180,36 @@ class NoiseAssignment:
     def _average(self) -> Channel:
         return mix(self.channels)
 
+    def averaged_step(self, gs: GateSet) -> "AveragedStep":
+        """The :class:`AveragedStep` of this fixed noise on ``gs``, built on first use."""
+        if gs not in self._steps:
+            self._steps[gs] = AveragedStep(gs, self)
+        return self._steps[gs]
 
-def _step_liouvilles(gs: GateSet, na: NoiseAssignment | None) -> np.ndarray:
-    """The |G| step matrices L(G_g) L(E_g) of fixed noise (L(G_g) alone without noise), stacked."""
-    steps = gs.gate_liouvilles
-    if na is not None:
-        steps = steps @ np.array([ch.liouville for ch in na.channels])
-    return steps
+
+class AveragedStep:
+    """The exact averaged step of fixed noise on a gate set, computed once per pair.
+
+    ``steps`` stacks the |G| step matrices L(G_g) L(E_g), and their mean S
+    averages a sequence of length m to effect . S^m . state; both are
+    read-only.  ``epsilon``, :func:`gate_dependence_epsilon`, is taken on
+    first use.  The entry holds no reference to its gate set, which keys it
+    weakly.
+    """
+
+    def __init__(self, gs: GateSet, na: NoiseAssignment):
+        if na.stochastic:
+            raise ValueError("the exact averaged step needs a deterministic noise assignment")
+        if len(na.channels) != len(gs):
+            raise ValueError("noise assignment does not match the gate count")
+        self.steps = _read_only(gs.gate_liouvilles @ np.array([ch.liouville for ch in na.channels]))
+        self.mean = _read_only(self.steps.mean(axis=0))
+        self._noise, self._twirl, self._dim = na, gs.twirl_matrix, gs.space.d
+
+    @functools.cached_property
+    def epsilon(self) -> float:
+        delta = self.mean - self._twirl @ average_noise(self._noise).liouville
+        return self._dim * float(np.linalg.svd(delta, compute_uv=False)[0])
 
 
 def average_noise(na: NoiseAssignment) -> Channel:
@@ -203,14 +235,7 @@ def gate_dependence_epsilon(gs: GateSet, na: NoiseAssignment) -> float:
     above but is not the exact value (that would need an SDP); it suffices to
     confirm the O(m * epsilon) remainder is negligible.
     """
-    if na.stochastic:
-        raise ValueError("gate-dependence is undefined for re-sampled noise")
-    if len(na.channels) != len(gs):
-        raise ValueError("noise assignment does not match the gate count")
-    delta = _step_liouvilles(gs, na).mean(axis=0)
-    delta -= gs.twirl_matrix @ average_noise(na).liouville
-    sigma_max = float(np.linalg.svd(delta, compute_uv=False)[0])
-    return gs.space.d * sigma_max
+    return na.averaged_step(gs).epsilon
 
 
 # ---------------------------------------------------------------------------

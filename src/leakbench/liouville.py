@@ -106,13 +106,17 @@ class Channel:
     """A completely positive map stored as a stack of d x d Kraus operators.
 
     The read-only Kraus stack (k, d, d) is ground truth; the Liouville matrix
-    (elementary basis) is derived lazily and cached.  Values are immutable.
+    (elementary basis) is derived lazily and cached, or given as ``liouville``,
+    the Kraus form's up to rounding (:func:`mix`, unpickling).  Values are immutable.
     """
 
-    def __init__(self, space: SpaceSpec, kraus):
+    def __init__(self, space: SpaceSpec, kraus, liouville=None):
         self.space = space
         self.kraus = _operator_stack(kraus, space.d, "Kraus operators")
-        self._liouville: np.ndarray | None = None
+        self._liouville = None if liouville is None else _read_only(np.array(liouville, complex))
+
+    def __reduce__(self):
+        return Channel, (self.space, self.kraus, self._liouville)
 
     @classmethod
     def identity(cls, space: SpaceSpec) -> "Channel":
@@ -222,10 +226,9 @@ def mix(channels, weights=None) -> Channel:
     if not np.all(np.isfinite(weights) & (weights >= 0)):
         raise ValueError(f"mix weights must be finite and nonnegative, got {weights.tolist()}")
     scales = np.repeat(np.sqrt(weights), [len(ch.kraus) for ch in channels])
-    mixed = Channel(space, scales[:, None, None] * np.concatenate([ch.kraus for ch in channels]))
+    kraus = scales[:, None, None] * np.concatenate([ch.kraus for ch in channels])
     lios = np.array([ch.liouville for ch in channels])
-    mixed._liouville = _read_only(np.tensordot(weights, lios, axes=1))
-    return mixed
+    return Channel(space, kraus, np.tensordot(weights, lios, axes=1))
 
 
 def survival_rate(rho: np.ndarray, ch: Channel) -> float:

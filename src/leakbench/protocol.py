@@ -17,13 +17,14 @@ import hashlib
 import json
 import os
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from .fitting import MODELS
-from .gatesets import GateSet, NoiseAssignment, _step_liouvilles, gateset_by_id
+from .gatesets import GateSet, NoiseAssignment, gateset_by_id
 from .liouville import (
     DEFAULT_TOL,
     REQUIRED,
@@ -262,7 +263,7 @@ class DecayDataset:
 
     @property
     def ms(self) -> np.ndarray:
-        return np.array([p.m for p in self.points], dtype=float)
+        return np.array([p.m for p in self.points])
 
     @property
     def means(self) -> np.ndarray:
@@ -407,7 +408,8 @@ def run_sequences(
         if normals is None:
             raise ValueError("stochastic noise needs per-step normals")
         return _evolve_columns(indices, lengths, gateset, noise.sampler, spam, normals)
-    table, offsets = _word_table(_step_liouvilles(gateset, noise), _CHUNK_ENTRIES)
+    steps = gateset.gate_liouvilles if noise is None else noise.averaged_step(gateset).steps
+    table, offsets = _word_table(steps, _CHUNK_ENTRIES)
     width = len(offsets) - 1
     digits, negated = len(gateset) ** np.arange(width), -lengths
     states = np.tile(spam.state_vector(), (n, 1))
@@ -633,11 +635,9 @@ def exact_expectations(
     of effect . S_{g_m} ... S_{g_1} . state, with step S_g = G_g E_g, is
     effect . S^m . state for the averaged step S = mean_g S_g.
     """
-    if noise is not None and noise.stochastic:
-        raise ValueError("the exact average needs a deterministic noise assignment")
     if spam is None:
         spam = SpamSpec.ideal(gateset.space)
-    step = _step_liouvilles(gateset, noise).mean(axis=0)
+    step = gateset.twirl_matrix if noise is None else noise.averaged_step(gateset).mean
     return _power_expectations(m_list, step, spam.effect_vector(), spam.state_vector())
 
 
@@ -651,18 +651,26 @@ def brute_force_expectation(
     return float(exact_expectations((m,), gateset, noise, spam)[0])
 
 
+#: The read-only transfer frame of each channel under ideal SPAM, built on first use.
+_IDEAL_FRAMES = weakref.WeakKeyDictionary()
+
+
 def _transfer_frame(gateset: GateSet, channel: Channel, spam: SpamSpec | None):
     """(effect . A, B, A^dag L . state) of gate-independent noise ``channel``.
 
     A is :attr:`SpaceSpec.twirl_basis` and B the transfer block
     (:func:`transfer_matrix`).  The twirl is A A^dag, so the sequence average
-    at length m is effect . A B^(m-1) A^dag L . state.
+    at length m is effect . A B^(m-1) A^dag L . state.  With ideal SPAM
+    (``spam`` None) each channel's frame is computed once.
     """
     space = gateset.space
     if channel.space != space:
         raise ValueError("channel acts on a different space")
     if spam is None:
-        spam = SpamSpec.ideal(space)
+        if channel not in _IDEAL_FRAMES:
+            frame = _transfer_frame(gateset, channel, SpamSpec.ideal(space))
+            _IDEAL_FRAMES[channel] = tuple(map(_read_only, frame))
+        return _IDEAL_FRAMES[channel]
     basis = space.twirl_basis
     state = basis.conj().T @ (channel.liouville @ spam.state_vector())
     return spam.effect_vector() @ basis, transfer_matrix(channel), state

@@ -7,6 +7,11 @@ checked.  The per-operator loop forms of the channel and gate-set algebra
 (``kraus_liouville``, ``apply_kraus``, ``kraus_sum``, ``group_deviation``,
 ``gate_dependence_epsilon``) and the numeric rank of a projector
 (``numeric_rank``), against which the stacked contractions are checked.
+The exact sequence averages built afresh on every call (``averaged_step``,
+``powered_expectation``, ``stacked_gate_dependence_epsilon``, and
+``predicted_expectation`` from the fresh ``projectors`` and ``twirl_basis``),
+in the stacked arithmetic of the program, against which its values computed
+once per gate set and noise are checked bit for bit.
 The decays of a twirled channel as trace formulas: the incoherent survival
 ``Tr[E(I/d)]`` (``incoherent_survival``), the 2 x 2 block of a channel with a
 leakage subspace (``transfer_block``) and its roots in closed form
@@ -236,6 +241,56 @@ def gate_dependence_epsilon(gates, channels) -> float:
     delta /= len(lios)
     delta -= (sum(lios) / len(lios)) @ (sum(noise) / len(noise))
     return d * float(np.linalg.svd(delta, compute_uv=False)[0])
+
+
+def averaged_step(gates, channels=None) -> np.ndarray:
+    """mean_g L(G_g) L(E_g), or the twirl without noise, from Kronecker products built
+    afresh and multiplied and averaged as stacks, in the program's order."""
+    lios = np.array([np.kron(g, g.conj()) for g in gates])
+    if channels is not None:
+        lios = lios @ np.array([kraus_liouville(ch.kraus) for ch in channels])
+    return lios.mean(axis=0)
+
+
+def powered_expectation(m: int, step: np.ndarray, effect, state) -> float:
+    """effect . step^m . state, the step applied m times afresh."""
+    for _ in range(m):
+        state = step @ state
+    return float(np.real(effect @ state))
+
+
+def stacked_gate_dependence_epsilon(gates, channels) -> float:
+    """d sigma_max(S - T E_avg) of :func:`averaged_step` S, the twirl T and the mean
+    E_avg = sum_g L(E_g) / |G| taken as :func:`leakbench.liouville.mix` takes it."""
+    noise = np.array([kraus_liouville(ch.kraus) for ch in channels])
+    average = np.tensordot(np.full(len(channels), 1.0 / len(channels)), noise, axes=1)
+    delta = averaged_step(gates, channels) - averaged_step(gates) @ average
+    return np.shape(gates[0])[0] * float(np.linalg.svd(delta, compute_uv=False)[0])
+
+
+def projectors(space: SpaceSpec) -> tuple:
+    """P_H1 and P_H2 as d x d matrices, built entry by entry."""
+    d = space.d
+    code, leak = np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+    code[: space.d1, : space.d1] = np.eye(space.d1)
+    leak[space.d1 :, space.d1 :] = np.eye(space.d2)
+    return code, leak
+
+
+def twirl_basis(space: SpaceSpec) -> np.ndarray:
+    """vec(P_H1)/sqrt(d1) and vec(P_H2)/sqrt(d2) as columns, vec(I)/sqrt(d) without leakage."""
+    if space.d2 == 0:
+        return vec(np.eye(space.d))[:, None] / np.sqrt(space.d)
+    code, leak = projectors(space)
+    return np.column_stack([vec(code) / np.sqrt(space.d1), vec(leak) / np.sqrt(space.d2)])
+
+
+def predicted_expectation(m: int, channel: Channel) -> float:
+    """effect . A B^(m-1) A^dag L . state under ideal SPAM, its frame built afresh."""
+    spam, basis = SpamSpec.ideal(channel.space), twirl_basis(channel.space)
+    block = (basis.conj().T @ channel.liouville @ basis).real
+    state = basis.conj().T @ (channel.liouville @ spam.state_vector())
+    return powered_expectation(m - 1, block, spam.effect_vector() @ basis, state)
 
 
 def numeric_rank(matrix: np.ndarray, tol: float = 0.5) -> int:

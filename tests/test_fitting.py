@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,27 @@ def test_malformed_points_are_rejected_naming_their_length():
         for name in fitting.MODELS:
             with pytest.raises(ValueError, match=message):
                 fit(name, DecayDataset.from_arrays(lengths, means, errors), weighted=False)
+
+
+def test_the_longest_int64_length_fits_without_a_cast(tmp_path, capsys):
+    # decay^(m-1) is 0 at m = 2^63 - 1 for every decay below 1, so a row there
+    # with mean 0 leaves the fit of the other rows; as a float it would read 2^63.
+    ms = np.arange(5, 100, 7)  # both parities of m - 1, so the decay's sign is identified
+    data = synthetic("single-exp", {"amplitude": 0.97, "decay": 0.985}, ms, sem=0.001, seed=4)
+    longest = 2**63 - 1
+    rows = [{"m": p.m, "mean": p.mean, "sem": p.sem, "n": p.n} for p in data.points]
+    path = tmp_path / "decay.json"
+    rows.append({"m": longest, "mean": 0.0, "sem": 0.001, "n": 30})
+    path.write_text(json.dumps({"dataset": rows}))
+    loaded = DecayDataset.from_json(str(path))
+    assert loaded.ms.dtype == np.int64 and loaded.ms[-1] == longest
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        both, alone = fit("single-exp", loaded), fit("single-exp", data)
+        assert lb.cli.main(["fit", str(path), "--model", "single-exp"]) == 0
+    for name in ("amplitude", "decay"):
+        assert both.params[name] == pytest.approx(alone.params[name], rel=1e-12)
+    assert f"decay = {alone.params['decay']:.6f}" in capsys.readouterr().out
 
 
 def test_too_few_distinct_lengths_are_rejected():

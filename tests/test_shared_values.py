@@ -7,6 +7,7 @@ them are checked to give the same results with the caches warm.
 
 import copy
 import functools
+import gc
 import json
 import multiprocessing
 import pickle
@@ -14,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+import reference
 from helpers import random_channel, run_python
 
 import leakbench as lb
@@ -21,13 +23,18 @@ import leakbench.cli as cli
 import leakbench.gatesets as gatesets
 from leakbench import GateSet, NoiseAssignment, SpaceSpec
 from leakbench.gatesets import PAULIS, average_noise, gateset_by_id, twirl
-from leakbench.liouville import matrix_to_pairs, mix, vec
+from leakbench.liouville import matrix_to_pairs, mix
 from leakbench.noise import ShelvingNoiseSampler
 from leakbench.protocol import (
     ExperimentConfig,
     SpamSpec,
     _lengths_probabilities,
+    _transfer_frame,
+    brute_force_expectation,
+    exact_expectations,
+    predicted_expectation,
     run_experiment,
+    run_sequences,
 )
 
 #: The pauli set, the shelving set and a signed design on SpaceSpec(2, 2).
@@ -37,21 +44,6 @@ GATESETS = {
     "blocks": lambda: lb.signed_design_gateset(PAULIS, PAULIS, label="blocks"),
 }
 SPACES = [SpaceSpec(2, 0), SpaceSpec(2, 1), SpaceSpec(2, 2)]
-
-
-def fresh_projectors(space: SpaceSpec):
-    d = space.d
-    code, leak = np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
-    code[: space.d1, : space.d1] = np.eye(space.d1)
-    leak[space.d1 :, space.d1 :] = np.eye(space.d2)
-    return code, leak
-
-
-def fresh_twirl_basis(space: SpaceSpec) -> np.ndarray:
-    if space.d2 == 0:
-        return vec(np.eye(space.d))[:, None] / np.sqrt(space.d)
-    code, leak = fresh_projectors(space)
-    return np.column_stack([vec(code) / np.sqrt(space.d1), vec(leak) / np.sqrt(space.d2)])
 
 
 def assert_shared_read_only(owner, attr: str, expected: np.ndarray):
@@ -66,10 +58,10 @@ def assert_shared_read_only(owner, attr: str, expected: np.ndarray):
 
 @pytest.mark.parametrize("space", SPACES, ids=str)
 def test_space_values_match_fresh_computation(space):
-    code, leak = fresh_projectors(space)
+    code, leak = reference.projectors(space)
     assert_shared_read_only(space, "code_projector", code)
     assert_shared_read_only(space, "leak_projector", leak)
-    assert_shared_read_only(space, "twirl_basis", fresh_twirl_basis(space))
+    assert_shared_read_only(space, "twirl_basis", reference.twirl_basis(space))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=str)
@@ -100,7 +92,7 @@ def test_ideal_spam_is_one_shared_value_per_space(space):
     rho = np.zeros((space.d, space.d), dtype=complex)
     rho[0, 0] = 1.0
     assert_shared_read_only(spam, "rho", rho)
-    assert_shared_read_only(spam, "effect", fresh_projectors(space)[0])
+    assert_shared_read_only(spam, "effect", reference.projectors(space)[0])
     assert spam.prep is None and spam.meas is None
 
 
@@ -230,3 +222,151 @@ def test_spawned_worker_gets_no_writable_shared_array():
     with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
         flags = pool.submit(_worker_writeable_arrays, SHELVING_CFG).result(timeout=120)
     assert flags == dict.fromkeys(flags, False) and len(flags) == 8
+
+
+# ---------------------------------------------------------------------------
+# The averaged step of each pair of gate set and fixed noise, and the transfer
+# frame of each channel, computed once and checked against tests/reference.py.
+# ---------------------------------------------------------------------------
+
+
+def gate_dependent_noise(gs: GateSet, seed: int = 5) -> NoiseAssignment:
+    rng = np.random.default_rng(seed)
+    return NoiseAssignment(gs.space, channels=[random_channel(gs.space, rng) for _ in gs.gates])
+
+
+@pytest.mark.parametrize("name", GATESETS)
+def test_cached_exact_values_equal_a_fresh_computation_bit_for_bit(name):
+    gs = GATESETS[name]()
+    na = gate_dependent_noise(gs)
+    spam = SpamSpec.ideal(gs.space)
+    effect, state = spam.effect_vector(), spam.state_vector()
+    ms = (1, 2, 3, 5, 8)
+    for noise in (na, None):
+        channels = None if noise is None else noise.channels
+        step = reference.averaged_step(gs.gates, channels)
+        fresh = [reference.powered_expectation(m, step, effect, state) for m in ms]
+        for _ in range(2):  # cold, then warm
+            assert exact_expectations(ms, gs, noise).tolist() == fresh
+            assert [brute_force_expectation(m, gs, noise) for m in ms] == fresh
+    fresh_epsilon = reference.stacked_gate_dependence_epsilon(gs.gates, na.channels)
+    avg = average_noise(na)
+    fresh_predicted = [reference.predicted_expectation(m, avg) for m in ms]
+    for _ in range(2):
+        assert lb.gate_dependence_epsilon(gs, na) == fresh_epsilon
+        assert [predicted_expectation(m, gs, avg) for m in ms] == fresh_predicted
+        assert predicted_expectation(np.array(ms), gs, avg).tolist() == fresh_predicted
+
+
+@pytest.mark.parametrize("name", GATESETS)
+def test_averaged_step_is_shared_and_read_only(name):
+    gs = GATESETS[name]()
+    na = gate_dependent_noise(gs)
+    entry = na.averaged_step(gs)
+    assert na.averaged_step(gs) is entry
+    steps = np.array([np.kron(g, g.conj()) for g in gs.gates])
+    steps = steps @ np.array([reference.kraus_liouville(ch.kraus) for ch in na.channels])
+    assert_shared_read_only(entry, "steps", steps)
+    assert_shared_read_only(entry, "mean", reference.averaged_step(gs.gates, na.channels))
+    frame = _transfer_frame(gs, average_noise(na), None)
+    assert _transfer_frame(gs, average_noise(na), None) is frame
+    for array in frame:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 2.0
+
+
+def test_one_noise_on_two_gate_sets_of_equal_size_keeps_two_entries():
+    pauli = gateset_by_id("pauli")
+    reversed_set = GateSet(pauli.space, PAULIS[::-1], label="reversed")
+    na = gate_dependent_noise(pauli)
+    spam = SpamSpec.ideal(pauli.space)
+    for gs in (pauli, reversed_set, pauli, reversed_set):
+        step = reference.averaged_step(gs.gates, na.channels)
+        fresh = reference.powered_expectation(4, step, spam.effect_vector(), spam.state_vector())
+        assert brute_force_expectation(4, gs, na) == fresh
+        assert np.array_equal(na.averaged_step(gs).mean, step)
+    assert na.averaged_step(pauli) is not na.averaged_step(reversed_set)
+    assert len(na._steps) == 2
+    # A gate set that is gone leaves no entry behind whose key a new one could reuse.
+    del reversed_set, gs
+    gc.collect()
+    assert list(na._steps.keys()) == [pauli]
+
+
+def test_mismatched_gate_count_is_refused_by_every_reader():
+    gs = gateset_by_id("shelving")
+    na = NoiseAssignment(gs.space, channels=gate_dependent_noise(gs).channels[:4])
+    for call in (
+        lambda: lb.gate_dependence_epsilon(gs, na),
+        lambda: exact_expectations((1, 2), gs, na),
+        lambda: run_sequences(np.zeros((1, 2), dtype=int), gs, na),
+    ):
+        with pytest.raises(ValueError, match="does not match the gate count"):
+            call()
+
+
+def test_repeated_epsilon_takes_one_svd(monkeypatch):
+    gs = gateset_by_id("shelving")
+    na = gate_dependent_noise(gs)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    values = {lb.gate_dependence_epsilon(gs, na) for _ in range(5)}
+    exact_expectations((1, 2, 3), gs, na)
+    assert len(values) == 1 and calls == [(9, 9)]
+
+
+# ---------------------------------------------------------------------------
+# Pickles and deep copies: read-only arrays, and no cache keyed by a gate set.
+# ---------------------------------------------------------------------------
+
+
+def assert_arrays_read_only(value, names):
+    for name in names:
+        array = getattr(value, name)
+        assert isinstance(array, np.ndarray) and not array.flags.writeable, name
+
+
+def test_pickled_and_copied_gateset_keeps_read_only_arrays():
+    shared = gateset_by_id("shelving")
+    for gs in (pickle.loads(pickle.dumps(shared)), copy.deepcopy(shared)):
+        assert gs is not shared and gs.gates is not shared.gates
+        assert not {"gate_liouvilles", "twirl_matrix"} & set(vars(gs))
+        assert_arrays_read_only(gs, ("gates", "gate_liouvilles", "twirl_matrix"))
+        assert np.array_equal(gs.twirl_matrix, shared.twirl_matrix)
+
+
+def test_pickled_and_copied_noise_keeps_read_only_arrays_and_leaves_its_steps():
+    gs = gateset_by_id("shelving")
+    na = gate_dependent_noise(gs)
+    entry, epsilon = na.averaged_step(gs), lb.gate_dependence_epsilon(gs, na)
+    for other in (pickle.loads(pickle.dumps(na)), copy.deepcopy(na), copy.copy(na)):
+        assert not other._steps and "_average" not in vars(other)
+        for ch in (*other.channels, average_noise(other)):
+            assert_arrays_read_only(ch, ("kraus", "_liouville"))
+        rebuilt = other.averaged_step(gs)
+        assert rebuilt is not entry and other._steps is not na._steps
+        assert np.array_equal(rebuilt.steps, entry.steps) and not rebuilt.steps.flags.writeable
+        assert lb.gate_dependence_epsilon(gs, other) == epsilon
+    assert na.averaged_step(gs) is entry
+
+
+def test_pickled_channel_keeps_its_read_only_liouville():
+    gs = gateset_by_id("shelving")
+    avg = average_noise(gate_dependent_noise(gs))
+    for ch in (pickle.loads(pickle.dumps(avg)), copy.deepcopy(avg)):
+        assert_arrays_read_only(ch, ("kraus", "_liouville"))
+        assert np.array_equal(ch.liouville, avg.liouville)
+
+
+def test_copied_stochastic_shelving_noise_keeps_its_sampler():
+    na = NoiseAssignment(SpaceSpec(2, 1), sampler=ShelvingNoiseSampler(lb.ShelvingParams(phi=0.2)))
+    for other in (pickle.loads(pickle.dumps(na)), copy.deepcopy(na)):
+        assert other.stochastic and other.sampler.params == na.sampler.params and not other._steps
+        with pytest.raises(ValueError, match="deterministic"):
+            exact_expectations((1,), gateset_by_id("shelving"), other)
