@@ -1,7 +1,7 @@
 """Command-line entry point: simulate, fit, reproduce, check.
 
 Exit codes are a stable contract: 0 success, 1 property/comparison failure,
-2 config error, 3 simulation error, 4 fit error.
+and the codes of the error table :data:`ERRORS`.
 """
 
 from __future__ import annotations
@@ -63,6 +63,22 @@ EXIT_CONFIG_ERROR = 2
 EXIT_SIMULATION_ERROR = 3
 EXIT_FIT_ERROR = 4
 
+#: The CLI's error boundary: an exception's message word and exit code are
+#: those of the first type here that it is an instance of.
+ERRORS = (
+    (ConfigError, "config error", EXIT_CONFIG_ERROR),
+    (FitNonConvergence, "fit error", EXIT_FIT_ERROR),
+    (Exception, "simulation error", EXIT_SIMULATION_ERROR),
+)
+
+
+def _report_error(exc: Exception) -> int:
+    """Print ``exc`` to stderr after its :data:`ERRORS` word; returns its exit code."""
+    word, code = next((word, code) for kind, word, code in ERRORS if isinstance(exc, kind))
+    print(f"{word}: {exc}", file=sys.stderr)
+    return code
+
+
 #: Sub-stream tag for the Monte Carlo theory oracle.
 ORACLE_KEY = 2
 
@@ -108,37 +124,6 @@ def _peak_rss_mb() -> float | None:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
-def _write_manifest(out_dir, provenance: dict, outputs: list, started: float, timings: dict):
-    """Write the run record ``manifest.json`` to ``out_dir``; returns its path.
-
-    Its config, seed and tool version are those of the dataset's
-    ``provenance``.  ``timings`` holds the wall seconds of each stage of the
-    run.  The stages are disjoint parts of ``duration_seconds``, except
-    ``sample`` and ``evolve``: a serial run's parts of ``simulate``.
-    ``peak_rss_mb`` is the process's peak memory when the manifest is written.
-    """
-    path = out_dir / "manifest.json"
-    manifest = {
-        "config": provenance["config"],
-        "seed": provenance["seed"],
-        "tool_version": provenance["tool_version"],
-        "outputs": outputs,
-        "duration_seconds": time.monotonic() - started,
-        "timings": timings,
-        "peak_rss_mb": _peak_rss_mb(),
-    }
-    _write_json(path, manifest)
-    return path
-
-
-def _write_dataset(dataset: DecayDataset, out_dir, outputs: list, extras=None):
-    csv_path = out_dir / "decay.csv"
-    json_path = out_dir / "decay.json"
-    dataset.to_csv(str(csv_path))
-    dataset.to_json(str(json_path), extras)
-    outputs.extend([str(csv_path), str(json_path)])
-
-
 def _can_write_to(out_dir) -> bool:
     """Whether ``out_dir`` is, or can be created as, a writable directory.
 
@@ -148,40 +133,70 @@ def _can_write_to(out_dir) -> bool:
     found = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
     writable = found.is_dir() and os.access(found, os.W_OK)
     if not writable:
-        print(f"config error: cannot create output directory {str(out_dir)!r}: "
-              f"{str(found)!r} is not a writable directory", file=sys.stderr)
+        _report_error(ConfigError(f"cannot create output directory {str(out_dir)!r}: "
+                                  f"{str(found)!r} is not a writable directory"))
     return writable
 
 
+def _simulate(cfg: ExperimentConfig, jobs: int, timings: dict | None):
+    """Build ``cfg``'s components and run it; returns (dataset, components).
+
+    Timed as the ``simulate`` stage of ``timings``, with the component build
+    as its ``build`` part.  A gate-set file that cannot be read or is
+    malformed, or a bad SPAM section, is a config error; an unknown gate-set
+    name is a simulation error.
+    """
+    with timed_stage(timings, "simulate"):
+        with timed_stage(timings, "build"):
+            components = _experiment_components(cfg)
+        return run_experiment(cfg, jobs, components, timings), components
+
+
+def _write_run(out, dataset: DecayDataset, started: float, timings: dict, extras=None,
+               documents: dict | None = None) -> list:
+    """Write a run's files to the directory ``out``; returns their paths, ``manifest.json`` last.
+
+    ``decay.csv``, ``decay.json`` (with the per-row ``extras``) and each JSON
+    document of ``documents`` by file name are written in the ``write`` stage
+    of ``timings``.  Then the run record ``manifest.json``: the config, seed
+    and tool version of the dataset's provenance, the paths before it, and
+    ``timings``, the wall seconds of each stage of the run.  The stages are
+    disjoint parts of ``duration_seconds``, except ``sample`` and ``evolve``:
+    a serial run's parts of ``simulate``.  ``peak_rss_mb`` is the process's
+    peak memory when the manifest is written.
+    """
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    documents = documents or {}
+    paths = [out_dir / name for name in ("decay.csv", "decay.json", *documents)]
+    with timed_stage(timings, "write"):
+        dataset.to_csv(str(paths[0]))
+        dataset.to_json(str(paths[1]), extras)
+        for path, doc in zip(paths[2:], documents.values()):
+            _write_json(path, doc)
+    outputs = list(map(str, paths))
+    _write_json(out_dir / "manifest.json", {
+        **{key: dataset.provenance[key] for key in ("config", "seed", "tool_version")},
+        "outputs": outputs,
+        "duration_seconds": time.monotonic() - started,
+        "timings": timings,
+        "peak_rss_mb": _peak_rss_mb(),
+    })
+    return outputs + [str(out_dir / "manifest.json")]
+
+
 def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    timings: dict = {}
+    started, timings = time.monotonic(), {}
     if not _can_write_to(args.out):
         return EXIT_CONFIG_ERROR
     try:
         overrides = {"seed": args.seed, "shots": args.shots}
         cfg = ExperimentConfig.from_json_file(args.config)
         cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
-        with timed_stage(timings, "simulate"):
-            # Loads the gate set and resolves the SPAM section against its space,
-            # so a gate-set file that cannot be read or is malformed, or a bad SPAM
-            # section, is a config error; an unknown gate-set name is a simulation error.
-            with timed_stage(timings, "build"):
-                components = _experiment_components(cfg)
-            dataset = run_experiment(cfg, args.jobs, components, timings)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        dataset, _ = _simulate(cfg, args.jobs, timings)
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION_ERROR
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list = []
-    with timed_stage(timings, "write"):
-        _write_dataset(dataset, out_dir, outputs)
-    manifest_path = _write_manifest(out_dir, dataset.provenance, outputs, started, timings)
-    print(f"wrote {', '.join(outputs + [str(manifest_path)])}")
+        return _report_error(exc)
+    print(f"wrote {', '.join(_write_run(args.out, dataset, started, timings))}")
     return EXIT_OK
 
 
@@ -217,8 +232,7 @@ def cmd_fit(args) -> int:
         result = fit(args.model, dataset, weighted=not args.unweighted)
     except FitNonConvergence as exc:
         _write_json(out_path, {"converged": False, "error": str(exc), **exc.diagnostics})
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT_ERROR
+        return _report_error(exc)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -256,10 +270,7 @@ def reproduce_figure(
     """
     spec = FIGURES[figure]
     cfg = figure_config(figure, seed)
-    with timed_stage(timings, "simulate"):
-        with timed_stage(timings, "build"):
-            components = _experiment_components(cfg)
-        dataset = run_experiment(cfg, jobs=jobs, components=components, timings=timings)
+    dataset, components = _simulate(cfg, jobs, timings)
     with timed_stage(timings, "fit"):
         result = fit(spec["model"], dataset)
     fitted = result.params["decay"]
@@ -300,35 +311,18 @@ def reproduce_figure(
 
 
 def cmd_reproduce(args) -> int:
-    started = time.monotonic()
-    timings: dict = {}
+    started, timings = time.monotonic(), {}
     if not _can_write_to(args.out):
         return EXIT_CONFIG_ERROR
     try:
         dataset, result, report = reproduce_figure(
             args.figure, seed=args.seed, jobs=args.jobs, timings=timings
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except FitNonConvergence as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT_ERROR
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION_ERROR
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list = []
-    fit_path = out_dir / "fit.json"
-    report_path = out_dir / "report.json"
-    with timed_stage(timings, "write"):
-        extras = [{"exact_mean": r["exact_mean"], "z": r["z"]} for r in report["per_length"]]
-        _write_dataset(dataset, out_dir, outputs, extras)
-        _write_json(fit_path, result.to_dict())
-        _write_json(report_path, report)
-    outputs.extend([str(fit_path), str(report_path)])
-    _write_manifest(out_dir, dataset.provenance, outputs, started, timings)
+        return _report_error(exc)
+    extras = [{"exact_mean": r["exact_mean"], "z": r["z"]} for r in report["per_length"]]
+    documents = {"fit.json": result.to_dict(), "report.json": report}
+    _write_run(args.out, dataset, started, timings, extras, documents)
     verdict = "PASS" if report["pass"] else "FAIL"
     print(
         f"{args.figure} {verdict}: fitted decay {report['fitted_decay']:.6f} "

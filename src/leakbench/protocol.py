@@ -18,7 +18,7 @@ import json
 import os
 import time
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -500,6 +500,20 @@ def timed_stage(timings: dict | None, name: str):
             timings[name] = timings.get(name, 0.0) + time.monotonic() - started
 
 
+def _memory_limit() -> float:
+    """The bytes this process can hold: physical memory, or the address-space limit when lower."""
+    limit = float("inf")
+    with suppress(AttributeError, ValueError, OSError):  # no sysconf, as on Windows
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    with suppress(ImportError):
+        import resource
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limit = min(limit, soft)
+    return limit
+
+
 def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=None) -> dict:
     """The n_sequences probabilities at each length of ``ms``, from the streams of each (m, j).
 
@@ -514,12 +528,20 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
     batch are drawn in one vectorized pass (:func:`pcg64_integers`), and each
     sequence's shots continue its stream from the state that pass ends in.
     The seeding and the draws are timed as the ``sample`` stage of
-    ``timings``, the evolution as ``evolve``.
+    ``timings``, the evolution as ``evolve``.  A run whose largest arrays,
+    a batch's int64 gate indices and one length's normals, exceed
+    :func:`_memory_limit` is refused before any of them is allocated.
     """
     gs, noise, spam, noise_root = components or _experiment_components(cfg)
     n = cfg.n_sequences
     stochastic = noise is not None and noise.stochastic
     order = sorted(ms, reverse=True)
+    needed = 8 * n * order[0] * (1 + noise.sampler.n_normals if stochastic else len(order))
+    if needed > (limit := _memory_limit()):
+        raise ConfigError(
+            f"bad m_list and n_sequences: their arrays take {needed / 2**30:.3g} GiB, "
+            f"more than the {limit / 2**30:.3g} GiB this process can hold"
+        )
     with timed_stage(timings, "sample"):
         seeds = pcg64_seeds(cfg.seed, _stream_keys(order, n, _SEQ_KEY))
     if stochastic:

@@ -14,11 +14,15 @@ import csv
 import functools
 import io
 import json
+import os
 import random
+import resource
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import run_python
 
 from leakbench import gatesets, liouville, noise, protocol
 from leakbench.cli import main
@@ -261,3 +265,44 @@ def test_bundled_configs_keep_their_provenance(name):
     blob, digest = PINNED[name]
     assert json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":")) == blob
     assert cfg.config_hash() == digest
+
+
+@pytest.mark.parametrize("base", ["fig1", "fig2"])
+def test_lengths_whose_arrays_cannot_fit_exit_2_before_allocating(tmp_path, base):
+    # 10^12 steps per sequence: terabytes of gate indices, refused before any is drawn.
+    doc = {**json.loads(BUNDLED[base].read_text()), "m_list": [10, 10**12]}
+    started = time.monotonic()
+    code, err = simulate(tmp_path, doc)
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and err.startswith("config error: "), err
+    assert "m_list" in err and "n_sequences" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("base, index_bytes", [("fig1", 30 * 10 * 100 * 8), ("fig2", 200 * 100 * 8)])
+def test_the_memory_guard_counts_indices_and_normals(monkeypatch, base, index_bytes):
+    # fig1 holds every length's indices in one batch; fig2 one length's indices plus
+    # its 18 normals per step.
+    cfg = ExperimentConfig.from_dict(json.loads(BUNDLED[base].read_text()))
+    components = protocol._experiment_components(cfg)
+    needed = index_bytes + (200 * 100 * 18 * 8 if components[1].stochastic else 0)
+    monkeypatch.setattr(protocol, "_memory_limit", lambda: needed - 1)
+    with pytest.raises(liouville.ConfigError, match="m_list and n_sequences"):
+        protocol._lengths_probabilities(cfg, cfg.m_list, components)
+    monkeypatch.setattr(protocol, "_memory_limit", lambda: needed)
+    assert len(protocol._lengths_probabilities(cfg, cfg.m_list, components)) == 10
+
+
+def test_the_memory_limit_is_the_address_space_limit_when_lower():
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert protocol._memory_limit() <= physical
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = min(physical, 2**40, physical if hard == resource.RLIM_INFINITY else hard) // 2
+    # The limit is lowered in a child process only, after its imports.
+    result = run_python("-c", (
+        "import resource; from leakbench import protocol; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {hard})); "
+        "print(protocol._memory_limit())"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) == limit

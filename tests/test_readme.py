@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
-from leakbench import gatesets, liouville, noise, protocol
+from leakbench import cli, gatesets, liouville, noise, protocol
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -65,3 +65,13 @@ def test_readme_tables_mirror_the_schema():
     tables = readme_table_keys()
     for heading, fields in SCHEMA_HEADINGS.items():
         assert tables.get(heading) == list(fields), heading
+
+
+def test_readme_exit_codes_are_the_cli_error_table():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"Exit codes are a stable contract: (.*?)\.", text).group(1)
+    listed = {int(code): words for code, words in re.findall(r"`(\d+)` ([^,]+)", sentence)}
+    errors = {code: words for _, words, code in cli.ERRORS}
+    verdicts = {cli.EXIT_OK: "success", cli.EXIT_PROPERTY_FAILURE: "property/comparison failure"}
+    assert listed == {**verdicts, **errors}
+    assert len(errors) == len(cli.ERRORS)
