@@ -32,9 +32,9 @@ SETS = {
 
 
 @functools.cache
-def setup(name: str):
-    """(gate set, gate-dependent noise, SPAM): a random near-identity Kraus channel per
-    gate, some trace-decreasing, and noisy prep and meas channels on a mixed state."""
+def design(name: str):
+    """(gate set, gate-dependent noise, SPAM): a random near-identity, trace-decreasing
+    Kraus channel per gate, and noisy prep and meas channels on a mixed state."""
     code, leak = SETS[name]
     gs = lb.signed_design_gateset(code, leak, label=name)
     space = gs.space
@@ -58,7 +58,7 @@ def setup(name: str):
     ("two-qubit", SpaceSpec(4, 2), 128),
 ])
 def test_engine_matches_per_sequence_reference(name, space, n_gates):
-    gs, na, spam = setup(name)
+    gs, na, spam = design(name)
     assert gs.space == space and len(gs) == n_gates
     _, offsets = protocol._word_table(na.averaged_step(gs).steps, protocol._CHUNK_ENTRIES)
     assert len(offsets) - 1 == 1  # one-gate words only
@@ -72,7 +72,7 @@ def test_engine_matches_per_sequence_reference(name, space, n_gates):
 
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_exact_average_matches_enumeration(name):
-    gs, na, spam = setup(name)
+    gs, na, spam = design(name)
     exact = exact_expectations([1, 2], gs, na, spam)
     for m, value in zip((1, 2), exact):
         sequences = itertools.product(range(len(gs)), repeat=m)
@@ -82,7 +82,7 @@ def test_exact_average_matches_enumeration(name):
 
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_decays_are_the_transfer_block_eigenvalues(name):
-    gs, na, _ = setup(name)
+    gs, na, _ = design(name)
     avg = lb.average_noise(na)
     params = decay_parameters(gs, avg)
     plus, minus = decay_eigenvalues(transfer_block(avg))
