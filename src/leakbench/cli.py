@@ -63,20 +63,14 @@ EXIT_CONFIG_ERROR = 2
 EXIT_SIMULATION_ERROR = 3
 EXIT_FIT_ERROR = 4
 
-#: The CLI's error boundary: an exception's message word and exit code are
-#: those of the first type here that it is an instance of.
+#: The CLI's error table: an exception that a command raises is reported by
+#: :func:`main` with the message word and exit code of the first type here
+#: that it is an instance of.
 ERRORS = (
     (ConfigError, "config error", EXIT_CONFIG_ERROR),
     (FitNonConvergence, "fit error", EXIT_FIT_ERROR),
     (Exception, "simulation error", EXIT_SIMULATION_ERROR),
 )
-
-
-def _report_error(exc: Exception) -> int:
-    """Print ``exc`` to stderr after its :data:`ERRORS` word; returns its exit code."""
-    word, code = next((word, code) for kind, word, code in ERRORS if isinstance(exc, kind))
-    print(f"{word}: {exc}", file=sys.stderr)
-    return code
 
 
 #: Sub-stream tag for the Monte Carlo theory oracle.
@@ -124,18 +118,18 @@ def _peak_rss_mb() -> float | None:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
-def _can_write_to(out_dir) -> bool:
-    """Whether ``out_dir`` is, or can be created as, a writable directory.
+def _check_writable(out_dir) -> None:
+    """Refuse, as a config error naming the path, an ``out_dir`` that is not and
+    cannot be created as a writable directory.
 
     Checked before a run, so that a bad ``--out`` does not lose the run's
-    results; when it is not, a config error naming the path is printed.
+    results.  A symlink counts as existing even when its target is missing.
     """
-    found = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
-    writable = found.is_dir() and os.access(found, os.W_OK)
-    if not writable:
-        _report_error(ConfigError(f"cannot create output directory {str(out_dir)!r}: "
-                                  f"{str(found)!r} is not a writable directory"))
-    return writable
+    found = next(p for p in (Path(out_dir), *Path(out_dir).parents)
+                 if p.exists() or p.is_symlink())
+    if not (found.is_dir() and os.access(found, os.W_OK)):
+        raise ConfigError(f"cannot create output directory {str(out_dir)!r}: "
+                          f"{str(found)!r} is not a writable directory")
 
 
 def _simulate(cfg: ExperimentConfig, jobs: int, timings: dict | None):
@@ -187,23 +181,13 @@ def _write_run(out, dataset: DecayDataset, started: float, timings: dict, extras
 
 def cmd_simulate(args) -> int:
     started, timings = time.monotonic(), {}
-    if not _can_write_to(args.out):
-        return EXIT_CONFIG_ERROR
-    try:
-        overrides = {"seed": args.seed, "shots": args.shots}
-        cfg = ExperimentConfig.from_json_file(args.config)
-        cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
-        dataset, _ = _simulate(cfg, args.jobs, timings)
-    except Exception as exc:  # noqa: BLE001 - boundary of the CLI
-        return _report_error(exc)
+    _check_writable(args.out)
+    overrides = {"seed": args.seed, "shots": args.shots}
+    cfg = ExperimentConfig.from_json_file(args.config)
+    cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
+    dataset, _ = _simulate(cfg, args.jobs, timings)
     print(f"wrote {', '.join(_write_run(args.out, dataset, started, timings))}")
     return EXIT_OK
-
-
-def _load_dataset(path: str) -> DecayDataset:
-    if path.endswith(".json"):
-        return DecayDataset.from_json(path)
-    return DecayDataset.from_csv(path)
 
 
 def _summary_line(result) -> str:
@@ -217,25 +201,22 @@ def _summary_line(result) -> str:
 
 def cmd_fit(args) -> int:
     try:
-        dataset = _load_dataset(args.dataset)
+        read = DecayDataset.from_json if args.dataset.endswith(".json") else DecayDataset.from_csv
+        dataset = read(args.dataset)
     except (OSError, ValueError) as exc:
-        print(f"config error: cannot read dataset: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError(f"cannot read dataset: {exc}") from exc
     out_path = Path(args.out) if args.out else Path(args.dataset).parent / "fit.json"
     if out_path.is_dir():
-        print(f"config error: fit output {str(out_path)!r} is a directory", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if not _can_write_to(out_path.parent):
-        return EXIT_CONFIG_ERROR
+        raise ConfigError(f"fit output {str(out_path)!r} is a directory")
+    _check_writable(out_path.parent)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     try:
         result = fit(args.model, dataset, weighted=not args.unweighted)
     except FitNonConvergence as exc:
         _write_json(out_path, {"converged": False, "error": str(exc), **exc.diagnostics})
-        return _report_error(exc)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise
+    except ValueError as exc:  # the data cannot be fitted: a config error, not a crash
+        raise ConfigError(str(exc)) from exc
     _write_json(out_path, result.to_dict())
     print(_summary_line(result))
     return EXIT_OK
@@ -312,14 +293,10 @@ def reproduce_figure(
 
 def cmd_reproduce(args) -> int:
     started, timings = time.monotonic(), {}
-    if not _can_write_to(args.out):
-        return EXIT_CONFIG_ERROR
-    try:
-        dataset, result, report = reproduce_figure(
-            args.figure, seed=args.seed, jobs=args.jobs, timings=timings
-        )
-    except Exception as exc:  # noqa: BLE001 - boundary of the CLI
-        return _report_error(exc)
+    _check_writable(args.out)
+    dataset, result, report = reproduce_figure(
+        args.figure, seed=args.seed, jobs=args.jobs, timings=timings
+    )
     extras = [{"exact_mean": r["exact_mean"], "z": r["z"]} for r in report["per_length"]]
     documents = {"fit.json": result.to_dict(), "report.json": report}
     _write_run(args.out, dataset, started, timings, extras, documents)
@@ -483,8 +460,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    Commands only raise: any error of one is printed here as one stderr line,
+    ``<word>: <message>``, and exits with its code, both from :data:`ERRORS`.
+    """
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # noqa: BLE001 - the CLI's one error boundary
+        word, code = next((word, code) for kind, word, code in ERRORS if isinstance(exc, kind))
+        print(f"{word}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

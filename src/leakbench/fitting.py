@@ -163,9 +163,11 @@ def _search(model: DecayModel, ms, ys, w, head=()):
     it, if any, fitted afresh at each point.  Each step points to the side of
     its point where the minimum lies, so the cell shrinks to a bracket of it;
     a step that leaves the bracket, or is not under half the step before it,
-    is replaced by the bracket's midpoint.  The refinement has converged when
-    a step or the bracket is a few units of rounding.  ``steps`` counts every
-    step.
+    is replaced by the bracket's midpoint.  With a decay after it, a point
+    whose refit costs more than the best one so far, beyond rounding, is not
+    taken: it ends the bracket on its side, and the next point lies halfway
+    back to the best.  The refinement has converged when a step or the
+    bracket is a few units of rounding.  ``steps`` counts every step.
     """
     last = len(head) + 1 == len(model.decay_params)
     # Sign rule: with one parity of m - 1, a negative decay repeats a positive one.
@@ -176,6 +178,7 @@ def _search(model: DecayModel, ms, ys, w, head=()):
     decay, lo, hi = grid[at], grid[max(at - 1, 0)], grid[min(at + 1, grid.size - 1)]
     free = [*range(model.n_amplitudes), *range(model.n_amplitudes + len(head), model.n_params)]
     sw, eps, size, steps = np.sqrt(w), np.finfo(float).eps, np.inf, 0
+    best, uphill = None, 64 * eps * float(w @ (ys * ys))
     for _ in range(_MAX_ITERATIONS):
         decays = np.append(head, decay)
         if last:
@@ -186,6 +189,16 @@ def _search(model: DecayModel, ms, ys, w, head=()):
         steps += 1
         if not converged:
             break
+        if not last:
+            cost = _cost(model, x, ms, ys, w)
+            if best is not None and cost > best[0] + uphill:
+                _, x, best_decay = best
+                lo, hi = (lo, decay) if decay > best_decay else (decay, hi)
+                decay, size = (decay + best_decay) / 2, abs(decay - best_decay) / 2
+                if size <= 4 * eps:
+                    return x, True, steps
+                continue
+            best = cost, x, decay
         # The cost's gradient in the amplitudes (and in any later decay) is 0 at x,
         # so this step's part in the decay is the Gauss-Newton step of the projected problem.
         jac, resid = sw[:, None] * model.jacobian(x, ms)[:, free], sw * (ys - model.predict(x, ms))

@@ -516,3 +516,20 @@ def least_scanned_cost(model, ms, ys, w, points: int = 8001, pair_points: int = 
         amps = np.linalg.lstsq(sw[:, None] * a, sw * ys, rcond=None)[0]
         best = min(best, float(np.sum(w * (ys - a @ amps) ** 2)))
     return best
+
+
+def least_pair_cost(ms, ys, w, grid) -> float:
+    """The least weighted sum of squared residuals of a_1 l_1^(m-1) + a_2 l_2^(m-1) over
+    every pair l_1 >= l_2 of ``grid``, the amplitudes of each from its pseudo-inverse.
+
+    All pairs are solved at once, through one stacked ``np.linalg.pinv`` of the
+    sqrt(w)-weighted (len(ms), 2) columns; a pair of equal decays is rank 1.
+    """
+    ms, ys, w, grid = (np.asarray(a, dtype=float) for a in (ms, ys, w, grid))
+    sw = np.sqrt(w)
+    cols = sw * np.power(grid[:, None], (ms - 1).astype(int))
+    first, second = np.triu_indices(grid.size)
+    pairs = np.stack([cols[first], cols[second]], axis=-1)
+    amps = np.linalg.pinv(pairs) @ (sw * ys)
+    resid = sw * ys - (pairs @ amps[..., None])[..., 0]
+    return float((resid * resid).sum(axis=-1).min())

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import least_scanned_cost
+from reference import least_pair_cost, least_scanned_cost
 
 import leakbench as lb
 import leakbench.fitting as fitting
@@ -105,6 +105,20 @@ def test_refit_of_every_pinned_dataset_matches_its_fitted_decay():
             data = DecayDataset.from_arrays(run["m"], run["mean"], run["sem"], run["n"])
             decay = fit(FIGURES[figure]["model"], data).params["decay"]
             assert abs(decay - run["fitted_decay"]) <= 1e-9, (workload, seed)
+
+
+@pytest.mark.parametrize("seed", [43, 246, 353])
+def test_double_exp_fit_ends_at_or_below_its_own_pair_scan(seed):
+    # Seeds where the refinement of decay_plus once walked uphill from the grid's
+    # best pair: to costs 4.153 (43) and 6.239 (353) above their scans' 4.081 and 6.185.
+    rng = np.random.default_rng(seed)
+    amps, decays = rng.uniform(0.05, 0.9, 2), np.sort(rng.uniform(0.85, 1.0, 2))[::-1]
+    ys = amps @ decays[:, None] ** (MS - 1) + rng.normal(0.0, 0.005, MS.size)
+    sems = np.full(MS.size, 0.005)
+    result = fit("double-exp", DecayDataset.from_arrays(MS, ys, sems))
+    cost = _cost(model_by_name("double-exp"), list(result.params.values()), MS, ys, sems**-2)
+    grid = np.linspace(0.0, 1.0, fitting._GRID_POINTS)[::2]  # the fit's own pair grid
+    assert cost <= least_pair_cost(MS, ys, sems**-2, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ average there against the per-sequence reference:
 
 import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -22,8 +23,15 @@ import leakbench as lb
 import leakbench.protocol as protocol
 from leakbench import Channel, SpaceSpec
 from leakbench.gatesets import PAULIS, NoiseAssignment
-from leakbench.liouville import mix
-from leakbench.protocol import SpamSpec, decay_parameters, exact_expectations, run_sequences
+from leakbench.cli import main
+from leakbench.liouville import channel_to_dict, matrix_to_pairs, mix
+from leakbench.protocol import (
+    SpamSpec,
+    decay_parameters,
+    exact_expectations,
+    predicted_expectation,
+    run_sequences,
+)
 
 SETS = {
     "blocks": (PAULIS, PAULIS),
@@ -88,3 +96,42 @@ def test_decays_are_the_transfer_block_eigenvalues(name):
     plus, minus = decay_eigenvalues(transfer_block(avg))
     assert abs(params["decay_plus"] - plus) < 1e-12
     assert abs(params["decay_minus"] - minus) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_decay_eigen_sum_matches_the_power_loop(name):
+    gs, na, spam = design(name)
+    avg = lb.average_noise(na)
+    params = decay_parameters(gs, avg, spam)
+    ms = np.array([1, 2, 5, 10])
+    eigen_sum = sum(params[f"amp_{k}"] * params[f"decay_{k}"] ** (ms - 1) for k in ("plus", "minus"))
+    assert np.max(np.abs(eigen_sum - predicted_expectation(ms, gs, avg, spam))) < 1e-12
+
+
+def test_simulate_of_a_gateset_file_is_the_same_with_two_jobs(tmp_path):
+    # Noiseless: the filter and shelving models act on d = 2 and 3 only.
+    gs, _, spam = design("blocks")
+    gateset = tmp_path / "blocks.json"
+    gateset.write_text(json.dumps({
+        "d1": 2, "d2": 2, "label": gs.label, "gates": [matrix_to_pairs(g) for g in gs.gates],
+    }))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "gateset": str(gateset),
+        "noise": None,
+        "m_list": [1, 3, 6],
+        "n_sequences": 8,
+        "shots": 50,
+        "seed": 3,
+        "spam": {
+            "rho": matrix_to_pairs(spam.rho),
+            "prep": channel_to_dict(spam.prep),
+            "meas": channel_to_dict(spam.meas),
+        },
+    }))
+    outputs = []
+    for out, jobs in (("serial", "1"), ("pool", "2")):
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / out), "--jobs", jobs]
+        assert main(argv) == 0
+        outputs.append((tmp_path / out / "decay.csv").read_bytes())
+    assert outputs[0] == outputs[1]
