@@ -98,11 +98,14 @@ ORACLE_SAMPLES = 1_000_000
 
 def figure_config(figure: str, seed: int | None = None) -> ExperimentConfig:
     """A bundled scenario's packaged config file, with ``seed``, when given, for its seed."""
+    cfg = _packaged_config(figure)
+    return cfg if seed is None else replace(cfg, seed=seed)
+
+
+@functools.cache  # read once per process
+def _packaged_config(figure: str) -> ExperimentConfig:
     path = resources.files("leakbench") / "scenarios" / f"{figure}.json"
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if seed is not None:
-        doc["seed"] = seed
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
 def _peak_rss_mb() -> float | None:

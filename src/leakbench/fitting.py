@@ -18,7 +18,7 @@ come from the weighted normal matrix of all parameters at the optimum.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,9 +61,9 @@ class DecayModel:
         negative decays well defined.
         """
         decays = np.asarray(decays, dtype=float)
-        constant = np.ones(decays.shape[:-1] + (self.n_amplitudes - decays.shape[-1],))
-        bases = np.concatenate([decays, constant], axis=-1)
-        return np.power(bases[..., None, :], ms[:, None] - 1)
+        cols = np.ones(decays.shape[:-1] + (len(ms), self.n_amplitudes))
+        cols[..., : decays.shape[-1]] = np.power(decays[..., None, :], ms[:, None] - 1)
+        return cols
 
     def predict(self, params: np.ndarray, ms: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=float)
@@ -124,28 +124,36 @@ def _amplitudes(d, q, b) -> list:
     ]
 
 
-def _project(model: DecayModel, decays, ms, ys, w):
-    """(amps, b): the best amplitudes at stacked ``decays`` and the right sides of their equations.
-
-    amps . b is the weighted sum of squares of the data less the least
-    projected cost, so the best decays maximize it.
+def _projected_step(cols, slope, k, ys, w):
+    """(amps, step): the best amplitudes a on the columns B = ``cols`` and the Gauss-Newton
+    step in the decay of column k, whose derivative is ``slope``: with the residual r
+    and j = a_k slope, (j'r - c'G^-1 B'r) / (j'j - c'G^-1 c), c = B'j and G = B'B solved
+    as in :func:`_amplitudes`.  A j within rounding of B's span gives step 0.
     """
-    cols = model.basis(decays, ms)
     weighted = cols * w[:, None]
-    b = ys @ weighted
-    d, q = (weighted * cols).sum(axis=-2), (weighted[..., 0] * cols[..., -1]).sum(axis=-1)
-    return np.stack(_amplitudes(d.T, q, b.T), axis=-1), b
+    gram = weighted.T @ cols
+    d, q = gram.diagonal(), gram[0, -1]
+    amps = np.array(_amplitudes(d, q, ys @ weighted))
+    jr = np.column_stack([amps[k] * slope, ys - cols @ amps])  # j and r
+    proj = weighted.T @ jr  # c and B'r
+    jj = (w * jr[:, 0]) @ jr
+    den, num = jj - proj[:, 0] @ np.array(_amplitudes(d, q, proj))
+    return amps, num / den if den > 64 * np.finfo(float).eps * jj[0] else 0.0
 
 
 def _scan(model: DecayModel, head, grid, ms, ys, w) -> int:
-    """Index in ``grid`` of the first free decay at the least projected cost.
+    """Index in ``grid`` of the first free decay at the least projected cost, where the
+    best amplitudes a, from G a = b, maximize a . b.
 
     Two free decays are scanned in pairs decay_plus >= decay_minus, whose
     normal equations are read off one Gram matrix of the grid's columns.
     """
     if len(model.decay_params) - len(head) == 1:
-        amps, b = _project(model, np.column_stack([np.tile(head, (grid.size, 1)), grid]), ms, ys, w)
-        return int(np.argmax((amps * b).sum(axis=-1)))
+        cols = model.basis(np.column_stack([np.tile(head, (grid.size, 1)), grid]), ms)
+        weighted = cols * w[:, None]
+        gram, b = np.swapaxes(weighted, -1, -2) @ cols, (ys @ weighted).T
+        d, q = np.diagonal(gram, axis1=-2, axis2=-1).T, gram[:, 0, -1]
+        return int(np.argmax(sum(a * bk for a, bk in zip(_amplitudes(d, q, b), b))))
     cols = np.power(grid[:, None], ms - 1)
     gram, rhs = (cols * w) @ cols.T, (cols * w) @ ys
     d, b = np.diag(gram), (rhs[:, None], rhs[None, :])
@@ -171,25 +179,25 @@ def _search(model: DecayModel, ms, ys, w, head=()):
     """
     last = len(head) + 1 == len(model.decay_params)
     # Sign rule: with one parity of m - 1, a negative decay repeats a positive one.
-    parity = (ms - 1) % 2
-    lower = 0.0 if parity.min() == parity.max() else -1.0
+    e = ms - 1
+    lower = 0.0 if (e % 2).min() == (e % 2).max() else -1.0
     grid = np.linspace(lower, 1.0, _GRID_POINTS)[:: 1 if last else 2]
     at = _scan(model, head, grid, ms, ys, w)
     decay, lo, hi = grid[at], grid[max(at - 1, 0)], grid[min(at + 1, grid.size - 1)]
-    free = [*range(model.n_amplitudes), *range(model.n_amplitudes + len(head), model.n_params)]
+    k, cols = len(head), model.basis(np.append(head, decay), ms) if last else None
     sw, eps, size, steps = np.sqrt(w), np.finfo(float).eps, np.inf, 0
     best, uphill = None, 64 * eps * float(w @ (ys * ys))
     for _ in range(_MAX_ITERATIONS):
-        decays = np.append(head, decay)
-        if last:
-            x, converged = np.append(_project(model, decays, ms, ys, w)[0], decays), True
-        else:
-            x, converged, inner = _search(model, ms, ys, w, tuple(decays))
-            steps += inner
         steps += 1
-        if not converged:
-            break
-        if not last:
+        if last:
+            cols[:, k] = np.power(decay, e)
+            amps, step = _projected_step(cols, e * np.power(decay, np.maximum(e - 1, 0)), k, ys, w)
+            x = np.concatenate([amps, head, [decay]])
+        else:
+            x, converged, inner = _search(model, ms, ys, w, (*head, decay))
+            steps += inner
+            if not converged:
+                break
             cost = _cost(model, x, ms, ys, w)
             if best is not None and cost > best[0] + uphill:
                 _, x, best_decay = best
@@ -199,10 +207,10 @@ def _search(model: DecayModel, ms, ys, w, head=()):
                     return x, True, steps
                 continue
             best = cost, x, decay
-        # The cost's gradient in the amplitudes (and in any later decay) is 0 at x,
-        # so this step's part in the decay is the Gauss-Newton step of the projected problem.
-        jac, resid = sw[:, None] * model.jacobian(x, ms)[:, free], sw * (ys - model.predict(x, ms))
-        step = np.linalg.lstsq(jac, resid, rcond=None)[0][model.n_amplitudes]
+            # The cost's gradient in the amplitudes and the later decay is 0 at x, so
+            # this step's part in the decay is the Gauss-Newton step of the projected problem.
+            jac, resid = sw[:, None] * model.jacobian(x, ms), sw * (ys - model.predict(x, ms))
+            step = np.linalg.lstsq(jac, resid, rcond=None)[0][model.n_amplitudes]
         lo, hi = (decay, hi) if step > 0 else (lo, decay)
         if abs(step) <= 4 * eps or hi - lo <= 4 * eps:
             return x, True, steps
@@ -248,7 +256,7 @@ class FitResult:
         }
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "derived": self.derived(), "residuals": self.residuals.tolist()}
+        return {**vars(self), "derived": self.derived(), "residuals": self.residuals.tolist()}
 
 
 def _cost(model, params, ms, ys, w) -> float:
@@ -313,13 +321,14 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     jac = model.jacobian(x, ms)
     dof = len(ms) - model.n_params
     resid_var = cost / dof if dof > 0 else 0.0
-    cov = np.linalg.pinv(jac.T @ (w[:, None] * jac)) * resid_var
+    normal = jac.T @ (w[:, None] * jac)
+    cov = np.linalg.pinv(normal) * resid_var
     stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     ss_res = float(np.sum(resid ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 1e-24 else None
     flags = [] if r_squared is not None else ["r-squared-undefined"]
-    degenerate = _is_degenerate(model, x)
+    degenerate = _is_degenerate(model, x, normal)
     if degenerate:
         flags.append("degenerate-decays")
     if model.kind == "double-exp":
@@ -342,10 +351,13 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     )
 
 
-def _is_degenerate(model: DecayModel, x: np.ndarray) -> bool:
-    if model.kind == "double-exp":
-        return bool(abs(x[2] - x[3]) < DEGENERACY_TOL)
-    return False
+def _is_degenerate(model: DecayModel, x: np.ndarray, normal: np.ndarray) -> bool:
+    """Whether a double exponential's decays are closer than :data:`DEGENERACY_TOL`, or its
+    normal matrix is singular to the pinv cutoff 1e-15, as all along the equal-decay limit."""
+    if model.kind != "double-exp":
+        return False
+    s = np.linalg.svd(normal, compute_uv=False)
+    return bool(abs(x[2] - x[3]) < DEGENERACY_TOL or s[-1] <= 1e-15 * s[0])
 
 
 def _flat_result(model: DecayModel, data, used_weights: bool) -> FitResult:

@@ -120,12 +120,9 @@ def _uint32_words(value: int) -> list:
     return words
 
 
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(...).generate_state(8)`` (8, k) for each row of ``entropy`` (k, n) uint32.
-
-    Every row has the same length, so the hash constants run in step for all
-    of them and each word operation is one vectorized uint32 operation.
-    """
+def _seed_words(entropy: list, k: int) -> np.ndarray:
+    """``SeedSequence(...).generate_state(8)`` (8, k) for the entropy words ``entropy``, each a
+    uint32 scalar that every row shares, hashed once, or (k,) uint32, one vectorized per row."""
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -139,23 +136,22 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
         result = x * _MIX_MULT_L - y * _MIX_MULT_R
         return result ^ (result >> 16)
 
-    zeros = np.zeros(len(entropy), dtype=np.uint32)
-    width = entropy.shape[1]
-    pool = [hashmix(entropy[:, i] if i < width else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, width):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    hash_const, words = _INIT_B, []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * hash_const
-        words.append(value ^ (value >> 16))
-    return np.array(words, dtype=np.uint64)
+    with np.errstate(over="ignore"):  # uint32 scalars wrap, as arrays do, without a warning
+        pool = [hashmix(word) for word in (entropy + [np.uint32(0)] * _POOL_SIZE)[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        hash_const, words = _INIT_B, np.empty((8, k), dtype=np.uint64)
+        for i in range(8):
+            value = pool[i % _POOL_SIZE] ^ hash_const
+            hash_const = (hash_const * _MULT_B) & _MASK32
+            value = value * hash_const
+            words[i] = value ^ (value >> 16)
+    return words
 
 
 def pcg64_seeds(seed: int, keys) -> np.ndarray:
@@ -173,6 +169,7 @@ def pcg64_seeds(seed: int, keys) -> np.ndarray:
     head = _uint32_words(int(seed))
     if keys.shape[1]:
         head += [0] * (_POOL_SIZE - len(head))
+    head = [np.uint32(word) for word in head]
     wide = keys > _MASK32
     groups = [(np.zeros(keys.shape[1], dtype=bool), slice(None))]
     if wide.any():
@@ -180,13 +177,12 @@ def pcg64_seeds(seed: int, keys) -> np.ndarray:
         groups = [(layout, np.flatnonzero(group == g)) for g, layout in enumerate(layouts)]
     words = np.empty((8, len(keys)), dtype=np.uint64)
     for layout, rows in groups:
-        sub = keys[rows]
-        columns = [np.full(len(sub), word, dtype=np.uint64) for word in head]
+        sub, tail = keys[rows], []
         for col, two_words in enumerate(layout):
-            columns.append(sub[:, col] & _MASK32)
+            tail.append((sub[:, col] & _MASK32).astype(np.uint32))
             if two_words:
-                columns.append(sub[:, col] >> 32)
-        words[:, rows] = _seed_words(np.column_stack(columns).astype(np.uint32))
+                tail.append((sub[:, col] >> 32).astype(np.uint32))
+        words[:, rows] = _seed_words(head + tail, len(sub))
     # generate_state(4, uint64) is initstate's high and low half, then initseq's;
     # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, a step, += initstate, a step.
     halves = words[0::2] | words[1::2] << 32

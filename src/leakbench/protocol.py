@@ -19,7 +19,8 @@ import os
 import time
 import weakref
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -196,7 +197,7 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "m_list": list(self.m_list)}
+        return {**vars(self), "m_list": list(self.m_list)}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -292,8 +293,8 @@ class DecayDataset:
     def to_csv(self, path: str):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([f.name for f in fields(DecayPoint)])
-            writer.writerows(astuple(p) for p in self.points)
+            writer.writerow(names := [f.name for f in fields(DecayPoint)])
+            writer.writerows(map(attrgetter(*names), self.points))
 
     @classmethod
     def from_csv(cls, path: str) -> "DecayDataset":
@@ -307,7 +308,7 @@ class DecayDataset:
         fields per point, merged into its row."""
         extras = [{}] * len(self.points) if extras is None else extras
         doc = {
-            "dataset": [{**asdict(p), **extra} for p, extra in zip(self.points, extras)],
+            "dataset": [{**vars(p), **extra} for p, extra in zip(self.points, extras)],
             "provenance": self.provenance,
         }
         _write_json(path, doc)
@@ -607,12 +608,12 @@ def run_experiment(
                 probabilities.update(part)
     else:
         probabilities = _lengths_probabilities(cfg, cfg.m_list, components, timings)
-    points = []
     with timed_stage(timings, "aggregate"):
-        for m in cfg.m_list:
-            ps = probabilities[m]
-            sem = float(ps.std(ddof=1) / np.sqrt(len(ps))) if len(ps) > 1 else 0.0
-            points.append(DecayPoint(m=m, mean=float(ps.mean()), sem=sem, n=len(ps)))
+        ps = np.stack([probabilities[m] for m in cfg.m_list])  # one row per length
+        n = ps.shape[1]
+        sems = ps.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(ps))
+        means, sems = ps.mean(axis=1).tolist(), sems.tolist()
+        points = tuple(map(DecayPoint, cfg.m_list, means, sems, [n] * len(ps)))
     from . import __version__
 
     provenance = {
@@ -621,7 +622,7 @@ def run_experiment(
         "seed": cfg.seed,
         "tool_version": __version__,
     }
-    return DecayDataset(points=tuple(points), provenance=provenance)
+    return DecayDataset(points=points, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

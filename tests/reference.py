@@ -28,7 +28,10 @@ and computed u X u^dag in closed form: separate ``gen.normal`` draws per
 batch, a Gram-Schmidt Haar step per draw and the product of the four factors
 formed from the u entries.  The least weighted cost of a decay model over a
 grid of decays (``least_scanned_cost``: one ``lstsq`` per grid point), against
-which the variable-projection fit is checked.
+which the variable-projection fit is checked.  The fit's Gauss-Newton step by
+``lstsq`` over the weighted Jacobian's free columns (``gauss_newton_step``)
+and its search with that step (``projected_search``), against which the
+closed-form step is checked.
 """
 
 import itertools
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from leakbench import fitting
 from leakbench.gatesets import PAULI_X, PAULI_Y, PAULI_Z
 from leakbench.liouville import (
     DEFAULT_TOL,
@@ -533,3 +537,71 @@ def least_pair_cost(ms, ys, w, grid) -> float:
     amps = np.linalg.pinv(pairs) @ (sw * ys)
     resid = sw * ys - (pairs @ amps[..., None])[..., 0]
     return float((resid * resid).sum(axis=-1).min())
+
+
+def gauss_newton_step(model, x, ms, ys, w, free) -> float:
+    """The decay part of the Gauss-Newton step at ``x`` of the projected problem: one
+    ``np.linalg.lstsq`` over the sqrt(w)-weighted Jacobian's ``free`` columns, the
+    amplitudes first and the refined decay after them."""
+    sw = np.sqrt(w)
+    jac, resid = sw[:, None] * model.jacobian(x, ms)[:, free], sw * (ys - model.predict(x, ms))
+    return np.linalg.lstsq(jac, resid, rcond=None)[0][model.n_amplitudes]
+
+
+def projected_amplitudes(model, decays, ms, ys, w) -> np.ndarray:
+    """The best amplitudes at ``decays`` from their weighted normal equations, as the
+    fit solved them at each point before its closed-form step."""
+    cols = model.basis(decays, ms)
+    weighted = cols * w[:, None]
+    d, q = (weighted * cols).sum(axis=-2), (weighted[..., 0] * cols[..., -1]).sum(axis=-1)
+    return np.stack(fitting._amplitudes(d.T, q, (ys @ weighted).T), axis=-1)
+
+
+def projected_search(model, ms, ys, w, head=(), visits=None):
+    """(params, converged, steps) of the variable-projection search of ``leakbench.fitting``
+    with its every step taken by :func:`gauss_newton_step`, its amplitudes by
+    :func:`projected_amplitudes`; the grid scan, bracket, uphill and stopping rules are the fit's.
+
+    ``visits``, when given, collects (params, head) at each point of the
+    one-free-decay level, where the fit takes its step in closed form.
+    """
+    last = len(head) + 1 == len(model.decay_params)
+    parity = (ms - 1) % 2
+    lower = 0.0 if parity.min() == parity.max() else -1.0
+    grid = np.linspace(lower, 1.0, fitting._GRID_POINTS)[:: 1 if last else 2]
+    at = fitting._scan(model, head, grid, ms, ys, w)
+    decay, lo, hi = grid[at], grid[max(at - 1, 0)], grid[min(at + 1, grid.size - 1)]
+    free = [*range(model.n_amplitudes), *range(model.n_amplitudes + len(head), model.n_params)]
+    eps, size, steps = np.finfo(float).eps, np.inf, 0
+    best, uphill = None, 64 * eps * float(w @ (ys * ys))
+    for _ in range(fitting._MAX_ITERATIONS):
+        decays = np.append(head, decay)
+        if last:
+            x, converged = np.append(projected_amplitudes(model, decays, ms, ys, w), decays), True
+            if visits is not None:
+                visits.append((x, tuple(head)))
+        else:
+            x, converged, inner = projected_search(model, ms, ys, w, tuple(decays), visits)
+            steps += inner
+        steps += 1
+        if not converged:
+            break
+        if not last:
+            cost = fitting._cost(model, x, ms, ys, w)
+            if best is not None and cost > best[0] + uphill:
+                _, x, best_decay = best
+                lo, hi = (lo, decay) if decay > best_decay else (decay, hi)
+                decay, size = (decay + best_decay) / 2, abs(decay - best_decay) / 2
+                if size <= 4 * eps:
+                    return x, True, steps
+                continue
+            best = cost, x, decay
+        step = gauss_newton_step(model, x, ms, ys, w, free)
+        lo, hi = (decay, hi) if step > 0 else (lo, decay)
+        if abs(step) <= 4 * eps or hi - lo <= 4 * eps:
+            return x, True, steps
+        if lo < decay + step < hi and abs(step) < size / 2:
+            decay, size = decay + step, abs(step)
+        else:
+            decay, size = (lo + hi) / 2, (hi - lo) / 2
+    return x, False, steps

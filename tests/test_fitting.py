@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import least_pair_cost, least_scanned_cost
+from reference import gauss_newton_step, least_pair_cost, least_scanned_cost, projected_search
 
 import leakbench as lb
 import leakbench.fitting as fitting
@@ -94,31 +94,106 @@ def test_uniform_parity_fits_a_nonnegative_decay_on_the_same_curve(first):
     assert np.max(np.abs(result.residuals)) < 1e-12
 
 
-def test_refit_of_every_pinned_dataset_matches_its_fitted_decay():
-    # Every (m, mean, sem) pinned in perfbench/reference.json refits to its
-    # fitted_decay within that file's tolerance (1e-9, as perfbench/run.py checks).
+def pinned_datasets():
+    """(figure, seed, run) of every reproduce run pinned in perfbench/reference.json."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     pinned = json.loads(path.read_text(encoding="utf-8"))
     for workload, figure in (("fig1-sweep", "fig1"), ("fig2-coherent", "fig2")):
         for seed, outputs in pinned[workload].items():
-            run = outputs["reproduce"]
-            data = DecayDataset.from_arrays(run["m"], run["mean"], run["sem"], run["n"])
-            decay = fit(FIGURES[figure]["model"], data).params["decay"]
-            assert abs(decay - run["fitted_decay"]) <= 1e-9, (workload, seed)
+            yield figure, seed, outputs["reproduce"]
+
+
+def test_refit_of_every_pinned_dataset_matches_its_fitted_decay():
+    # Every (m, mean, sem) pinned in perfbench/reference.json refits to its
+    # fitted_decay within that file's tolerance (1e-9, as perfbench/run.py checks).
+    for figure, seed, run in pinned_datasets():
+        data = DecayDataset.from_arrays(run["m"], run["mean"], run["sem"], run["n"])
+        decay = fit(FIGURES[figure]["model"], data).params["decay"]
+        assert abs(decay - run["fitted_decay"]) <= 1e-9, (figure, seed)
+
+
+#: The sem of the double-exp generator's means.
+GENERATED_SEM = 0.005
+
+
+def generated(seed: int) -> np.ndarray:
+    """Means at MS of the double-exp generator: two amplitudes in [0.05, 0.9] and two
+    decays in [0.85, 1], plus normal noise of sd GENERATED_SEM, from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    amps, decays = rng.uniform(0.05, 0.9, 2), np.sort(rng.uniform(0.85, 1.0, 2))[::-1]
+    return amps @ decays[:, None] ** (MS - 1) + rng.normal(0.0, GENERATED_SEM, MS.size)
 
 
 @pytest.mark.parametrize("seed", [43, 246, 353])
 def test_double_exp_fit_ends_at_or_below_its_own_pair_scan(seed):
     # Seeds where the refinement of decay_plus once walked uphill from the grid's
     # best pair: to costs 4.153 (43) and 6.239 (353) above their scans' 4.081 and 6.185.
-    rng = np.random.default_rng(seed)
-    amps, decays = rng.uniform(0.05, 0.9, 2), np.sort(rng.uniform(0.85, 1.0, 2))[::-1]
-    ys = amps @ decays[:, None] ** (MS - 1) + rng.normal(0.0, 0.005, MS.size)
-    sems = np.full(MS.size, 0.005)
+    ys, sems = generated(seed), np.full(MS.size, GENERATED_SEM)
     result = fit("double-exp", DecayDataset.from_arrays(MS, ys, sems))
     cost = _cost(model_by_name("double-exp"), list(result.params.values()), MS, ys, sems**-2)
     grid = np.linspace(0.0, 1.0, fitting._GRID_POINTS)[::2]  # the fit's own pair grid
     assert cost <= least_pair_cost(MS, ys, sems**-2, grid)
+
+
+EPS = np.finfo(float).eps
+
+
+def assert_search_matches_the_lstsq_search(model, ms, ys, w):
+    """The search with closed-form steps against the reference, which takes each step by lstsq.
+
+    At every point where the reference refines its last decay, the closed-form
+    step is the lstsq step within 1e-9 of it plus their rounding, eps k(J)
+    sum_i |j_i y_i| over |(1 - P) j|^2: the residual is formed to eps |y| and
+    solved through the weighted free Jacobian J of condition k(J), whose
+    decay column j leaves the amplitude columns' span by (1 - P) j.  Below 1e-8
+    the steps are that rounding: on single-exp data the lstsq step itself is
+    up to 3e-6 from the step in exact arithmetic.  The searches end at decays
+    1e-12 apart, or, for a double exponential, both where the fit flags its
+    decays as not told apart and their costs agree to 1e-6: in that flat valley
+    a change of the data by 1e-16 moves the reference's own end as far.
+    """
+    visits, sw, nd = [], np.sqrt(w), model.n_amplitudes
+    reference = projected_search(model, ms, ys, w, visits=visits)[0]
+    for x, head in visits:
+        k, e = len(head), ms - 1
+        free = [*range(nd), *range(nd + k, model.n_params)]
+        lstsq = gauss_newton_step(model, x, ms, ys, w, free)
+        slope = e * np.power(x[nd + k], np.maximum(e - 1, 0))
+        closed = fitting._projected_step(model.basis(x[nd:], ms), slope, k, ys, w)[1]
+        if closed != lstsq:
+            jac = sw[:, None] * model.jacobian(x, ms)[:, free]
+            j, amplitude_cols = jac[:, nd], jac[:, :nd]
+            off = j - amplitude_cols @ np.linalg.lstsq(amplitude_cols, j, rcond=None)[0]
+            rounding = EPS * np.linalg.cond(jac) * (np.abs(j) @ np.abs(sw * ys))
+            assert abs(closed - lstsq) * (off @ off) <= 1e-9 * abs(lstsq) * (off @ off) + rounding
+    x = fitting._search(model, ms, ys, w)[0]
+    if np.max(np.abs(x[nd:] - reference[nd:])) > 1e-12:
+        for end in (x, reference):
+            jac = model.jacobian(end, ms)
+            assert fitting._is_degenerate(model, end, jac.T @ (w[:, None] * jac))
+        assert abs(_cost(model, x, ms, ys, w) - _cost(model, reference, ms, ys, w)) <= 1e-6
+
+
+def test_closed_form_steps_match_lstsq_steps_on_every_pinned_dataset():
+    for figure, _, run in pinned_datasets():
+        ms, ys, sems = (np.array(run[key]) for key in ("m", "mean", "sem"))
+        model = model_by_name(FIGURES[figure]["model"])
+        assert_search_matches_the_lstsq_search(model, ms, ys, sems**-2.0)
+
+
+#: Generator seeds per model: a double-exp seed takes about 0.15 s here, so one in 12.
+GENERATED_SEEDS = {
+    "single-exp": range(180),
+    "tp-constrained": range(180),
+    "double-exp": range(0, 180, 12),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED_SEEDS)
+def test_closed_form_steps_match_lstsq_steps_on_generated_data(name):
+    for seed in GENERATED_SEEDS[name]:
+        ys, w = generated(seed), np.full(MS.size, GENERATED_SEM**-2.0)
+        assert_search_matches_the_lstsq_search(model_by_name(name), MS, ys, w)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +305,38 @@ def test_equal_decay_data_converges_and_is_flagged():
     assert result.degenerate or "vanishing-component" in result.flags
 
 
+def normal_matrix(model, x, ms=MS, w=None):
+    """The weighted normal matrix J' W J of ``model`` at ``x``, unit weights by default."""
+    jac = model.jacobian(np.asarray(x, dtype=float), ms)
+    return jac.T @ ((np.ones(len(ms)) if w is None else w)[:, None] * jac)
+
+
 def test_is_degenerate_threshold():
     model = model_by_name("double-exp")
-    assert fitting._is_degenerate(model, np.array([0.5, 0.5, 0.95, 0.95 + 5e-7]))
-    assert not fitting._is_degenerate(model, np.array([0.5, 0.5, 0.95, 0.9]))
+    for x, degenerate in (([0.5, 0.5, 0.95, 0.95 + 5e-7], True), ([0.5, 0.5, 0.95, 0.9], False)):
+        assert fitting._is_degenerate(model, np.array(x), normal_matrix(model, x)) is degenerate
+
+
+def test_degenerate_limit_is_flagged_wherever_the_refinement_stops():
+    # On seed 246 the best curve is the limit a l^(m-1) + b (m-1) l^(m-2) of two
+    # equal decays: the fit ends with decays about 1e-6 apart and amplitudes near
+    # +-500, the reference search of lstsq steps near +-3000 (weighted Jacobian
+    # conditioned 1e17 and 2e20).  Both ends are flagged.
+    w = np.full(MS.size, GENERATED_SEM**-2.0)
+    sems = np.full(MS.size, GENERATED_SEM)
+    model = model_by_name("double-exp")
+    reference = projected_search(model, MS, generated(246), w)[0]
+    assert fitting._is_degenerate(model, reference, normal_matrix(model, reference, w=w))
+    for seed, degenerate in ((246, True), (1, False), (2, False), (3, False)):
+        data = DecayDataset.from_arrays(MS, generated(seed), sems)
+        result = fit("double-exp", data)
+        assert result.degenerate is degenerate
+        assert ("degenerate-decays" in result.flags) is degenerate
+        for name in ("single-exp", "tp-constrained"):
+            assert not fit(name, data).degenerate
+    for figure in FIGURES:
+        result = fit(FIGURES[figure]["model"], run_experiment(figure_config(figure)))
+        assert not result.degenerate and result.flags == []
 
 
 def test_nonconvergence_raises_with_diagnostics(monkeypatch):

@@ -51,8 +51,9 @@ def test_stream_children_independent():
     assert np.array_equal(a, root.child(1, 2).generator().normal(size=8))
 
 
-#: Multi-word seeds and key components of one and two 32-bit words.
-DERIVATION_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**70 + 5, 20260801)
+#: Multi-word seeds and key components of one and two 32-bit words; 2^160 + 3
+#: has six words, more than SeedSequence's pool of four.
+DERIVATION_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**70 + 5, 20260801, 2**160 + 3)
 DERIVATION_KEYS = (
     [(m, j, tag) for m in (1, 7, 100) for j in range(3) for tag in (0, 1)]
     + [(2**32, 3, 0), (5, 2**32 + 9, 1), (2**40 + 7, 2**33, 2**64 - 1), (0, 0, 0)]

@@ -695,6 +695,37 @@ def test_all_lengths_pass_under_jobs_matches_serial():
     assert run_experiment(cfg, jobs=2).points == run_experiment(cfg).points
 
 
+@pytest.mark.parametrize(
+    "gateset, noise, n",
+    [
+        ("pauli", {"id": "filter", "params": {}}, 30),  # fixed noise: one batch
+        ("shelving", {"id": "shelving", "params": {"phi": 0.01}}, 12),  # one batch per length
+        ("pauli", {"id": "filter", "params": {}}, 1),
+        ("shelving", {"id": "shelving", "params": {"phi": 0.01}}, 1),
+    ],
+)
+def test_one_pass_aggregate_is_the_per_length_mean_and_sem_bit_for_bit(
+    monkeypatch, gateset, noise, n
+):
+    probabilities = {}
+
+    def keeping(*args, **kwargs):
+        probabilities.update(_lengths_probabilities(*args, **kwargs))
+        return probabilities
+
+    monkeypatch.setattr(protocol, "_lengths_probabilities", keeping)
+    cfg = ExperimentConfig(
+        gateset=gateset, noise=noise, m_list=(40, 10, 100, 20), n_sequences=n, seed=83
+    )
+    points = run_experiment(cfg).points
+    assert [p.m for p in points] == list(cfg.m_list)
+    for p in points:
+        ps = probabilities[p.m]
+        sem = float(ps.std(ddof=1) / np.sqrt(len(ps))) if len(ps) > 1 else 0.0
+        assert (p.mean, p.sem, p.n) == (float(ps.mean()), sem, n)
+        assert p.sem != 0.0 if n > 1 else repr(p.sem) == "0.0"
+
+
 def test_fixed_noise_evolves_all_lengths_in_one_pass(monkeypatch):
     calls = []
     einsum = np.einsum
