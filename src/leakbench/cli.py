@@ -149,18 +149,36 @@ def _simulate(cfg: ExperimentConfig, jobs: int, timings: dict | None):
         return run_experiment(cfg, jobs, components, timings), components
 
 
+@functools.cache  # read once per process
+def _environment() -> dict:
+    """The Python and numpy versions and the platform that a run's bytes rest on.
+
+    ``platform.platform()`` is not read: its first call starts a ``uname -p``
+    subprocess.
+    """
+    import platform
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": sys.platform,
+        "machine": platform.machine(),
+    }
+
+
 def _write_run(out, dataset: DecayDataset, started: float, timings: dict, extras=None,
-               documents: dict | None = None) -> list:
+               documents: dict | None = None, health: dict | None = None) -> list:
     """Write a run's files to the directory ``out``; returns their paths, ``manifest.json`` last.
 
     ``decay.csv``, ``decay.json`` (with the per-row ``extras``) and each JSON
     document of ``documents`` by file name are written in the ``write`` stage
     of ``timings``.  Then the run record ``manifest.json``: the config, seed
-    and tool version of the dataset's provenance, the paths before it, and
-    ``timings``, the wall seconds of each stage of the run.  The stages are
-    disjoint parts of ``duration_seconds``, except ``sample`` and ``evolve``:
-    a serial run's parts of ``simulate``.  ``peak_rss_mb`` is the process's
-    peak memory when the manifest is written.
+    and tool version of the dataset's provenance, the :func:`_environment`,
+    the paths before it, and ``timings``, the wall seconds of each stage of
+    the run.  The stages are disjoint parts of ``duration_seconds``, except
+    ``sample`` and ``evolve``: a serial run's parts of ``simulate``.
+    ``peak_rss_mb`` is the process's peak memory when the manifest is
+    written, and ``health``, when given, is recorded as it is.
     """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,10 +192,12 @@ def _write_run(out, dataset: DecayDataset, started: float, timings: dict, extras
     outputs = list(map(str, paths))
     _write_json(out_dir / "manifest.json", {
         **{key: dataset.provenance[key] for key in ("config", "seed", "tool_version")},
+        "environment": _environment(),
         "outputs": outputs,
         "duration_seconds": time.monotonic() - started,
         "timings": timings,
         "peak_rss_mb": _peak_rss_mb(),
+        **({} if health is None else {"health": health}),
     })
     return outputs + [str(out_dir / "manifest.json")]
 
@@ -237,6 +257,22 @@ def _per_length(dataset: DecayDataset, exact) -> list:
         }
         for p, e in zip(dataset.points, map(float, exact))
     ]
+
+
+def _health(result, per_length: list) -> dict:
+    """The fit's convergence, flags, chi^2 per dof and iterations, and a summary of the
+    per-length z: the largest |z|, and sum z^2 with its dof, the count of z that
+    are not null (a z against the exact mean fits no parameter)."""
+    zs = [row["z"] for row in per_length if row["z"] is not None]
+    fit_keys = ("converged", "flags", "chi2_per_dof", "n_iterations")
+    return {
+        "fit": {key: getattr(result, key) for key in fit_keys},
+        "z": {
+            "max_abs": max(map(abs, zs), default=None),
+            "sum_sq": sum((z * z for z in zs), 0.0),
+            "dof": len(zs),
+        },
+    }
 
 
 def reproduce_figure(
@@ -302,7 +338,8 @@ def cmd_reproduce(args) -> int:
     )
     extras = [{"exact_mean": r["exact_mean"], "z": r["z"]} for r in report["per_length"]]
     documents = {"fit.json": result.to_dict(), "report.json": report}
-    _write_run(args.out, dataset, started, timings, extras, documents)
+    health = _health(result, report["per_length"])
+    _write_run(args.out, dataset, started, timings, extras, documents, health)
     verdict = "PASS" if report["pass"] else "FAIL"
     print(
         f"{args.figure} {verdict}: fitted decay {report['fitted_decay']:.6f} "

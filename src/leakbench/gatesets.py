@@ -24,6 +24,7 @@ from .liouville import (
     _operator_stack,
     _read_only,
     complex_entries,
+    liouville_stack,
     list_of,
     mix,
     read_operators,
@@ -147,9 +148,10 @@ class NoiseAssignment:
     """Per-gate error channels for a gate set.
 
     Either a fixed tuple of channels (one per gate index) or a stochastic
-    sampler drawing a fresh channel at every application.  The average of
-    fixed channels is computed once (:func:`average_noise`), and so is their
-    :class:`AveragedStep` on each gate set.
+    sampler drawing a fresh channel at every application.  The Liouville
+    matrices of fixed channels are built on first use in one batched pass
+    (:attr:`liouvilles`), which the average (:func:`average_noise`) and the
+    :class:`AveragedStep` on each gate set read; each is computed once.
     """
 
     def __init__(self, space: SpaceSpec, channels=None, sampler=None):
@@ -177,8 +179,14 @@ class NoiseAssignment:
         return self.sampler is not None
 
     @functools.cached_property
+    def liouvilles(self) -> np.ndarray:
+        """The fixed channels' Liouville matrices (n_gates, d^2, d^2), read-only: one
+        :func:`~leakbench.liouville.liouville_stack` pass, which fills each channel's cache."""
+        return liouville_stack(self.channels)
+
+    @functools.cached_property
     def _average(self) -> Channel:
-        return mix(self.channels)
+        return mix(self.channels, liouvilles=self.liouvilles)
 
     def averaged_step(self, gs: GateSet) -> "AveragedStep":
         """The :class:`AveragedStep` of this fixed noise on ``gs``, built on first use."""
@@ -190,7 +198,8 @@ class NoiseAssignment:
 class AveragedStep:
     """The exact averaged step of fixed noise on a gate set, computed once per pair.
 
-    ``steps`` stacks the |G| step matrices L(G_g) L(E_g), and their mean S
+    ``steps`` stacks the |G| step matrices L(G_g) L(E_g), with L(E_g) read
+    from the noise's :attr:`~NoiseAssignment.liouvilles`, and their mean S
     averages a sequence of length m to effect . S^m . state; both are
     read-only.  ``epsilon``, :func:`gate_dependence_epsilon`, is taken on
     first use.  The entry holds no reference to its gate set, which keys it
@@ -202,7 +211,7 @@ class AveragedStep:
             raise ValueError("the exact averaged step needs a deterministic noise assignment")
         if len(na.channels) != len(gs):
             raise ValueError("noise assignment does not match the gate count")
-        self.steps = _read_only(gs.gate_liouvilles @ np.array([ch.liouville for ch in na.channels]))
+        self.steps = _read_only(gs.gate_liouvilles @ na.liouvilles)
         self.mean = _read_only(self.steps.mean(axis=0))
         self._noise, self._twirl, self._dim = na, gs.twirl_matrix, gs.space.d
 

@@ -193,6 +193,28 @@ def liouville_from_kraus(kraus: np.ndarray) -> np.ndarray:
     return _kron_conj(kraus).sum(axis=-3)
 
 
+def liouville_stack(channels) -> np.ndarray:
+    """The Liouville matrices (n, d^2, d^2) of ``channels``, read-only, in one batched pass.
+
+    A channel listed more than once is computed once.  The channels with no
+    cached matrix take their rows from one :func:`liouville_from_kraus` call
+    over their Kraus stacks zero-padded to a common count, and each one's
+    :attr:`Channel.liouville` cache is filled from its row.  Every sum starts
+    from +0.0, so a zero Kraus operator adds nothing, not even to a signed
+    zero: each row is bit for bit the channel's own.
+    """
+    channels = list(channels)
+    cold = [ch for ch in {id(ch): ch for ch in channels}.values() if ch._liouville is None]
+    if cold:
+        count = max(len(ch.kraus) for ch in cold)
+        kraus = np.zeros((len(cold), count) + cold[0].kraus.shape[1:], dtype=complex)
+        for row, ch in zip(kraus, cold):
+            row[: len(ch.kraus)] = ch.kraus
+        for ch, lio in zip(cold, _read_only(liouville_from_kraus(kraus))):
+            ch._liouville = lio
+    return _read_only(np.array([ch._liouville for ch in channels]))
+
+
 def kraus_sums(kraus: np.ndarray) -> np.ndarray:
     """sum_k K_k^dag K_k of each Kraus set of a stack (..., k, d, d)."""
     *lead, k, d, _ = kraus.shape
@@ -208,11 +230,12 @@ def compose(after: Channel, before: Channel) -> Channel:
     return Channel(after.space, (after.kraus[:, None] @ before.kraus).reshape(-1, d, d))
 
 
-def mix(channels, weights=None) -> Channel:
+def mix(channels, weights=None, liouvilles=None) -> Channel:
     """Convex mixture sum_i w_i E_i, as the Kraus union scaled by sqrt(w_i).
 
-    Its Liouville matrix is seeded with sum_i w_i L_i of the members' cached
-    ones.  Weights default to uniform and must be finite and nonnegative.
+    Its Liouville matrix is seeded with sum_i w_i L_i of the members'
+    ``liouvilles``, by default their :func:`liouville_stack`.  Weights
+    default to uniform and must be finite and nonnegative.
     """
     channels = list(channels)
     if not channels:
@@ -227,8 +250,10 @@ def mix(channels, weights=None) -> Channel:
         raise ValueError(f"mix weights must be finite and nonnegative, got {weights.tolist()}")
     scales = np.repeat(np.sqrt(weights), [len(ch.kraus) for ch in channels])
     kraus = scales[:, None, None] * np.concatenate([ch.kraus for ch in channels])
-    lios = np.array([ch.liouville for ch in channels])
-    return Channel(space, kraus, np.tensordot(weights, lios, axes=1))
+    lios = liouville_stack(channels) if liouvilles is None else liouvilles
+    # tensordot(weights, lios, axes=1), as the one product it makes.
+    mean = np.dot(weights[None], lios.reshape(n, -1)).reshape(lios.shape[1:])
+    return Channel(space, kraus, mean)
 
 
 def survival_rate(rho: np.ndarray, ch: Channel) -> float:

@@ -359,19 +359,21 @@ def sample_filter_batch(rng, n: int):
     their norm ``sqrt(v . v)`` (that of ``np.linalg.norm``) is at least 1e-12,
     and its direction is v over that norm.  The draws are in stream order,
     so n draws of one are bit for bit one draw of n and leave the stream in
-    the same place.
+    the same place.  They are those of ``uniform(0, FILTER_P_MAX)`` and
+    ``normal(size=3)``, which numpy forms as 0 + FILTER_P_MAX u and 0 + 1 z,
+    exactly, from the ``random`` and ``standard_normal`` taken here.
     """
     gen = as_generator(rng)
-    p, v, norms = np.empty(n), np.empty((n, 3)), np.empty((n, 1))
-    uniform, normal = gen.uniform, gen.normal
-    for i in range(n):
-        p[i] = uniform(0.0, FILTER_P_MAX)
+    uniforms, v, norms = [], np.empty((n, 3)), []
+    uniform, standard_normal = gen.random, gen.standard_normal
+    for row in v:
+        uniforms.append(uniform())
         norm = 0.0
         while norm < 1e-12:
-            row = normal(size=3)
+            standard_normal(out=row)
             norm = math.sqrt(row.dot(row))
-        v[i], norms[i] = row, norm
-    return p, v / norms
+        norms.append(norm)
+    return FILTER_P_MAX * np.array(uniforms), v / np.array(norms)[:, None]
 
 
 def sample_filter_params(rng) -> FilterParams:

@@ -60,7 +60,11 @@ _COUNT = functools.partial(integer, low=1, high=2**63 - 1)
 
 @dataclass(frozen=True)
 class SpamSpec:
-    """State preparation and measurement: initial state, effect, optional channels."""
+    """State preparation and measurement: initial state, effect, optional channels.
+
+    Its state and effect vectors are computed once per instance and are
+    read-only; pickles and copies see the four fields only.
+    """
 
     rho: np.ndarray
     effect: np.ndarray
@@ -76,17 +80,25 @@ class SpamSpec:
         rho[0, 0] = 1.0
         return cls(rho=_read_only(rho), effect=space.code_projector)
 
+    def __reduce__(self):
+        return SpamSpec, (self.rho, self.effect, self.prep, self.meas)
+
     def state_vector(self) -> np.ndarray:
-        v = vec(self.rho)
-        if self.prep is not None:
-            v = self.prep.liouville @ v
-        return v
+        """vec(rho), through the prep channel when there is one."""
+        return self._vectors[0]
 
     def effect_vector(self) -> np.ndarray:
-        v = vec(self.effect).conj()
+        """vec(effect)^*, through the meas channel when there is one."""
+        return self._vectors[1]
+
+    @functools.cached_property
+    def _vectors(self) -> tuple:
+        state, effect = vec(self.rho), vec(self.effect).conj()
+        if self.prep is not None:
+            state = self.prep.liouville @ state
         if self.meas is not None:
-            v = v @ self.meas.liouville
-        return v
+            effect = effect @ self.meas.liouville
+        return _read_only(state), _read_only(effect)
 
 
 #: The SPAM section.  Its matrices are sized, and its channels matched, to the
@@ -529,15 +541,20 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
     batch are drawn in one vectorized pass (:func:`pcg64_integers`), and each
     sequence's shots continue its stream from the state that pass ends in.
     The seeding and the draws are timed as the ``sample`` stage of
-    ``timings``, the evolution as ``evolve``.  A run whose largest arrays,
-    a batch's int64 gate indices and one length's normals, exceed
-    :func:`_memory_limit` is refused before any of them is allocated.
+    ``timings``, the evolution as ``evolve``.  A run whose largest arrays
+    exceed :func:`_memory_limit` is refused before any of them is allocated:
+    a batch's int64 gate indices, and one length's normals with noise that
+    takes them or, without, the complex (rows, d^2, d^2) block of step
+    matrices that :func:`run_sequences` gathers from its word table.
     """
     gs, noise, spam, noise_root = components or _experiment_components(cfg)
     n = cfg.n_sequences
     stochastic = noise is not None and noise.stochastic
     order = sorted(ms, reverse=True)
-    needed = 8 * n * order[0] * (1 + noise.sampler.n_normals if stochastic else len(order))
+    if stochastic:
+        needed = 8 * n * order[0] * (1 + noise.sampler.n_normals)
+    else:
+        needed = n * len(order) * (8 * order[0] + 16 * gs.space.d**4)
     if needed > (limit := _memory_limit()):
         raise ConfigError(
             f"bad m_list and n_sequences: their arrays take {needed / 2**30:.3g} GiB, "
@@ -642,7 +659,7 @@ def _power_expectations(ms, step: np.ndarray, effect, state, start: int = 0) -> 
             raise ValueError(f"sequence length must be >= {start}, got {m}")
         for _ in range(m - done):
             state = step @ state
-        values[m], done = float(np.real(effect @ state)), m
+        values[m], done = float((effect @ state).real), m
     return np.array([values[m] for m in ms])
 
 

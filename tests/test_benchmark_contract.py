@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from leakbench.cli import figure_config
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -45,3 +47,14 @@ def test_workload_matches_its_reference(bench, workload, tmp_path):
     outputs = json.loads(result.read_text(encoding="utf-8"))["outputs"]
     attempted, failed = bench.check_outputs(workload, [seed], outputs, reference)
     assert attempted > 0 and failed == 0, outputs
+
+
+def test_perfbench_scenarios_are_the_bundled_configs(bench):
+    # perfbench/worker.py keeps its own copy of each bundled scenario's gate set
+    # and noise spec; it must stay the packaged config's.
+    import worker
+
+    for figure, gateset, noise in worker.FIGURES.values():
+        cfg = figure_config(figure)
+        assert (gateset, noise) == (cfg.gateset, cfg.noise), figure
+    assert sorted(figure for figure, _, _ in worker.FIGURES.values()) == ["fig1", "fig2"]

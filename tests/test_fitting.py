@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import random_channel
 from reference import gauss_newton_step, least_pair_cost, least_scanned_cost, projected_search
 
 import leakbench as lb
@@ -12,7 +13,14 @@ from leakbench.fitting import FitNonConvergence, _cost, fit, model_by_name
 from leakbench.liouville import mix
 from leakbench.noise import RandomStream
 from leakbench.cli import FIGURES, figure_config
-from leakbench.protocol import DecayDataset, DecayPoint, decay_parameters, run_experiment
+from leakbench.protocol import (
+    DecayDataset,
+    DecayPoint,
+    SpamSpec,
+    decay_parameters,
+    exact_expectations,
+    run_experiment,
+)
 
 MS = np.arange(10, 101, 10)
 
@@ -448,6 +456,38 @@ def test_fitted_sum_matches_channel_coherent_survival():
     spread = result.stderr["decay_plus"] + result.stderr["decay_minus"]
     assert abs(fitted_sum - expected) <= 3.0 * spread
     assert abs(result.derived()["coherent_survival"] - fitted_sum) < 1e-15
+
+
+#: Lengths that see both decays of the physical double-exp run: the fast one by
+#: m ~ 30, the slow one over the whole range.  At m = 1 every sequence of
+#: gate-independent noise has the same probability, so its sem is rounding noise.
+PHYSICAL_MS = (2, 3, 5, 8, 12, 17, 25, 35, 50, 70, 100)
+
+
+def _physical_double_exp_run(n_sequences: int):
+    """(channel, exact means, simulated dataset) of gate-independent, non-trace-preserving
+    Kraus noise on the qutrit (2, 1), run by the engine through ``run_experiment``."""
+    gs = lb.shelving_gateset()
+    rng = np.random.default_rng(12)
+    channel = mix([lb.Channel.identity(gs.space), random_channel(gs.space, rng, scale=0.9)],
+                  [0.95, 0.05])
+    na = lb.NoiseAssignment.uniform(channel, len(gs))
+    cfg = lb.ExperimentConfig(gateset="shelving", m_list=PHYSICAL_MS, n_sequences=n_sequences,
+                              seed=13)
+    components = (gs, na, SpamSpec.ideal(gs.space), RandomStream(cfg.seed))
+    dataset = run_experiment(cfg, components=components)
+    return channel, exact_expectations(PHYSICAL_MS, gs, na), dataset
+
+
+def test_double_exp_fit_finds_the_two_decays_of_a_physical_channel():
+    channel, exact, dataset = _physical_double_exp_run(n_sequences=100)
+    truth = decay_parameters(lb.shelving_gateset(), channel)
+    assert 0.0 < truth["decay_minus"] < truth["decay_plus"] < 0.9999  # two decays, neither 1
+    on_exact = fit("double-exp", DecayDataset.from_arrays(PHYSICAL_MS, exact))
+    sampled = fit("double-exp", dataset)
+    for key in ("decay_plus", "decay_minus"):
+        assert abs(on_exact.params[key] - truth[key]) < 1e-6, key
+        assert abs(sampled.params[key] - truth[key]) <= 3.0 * sampled.stderr[key], key
 
 
 def test_tp_channel_gives_unit_eigenvalue_unconstrained():

@@ -1,9 +1,16 @@
+import copy
+import pickle
 import re
 
 import numpy as np
 import pytest
 from helpers import random_channel, random_density
-from reference import gate_dependence_epsilon, group_deviation, numeric_rank
+from reference import (
+    gate_dependence_epsilon,
+    group_deviation,
+    numeric_rank,
+    stacked_gate_dependence_epsilon,
+)
 
 import leakbench as lb
 from leakbench import Channel, GateSet, SpaceSpec
@@ -211,6 +218,52 @@ def test_average_noise_liouville_is_mean():
     assert abs(lb.transfer_matrix(avg)[0, 0] - 0.9875) < 1e-12
     expected = np.mean([lb.transfer_matrix(c)[0, 0] for c in channels])
     assert abs(lb.transfer_matrix(avg)[0, 0] - expected) < 1e-12
+
+
+def _liouville_bytes(channels) -> list:
+    """Each channel's Liouville matrix as bytes, from its own Kraus stack."""
+    return [lb.liouville.liouville_from_kraus(ch.kraus).tobytes() for ch in channels]
+
+
+def test_noise_liouvilles_are_built_on_first_use_in_one_pass(monkeypatch):
+    rng = np.random.default_rng(9)
+    distinct = [random_channel(QUTRIT, rng, n_kraus=k) for k in (1, 2, 3, 4)]
+    channels = [distinct[i] for i in (0, 1, 2, 1, 3, 0, 0, 2)]  # 8 gates, 4 channels
+    na = lb.NoiseAssignment(QUTRIT, channels=channels)
+    assert "liouvilles" not in vars(na) and all(ch._liouville is None for ch in distinct)
+    calls = []
+    batched = lb.liouville.liouville_from_kraus
+    monkeypatch.setattr(
+        lb.liouville, "liouville_from_kraus", lambda kraus: calls.append(kraus.shape) or batched(kraus)
+    )
+    gs = gateset_by_id("shelving")
+    step, avg = na.averaged_step(gs), lb.average_noise(na)
+    assert calls == [(4, 4, 3, 3)] and na.liouvilles is na.liouvilles
+    assert [row.tobytes() for row in na.liouvilles] == _liouville_bytes(channels)
+    # The steps, their mean, the average and epsilon are today's per-channel values.
+    lios = np.array([batched(ch.kraus) for ch in channels])
+    assert step.steps.tobytes() == (gs.gate_liouvilles @ lios).tobytes()
+    assert step.mean.tobytes() == (gs.gate_liouvilles @ lios).mean(axis=0).tobytes()
+    assert avg.liouville.tobytes() == np.tensordot(np.full(8, 1 / 8), lios, axes=1).tobytes()
+    assert lb.gate_dependence_epsilon(gs, na) == stacked_gate_dependence_epsilon(gs.gates, channels)
+
+
+@pytest.mark.parametrize(
+    "copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+@pytest.mark.parametrize("warm", [False, True])
+def test_copied_noise_builds_the_same_liouvilles(copy_of, warm):
+    rng = np.random.default_rng(10)
+    na = lb.NoiseAssignment(QUBIT, channels=[random_channel(QUBIT, rng, n_kraus=k) for k in (2, 1, 3, 2)])
+    expected = _liouville_bytes(na.channels)
+    if warm:
+        na.liouvilles
+    other = copy_of(na)
+    assert "liouvilles" not in vars(other)
+    assert [row.tobytes() for row in other.liouvilles] == expected
+    assert not other.liouvilles.flags.writeable
+    assert all(not ch._liouville.flags.writeable for ch in other.channels)
 
 
 def test_noise_assignment_validation():

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import run_python
+from test_larger_spaces import design
 
 from leakbench import gatesets, liouville, noise, protocol
 from leakbench.cli import main
@@ -281,16 +282,33 @@ def test_lengths_whose_arrays_cannot_fit_exit_2_before_allocating(tmp_path, base
 
 @pytest.mark.parametrize("base, index_bytes", [("fig1", 30 * 10 * 100 * 8), ("fig2", 200 * 100 * 8)])
 def test_the_memory_guard_counts_indices_and_normals(monkeypatch, base, index_bytes):
-    # fig1 holds every length's indices in one batch; fig2 one length's indices plus
-    # its 18 normals per step.
+    # fig1 holds every length's indices in one batch, and gathers a 4 x 4 complex step
+    # matrix per row; fig2 one length's indices plus its 18 normals per step.
     cfg = ExperimentConfig.from_dict(json.loads(BUNDLED[base].read_text()))
     components = protocol._experiment_components(cfg)
-    needed = index_bytes + (200 * 100 * 18 * 8 if components[1].stochastic else 0)
+    stochastic = components[1].stochastic
+    needed = index_bytes + (200 * 100 * 18 * 8 if stochastic else 30 * 10 * 16 * 2**4)
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed - 1)
     with pytest.raises(liouville.ConfigError, match="m_list and n_sequences"):
         protocol._lengths_probabilities(cfg, cfg.m_list, components)
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed)
     assert len(protocol._lengths_probabilities(cfg, cfg.m_list, components)) == 10
+
+
+def test_the_memory_guard_counts_the_fixed_noise_gather(monkeypatch):
+    # On the (4, 2) design a row's gathered 36 x 36 complex step matrix takes 20,736
+    # bytes, its five int64 gate indices 40: the gather alone trips the limit.
+    gs, noise, spam = design("two-qubit")
+    cfg = ExperimentConfig(gateset="two-qubit.json", m_list=(5, 3), n_sequences=20, seed=1)
+    components = (gs, noise, spam, None)
+    rows, index_bytes = 2 * 20, 2 * 20 * 5 * 8
+    needed = index_bytes + rows * 16 * 6**4
+    monkeypatch.setattr(protocol, "_memory_limit", lambda: needed - 1)
+    assert index_bytes < needed - 1
+    with pytest.raises(liouville.ConfigError, match="m_list and n_sequences"):
+        protocol._lengths_probabilities(cfg, cfg.m_list, components)
+    monkeypatch.setattr(protocol, "_memory_limit", lambda: needed)
+    assert len(protocol._lengths_probabilities(cfg, cfg.m_list, components)) == 2
 
 
 def test_the_memory_limit_is_the_address_space_limit_when_lower():

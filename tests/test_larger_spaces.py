@@ -24,7 +24,7 @@ import leakbench.protocol as protocol
 from leakbench import Channel, SpaceSpec
 from leakbench.gatesets import PAULIS, NoiseAssignment
 from leakbench.cli import main
-from leakbench.liouville import channel_to_dict, matrix_to_pairs, mix
+from leakbench.liouville import channel_to_dict, liouville_from_kraus, matrix_to_pairs, mix
 from leakbench.protocol import (
     SpamSpec,
     decay_parameters,
@@ -76,6 +76,18 @@ def test_engine_matches_per_sequence_reference(name, space, n_gates):
     ps = run_sequences(indices, gs, na, spam, lengths=lengths)
     for row, length, p in zip(indices, lengths, ps):
         assert abs(p - run_sequence(row[:length], gs, na, spam)) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_batched_liouvilles_are_the_per_channel_ones(name):
+    # The design's channels are mixtures, seeded with their members' matrices: the
+    # stack keeps them.  Kraus-only copies (four operators each) are built in one pass.
+    gs, na, _ = design(name)
+    assert [row.tobytes() for row in na.liouvilles] == [ch.liouville.tobytes() for ch in na.channels]
+    cold = NoiseAssignment(gs.space, channels=[Channel(gs.space, ch.kraus) for ch in na.channels])
+    per_channel = np.array([liouville_from_kraus(ch.kraus) for ch in cold.channels])
+    assert cold.liouvilles.tobytes() == per_channel.tobytes()
+    assert cold.averaged_step(gs).steps.tobytes() == (gs.gate_liouvilles @ per_channel).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SETS))

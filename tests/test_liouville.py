@@ -529,3 +529,59 @@ def test_matrix_pair_roundtrip():
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     entries = complex_entries(matrix_to_pairs(m), "m")
     assert np.array_equal(entries.reshape(3, 3), m)
+
+
+# ---------------------------------------------------------------------------
+# The batched Liouville pass of a list of channels
+# ---------------------------------------------------------------------------
+
+
+def _cold_copies(channels):
+    """Channels of the same Kraus stacks with no Liouville matrix cached yet."""
+    return [Channel(ch.space, ch.kraus) for ch in channels]
+
+
+def _per_channel(channels) -> list:
+    """Each channel's Liouville matrix as bytes, one liouville_from_kraus call per channel."""
+    return [lb.liouville.liouville_from_kraus(ch.kraus).tobytes() for ch in channels]
+
+
+@pytest.mark.parametrize("space", [QUBIT, QUTRIT, SpaceSpec(2, 2)], ids=str)
+def test_liouville_stack_is_each_channels_own_bit_for_bit(space):
+    # Kraus counts 1 to 5 in one call: the zero-padded operators add exact zeros.
+    rng = np.random.default_rng(space.d)
+    channels = [random_channel(space, rng, n_kraus=k, scale=0.97) for k in (3, 1, 5, 2, 1)]
+    channels.append(Channel.unitary(space, np.diag(np.exp(1j * np.arange(space.d)))))
+    stack = lb.liouville.liouville_stack(channels)
+    assert stack.shape == (6, space.d**2, space.d**2) and not stack.flags.writeable
+    assert [row.tobytes() for row in stack] == _per_channel(channels)
+    for ch, row in zip(channels, stack):
+        assert np.array_equal(ch._liouville, row) and not ch._liouville.flags.writeable
+        assert ch.liouville is ch._liouville  # filled: the property computes nothing
+
+
+def test_liouville_stack_computes_a_repeated_channel_once_and_keeps_cached_ones(monkeypatch):
+    rng = np.random.default_rng(7)
+    a, b = (random_channel(QUTRIT, rng, n_kraus=k) for k in (2, 4))
+    cached = mix([a, b], [0.3, 0.7])  # seeded with its members' matrices
+    calls = []
+    batched = lb.liouville.liouville_from_kraus
+    monkeypatch.setattr(
+        lb.liouville, "liouville_from_kraus", lambda kraus: calls.append(kraus.shape) or batched(kraus)
+    )
+    a, b = _cold_copies([a, b])
+    stack = lb.liouville.liouville_stack([a, b, a, cached, b, a])
+    assert calls == [(2, 4, 3, 3)]  # a and b once each, cached not at all
+    expected = _per_channel([a, b, a]) + [cached._liouville.tobytes()] + _per_channel([b, a])
+    assert [row.tobytes() for row in stack] == expected
+
+
+def test_mix_reads_the_stack_of_its_members():
+    rng = np.random.default_rng(8)
+    members = [random_channel(QUBIT, rng, n_kraus=k) for k in (1, 2, 3)]
+    weights = [0.2, 0.5, 0.3]
+    lios = np.array([lb.liouville.liouville_from_kraus(ch.kraus) for ch in members])
+    expected = np.tensordot(weights, lios, axes=1)
+    for given in (None, lios):
+        mixed = mix(_cold_copies(members), weights, liouvilles=given)
+        assert mixed.liouville.tobytes() == expected.tobytes()

@@ -217,8 +217,20 @@ def test_filter_batch_is_the_sequential_draws():
     assert after[0] == after[1] == after[2]
 
 
+def test_filter_batch_pins_the_uniform_and_normal_draws_at_every_seed():
+    # random() and standard_normal(3) are the bits of uniform(0, 0.05) and normal(size=3),
+    # which the reference draws, and leave the stream where they do.
+    for seed in range(1000):
+        batched, scalar = RandomStream(seed).generator(), RandomStream(seed).generator()
+        _assert_same_draws(
+            sample_filter_batch(batched, 50), [reference_filter_params(scalar) for _ in range(50)]
+        )
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+
 class _ZeroFirstNormals(np.random.Generator):
-    """A generator of the stream whose first ``zeros`` normal draws are zero, and take no bits."""
+    """A generator of the stream whose first ``zeros`` normal draws, through ``normal``
+    or ``standard_normal``, are zero, and take no bits."""
 
     def __init__(self, stream, zeros):
         super().__init__(stream.generator().bit_generator)
@@ -229,6 +241,14 @@ class _ZeroFirstNormals(np.random.Generator):
             self.zeros -= 1
             return np.zeros(size)
         return super().normal(loc, scale, size)
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        if self.zeros:
+            self.zeros -= 1
+            out = np.empty(size) if out is None else out
+            out[...] = 0.0
+            return out
+        return super().standard_normal(size, dtype, out)
 
 
 def test_filter_batch_redraws_a_zero_direction():

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -955,6 +957,27 @@ def test_closed_form_with_spam_channels():
     for m in range(1, 5):
         brute = brute_force_expectation(m, gs, na, spam)
         assert abs(brute - predicted_expectation(m, gs, ch, spam)) < 1e-10
+
+
+def test_spam_vectors_are_computed_once_read_only_and_left_by_copies():
+    rng = np.random.default_rng(78)
+    spam = SpamSpec(
+        rho=random_density(3, rng),
+        effect=QUTRIT.code_projector,
+        prep=random_channel(QUTRIT, rng, scale=0.98),
+        meas=random_channel(QUTRIT, rng, scale=0.99),
+    )
+    state = spam.prep.liouville @ vec(spam.rho)
+    effect = vec(spam.effect).conj() @ spam.meas.liouville
+    for vector, fresh, read in ((spam.state_vector(), state, spam.state_vector),
+                                (spam.effect_vector(), effect, spam.effect_vector)):
+        assert vector.tobytes() == fresh.tobytes() and read() is vector
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 2.0
+    for other in (pickle.loads(pickle.dumps(spam)), copy.deepcopy(spam), copy.copy(spam)):
+        assert "_vectors" not in vars(other)
+        assert other.state_vector().tobytes() == state.tobytes()
+        assert other.effect_vector().tobytes() == effect.tobytes()
 
 
 def _eigen_sum(params: dict, ms: np.ndarray) -> np.ndarray:
