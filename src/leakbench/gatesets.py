@@ -186,7 +186,7 @@ class NoiseAssignment:
 
     @functools.cached_property
     def _average(self) -> Channel:
-        return mix(self.channels, liouvilles=self.liouvilles)
+        return mix(self.channels)
 
     def averaged_step(self, gs: GateSet) -> "AveragedStep":
         """The :class:`AveragedStep` of this fixed noise on ``gs``, built on first use."""

@@ -1,5 +1,7 @@
-"""Shared test utilities: random operators and channels, and a fresh interpreter."""
+"""Shared test utilities: random operators and channels, the larger-space designs,
+and a fresh interpreter."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -9,6 +11,9 @@ import numpy as np
 
 import leakbench
 from leakbench import Channel, SpaceSpec
+from leakbench.gatesets import PAULIS, NoiseAssignment
+from leakbench.liouville import mix
+from leakbench.protocol import SpamSpec
 
 
 def run_python(*args):
@@ -40,3 +45,32 @@ def random_channel(
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     return Channel(space, [np.sqrt(scale) * k @ inv_sqrt for k in ops])
 
+
+# The signed designs beyond the qutrit: qubit Paulis on both blocks, (d1, d2) = (2, 2),
+# and the two-qubit Paulis on the code beside qubit Paulis on the leakage, (4, 2).
+SETS = {
+    "blocks": (PAULIS, PAULIS),
+    "two-qubit": ([np.kron(a, b) for a in PAULIS for b in PAULIS], PAULIS),
+}
+
+
+@functools.cache
+def design(name: str):
+    """(gate set, gate-dependent noise, SPAM): a random near-identity, trace-decreasing
+    Kraus channel per gate, and noisy prep and meas channels on a mixed state."""
+    code, leak = SETS[name]
+    gs = leakbench.signed_design_gateset(code, leak, label=name)
+    space = gs.space
+    rng = np.random.default_rng(sum(map(ord, name)))
+    identity = Channel.identity(space)
+    channels = [
+        mix([identity, random_channel(space, rng, scale=rng.uniform(0.95, 1.0))], [0.9, 0.1])
+        for _ in range(len(gs))
+    ]
+    spam = SpamSpec(
+        rho=random_density(space.d, rng),
+        effect=space.code_projector,
+        prep=random_channel(space, rng, scale=0.98),
+        meas=random_channel(space, rng, scale=0.99),
+    )
+    return gs, NoiseAssignment(space, channels=channels), spam

@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import run_python
-from test_larger_spaces import design
+from helpers import design, run_python
 
 from leakbench import gatesets, liouville, noise, protocol
 from leakbench.cli import main

@@ -10,55 +10,26 @@ average there against the per-sequence reference:
   matrices are 36 x 36, so the word table holds the one-gate words only.
 """
 
-import functools
 import itertools
 import json
 
 import numpy as np
 import pytest
-from helpers import random_channel, random_density
+from helpers import SETS, design
 from reference import decay_eigenvalues, run_sequence, transfer_block
 
 import leakbench as lb
 import leakbench.protocol as protocol
 from leakbench import Channel, SpaceSpec
-from leakbench.gatesets import PAULIS, NoiseAssignment
+from leakbench.gatesets import NoiseAssignment
 from leakbench.cli import main
-from leakbench.liouville import channel_to_dict, liouville_from_kraus, matrix_to_pairs, mix
+from leakbench.liouville import channel_to_dict, liouville_from_kraus, matrix_to_pairs
 from leakbench.protocol import (
-    SpamSpec,
     decay_parameters,
     exact_expectations,
     predicted_expectation,
     run_sequences,
 )
-
-SETS = {
-    "blocks": (PAULIS, PAULIS),
-    "two-qubit": ([np.kron(a, b) for a in PAULIS for b in PAULIS], PAULIS),
-}
-
-
-@functools.cache
-def design(name: str):
-    """(gate set, gate-dependent noise, SPAM): a random near-identity, trace-decreasing
-    Kraus channel per gate, and noisy prep and meas channels on a mixed state."""
-    code, leak = SETS[name]
-    gs = lb.signed_design_gateset(code, leak, label=name)
-    space = gs.space
-    rng = np.random.default_rng(sum(map(ord, name)))
-    identity = Channel.identity(space)
-    channels = [
-        mix([identity, random_channel(space, rng, scale=rng.uniform(0.95, 1.0))], [0.9, 0.1])
-        for _ in range(len(gs))
-    ]
-    spam = SpamSpec(
-        rho=random_density(space.d, rng),
-        effect=space.code_projector,
-        prep=random_channel(space, rng, scale=0.98),
-        meas=random_channel(space, rng, scale=0.99),
-    )
-    return gs, NoiseAssignment(space, channels=channels), spam
 
 
 @pytest.mark.parametrize("name, space, n_gates", [
