@@ -26,10 +26,7 @@ from .liouville import (
     Channel,
     ChannelDiagnostics,
     SpaceSpec,
-    compose,
     cp_tp_diagnostics,
-    direct_sum,
-    survival_rate,
     transfer_matrix,
 )
 from .noise import (

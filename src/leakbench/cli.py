@@ -377,13 +377,11 @@ def check_filter_diagnostics():
     filter channels, each quantity one stacked ``eigvalsh`` over all of them."""
     p, bloch = sample_filter_batch(RandomStream(7, key=(99,)).generator(), CHECK_DRAWS)
     kraus = filter_kraus(p, bloch)
-    sums = kraus_sums(kraus)
     choi = liouville_to_choi(liouville_from_kraus(kraus), 2)
     choi_min = np.linalg.eigvalsh(_hermitian_part(choi)).min()
-    sums_max = np.linalg.eigvalsh(_hermitian_part(sums)).max()
-    if not (choi_min >= -CHECK_TOL and sums_max <= 1.0 + CHECK_TOL):
+    spectra = np.linalg.eigvalsh(_hermitian_part(kraus_sums(kraus)))
+    if not (choi_min >= -CHECK_TOL and spectra.max() <= 1.0 + CHECK_TOL):
         return False, "filter channel failed CP / trace-nonincreasing"
-    spectra = np.linalg.eigvalsh(sums)
     worst = float(np.max(np.abs(spectra - np.column_stack([1.0 - p, np.ones_like(p)]))))
     return worst <= CHECK_TOL, f"max spectrum deviation from {{1, 1-p}} = {worst:.2e}"
 

@@ -268,13 +268,14 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     """Fit a decay model to a dataset of (m, mean, sem) points.
 
     Minimizes the sem-weighted sum of squared residuals (unit weights if any
-    sem is zero or ``weighted`` is false).  Standard errors come from the
-    inverse weighted normal matrix at the optimum, scaled by the residual
-    variance; r^2 is computed on unweighted residuals.  ``n_iterations`` counts
-    the Gauss-Newton steps that refine the grid's best decays.  A length below
-    1 (where the Jacobian's power rule fails), a mean outside [0, 1] (NaN
-    included) or a negative or non-finite sem is a ValueError naming the first
-    such point's m.
+    sem is zero or ``weighted`` is false).  A sem of at most 64 eps |mean|, the
+    rounding noise of sequences that all give the same mean, counts as zero.
+    Standard errors come from the inverse weighted normal matrix at the
+    optimum, scaled by the residual variance; r^2 is computed on unweighted
+    residuals.  ``n_iterations`` counts the Gauss-Newton steps that refine the
+    grid's best decays.  A length below 1 (where the Jacobian's power rule
+    fails), a mean outside [0, 1] (NaN included) or a negative or non-finite
+    sem is a ValueError naming the first such point's m.
     """
     if isinstance(model, str):
         model = model_by_name(model)
@@ -294,7 +295,7 @@ def fit(model, data, weighted: bool = True) -> FitResult:
         if bad.any():
             i = np.flatnonzero(bad)[0]
             raise ValueError(f"{what}, got {float(values[i])!r} at m = {ms[i]:g}")
-    used_weights = bool(weighted and np.all(sems > 0))
+    used_weights = bool(weighted and np.all(sems > 64 * np.finfo(float).eps * np.abs(ys)))
     w = 1.0 / sems**2 if used_weights else np.ones_like(sems)
 
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))

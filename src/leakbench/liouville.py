@@ -89,19 +89,6 @@ def vec(op: np.ndarray) -> np.ndarray:
     return np.asarray(op, dtype=complex).reshape(-1)
 
 
-def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block-diagonal [[a, 0], [0, b]] of two square matrices."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    b = np.atleast_2d(np.asarray(b, dtype=complex))
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("direct_sum requires square blocks")
-    n, m = a.shape[0], b.shape[0]
-    out = np.zeros((n + m, n + m), dtype=complex)
-    out[:n, :n] = a
-    out[n:, n:] = b
-    return out
-
-
 class Channel:
     """A completely positive map stored as a stack of d x d Kraus operators.
 
@@ -117,10 +104,6 @@ class Channel:
 
     def __reduce__(self):
         return Channel, (self.space, self.kraus, self._liouville)
-
-    @classmethod
-    def identity(cls, space: SpaceSpec) -> "Channel":
-        return cls(space, [np.eye(space.d, dtype=complex)])
 
     @classmethod
     def unitary(cls, space: SpaceSpec, u: np.ndarray) -> "Channel":
@@ -157,11 +140,6 @@ class Channel:
         if self._liouville is None:
             self._liouville = _read_only(liouville_from_kraus(self.kraus))
         return self._liouville
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """sum_k K_k rho K_k^dag."""
-        rho = np.asarray(rho, dtype=complex)
-        return (self.kraus @ rho @ self.kraus.conj().swapaxes(1, 2)).sum(axis=0)
 
     def kraus_sum(self) -> np.ndarray:
         """sum_k K_k^dag K_k; equals the identity iff trace-preserving."""
@@ -222,14 +200,6 @@ def kraus_sums(kraus: np.ndarray) -> np.ndarray:
     return rows.conj().swapaxes(-1, -2) @ rows
 
 
-def compose(after: Channel, before: Channel) -> Channel:
-    """The channel applying ``before`` then ``after``; Kraus products compose."""
-    if after.space != before.space:
-        raise ValueError("channels act on different spaces")
-    d = after.space.d
-    return Channel(after.space, (after.kraus[:, None] @ before.kraus).reshape(-1, d, d))
-
-
 def mix(channels, weights=None) -> Channel:
     """Convex mixture sum_i w_i E_i, as the Kraus union scaled by sqrt(w_i).
 
@@ -256,16 +226,6 @@ def mix(channels, weights=None) -> Channel:
     # calls of an exact-oracle pass, 5% of it (2 vCPUs, numpy 2.4).
     mean = np.dot(weights[None], lios.reshape(n, -1)).reshape(lios.shape[1:])
     return Channel(space, kraus, mean)
-
-
-def survival_rate(rho: np.ndarray, ch: Channel) -> float:
-    """Tr[P_H1 E(rho)] / Tr[rho], the probability of remaining detectable in H1."""
-    rho = np.asarray(rho, dtype=complex)
-    tr = np.trace(rho).real
-    if tr <= 0:
-        raise ValueError("survival rate needs an input with positive trace")
-    p1 = ch.space.code_projector
-    return float(np.trace(p1 @ ch.apply(rho)).real / tr)
 
 
 def transfer_matrix(ch: Channel) -> np.ndarray:

@@ -62,7 +62,7 @@ def design(name: str):
     gs = leakbench.signed_design_gateset(code, leak, label=name)
     space = gs.space
     rng = np.random.default_rng(sum(map(ord, name)))
-    identity = Channel.identity(space)
+    identity = Channel(space, [np.eye(space.d)])
     channels = [
         mix([identity, random_channel(space, rng, scale=rng.uniform(0.95, 1.0))], [0.9, 0.1])
         for _ in range(len(gs))

@@ -46,7 +46,6 @@ from leakbench.liouville import (
     Channel,
     SpaceSpec,
     cp_tp_diagnostics,
-    direct_sum,
     vec,
 )
 from leakbench.noise import (
@@ -389,8 +388,9 @@ def shelving_pulse(gamma: float) -> np.ndarray:
     gamma = 0 gives the ideal pulse 1 (+) X swapping the upper two levels.
     """
     s, c = np.sin(gamma), np.cos(gamma)
-    block = np.array([[1j * s, c], [c, 1j * s]], dtype=complex)
-    return direct_sum(np.eye(1), block)
+    pulse = np.eye(3, dtype=complex)
+    pulse[1:, 1:] = [[1j * s, c], [c, 1j * s]]
+    return pulse
 
 
 def code_rotation(phi: float, u: np.ndarray) -> np.ndarray:
@@ -403,8 +403,9 @@ def code_rotation(phi: float, u: np.ndarray) -> np.ndarray:
     if u.shape != (2, 2) or np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-9:
         raise ValueError("code_rotation needs a 2 x 2 unitary")
     axis = u @ PAULI_X @ u.conj().T
-    rot = np.cos(phi) * np.eye(2, dtype=complex) + 1j * np.sin(phi) * axis
-    return direct_sum(rot, np.eye(1))
+    rotation = np.eye(3, dtype=complex)
+    rotation[:2, :2] = np.cos(phi) * np.eye(2) + 1j * np.sin(phi) * axis
+    return rotation
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:

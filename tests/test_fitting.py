@@ -460,23 +460,23 @@ def test_fitted_sum_matches_channel_coherent_survival():
 
 #: Lengths that see both decays of the physical double-exp run: the fast one by
 #: m ~ 30, the slow one over the whole range.  At m = 1 every sequence of
-#: gate-independent noise has the same probability, so its sem is rounding noise.
+#: gate-independent noise has the same probability, so its sem is rounding noise
+#: and the fit falls back to unit weights.
 PHYSICAL_MS = (2, 3, 5, 8, 12, 17, 25, 35, 50, 70, 100)
 
 
-def _physical_double_exp_run(n_sequences: int):
+def _physical_double_exp_run(n_sequences: int, ms=PHYSICAL_MS):
     """(channel, exact means, simulated dataset) of gate-independent, non-trace-preserving
     Kraus noise on the qutrit (2, 1), run by the engine through ``run_experiment``."""
     gs = lb.shelving_gateset()
     rng = np.random.default_rng(12)
-    channel = mix([lb.Channel.identity(gs.space), random_channel(gs.space, rng, scale=0.9)],
-                  [0.95, 0.05])
+    identity = lb.Channel(gs.space, [np.eye(gs.space.d)])
+    channel = mix([identity, random_channel(gs.space, rng, scale=0.9)], [0.95, 0.05])
     na = lb.NoiseAssignment.uniform(channel, len(gs))
-    cfg = lb.ExperimentConfig(gateset="shelving", m_list=PHYSICAL_MS, n_sequences=n_sequences,
-                              seed=13)
+    cfg = lb.ExperimentConfig(gateset="shelving", m_list=ms, n_sequences=n_sequences, seed=13)
     components = (gs, na, SpamSpec.ideal(gs.space), RandomStream(cfg.seed))
     dataset = run_experiment(cfg, components=components)
-    return channel, exact_expectations(PHYSICAL_MS, gs, na), dataset
+    return channel, exact_expectations(ms, gs, na), dataset
 
 
 def test_double_exp_fit_finds_the_two_decays_of_a_physical_channel():
@@ -488,6 +488,20 @@ def test_double_exp_fit_finds_the_two_decays_of_a_physical_channel():
     for key in ("decay_plus", "decay_minus"):
         assert abs(on_exact.params[key] - truth[key]) < 1e-6, key
         assert abs(sampled.params[key] - truth[key]) <= 3.0 * sampled.stderr[key], key
+
+
+def test_a_sem_at_the_rounding_level_of_its_mean_gives_unit_weights():
+    # Weighted by 1/sem^2, the m = 1 point (sem about 1e-17) would pin every model
+    # to itself: double-exp ended at decays (-0.996, -1.0), the others at -0.998.
+    channel, _, dataset = _physical_double_exp_run(n_sequences=100, ms=(1, *PHYSICAL_MS))
+    assert 0.0 < dataset.sems[0] < 64 * np.finfo(float).eps * dataset.means[0]
+    truth = decay_parameters(lb.shelving_gateset(), channel)
+    result = fit("double-exp", dataset)
+    assert not result.weighted
+    for key in ("decay_plus", "decay_minus"):
+        assert abs(result.params[key] - truth[key]) <= 3.0 * result.stderr[key], key
+    for model in ("single-exp", "tp-constrained"):
+        assert fit(model, dataset).params["decay"] > 0.9, model
 
 
 def test_tp_channel_gives_unit_eigenvalue_unconstrained():

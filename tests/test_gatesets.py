@@ -64,7 +64,7 @@ def test_shelving_gateset_members():
 
 
 def test_shelving_gates_self_inverse_up_to_phase():
-    x_minus = lb.direct_sum(PAULI_X, -np.eye(1))
+    x_minus = np.block([[PAULI_X, np.zeros((2, 1))], [np.zeros((1, 2)), -np.eye(1)]])
     assert np.max(np.abs(x_minus @ x_minus - np.eye(3))) < 1e-12
 
 
@@ -134,7 +134,10 @@ def test_gate_dependence_epsilon_matches_per_gate_loop():
 
 def test_signed_design_gates_are_direct_sums_in_product_order():
     gs = lb.signed_design_gateset(PAULIS, PAULIS, label="two-qubit-blocks")
-    expected = [lb.direct_sum(v, mu * w) for v in PAULIS for w in PAULIS for mu in (1.0, -1.0)]
+    zero = np.zeros((2, 2))
+    expected = [
+        np.block([[v, zero], [zero, mu * w]]) for v in PAULIS for w in PAULIS for mu in (1.0, -1.0)
+    ]
     assert np.array_equal(gs.gates, np.array(expected))
 
 
@@ -270,7 +273,7 @@ def test_noise_assignment_validation():
     with pytest.raises(ValueError):
         lb.NoiseAssignment(QUBIT)
     with pytest.raises(ValueError):
-        lb.NoiseAssignment(QUBIT, channels=[Channel.identity(QUTRIT)])
+        lb.NoiseAssignment(QUBIT, channels=[Channel(QUTRIT, [np.eye(3)])])
 
 
 def test_stochastic_assignment_blocks_average():

@@ -156,7 +156,7 @@ def spam_config() -> dict:
         "rho": matrix_to_pairs(excited),
         "effect": matrix_to_pairs(np.diag([0.9, 0.1])),
         "prep": channel_to_dict(prep),
-        "meas": channel_to_dict(liouville.Channel.identity(prep.space)),
+        "meas": channel_to_dict(liouville.Channel(prep.space, [np.eye(prep.space.d)])),
     }
     return {**small(json.loads(BUNDLED["noiseless"].read_text())), "spam": spam}
 

@@ -145,7 +145,7 @@ def test_run_sequence_index_validation():
 
 def test_run_sequence_space_mismatch():
     gs = lb.pauli_gateset()
-    na = NoiseAssignment.uniform(Channel.identity(QUTRIT), 4)
+    na = NoiseAssignment.uniform(Channel(QUTRIT, [np.eye(3)]), 4)
     with pytest.raises(ValueError):
         run_sequence((0,), gs, na)
     with pytest.raises(ValueError):
@@ -993,10 +993,10 @@ def _eigen_sum(params: dict, ms: np.ndarray) -> np.ndarray:
     "gateset, channel",
     [
         ("pauli", lambda: filter_z(0.03)),
-        ("pauli", lambda: Channel.identity(QUBIT)),
+        ("pauli", lambda: Channel(QUBIT, [np.eye(2)])),
         ("shelving", fixed_shelving_channel),
         ("shelving", lambda: lb.sample_coherent_noise(lb.ShelvingParams(), RandomStream(5))),
-        ("shelving", lambda: Channel.identity(QUTRIT)),
+        ("shelving", lambda: Channel(QUTRIT, [np.eye(3)])),
     ],
     ids=["filter", "pauli-identity", "shelving-fixed", "shelving-tp", "shelving-identity"],
 )
@@ -1026,7 +1026,7 @@ def test_predicted_expectation_rejects_length_below_one():
 
 def test_decay_parameters_space_mismatch():
     with pytest.raises(ValueError):
-        decay_parameters(lb.pauli_gateset(), Channel.identity(QUTRIT))
+        decay_parameters(lb.pauli_gateset(), Channel(QUTRIT, [np.eye(3)]))
 
 
 def test_decay_parameters_rejects_a_defective_block():
