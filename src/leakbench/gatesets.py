@@ -24,7 +24,6 @@ from .liouville import (
     _operator_stack,
     _read_only,
     complex_entries,
-    liouville_stack,
     list_of,
     mix,
     read_operators,
@@ -148,10 +147,9 @@ class NoiseAssignment:
     """Per-gate error channels for a gate set.
 
     Either a fixed tuple of channels (one per gate index) or a stochastic
-    sampler drawing a fresh channel at every application.  The Liouville
-    matrices of fixed channels are built on first use in one batched pass
-    (:attr:`liouvilles`), which the average (:func:`average_noise`) and the
-    :class:`AveragedStep` on each gate set read; each is computed once.
+    sampler drawing a fresh channel at every application.  The stack of the
+    fixed channels' Liouville matrices (:attr:`liouvilles`) is what the
+    :class:`AveragedStep` on each gate set reads.
     """
 
     def __init__(self, space: SpaceSpec, channels=None, sampler=None):
@@ -180,9 +178,8 @@ class NoiseAssignment:
 
     @functools.cached_property
     def liouvilles(self) -> np.ndarray:
-        """The fixed channels' Liouville matrices (n_gates, d^2, d^2), read-only: one
-        :func:`~leakbench.liouville.liouville_stack` pass, which fills each channel's cache."""
-        return liouville_stack(self.channels)
+        """The fixed channels' Liouville matrices (n_gates, d^2, d^2), read-only."""
+        return _read_only(np.array([ch.liouville for ch in self.channels]))
 
     @functools.cached_property
     def _average(self) -> Channel:

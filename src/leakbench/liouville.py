@@ -2,8 +2,8 @@
 
 Operators live on a Hilbert space H = H1 (+) H2, where H1 is the code
 (computational) subspace and H2 an optional leakage subspace.  Channels are
-stored as Kraus-operator lists; their Liouville matrices are derived on
-demand in the canonical matrix-unit basis |i><j| with row-major (i, j)
+stored as Kraus-operator lists; each forms its Liouville matrix when it is
+made, in the canonical matrix-unit basis |i><j| with row-major (i, j)
 ordering, so that a density operator vectorizes to ``rho.reshape(-1)`` and a
 unitary U acts as kron(U, U.conj()).
 
@@ -92,18 +92,20 @@ def vec(op: np.ndarray) -> np.ndarray:
 class Channel:
     """A completely positive map stored as a stack of d x d Kraus operators.
 
-    The read-only Kraus stack (k, d, d) is ground truth; the Liouville matrix
-    (elementary basis) is derived lazily and cached, or given as ``liouville``,
-    the Kraus form's up to rounding (:func:`mix`, unpickling).  Values are immutable.
+    The read-only Kraus stack (k, d, d) is ground truth.  The read-only
+    Liouville matrix (elementary basis) sum_k kron(K_k, K_k.conj()) is formed
+    here, or given as ``liouville``, the Kraus form's up to rounding
+    (:func:`mix`, unpickling).  Values are immutable.
     """
 
     def __init__(self, space: SpaceSpec, kraus, liouville=None):
         self.space = space
         self.kraus = _operator_stack(kraus, space.d, "Kraus operators")
-        self._liouville = None if liouville is None else _read_only(np.array(liouville, complex))
+        lio = liouville_from_kraus(self.kraus) if liouville is None else np.array(liouville, complex)
+        self.liouville = _read_only(lio)
 
     def __reduce__(self):
-        return Channel, (self.space, self.kraus, self._liouville)
+        return Channel, (self.space, self.kraus, self.liouville)
 
     @classmethod
     def unitary(cls, space: SpaceSpec, u: np.ndarray) -> "Channel":
@@ -133,13 +135,6 @@ class Channel:
         if not keep.any():
             kraus = np.zeros((1, d, d), dtype=complex)
         return cls(space, kraus)
-
-    @property
-    def liouville(self) -> np.ndarray:
-        """The d^2 x d^2 matrix sum_k kron(K_k, K_k.conj()), cached and read-only."""
-        if self._liouville is None:
-            self._liouville = _read_only(liouville_from_kraus(self.kraus))
-        return self._liouville
 
     def kraus_sum(self) -> np.ndarray:
         """sum_k K_k^dag K_k; equals the identity iff trace-preserving."""
@@ -171,28 +166,6 @@ def liouville_from_kraus(kraus: np.ndarray) -> np.ndarray:
     return _kron_conj(kraus).sum(axis=-3)
 
 
-def liouville_stack(channels) -> np.ndarray:
-    """The Liouville matrices (n, d^2, d^2) of ``channels``, read-only, in one batched pass.
-
-    A channel listed more than once is computed once.  The channels with no
-    cached matrix take their rows from one :func:`liouville_from_kraus` call
-    over their Kraus stacks zero-padded to a common count, and each one's
-    :attr:`Channel.liouville` cache is filled from its row.  Every sum starts
-    from +0.0, so a zero Kraus operator adds nothing, not even to a signed
-    zero: each row is bit for bit the channel's own.
-    """
-    channels = list(channels)
-    cold = [ch for ch in {id(ch): ch for ch in channels}.values() if ch._liouville is None]
-    if cold:
-        count = max(len(ch.kraus) for ch in cold)
-        kraus = np.zeros((len(cold), count) + cold[0].kraus.shape[1:], dtype=complex)
-        for row, ch in zip(kraus, cold):
-            row[: len(ch.kraus)] = ch.kraus
-        for ch, lio in zip(cold, _read_only(liouville_from_kraus(kraus))):
-            ch._liouville = lio
-    return _read_only(np.array([ch._liouville for ch in channels]))
-
-
 def kraus_sums(kraus: np.ndarray) -> np.ndarray:
     """sum_k K_k^dag K_k of each Kraus set of a stack (..., k, d, d)."""
     *lead, k, d, _ = kraus.shape
@@ -203,9 +176,8 @@ def kraus_sums(kraus: np.ndarray) -> np.ndarray:
 def mix(channels, weights=None) -> Channel:
     """Convex mixture sum_i w_i E_i, as the Kraus union scaled by sqrt(w_i).
 
-    Its Liouville matrix is seeded with sum_i w_i L_i of the members'
-    :func:`liouville_stack`.  Weights default to uniform and must be finite
-    and nonnegative.
+    Its Liouville matrix is sum_i w_i L_i of the members' matrices.  Weights
+    default to uniform and must be finite and nonnegative.
     """
     channels = list(channels)
     if not channels:
@@ -220,7 +192,7 @@ def mix(channels, weights=None) -> Channel:
         raise ValueError(f"mix weights must be finite and nonnegative, got {weights.tolist()}")
     scales = np.repeat(np.sqrt(weights), [len(ch.kraus) for ch in channels])
     kraus = scales[:, None, None] * np.concatenate([ch.kraus for ch in channels])
-    lios = liouville_stack(channels)
+    lios = np.array([ch.liouville for ch in channels])
     # tensordot(weights, lios, axes=1) as the one np.dot it makes, same bits.  In
     # a fresh process tensordot's Python layer took about 0.2 ms over the four
     # calls of an exact-oracle pass, 5% of it (2 vCPUs, numpy 2.4).
@@ -429,5 +401,12 @@ CHANNEL_FIELDS = {**DIMENSIONS, "kraus": (list_of(complex_entries), REQUIRED)}
 
 
 def channel_from_dict(doc: dict, path: str = "") -> Channel:
+    """The channel of ``doc``; one that can increase a state's trace, a Kraus-sum
+    eigenvalue above 1 + DEFAULT_TOL, is a ConfigError naming ``path``."""
     _, space, kraus = read_operators(doc, path, CHANNEL_FIELDS, "kraus")
-    return Channel(space, kraus)
+    ch = Channel(space, kraus)
+    diag = cp_tp_diagnostics(ch)
+    if not diag.is_trace_nonincreasing:
+        expected = f"a trace-nonincreasing channel (Kraus-sum eigenvalues <= 1 + {DEFAULT_TOL:g})"
+        refuse(path or "top level", expected, diag.kraus_sum_eigenvalue_max)
+    return ch

@@ -47,7 +47,7 @@ from .liouville import (
     transfer_matrix,
     vec,
 )
-from .noise import RandomStream, build_noise_model, read_noise_spec
+from .noise import RandomStream, _usable_cpus, build_noise_model, read_noise_spec
 from .noise import pcg64_integers, pcg64_seeds
 
 # Sub-stream tags: sequence/shot draws vs. per-step noise draws.
@@ -605,13 +605,13 @@ def run_experiment(
     Sequence j at length m draws its gates (then its shots) from a stream
     derived from (seed, m, j) and its noise from a sibling stream, so results
     are reproducible under partial re-runs.  With ``jobs`` > 1 the lengths are
-    dealt round-robin to min(jobs, len(m_list), cpu count) processes, with
+    dealt round-robin to min(jobs, len(m_list), usable CPUs) processes, with
     output identical to the serial run.  A serial run reuses ``components``, the
     result of ``_experiment_components(cfg)``, when given, and adds the wall
     seconds of its ``sample`` and ``evolve`` stages to ``timings``; every run
     adds those of its ``aggregate`` stage, the per-length means and sems.
     """
-    workers = min(jobs, len(cfg.m_list), os.cpu_count() or 1)
+    workers = min(jobs, len(cfg.m_list), _usable_cpus())
     if workers > 1:
         # Imported here: the process pool costs every import of the package ~12 ms.
         import multiprocessing

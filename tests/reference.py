@@ -119,7 +119,7 @@ def normalized_pauli_basis() -> OperatorBasis:
 def to_liouville(ch: Channel, basis: OperatorBasis | None = None) -> np.ndarray:
     """Liouville matrix of ``ch`` with entries Tr[A_i^dag E(A_j)].
 
-    With no basis this is the cached canonical (matrix-unit) form; any other
+    With no basis this is the channel's canonical (matrix-unit) form; any other
     trace-orthonormal basis is reached by the unitary change of frame
     T[i, :] = vec(A_i).conj(), which is the identity for matrix units.
     """

@@ -292,8 +292,25 @@ MALFORMED_GATESET_FILES = {
             {"spam": {"prep": {"d1": 2, "kraus": [[[1, 0, 0]] * 4]}}},
             "bad spam.prep.kraus[0]: expected a list of [re, im] number pairs",
         ),
+        *(
+            # Kraus [1.5 I] raises a state's trace, and so a probability above 1.
+            (
+                {"spam": {key: {"d1": 2, "kraus": [matrix_to_pairs(1.5 * np.eye(2))]}}},
+                f"bad spam.{key}: expected a trace-nonincreasing channel "
+                "(Kraus-sum eigenvalues <= 1 + 1e-09), got 2.25\n",
+            )
+            for key in ("prep", "meas")
+        ),
     ],
-    ids=["huge-length", "huge-n-sequences", "huge-shots", "rho-string", "prep-triples"],
+    ids=[
+        "huge-length",
+        "huge-n-sequences",
+        "huge-shots",
+        "rho-string",
+        "prep-triples",
+        "prep-trace-increasing",
+        "meas-trace-increasing",
+    ],
 )
 def test_simulate_config_error_says_what_was_expected(tmp_path, capsys, change, message):
     cfg_path = write_config(tmp_path, {**NOISELESS, **change})

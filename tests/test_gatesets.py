@@ -228,23 +228,17 @@ def _liouville_bytes(channels) -> list:
     return [lb.liouville.liouville_from_kraus(ch.kraus).tobytes() for ch in channels]
 
 
-def test_noise_liouvilles_are_built_on_first_use_in_one_pass(monkeypatch):
+def test_noise_liouvilles_are_the_channels_own_and_feed_the_step():
     rng = np.random.default_rng(9)
     distinct = [random_channel(QUTRIT, rng, n_kraus=k) for k in (1, 2, 3, 4)]
     channels = [distinct[i] for i in (0, 1, 2, 1, 3, 0, 0, 2)]  # 8 gates, 4 channels
     na = lb.NoiseAssignment(QUTRIT, channels=channels)
-    assert "liouvilles" not in vars(na) and all(ch._liouville is None for ch in distinct)
-    calls = []
-    batched = lb.liouville.liouville_from_kraus
-    monkeypatch.setattr(
-        lb.liouville, "liouville_from_kraus", lambda kraus: calls.append(kraus.shape) or batched(kraus)
-    )
     gs = gateset_by_id("shelving")
     step, avg = na.averaged_step(gs), lb.average_noise(na)
-    assert calls == [(4, 4, 3, 3)] and na.liouvilles is na.liouvilles
+    assert na.liouvilles is na.liouvilles
     assert [row.tobytes() for row in na.liouvilles] == _liouville_bytes(channels)
-    # The steps, their mean, the average and epsilon are today's per-channel values.
-    lios = np.array([batched(ch.kraus) for ch in channels])
+    # The steps, their mean, the average and epsilon are the per-channel values.
+    lios = np.array([lb.liouville.liouville_from_kraus(ch.kraus) for ch in channels])
     assert step.steps.tobytes() == (gs.gate_liouvilles @ lios).tobytes()
     assert step.mean.tobytes() == (gs.gate_liouvilles @ lios).mean(axis=0).tobytes()
     assert avg.liouville.tobytes() == np.tensordot(np.full(8, 1 / 8), lios, axes=1).tobytes()
@@ -266,7 +260,7 @@ def test_copied_noise_builds_the_same_liouvilles(copy_of, warm):
     assert "liouvilles" not in vars(other)
     assert [row.tobytes() for row in other.liouvilles] == expected
     assert not other.liouvilles.flags.writeable
-    assert all(not ch._liouville.flags.writeable for ch in other.channels)
+    assert all(not ch.liouville.flags.writeable for ch in other.channels)
 
 
 def test_noise_assignment_validation():

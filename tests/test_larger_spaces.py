@@ -51,8 +51,8 @@ def test_engine_matches_per_sequence_reference(name, space, n_gates):
 
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_batched_liouvilles_are_the_per_channel_ones(name):
-    # The design's channels are mixtures, seeded with their members' matrices: the
-    # stack keeps them.  Kraus-only copies (four operators each) are built in one pass.
+    # The design's channels are mixtures, holding their members' weighted mean: the
+    # stack keeps it.  Kraus-only copies (four operators each) hold their own matrices.
     gs, na, _ = design(name)
     assert [row.tobytes() for row in na.liouvilles] == [ch.liouville.tobytes() for ch in na.channels]
     cold = NoiseAssignment(gs.space, channels=[Channel(gs.space, ch.kraus) for ch in na.channels])

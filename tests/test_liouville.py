@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ import leakbench as lb
 from leakbench import Channel, SpaceSpec
 from leakbench.gatesets import PAULI_X
 from leakbench.liouville import (
+    DEFAULT_TOL,
+    ConfigError,
     _kron_conj,
     channel_from_dict,
     channel_to_dict,
@@ -490,6 +494,15 @@ def test_channel_json_roundtrip():
     assert np.max(np.abs(rebuilt.liouville - ch.liouville)) < 1e-15
 
 
+def test_channel_from_dict_refuses_a_trace_increasing_channel_beyond_the_tolerance():
+    # Kraus [s I] has the Kraus-sum eigenvalue s^2; up to 1 + DEFAULT_TOL is accepted.
+    within = channel_to_dict(Channel(QUBIT, [np.sqrt(1.0 + 0.5 * DEFAULT_TOL) * np.eye(2)]))
+    assert channel_from_dict(within, "spam.meas").kraus.shape == (1, 2, 2)
+    beyond = channel_to_dict(Channel(QUBIT, [np.sqrt(1.0 + 2.0 * DEFAULT_TOL) * np.eye(2)]))
+    with pytest.raises(ConfigError, match=r"^bad spam\.meas: expected a trace-nonincreasing"):
+        channel_from_dict(beyond, "spam.meas")
+
+
 def test_matrix_pair_roundtrip():
     rng = np.random.default_rng(59)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -498,48 +511,50 @@ def test_matrix_pair_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# The batched Liouville pass of a list of channels
+# Every channel's Liouville matrix, formed when the channel is made
 # ---------------------------------------------------------------------------
 
 
-def _cold_copies(channels):
-    """Channels of the same Kraus stacks with no Liouville matrix cached yet."""
-    return [Channel(ch.space, ch.kraus) for ch in channels]
+def _made_channels():
+    """(how, channel, its expected Liouville matrix) for every way of making a channel."""
+    rng = np.random.default_rng(31)
+    own = lb.liouville.liouville_from_kraus
+    stream = lb.RandomStream(5)
+    pauli = lb.pauli_gateset()
+    made = {
+        "kraus list": random_channel(QUTRIT, rng, n_kraus=4, scale=0.97),
+        "unitary": Channel.unitary(QUTRIT, haar_unitary(3, rng)),
+        "filter_channel": lb.filter_channel(lb.FilterParams(p=0.03, bloch=(0.0, 0.6, 0.8))),
+        "channel_from_dict": channel_from_dict(channel_to_dict(random_channel(QUBIT, rng))),
+        "from_liouville": Channel.from_liouville(QUTRIT, random_channel(QUTRIT, rng).liouville),
+    }
+    assignment, _ = lb.noise.sample_filter_assignment(stream.child(0))
+    gates = [{"p": 0.01 * (i + 1), "r": [0.0, 0.6, 0.8]} for i in range(len(pauli))]
+    given = lb.noise.build_noise_model({"id": "filter", "params": {"gates": gates}}, pauli, stream)
+    cases = [(how, ch, own(ch.kraus)) for how, ch in made.items()]
+    for how, na in (("sample_filter_assignment", assignment), ("gates param", given)):
+        cases += [(f"{how}[{g}]", ch, own(ch.kraus)) for g, ch in enumerate(na.channels)]
+    members, weights = [made["kraus list"], made["unitary"]], [0.25, 0.75]
+    lios = np.array([own(ch.kraus) for ch in members])
+    cases.append(("mix", mix(members, weights), np.tensordot(weights, lios, axes=1)))
+    copies = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "deepcopy": copy.deepcopy}
+    cases += [
+        (f"{name} of {how}", copy_of(ch), expected)
+        for how, ch, expected in cases
+        for name, copy_of in copies.items()
+    ]
+    return cases, (assignment, given)
 
 
-def _per_channel(channels) -> list:
-    """Each channel's Liouville matrix as bytes, one liouville_from_kraus call per channel."""
-    return [lb.liouville.liouville_from_kraus(ch.kraus).tobytes() for ch in channels]
-
-
-@pytest.mark.parametrize("space", [QUBIT, QUTRIT, SpaceSpec(2, 2)], ids=str)
-def test_liouville_stack_is_each_channels_own_bit_for_bit(space):
-    # Kraus counts 1 to 5 in one call: the zero-padded operators add exact zeros.
-    rng = np.random.default_rng(space.d)
-    channels = [random_channel(space, rng, n_kraus=k, scale=0.97) for k in (3, 1, 5, 2, 1)]
-    channels.append(Channel.unitary(space, np.diag(np.exp(1j * np.arange(space.d)))))
-    stack = lb.liouville.liouville_stack(channels)
-    assert stack.shape == (6, space.d**2, space.d**2) and not stack.flags.writeable
-    assert [row.tobytes() for row in stack] == _per_channel(channels)
-    for ch, row in zip(channels, stack):
-        assert np.array_equal(ch._liouville, row) and not ch._liouville.flags.writeable
-        assert ch.liouville is ch._liouville  # filled: the property computes nothing
-
-
-def test_liouville_stack_computes_a_repeated_channel_once_and_keeps_cached_ones(monkeypatch):
-    rng = np.random.default_rng(7)
-    a, b = (random_channel(QUTRIT, rng, n_kraus=k) for k in (2, 4))
-    cached = mix([a, b], [0.3, 0.7])  # seeded with its members' matrices
-    calls = []
-    batched = lb.liouville.liouville_from_kraus
-    monkeypatch.setattr(
-        lb.liouville, "liouville_from_kraus", lambda kraus: calls.append(kraus.shape) or batched(kraus)
-    )
-    a, b = _cold_copies([a, b])
-    stack = lb.liouville.liouville_stack([a, b, a, cached, b, a])
-    assert calls == [(2, 4, 3, 3)]  # a and b once each, cached not at all
-    expected = _per_channel([a, b, a]) + [cached._liouville.tobytes()] + _per_channel([b, a])
-    assert [row.tobytes() for row in stack] == expected
+def test_every_made_channel_holds_its_own_read_only_liouville_bit_for_bit():
+    assert not isinstance(vars(Channel).get("liouville"), property)
+    cases, assignments = _made_channels()
+    for how, ch, expected in cases:
+        assert "liouville" in vars(ch) and not ch.liouville.flags.writeable, how
+        assert ch.liouville.tobytes() == expected.tobytes(), how
+    for na in assignments:
+        stack = np.array([ch.liouville for ch in na.channels])
+        assert na.liouvilles.tobytes() == stack.tobytes() and not na.liouvilles.flags.writeable
 
 
 def test_mix_reads_the_stack_of_its_members():
@@ -548,5 +563,5 @@ def test_mix_reads_the_stack_of_its_members():
     weights = [0.2, 0.5, 0.3]
     lios = np.array([lb.liouville.liouville_from_kraus(ch.kraus) for ch in members])
     expected = np.tensordot(weights, lios, axes=1)
-    mixed = mix(_cold_copies(members), weights)
+    mixed = mix(members, weights)
     assert mixed.liouville.tobytes() == expected.tobytes()

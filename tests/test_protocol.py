@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import os
 import pickle
 
 import numpy as np
@@ -695,6 +696,27 @@ def test_all_lengths_pass_under_jobs_matches_serial():
         shots=90,
     )
     assert run_experiment(cfg, jobs=2).points == run_experiment(cfg).points
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_jobs_start_no_pool_when_the_process_may_run_on_one_cpu(monkeypatch):
+    import concurrent.futures
+
+    cfg = ExperimentConfig(
+        gateset="pauli", noise={"id": "filter", "params": {}}, m_list=(10, 20), n_sequences=5, seed=3
+    )
+    serial = run_experiment(cfg)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        assert run_experiment(cfg, jobs=2).points == serial.points
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
 @pytest.mark.parametrize(

@@ -348,7 +348,7 @@ def test_pickled_and_copied_noise_keeps_read_only_arrays_and_leaves_its_steps():
     for other in (pickle.loads(pickle.dumps(na)), copy.deepcopy(na), copy.copy(na)):
         assert not other._steps and "_average" not in vars(other)
         for ch in (*other.channels, average_noise(other)):
-            assert_arrays_read_only(ch, ("kraus", "_liouville"))
+            assert_arrays_read_only(ch, ("kraus", "liouville"))
         rebuilt = other.averaged_step(gs)
         assert rebuilt is not entry and other._steps is not na._steps
         assert np.array_equal(rebuilt.steps, entry.steps) and not rebuilt.steps.flags.writeable
@@ -360,7 +360,7 @@ def test_pickled_channel_keeps_its_read_only_liouville():
     gs = gateset_by_id("shelving")
     avg = average_noise(gate_dependent_noise(gs))
     for ch in (pickle.loads(pickle.dumps(avg)), copy.deepcopy(avg)):
-        assert_arrays_read_only(ch, ("kraus", "_liouville"))
+        assert_arrays_read_only(ch, ("kraus", "liouville"))
         assert np.array_equal(ch.liouville, avg.liouville)
 
 
