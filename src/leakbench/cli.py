@@ -37,7 +37,6 @@ from .liouville import (
 from .noise import (
     FilterParams,
     RandomStream,
-    ShelvingNoiseSampler,
     ShelvingParams,
     averaged_coherent_channel,
     filter_channel,
@@ -300,7 +299,7 @@ def reproduce_figure(
     with timed_stage(timings, "oracle"):
         if stochastic:
             stream = RandomStream(cfg.seed).child(ORACLE_KEY)
-            avg = averaged_coherent_channel(noise.sampler.params, oracle_samples, stream)
+            avg = averaged_coherent_channel(noise.sampler, oracle_samples, stream)
             # Noise drawn afresh at every step, independently of the gate, acts
             # on average as the same channel on every gate.
             noise = NoiseAssignment.uniform(avg, len(gs))
@@ -388,9 +387,9 @@ def check_filter_diagnostics():
 
 def check_shelving_unitary():
     # One (CHECK_DRAWS, 18) draw: the normals of CHECK_DRAWS sample_coherent_noise calls.
-    sampler = ShelvingNoiseSampler(ShelvingParams())
+    sp = ShelvingParams()
     gen = RandomStream(11, key=(98,)).generator()
-    u = sampler.unitaries(gen.standard_normal((CHECK_DRAWS, sampler.n_normals)))
+    u = sp.unitaries(gen.standard_normal((CHECK_DRAWS, sp.n_normals)))
     worst = float(np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(3))))
     return worst <= CHECK_TOL, f"max |U U^dag - I| = {worst:.2e}"
 

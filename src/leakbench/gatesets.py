@@ -40,8 +40,10 @@ PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
 class GateSet:
     """A finite set of unitaries on H whose averaged action is a group average.
 
-    Gates, their Liouville matrices and the twirl matrix are read-only and
-    computed once.  Construction verifies unitarity and the projector property
+    The read-only ``gates`` (n, d, d), their Liouville matrices
+    ``gate_liouvilles`` kron(g, g.conj()) (n, d^2, d^2), phase-invariant, and
+    their mean ``twirl_matrix``, idempotent for a group, are formed when the
+    set is made.  Construction verifies unitarity and the projector property
     of the averaged conjugation action, which is what sequence averaging
     relies on.
     """
@@ -50,6 +52,8 @@ class GateSet:
         self.space = space
         self.gates = _operator_stack(gates, space.d, "gates")
         self.label = label
+        self.gate_liouvilles = _read_only(_kron_conj(self.gates))
+        self.twirl_matrix = _read_only(self.gate_liouvilles.mean(axis=0))
         if validate:
             self._check_unitary()
             self._check_group_structure()
@@ -66,24 +70,13 @@ class GateSet:
         # sets like {P (+) +-1} close only up to subspace-relative phases
         # ((X (+) -1)(Y (+) -1) = iZ (+) 1), which a literal matrix-closure
         # test would reject but the averaged action cancels.
-        avg = self.twirl_matrix
-        lios = self.gate_liouvilles
+        avg, lios = self.twirl_matrix, self.gate_liouvilles
         dev = np.max(np.abs(np.concatenate([[avg @ avg], avg @ lios, lios @ avg]) - avg))
         if dev > tol:
             raise ValueError(
                 f"gate set {self.label!r} does not average like a group "
                 f"(deviation {dev:.3e})"
             )
-
-    @functools.cached_property
-    def gate_liouvilles(self) -> np.ndarray:
-        """kron(g, g.conj()) per gate (n, d^2, d^2); phase-invariant."""
-        return _read_only(_kron_conj(self.gates))
-
-    @functools.cached_property
-    def twirl_matrix(self) -> np.ndarray:
-        """The mean of :attr:`gate_liouvilles`; idempotent for a group."""
-        return _read_only(self.gate_liouvilles.mean(axis=0))
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -147,18 +140,25 @@ class NoiseAssignment:
     """Per-gate error channels for a gate set.
 
     Either a fixed tuple of channels (one per gate index) or a stochastic
-    sampler drawing a fresh channel at every application.  The stack of the
-    fixed channels' Liouville matrices (:attr:`liouvilles`) is what the
-    :class:`AveragedStep` on each gate set reads.
+    sampler drawing a fresh channel at every application.  Fixed noise holds,
+    formed when it is made, the read-only stack ``liouvilles`` (n_gates, d^2,
+    d^2) of its channels' Liouville matrices, which the :class:`AveragedStep`
+    on each gate set reads, and their uniform mixture ``average``; stochastic
+    noise has None for both.
     """
 
     def __init__(self, space: SpaceSpec, channels=None, sampler=None):
         if (channels is None) == (sampler is None):
             raise ValueError("provide exactly one of channels or sampler")
+        self.liouvilles = self.average = None
         if channels is not None:
             channels = tuple(channels)
+            if not channels:
+                raise ValueError("fixed noise needs a channel per gate, got an empty channel list")
             if any(ch.space != space for ch in channels):
                 raise ValueError("noise channels act on a different space")
+            self.liouvilles = _read_only(np.array([ch.liouville for ch in channels]))
+            self.average = mix(channels)
         self.space = space
         self.channels = channels
         self.sampler = sampler
@@ -176,15 +176,6 @@ class NoiseAssignment:
     def stochastic(self) -> bool:
         return self.sampler is not None
 
-    @functools.cached_property
-    def liouvilles(self) -> np.ndarray:
-        """The fixed channels' Liouville matrices (n_gates, d^2, d^2), read-only."""
-        return _read_only(np.array([ch.liouville for ch in self.channels]))
-
-    @functools.cached_property
-    def _average(self) -> Channel:
-        return mix(self.channels)
-
     def averaged_step(self, gs: GateSet) -> "AveragedStep":
         """The :class:`AveragedStep` of this fixed noise on ``gs``, built on first use."""
         if gs not in self._steps:
@@ -196,11 +187,10 @@ class AveragedStep:
     """The exact averaged step of fixed noise on a gate set, computed once per pair.
 
     ``steps`` stacks the |G| step matrices L(G_g) L(E_g), with L(E_g) read
-    from the noise's :attr:`~NoiseAssignment.liouvilles`, and their mean S
-    averages a sequence of length m to effect . S^m . state; both are
-    read-only.  ``epsilon``, :func:`gate_dependence_epsilon`, is taken on
-    first use.  The entry holds no reference to its gate set, which keys it
-    weakly.
+    from the noise's ``liouvilles``, and their mean S averages a sequence of
+    length m to effect . S^m . state; both are read-only.  ``epsilon`` is
+    :func:`gate_dependence_epsilon`.  The entry holds no reference to its
+    gate set, which keys it weakly.
     """
 
     def __init__(self, gs: GateSet, na: NoiseAssignment):
@@ -210,12 +200,8 @@ class AveragedStep:
             raise ValueError("noise assignment does not match the gate count")
         self.steps = _read_only(gs.gate_liouvilles @ na.liouvilles)
         self.mean = _read_only(self.steps.mean(axis=0))
-        self._noise, self._twirl, self._dim = na, gs.twirl_matrix, gs.space.d
-
-    @functools.cached_property
-    def epsilon(self) -> float:
-        delta = self.mean - self._twirl @ average_noise(self._noise).liouville
-        return self._dim * float(np.linalg.svd(delta, compute_uv=False)[0])
+        delta = self.mean - gs.twirl_matrix @ na.average.liouville
+        self.epsilon = gs.space.d * float(np.linalg.svd(delta, compute_uv=False)[0])
 
 
 def average_noise(na: NoiseAssignment) -> Channel:
@@ -230,7 +216,7 @@ def average_noise(na: NoiseAssignment) -> Channel:
             "stochastic noise has no fixed average; use a Monte Carlo "
             "average with a declared sample count instead"
         )
-    return na._average
+    return na.average
 
 
 def gate_dependence_epsilon(gs: GateSet, na: NoiseAssignment) -> float:

@@ -405,8 +405,8 @@ def channel_from_dict(doc: dict, path: str = "") -> Channel:
     eigenvalue above 1 + DEFAULT_TOL, is a ConfigError naming ``path``."""
     _, space, kraus = read_operators(doc, path, CHANNEL_FIELDS, "kraus")
     ch = Channel(space, kraus)
-    diag = cp_tp_diagnostics(ch)
-    if not diag.is_trace_nonincreasing:
+    largest = float(np.linalg.eigvalsh(_hermitian_part(kraus_sums(ch.kraus))).max())
+    if not largest <= 1.0 + DEFAULT_TOL:
         expected = f"a trace-nonincreasing channel (Kraus-sum eigenvalues <= 1 + {DEFAULT_TOL:g})"
-        refuse(path or "top level", expected, diag.kraus_sum_eigenvalue_max)
+        refuse(path or "top level", expected, largest)
     return ch

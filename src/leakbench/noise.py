@@ -401,18 +401,6 @@ def sample_filter_assignment(rng, n_gates: int = 4):
 _SPREAD = functools.partial(real, low=0.0, high=math.nextafter(np.finfo(float).max / 14, 0.0))
 
 
-@dataclass(frozen=True)
-class ShelvingParams:
-    """Code-rotation angle phi (fixed) and pulse-angle spread sigma_gamma."""
-
-    phi: float = 0.01
-    sigma_gamma: float = 0.06
-
-    def __post_init__(self):
-        real(self.phi, "phi")
-        _SPREAD(self.sigma_gamma, "sigma_gamma")
-
-
 def _code_rotations(phi: float, z: np.ndarray):
     """Entries a00, a01 of A = cos(phi) I + i sin(phi) u X u^dag = [[a00, a01], [-a01*, a00*]].
 
@@ -498,19 +486,24 @@ def shelving_unitaries(gammas: np.ndarray, first, second, out: np.ndarray):
     return out
 
 
-class ShelvingNoiseSampler:
-    """Draws a fresh shelving-noise unitary per gate application.
+@dataclass(frozen=True)
+class ShelvingParams:
+    """Shelving noise: code-rotation angle phi (fixed) and pulse-angle spread sigma_gamma.
 
+    It is also the noise's sampler, of a fresh unitary per gate application.
     One draw takes ``n_normals`` standard normals: the two pulse-angle
     deviates, then the real and imaginary parts of the first and of the
     second 2 x 2 Ginibre matrix (row-major).
     """
 
+    phi: float = 0.01
+    sigma_gamma: float = 0.06
+
     n_normals = 18
 
-    def __init__(self, params: ShelvingParams):
-        self.params = params
-        self.space = QUTRIT
+    def __post_init__(self):
+        real(self.phi, "phi")
+        _SPREAD(self.sigma_gamma, "sigma_gamma")
 
     def entries(self, normals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The nine entries, row-major, (9, ...) of the composite unitaries of
@@ -522,11 +515,11 @@ class ShelvingNoiseSampler:
         if out is None:
             out = np.empty((9,) + shape, dtype=complex)
         # Contiguous kernel inputs: the scaled angles (2, ...) and Ginibre entries (4, 2, ...).
-        gammas = np.multiply(self.params.sigma_gamma, rows[:2], order="C")
+        gammas = np.multiply(self.sigma_gamma, rows[:2], order="C")
         re_im = rows[2:].reshape((2, 2, 4) + shape)  # [u1 or u2][real or imaginary][entry]
         z = out[:8].reshape((4, 2) + shape)
         z.real, z.imag = re_im[:, 0].swapaxes(0, 1), re_im[:, 1].swapaxes(0, 1)
-        rot00, rot01 = _code_rotations(self.params.phi, z)
+        rot00, rot01 = _code_rotations(self.phi, z)
         return shelving_unitaries(gammas, (rot00[0], rot01[0]), (rot00[1], rot01[1]), out)
 
     def unitaries(self, normals: np.ndarray) -> np.ndarray:
@@ -544,12 +537,11 @@ def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
     rotation, and an imperfect unshelving pulse; all four error variables are
     drawn independently.  The result is unitary, hence trace-preserving on
     the combined space, but trace-decreasing when restricted to the code
-    space for generic pulse angles.  The draw takes the sampler's
-    ``n_normals`` standard normals from ``rng``.
+    space for generic pulse angles.  The draw takes ``sp.n_normals`` standard
+    normals from ``rng``.
     """
-    sampler = ShelvingNoiseSampler(sp)
-    normals = as_generator(rng).standard_normal(sampler.n_normals)
-    return Channel.unitary(QUTRIT, sampler.unitaries(normals))
+    normals = as_generator(rng).standard_normal(sp.n_normals)
+    return Channel.unitary(QUTRIT, sp.unitaries(normals))
 
 
 #: Draws per batch of the Monte Carlo average: the pinned layout of its stream.
@@ -791,7 +783,7 @@ def build_noise_model(
         )
     if model_id == "shelving":
         sp = ShelvingParams(phi=params["phi"], sigma_gamma=params["sigma_gamma"])
-        return NoiseAssignment(QUTRIT, sampler=ShelvingNoiseSampler(sp))
+        return NoiseAssignment(QUTRIT, sampler=sp)
     gates = params["gates"]
     if gates is None:
         if params["seed"] is not None:

@@ -329,7 +329,7 @@ def run_sequence(indices, gateset, noise, spam=None, rng=None) -> float:
         if noise is not None and noise.stochastic:
             if rng is None:
                 raise ValueError("stochastic noise needs a random generator")
-            state = sample_coherent_noise(noise.sampler.params, rng).liouville @ state
+            state = sample_coherent_noise(noise.sampler, rng).liouville @ state
         elif noise is not None:
             state = noise.channels[idx].liouville @ state
         state = gate_lios[idx] @ state

@@ -40,7 +40,7 @@ from leakbench.cli import (
 )
 from leakbench.gatesets import GateSet, PAULI_X, PAULIS, average_noise
 from leakbench.liouville import SpaceSpec, matrix_to_pairs
-from leakbench.noise import RandomStream, ShelvingNoiseSampler
+from leakbench.noise import RandomStream
 from leakbench.protocol import (
     DecayDataset,
     ExperimentConfig,
@@ -624,7 +624,7 @@ def test_reproduce_oracle_matches_the_trace_formulas(figure, seed):
     gs, noise_model, _, _ = _experiment_components(cfg)
     if noise_model.stochastic:
         stream = RandomStream(cfg.seed).child(cli.ORACLE_KEY)
-        avg = lb.averaged_coherent_channel(noise_model.sampler.params, 20_000, stream)
+        avg = lb.averaged_coherent_channel(noise_model.sampler, 20_000, stream)
         expected = decay_eigenvalues(transfer_block(avg))[1]
     else:
         expected = incoherent_survival(average_noise(noise_model))
@@ -840,8 +840,7 @@ def test_run_checks_names_are_stable():
 def test_shelving_unitarity_check_is_one_batch_of_the_sequential_draws():
     sp = lb.ShelvingParams()
     batched, sequential = (RandomStream(11, key=(98,)).generator() for _ in range(2))
-    sampler = ShelvingNoiseSampler(sp)
-    unitaries = sampler.unitaries(batched.standard_normal((50, sampler.n_normals)))
+    unitaries = sp.unitaries(batched.standard_normal((50, sp.n_normals)))
     expected = np.array([lb.sample_coherent_noise(sp, sequential).kraus[0] for _ in range(50)])
     assert np.array_equal(unitaries, expected)
     # Both generators are left at the same stream position.

@@ -255,9 +255,9 @@ def test_copied_noise_builds_the_same_liouvilles(copy_of, warm):
     na = lb.NoiseAssignment(QUBIT, channels=[random_channel(QUBIT, rng, n_kraus=k) for k in (2, 1, 3, 2)])
     expected = _liouville_bytes(na.channels)
     if warm:
-        na.liouvilles
+        na.averaged_step(gateset_by_id("pauli"))
     other = copy_of(na)
-    assert "liouvilles" not in vars(other)
+    assert other.liouvilles is not na.liouvilles and not other._steps
     assert [row.tobytes() for row in other.liouvilles] == expected
     assert not other.liouvilles.flags.writeable
     assert all(not ch.liouville.flags.writeable for ch in other.channels)
@@ -270,9 +270,13 @@ def test_noise_assignment_validation():
         lb.NoiseAssignment(QUBIT, channels=[Channel(QUTRIT, [np.eye(3)])])
 
 
+def test_fixed_noise_with_no_channels_is_refused_when_made():
+    with pytest.raises(ValueError, match="empty channel list"):
+        lb.NoiseAssignment(QUBIT, channels=[])
+
+
 def test_stochastic_assignment_blocks_average():
-    sampler = lb.noise.ShelvingNoiseSampler(lb.ShelvingParams())
-    na = lb.NoiseAssignment(QUTRIT, sampler=sampler)
+    na = lb.NoiseAssignment(QUTRIT, sampler=lb.ShelvingParams())
     assert na.stochastic
     with pytest.raises(ValueError):
         lb.average_noise(na)

@@ -18,7 +18,6 @@ import leakbench.noise as noise
 from leakbench.noise import (
     QUTRIT,
     RandomStream,
-    ShelvingNoiseSampler,
     _state_dicts,
     build_noise_model,
     pcg64_integers,
@@ -403,13 +402,12 @@ def test_closed_form_haar_matches_lapack_qr():
     # The kernel's closed-form u X u^dag against the explicit four-factor
     # product with the LAPACK QR Haar unitaries of the same Ginibre draws.
     sp = lb.ShelvingParams(phi=0.3, sigma_gamma=0.5)
-    sampler = ShelvingNoiseSampler(sp)
-    normals = RandomStream(15).generator().standard_normal((2000, sampler.n_normals))
+    normals = RandomStream(15).generator().standard_normal((2000, sp.n_normals))
     re_im = normals[:, 2:].reshape(-1, 2, 2, 2, 2)
     q, r = np.linalg.qr(re_im[:, :, 0] + 1j * re_im[:, :, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     haar = q * (d / np.abs(d))[..., None, :]
-    for row, (u1, u2), u in zip(normals, haar, sampler.unitaries(normals)):
+    for row, (u1, u2), u in zip(normals, haar, sp.unitaries(normals)):
         gamma1, gamma2 = sp.sigma_gamma * row[:2]
         explicit = (
             shelving_pulse(gamma2)
@@ -439,7 +437,7 @@ def test_coherent_noise_matches_explicit_product():
 
 
 def test_sampler_batch_matches_single_draws():
-    sampler = ShelvingNoiseSampler(lb.ShelvingParams(phi=0.3, sigma_gamma=0.5))
+    sampler = lb.ShelvingParams(phi=0.3, sigma_gamma=0.5)
     normals = RandomStream(16).generator().standard_normal((4, 5, sampler.n_normals))
     batch = sampler.unitaries(normals)
     assert batch.shape == (4, 5, 3, 3)
@@ -734,8 +732,8 @@ def test_build_noise_model_shelving():
         RandomStream(1),
     )
     assert na.stochastic
-    assert isinstance(na.sampler, ShelvingNoiseSampler)
-    ch = lb.sample_coherent_noise(na.sampler.params, RandomStream(5).generator())
+    assert na.sampler == lb.ShelvingParams(phi=0.01, sigma_gamma=0.06)
+    ch = lb.sample_coherent_noise(na.sampler, RandomStream(5).generator())
     assert ch.space == QUTRIT
     with pytest.raises(ValueError):
         build_noise_model({"id": "shelving"}, lb.pauli_gateset(), RandomStream(1))

@@ -21,7 +21,7 @@ import leakbench.protocol as protocol
 from leakbench import Channel, SpaceSpec
 from leakbench.gatesets import NoiseAssignment
 from leakbench.liouville import mix, vec
-from leakbench.noise import RandomStream, ShelvingNoiseSampler, pcg64_integers, pcg64_seeds
+from leakbench.noise import RandomStream, pcg64_integers, pcg64_seeds
 from leakbench.protocol import (
     ConfigError,
     DecayDataset,
@@ -131,7 +131,7 @@ def test_run_sequence_error_then_gate_order():
 
 def test_run_sequence_stochastic_requires_rng():
     gs = lb.shelving_gateset()
-    na = NoiseAssignment(QUTRIT, sampler=lb.noise.ShelvingNoiseSampler(lb.ShelvingParams()))
+    na = NoiseAssignment(QUTRIT, sampler=lb.ShelvingParams())
     with pytest.raises(ValueError):
         run_sequence((0, 1), gs, na)
     p = run_sequence((0, 1), gs, na, rng=RandomStream(5).generator())
@@ -631,9 +631,7 @@ def test_stochastic_columns_match_per_sequence_reference(monkeypatch, chunks, pr
     assert len(np.flatnonzero(np.abs(rho).sum(axis=0))) == support
     assert np.linalg.matrix_rank(rho) == rank
     gs = lb.shelving_gateset()
-    na = NoiseAssignment(
-        QUTRIT, sampler=ShelvingNoiseSampler(lb.ShelvingParams(phi=0.2, sigma_gamma=0.4))
-    )
+    na = NoiseAssignment(QUTRIT, sampler=lb.ShelvingParams(phi=0.2, sigma_gamma=0.4))
     seed = 73
     indices, lengths, normals = _ragged_batch(gs, True, seed)
     ps = run_sequences(indices, gs, na, spam, normals, lengths)
@@ -837,7 +835,7 @@ def test_brute_force_m1_is_single_gate_mean():
 
 def test_brute_force_rejects_stochastic_noise():
     gs = lb.shelving_gateset()
-    na = NoiseAssignment(QUTRIT, sampler=lb.noise.ShelvingNoiseSampler(lb.ShelvingParams()))
+    na = NoiseAssignment(QUTRIT, sampler=lb.ShelvingParams())
     with pytest.raises(ValueError):
         brute_force_expectation(2, gs, na)
 

@@ -22,9 +22,9 @@ import leakbench as lb
 import leakbench.cli as cli
 import leakbench.gatesets as gatesets
 from leakbench import GateSet, NoiseAssignment, SpaceSpec
-from leakbench.gatesets import PAULIS, average_noise, gateset_by_id, twirl
-from leakbench.liouville import matrix_to_pairs, mix
-from leakbench.noise import ShelvingNoiseSampler
+from leakbench.gatesets import PAULIS, average_noise, gateset_by_id, gateset_from_dict, twirl
+from leakbench.liouville import _kron_conj, matrix_to_pairs, mix
+from leakbench.noise import RandomStream, build_noise_model, sample_filter_assignment
 from leakbench.protocol import (
     ExperimentConfig,
     SpamSpec,
@@ -110,8 +110,7 @@ def test_average_noise_is_computed_once(space):
 
 
 def test_stochastic_noise_has_no_average_on_any_call():
-    sampler = ShelvingNoiseSampler(lb.ShelvingParams())
-    na = NoiseAssignment(sampler.space, sampler=sampler)
+    na = NoiseAssignment(SpaceSpec(2, 1), sampler=lb.ShelvingParams())
     for _ in range(2):
         with pytest.raises(ValueError, match="no fixed average"):
             average_noise(na)
@@ -336,7 +335,7 @@ def test_pickled_and_copied_gateset_keeps_read_only_arrays():
     shared = gateset_by_id("shelving")
     for gs in (pickle.loads(pickle.dumps(shared)), copy.deepcopy(shared)):
         assert gs is not shared and gs.gates is not shared.gates
-        assert not {"gate_liouvilles", "twirl_matrix"} & set(vars(gs))
+        assert gs.gate_liouvilles is not shared.gate_liouvilles
         assert_arrays_read_only(gs, ("gates", "gate_liouvilles", "twirl_matrix"))
         assert np.array_equal(gs.twirl_matrix, shared.twirl_matrix)
 
@@ -346,7 +345,7 @@ def test_pickled_and_copied_noise_keeps_read_only_arrays_and_leaves_its_steps():
     na = gate_dependent_noise(gs)
     entry, epsilon = na.averaged_step(gs), lb.gate_dependence_epsilon(gs, na)
     for other in (pickle.loads(pickle.dumps(na)), copy.deepcopy(na), copy.copy(na)):
-        assert not other._steps and "_average" not in vars(other)
+        assert not other._steps and other.average is not na.average
         for ch in (*other.channels, average_noise(other)):
             assert_arrays_read_only(ch, ("kraus", "liouville"))
         rebuilt = other.averaged_step(gs)
@@ -365,8 +364,68 @@ def test_pickled_channel_keeps_its_read_only_liouville():
 
 
 def test_copied_stochastic_shelving_noise_keeps_its_sampler():
-    na = NoiseAssignment(SpaceSpec(2, 1), sampler=ShelvingNoiseSampler(lb.ShelvingParams(phi=0.2)))
+    na = NoiseAssignment(SpaceSpec(2, 1), sampler=lb.ShelvingParams(phi=0.2))
     for other in (pickle.loads(pickle.dumps(na)), copy.deepcopy(na)):
-        assert other.stochastic and other.sampler.params == na.sampler.params and not other._steps
+        assert other.stochastic and other.sampler == na.sampler and not other._steps
         with pytest.raises(ValueError, match="deterministic"):
             exact_expectations((1,), gateset_by_id("shelving"), other)
+
+
+# ---------------------------------------------------------------------------
+# The values a gate set and fixed noise form when they are made, however they
+# are made, against their definitions.
+# ---------------------------------------------------------------------------
+
+#: Gate sets made each way: by name, as a signed design, from a document,
+#: unvalidated, unpickled and deep-copied.
+GATESET_WAYS = {
+    "named": lambda: gateset_by_id("pauli"),
+    "signed-design": lambda: lb.signed_design_gateset(PAULIS, [np.eye(1)], label="signed"),
+    "document": lambda: gateset_from_dict(
+        {"d1": 2, "d2": 1, "gates": [matrix_to_pairs(g) for g in gateset_by_id("shelving").gates]}
+    ),
+    "unvalidated": lambda: GateSet(SpaceSpec(2, 2), GATESETS["blocks"]().gates, "blocks", False),
+    "pickled": lambda: pickle.loads(pickle.dumps(gateset_by_id("shelving"))),
+    "deepcopied": lambda: copy.deepcopy(gateset_by_id("pauli")),
+}
+
+#: The "gates" param of filter noise on the four Pauli gates.
+FILTER_GATES = [{"p": p, "r": [0.6, 0.0, 0.8]} for p in (0.01, 0.02, 0.03, 0.04)]
+
+#: Fixed noise on a gate set made each way: sampled filter channels, one channel
+#: on every gate, filter channels from the "gates" param, unpickled and deep-copied.
+NOISE_WAYS = {
+    "sampled": lambda gs: sample_filter_assignment(RandomStream(3), len(gs))[0],
+    "uniform": lambda gs: NoiseAssignment.uniform(
+        random_channel(gs.space, np.random.default_rng(4)), len(gs)
+    ),
+    "gates-param": lambda gs: build_noise_model(
+        {"id": "filter", "params": {"gates": FILTER_GATES}}, gs, RandomStream(0)
+    ),
+    "pickled": lambda gs: pickle.loads(pickle.dumps(gate_dependent_noise(gs))),
+    "deepcopied": lambda gs: copy.deepcopy(gate_dependent_noise(gs)),
+}
+
+
+@pytest.mark.parametrize(
+    "gateset_way, noise_way",
+    [(way, "pickled") for way in GATESET_WAYS]
+    + [("named", way) for way in NOISE_WAYS if way != "pickled"],
+)
+def test_formed_values_equal_their_definitions_bit_for_bit(gateset_way, noise_way):
+    gs = GATESET_WAYS[gateset_way]()
+    na = NOISE_WAYS[noise_way](gs)
+    lios = _kron_conj(gs.gates)
+    expected = {
+        (gs, "gate_liouvilles"): lios,
+        (gs, "twirl_matrix"): lios.mean(axis=0),
+        (na, "liouvilles"): np.array([ch.liouville for ch in na.channels]),
+        (na.average, "liouville"): mix(na.channels).liouville,
+    }
+    for (owner, name), value in expected.items():
+        formed = getattr(owner, name)
+        assert formed.shape == value.shape and formed.tobytes() == value.tobytes(), name
+        assert_arrays_read_only(owner, (name,))
+    epsilon = na.averaged_step(gs).epsilon
+    assert type(epsilon) is float
+    assert epsilon == reference.stacked_gate_dependence_epsilon(gs.gates, na.channels)
