@@ -10,6 +10,7 @@ from .fitting import (
     model_by_name,
 )
 from .gatesets import (
+    ExactModel,
     GateSet,
     NoiseAssignment,
     TwirlProjector,

@@ -32,7 +32,6 @@ from .liouville import (
     kraus_sums,
     liouville_from_kraus,
     liouville_to_choi,
-    transfer_matrix,
 )
 from .noise import (
     FilterParams,
@@ -303,10 +302,7 @@ def reproduce_figure(
             # Noise drawn afresh at every step, independently of the gate, acts
             # on average as the same channel on every gate.
             noise = NoiseAssignment.uniform(avg, len(gs))
-        else:
-            avg = average_noise(noise)
-        # The decaying eigenvalue of the averaged channel's transfer block.
-        oracle = float(np.linalg.eigvals(transfer_matrix(avg)).real.min())
+        oracle = noise.exact_model(gs).decay
     with timed_stage(timings, "exact"):
         exact = exact_expectations(cfg.m_list, gs, noise, spam)
     passed = abs(fitted - oracle) <= 3.0 * stderr

@@ -28,6 +28,7 @@ from .liouville import (
     mix,
     read_operators,
     text,
+    transfer_matrix,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -142,9 +143,10 @@ class NoiseAssignment:
     Either a fixed tuple of channels (one per gate index) or a stochastic
     sampler drawing a fresh channel at every application.  Fixed noise holds,
     formed when it is made, the read-only stack ``liouvilles`` (n_gates, d^2,
-    d^2) of its channels' Liouville matrices, which the :class:`AveragedStep`
-    on each gate set reads, and their uniform mixture ``average``; stochastic
-    noise has None for both.
+    d^2) of its channels' Liouville matrices and their uniform mixture
+    ``average`` (the channel itself when every gate has the same one), which
+    the :class:`ExactModel` on each gate set reads; stochastic noise has None
+    for both.
     """
 
     def __init__(self, space: SpaceSpec, channels=None, sampler=None):
@@ -158,11 +160,12 @@ class NoiseAssignment:
             if any(ch.space != space for ch in channels):
                 raise ValueError("noise channels act on a different space")
             self.liouvilles = _read_only(np.array([ch.liouville for ch in channels]))
-            self.average = mix(channels)
+            one = all(ch is channels[0] for ch in channels)
+            self.average = channels[0] if one else mix(channels)
         self.space = space
         self.channels = channels
         self.sampler = sampler
-        self._steps = weakref.WeakKeyDictionary()
+        self._models = weakref.WeakKeyDictionary()
 
     def __reduce__(self):
         return NoiseAssignment, (self.space, self.channels, self.sampler)
@@ -176,39 +179,53 @@ class NoiseAssignment:
     def stochastic(self) -> bool:
         return self.sampler is not None
 
-    def averaged_step(self, gs: GateSet) -> "AveragedStep":
-        """The :class:`AveragedStep` of this fixed noise on ``gs``, built on first use."""
-        if gs not in self._steps:
-            self._steps[gs] = AveragedStep(gs, self)
-        return self._steps[gs]
+    def exact_model(self, gs: GateSet) -> "ExactModel":
+        """The :class:`ExactModel` of this fixed noise on ``gs``, built on first use."""
+        if gs not in self._models:
+            if self.stochastic:
+                raise ValueError("the exact model needs a deterministic noise assignment")
+            self._models[gs] = ExactModel(gs, self.liouvilles, self.average)
+        return self._models[gs]
 
 
-class AveragedStep:
-    """The exact averaged step of fixed noise on a gate set, computed once per pair.
+class ExactModel:
+    """The exact values of a gate set under fixed noise, formed once, read-only.
 
-    ``steps`` stacks the |G| step matrices L(G_g) L(E_g), with L(E_g) read
-    from the noise's ``liouvilles``, and their mean S averages a sequence of
-    length m to effect . S^m . state; both are read-only.  ``epsilon`` is
-    :func:`gate_dependence_epsilon`.  The entry holds no reference to its
-    gate set, which keys it weakly.
+    From the noise's per-gate Liouville matrices ``liouvilles`` and their
+    uniform mixture ``average`` it forms the |G| steps L(G_g) L(E_g) that
+    :func:`~leakbench.protocol.run_sequences` evolves; their mean S, whose
+    powers give the sequence average effect . S^m . state
+    (:func:`~leakbench.protocol.exact_expectations`); ``epsilon``
+    (:func:`gate_dependence_epsilon`); the transfer block B of ``average``
+    (:func:`transfer_matrix`), whose powers give the twirled average
+    (:func:`~leakbench.protocol.predicted_expectation`).  Only ``decay``, read
+    once per oracle, is computed on each read.  The two averages agree under
+    gate-independent noise and differ by O(m epsilon) otherwise (Wallman,
+    Quantum 2, 47 (2018)).  The model holds no reference to its gate set.
     """
 
-    def __init__(self, gs: GateSet, na: NoiseAssignment):
-        if na.stochastic:
-            raise ValueError("the exact averaged step needs a deterministic noise assignment")
-        if len(na.channels) != len(gs):
+    def __init__(self, gs: GateSet, liouvilles: np.ndarray, average: Channel):
+        if len(liouvilles) != len(gs):
             raise ValueError("noise assignment does not match the gate count")
-        self.steps = _read_only(gs.gate_liouvilles @ na.liouvilles)
+        self.steps = _read_only(gs.gate_liouvilles @ liouvilles)
         self.mean = _read_only(self.steps.mean(axis=0))
-        delta = self.mean - gs.twirl_matrix @ na.average.liouville
+        delta = self.mean - gs.twirl_matrix @ average.liouville
         self.epsilon = gs.space.d * float(np.linalg.svd(delta, compute_uv=False)[0])
+        self.average = average
+        self.transfer = _read_only(transfer_matrix(average))
+
+    @property
+    def decay(self) -> float:
+        """The least real part of B's eigenvalues, the oracle decay, computed on each read."""
+        return float(np.linalg.eigvals(self.transfer).real.min())
 
 
 def average_noise(na: NoiseAssignment) -> Channel:
     """The uniform mixture of the per-gate channels.
 
     The Kraus list is the union of member lists scaled by 1/sqrt(n), so the
-    Liouville matrix is the arithmetic mean of the members'.  Every call on
+    Liouville matrix is the arithmetic mean of the members'; noise with one
+    channel on every gate has that channel as its mixture.  Every call on
     ``na`` returns the same channel.
     """
     if na.stochastic:
@@ -220,14 +237,10 @@ def average_noise(na: NoiseAssignment) -> Channel:
 
 
 def gate_dependence_epsilon(gs: GateSet, na: NoiseAssignment) -> float:
-    """Proxy upper bound on the worst-case size of gate-dependent noise variation.
-
-    Builds Delta = avg_g [g_lio @ E_g] - twirl @ E_avg in Liouville form and
-    returns d * sigma_max(Delta).  This bounds the diamond norm of Delta from
-    above but is not the exact value (that would need an SDP); it suffices to
-    confirm the O(m * epsilon) remainder is negligible.
-    """
-    return na.averaged_step(gs).epsilon
+    """d * sigma_max(S - twirl @ E_avg), the :class:`ExactModel`'s proxy upper bound on the
+    size of gate-dependent noise: it bounds the diamond norm from above (the exact value
+    would need an SDP), enough to confirm that the O(m * epsilon) remainder is negligible."""
+    return na.exact_model(gs).epsilon
 
 
 # ---------------------------------------------------------------------------

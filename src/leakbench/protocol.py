@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import time
-import weakref
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -421,7 +420,7 @@ def run_sequences(
         if normals is None:
             raise ValueError("stochastic noise needs per-step normals")
         return _evolve_columns(indices, lengths, gateset, noise.sampler, spam, normals)
-    steps = gateset.gate_liouvilles if noise is None else noise.averaged_step(gateset).steps
+    steps = gateset.gate_liouvilles if noise is None else noise.exact_model(gateset).steps
     table, offsets = _word_table(steps, _CHUNK_ENTRIES)
     width = len(offsets) - 1
     digits, negated = len(gateset) ** np.arange(width), -lengths
@@ -648,11 +647,8 @@ def run_experiment(
 
 
 def _power_expectations(ms, step: np.ndarray, effect, state, start: int = 0) -> np.ndarray:
-    """effect . step^(m - start) . state at every length m of ``ms``.
-
-    ``state`` is the vector after ``start`` steps.  One pass over the sorted
-    lengths applies ``step`` once per extra unit of m.
-    """
+    """effect . step^(m - start) . state at every length m of ``ms``, from ``state`` after
+    ``start`` steps: one pass over the sorted lengths applies ``step`` once per extra unit of m."""
     values, done = {}, start
     for m in sorted(set(ms)):
         if m < start:
@@ -673,11 +669,10 @@ def exact_expectations(
 
     Gates are drawn i.i.d. and uniformly, so the mean over all |G|^m sequences
     of effect . S_{g_m} ... S_{g_1} . state, with step S_g = G_g E_g, is
-    effect . S^m . state for the averaged step S = mean_g S_g.
+    effect . S^m . state for the averaged step S = mean_g S_g (:class:`ExactModel`).
     """
-    if spam is None:
-        spam = SpamSpec.ideal(gateset.space)
-    step = gateset.twirl_matrix if noise is None else noise.averaged_step(gateset).mean
+    spam = spam or SpamSpec.ideal(gateset.space)
+    step = gateset.twirl_matrix if noise is None else noise.exact_model(gateset).mean
     return _power_expectations(m_list, step, spam.effect_vector(), spam.state_vector())
 
 
@@ -691,29 +686,14 @@ def brute_force_expectation(
     return float(exact_expectations((m,), gateset, noise, spam)[0])
 
 
-#: The read-only transfer frame of each channel under ideal SPAM, built on first use.
-_IDEAL_FRAMES = weakref.WeakKeyDictionary()
-
-
-def _transfer_frame(gateset: GateSet, channel: Channel, spam: SpamSpec | None):
-    """(effect . A, B, A^dag L . state) of gate-independent noise ``channel``.
-
-    A is :attr:`SpaceSpec.twirl_basis` and B the transfer block
-    (:func:`transfer_matrix`).  The twirl is A A^dag, so the sequence average
-    at length m is effect . A B^(m-1) A^dag L . state.  With ideal SPAM
-    (``spam`` None) each channel's frame is computed once.
-    """
+def _twirled_ends(gateset: GateSet, channel: Channel, spam: SpamSpec | None):
+    """(effect . A, A^dag L . state): the two ends of the twirled average of gate-independent
+    noise ``channel``, with A :attr:`SpaceSpec.twirl_basis`, so that the twirl is A A^dag."""
     space = gateset.space
     if channel.space != space:
         raise ValueError("channel acts on a different space")
-    if spam is None:
-        if channel not in _IDEAL_FRAMES:
-            frame = _transfer_frame(gateset, channel, SpamSpec.ideal(space))
-            _IDEAL_FRAMES[channel] = tuple(map(_read_only, frame))
-        return _IDEAL_FRAMES[channel]
-    basis = space.twirl_basis
-    state = basis.conj().T @ (channel.liouville @ spam.state_vector())
-    return spam.effect_vector() @ basis, transfer_matrix(channel), state
+    spam, basis = spam or SpamSpec.ideal(space), space.twirl_basis
+    return spam.effect_vector() @ basis, basis.conj().T @ (channel.liouville @ spam.state_vector())
 
 
 #: The largest eigenvector condition number :func:`decay_parameters` accepts.
@@ -732,8 +712,8 @@ def decay_parameters(gateset: GateSet, channel: Channel, spam: SpamSpec | None =
     holds; it is a ValueError, found by the condition number of V: past
     1/sqrt(eps), the amplitudes keep less than half of their digits.
     """
-    effect, block, state = _transfer_frame(gateset, channel, spam)
-    decays, vecs = np.linalg.eig(block)
+    effect, state = _twirled_ends(gateset, channel, spam)
+    decays, vecs = np.linalg.eig(transfer_matrix(channel))
     condition = np.linalg.cond(vecs)
     if not condition <= _MAX_CONDITION:
         raise ValueError(
@@ -752,7 +732,7 @@ def predicted_expectation(
 ) -> float | np.ndarray:
     """The twirled sequence average of gate-independent noise at length m >= 1, or at
     each of an array of them: effect . A B^(m-1) A^dag L . state (see :func:`decay_parameters`)."""
-    effect, block, state = _transfer_frame(gateset, channel, spam)
-    lengths = np.asarray(m)
+    effect, state = _twirled_ends(gateset, channel, spam)
+    lengths, block = np.asarray(m), transfer_matrix(channel)
     values = _power_expectations(lengths.ravel().tolist(), block, effect, state, start=1)
     return values.reshape(lengths.shape) if lengths.ndim else float(values[0])

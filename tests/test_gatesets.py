@@ -14,6 +14,7 @@ from reference import (
 
 import leakbench as lb
 from leakbench import Channel, GateSet, SpaceSpec
+from leakbench.cli import figure_config
 from leakbench.gatesets import (
     PAULI_X,
     PAULI_Y,
@@ -24,6 +25,7 @@ from leakbench.gatesets import (
     predicted_twirl_matrix,
 )
 from leakbench.liouville import matrix_to_pairs, vec
+from leakbench.protocol import _experiment_components
 
 QUBIT = SpaceSpec(d1=2, d2=0)
 QUTRIT = SpaceSpec(d1=2, d2=1)
@@ -234,15 +236,53 @@ def test_noise_liouvilles_are_the_channels_own_and_feed_the_step():
     channels = [distinct[i] for i in (0, 1, 2, 1, 3, 0, 0, 2)]  # 8 gates, 4 channels
     na = lb.NoiseAssignment(QUTRIT, channels=channels)
     gs = gateset_by_id("shelving")
-    step, avg = na.averaged_step(gs), lb.average_noise(na)
-    assert na.liouvilles is na.liouvilles
+    model, avg = na.exact_model(gs), lb.average_noise(na)
+    assert not na.liouvilles.flags.writeable
     assert [row.tobytes() for row in na.liouvilles] == _liouville_bytes(channels)
-    # The steps, their mean, the average and epsilon are the per-channel values.
+    # The model's steps, their mean, epsilon and transfer block are the per-channel values.
     lios = np.array([lb.liouville.liouville_from_kraus(ch.kraus) for ch in channels])
-    assert step.steps.tobytes() == (gs.gate_liouvilles @ lios).tobytes()
-    assert step.mean.tobytes() == (gs.gate_liouvilles @ lios).mean(axis=0).tobytes()
+    assert model.steps.tobytes() == (gs.gate_liouvilles @ lios).tobytes()
+    assert model.mean.tobytes() == (gs.gate_liouvilles @ lios).mean(axis=0).tobytes()
     assert avg.liouville.tobytes() == np.tensordot(np.full(8, 1 / 8), lios, axes=1).tobytes()
-    assert lb.gate_dependence_epsilon(gs, na) == stacked_gate_dependence_epsilon(gs.gates, channels)
+    assert model.epsilon == stacked_gate_dependence_epsilon(gs.gates, channels)
+    assert lb.gate_dependence_epsilon(gs, na) == model.epsilon
+    assert model.transfer.tobytes() == lb.transfer_matrix(avg).tobytes()
+
+
+#: Gate-independent noise on each named set: a filter channel on the Paulis and a
+#: sampled coherent channel on the shelving qutrit.
+UNIFORM_CHANNELS = {
+    "pauli": lambda: filter_z(0.03),
+    "shelving": lambda: lb.sample_coherent_noise(
+        lb.ShelvingParams(), lb.RandomStream(3, key=(97,))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIFORM_CHANNELS))
+def test_transfer_decays_are_eigenvalues_of_the_averaged_step(name):
+    # The twirled closed form is exact for gate-independent noise because the
+    # transfer block's decays are S's eigenvalues on the twirl's range.
+    gs, ch = gateset_by_id(name), UNIFORM_CHANNELS[name]()
+    model = lb.NoiseAssignment.uniform(ch, len(gs)).exact_model(gs)
+    # One channel on every gate is its own mixture, so B is the channel's own block.
+    assert model.average is ch
+    assert model.transfer.tobytes() == lb.transfer_matrix(ch).tobytes()
+    spectrum = np.linalg.eigvals(model.mean)
+    decays = np.linalg.eigvals(model.transfer)
+    assert len(decays) == 1 + (gs.space.d2 > 0)
+    for decay in decays:
+        assert np.min(np.abs(spectrum - decay)) < 1e-12
+    assert model.decay == float(decays.real.min())
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_fig1_oracle_decay_read_from_the_model_is_the_average_channels(seed):
+    gs, na, _, _ = _experiment_components(figure_config("fig1", seed))
+    expected = float(np.linalg.eigvals(lb.transfer_matrix(lb.average_noise(na))).real.min())
+    model = na.exact_model(gs)
+    assert model.decay == expected
+    assert model.transfer.tobytes() == lb.transfer_matrix(model.average).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -255,9 +295,9 @@ def test_copied_noise_builds_the_same_liouvilles(copy_of, warm):
     na = lb.NoiseAssignment(QUBIT, channels=[random_channel(QUBIT, rng, n_kraus=k) for k in (2, 1, 3, 2)])
     expected = _liouville_bytes(na.channels)
     if warm:
-        na.averaged_step(gateset_by_id("pauli"))
+        na.exact_model(gateset_by_id("pauli"))
     other = copy_of(na)
-    assert other.liouvilles is not na.liouvilles and not other._steps
+    assert other.liouvilles is not na.liouvilles and not other._models
     assert [row.tobytes() for row in other.liouvilles] == expected
     assert not other.liouvilles.flags.writeable
     assert all(not ch.liouville.flags.writeable for ch in other.channels)

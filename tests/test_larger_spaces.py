@@ -39,7 +39,7 @@ from leakbench.protocol import (
 def test_engine_matches_per_sequence_reference(name, space, n_gates):
     gs, na, spam = design(name)
     assert gs.space == space and len(gs) == n_gates
-    _, offsets = protocol._word_table(na.averaged_step(gs).steps, protocol._CHUNK_ENTRIES)
+    _, offsets = protocol._word_table(na.exact_model(gs).steps, protocol._CHUNK_ENTRIES)
     assert len(offsets) - 1 == 1  # one-gate words only
     rng = np.random.default_rng(5)
     lengths = np.array([12, 12, 11, 9, 7, 6, 4, 3, 2, 1, 1, 0])
@@ -58,7 +58,7 @@ def test_batched_liouvilles_are_the_per_channel_ones(name):
     cold = NoiseAssignment(gs.space, channels=[Channel(gs.space, ch.kraus) for ch in na.channels])
     per_channel = np.array([liouville_from_kraus(ch.kraus) for ch in cold.channels])
     assert cold.liouvilles.tobytes() == per_channel.tobytes()
-    assert cold.averaged_step(gs).steps.tobytes() == (gs.gate_liouvilles @ per_channel).tobytes()
+    assert cold.exact_model(gs).steps.tobytes() == (gs.gate_liouvilles @ per_channel).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SETS))

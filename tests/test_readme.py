@@ -24,6 +24,8 @@ def test_library_use_snippet_runs():
     assert abs(params["decay_minus"] - 0.989) < 1e-3
     decays = np.linalg.eigvals(lb.transfer_matrix(scope["avg"]))
     assert np.allclose(sorted(decays), [params["decay_minus"], params["decay_plus"]], atol=1e-12)
+    assert abs(scope["model"].decay - params["decay_minus"]) < 1e-12
+    assert np.array_equal(scope["model"].transfer, lb.transfer_matrix(scope["avg"]))
     assert abs(scope["result"].params["decay"] - params["decay_minus"]) < 3e-3
 
 

@@ -29,7 +29,6 @@ from leakbench.protocol import (
     ExperimentConfig,
     SpamSpec,
     _lengths_probabilities,
-    _transfer_frame,
     brute_force_expectation,
     exact_expectations,
     predicted_expectation,
@@ -224,8 +223,8 @@ def test_spawned_worker_gets_no_writable_shared_array():
 
 
 # ---------------------------------------------------------------------------
-# The averaged step of each pair of gate set and fixed noise, and the transfer
-# frame of each channel, computed once and checked against tests/reference.py.
+# The exact model of each pair of gate set and fixed noise, computed once and
+# checked against tests/reference.py.
 # ---------------------------------------------------------------------------
 
 
@@ -261,17 +260,14 @@ def test_cached_exact_values_equal_a_fresh_computation_bit_for_bit(name):
 def test_averaged_step_is_shared_and_read_only(name):
     gs = GATESETS[name]()
     na = gate_dependent_noise(gs)
-    entry = na.averaged_step(gs)
-    assert na.averaged_step(gs) is entry
+    model = na.exact_model(gs)
+    assert na.exact_model(gs) is model
     steps = np.array([np.kron(g, g.conj()) for g in gs.gates])
     steps = steps @ np.array([reference.kraus_liouville(ch.kraus) for ch in na.channels])
-    assert_shared_read_only(entry, "steps", steps)
-    assert_shared_read_only(entry, "mean", reference.averaged_step(gs.gates, na.channels))
-    frame = _transfer_frame(gs, average_noise(na), None)
-    assert _transfer_frame(gs, average_noise(na), None) is frame
-    for array in frame:
-        with pytest.raises(ValueError, match="read-only"):
-            array[(0,) * array.ndim] = 2.0
+    assert_shared_read_only(model, "steps", steps)
+    assert_shared_read_only(model, "mean", reference.averaged_step(gs.gates, na.channels))
+    assert_shared_read_only(model, "transfer", lb.transfer_matrix(average_noise(na)))
+    assert model.average is average_noise(na)
 
 
 def test_one_noise_on_two_gate_sets_of_equal_size_keeps_two_entries():
@@ -283,13 +279,13 @@ def test_one_noise_on_two_gate_sets_of_equal_size_keeps_two_entries():
         step = reference.averaged_step(gs.gates, na.channels)
         fresh = reference.powered_expectation(4, step, spam.effect_vector(), spam.state_vector())
         assert brute_force_expectation(4, gs, na) == fresh
-        assert np.array_equal(na.averaged_step(gs).mean, step)
-    assert na.averaged_step(pauli) is not na.averaged_step(reversed_set)
-    assert len(na._steps) == 2
+        assert np.array_equal(na.exact_model(gs).mean, step)
+    assert na.exact_model(pauli) is not na.exact_model(reversed_set)
+    assert len(na._models) == 2
     # A gate set that is gone leaves no entry behind whose key a new one could reuse.
     del reversed_set, gs
     gc.collect()
-    assert list(na._steps.keys()) == [pauli]
+    assert list(na._models.keys()) == [pauli]
 
 
 def test_mismatched_gate_count_is_refused_by_every_reader():
@@ -343,16 +339,16 @@ def test_pickled_and_copied_gateset_keeps_read_only_arrays():
 def test_pickled_and_copied_noise_keeps_read_only_arrays_and_leaves_its_steps():
     gs = gateset_by_id("shelving")
     na = gate_dependent_noise(gs)
-    entry, epsilon = na.averaged_step(gs), lb.gate_dependence_epsilon(gs, na)
+    entry, epsilon = na.exact_model(gs), lb.gate_dependence_epsilon(gs, na)
     for other in (pickle.loads(pickle.dumps(na)), copy.deepcopy(na), copy.copy(na)):
-        assert not other._steps and other.average is not na.average
+        assert not other._models and other.average is not na.average
         for ch in (*other.channels, average_noise(other)):
             assert_arrays_read_only(ch, ("kraus", "liouville"))
-        rebuilt = other.averaged_step(gs)
-        assert rebuilt is not entry and other._steps is not na._steps
+        rebuilt = other.exact_model(gs)
+        assert rebuilt is not entry and other._models is not na._models
         assert np.array_equal(rebuilt.steps, entry.steps) and not rebuilt.steps.flags.writeable
         assert lb.gate_dependence_epsilon(gs, other) == epsilon
-    assert na.averaged_step(gs) is entry
+    assert na.exact_model(gs) is entry
 
 
 def test_pickled_channel_keeps_its_read_only_liouville():
@@ -366,7 +362,7 @@ def test_pickled_channel_keeps_its_read_only_liouville():
 def test_copied_stochastic_shelving_noise_keeps_its_sampler():
     na = NoiseAssignment(SpaceSpec(2, 1), sampler=lb.ShelvingParams(phi=0.2))
     for other in (pickle.loads(pickle.dumps(na)), copy.deepcopy(na)):
-        assert other.stochastic and other.sampler == na.sampler and not other._steps
+        assert other.stochastic and other.sampler == na.sampler and not other._models
         with pytest.raises(ValueError, match="deterministic"):
             exact_expectations((1,), gateset_by_id("shelving"), other)
 
@@ -416,16 +412,18 @@ def test_formed_values_equal_their_definitions_bit_for_bit(gateset_way, noise_wa
     gs = GATESET_WAYS[gateset_way]()
     na = NOISE_WAYS[noise_way](gs)
     lios = _kron_conj(gs.gates)
+    # One channel on every gate is its own mixture.
+    average = na.channels[0] if noise_way == "uniform" else mix(na.channels)
     expected = {
         (gs, "gate_liouvilles"): lios,
         (gs, "twirl_matrix"): lios.mean(axis=0),
         (na, "liouvilles"): np.array([ch.liouville for ch in na.channels]),
-        (na.average, "liouville"): mix(na.channels).liouville,
+        (na.average, "liouville"): average.liouville,
     }
     for (owner, name), value in expected.items():
         formed = getattr(owner, name)
         assert formed.shape == value.shape and formed.tobytes() == value.tobytes(), name
         assert_arrays_read_only(owner, (name,))
-    epsilon = na.averaged_step(gs).epsilon
+    epsilon = na.exact_model(gs).epsilon
     assert type(epsilon) is float
     assert epsilon == reference.stacked_gate_dependence_epsilon(gs.gates, na.channels)
