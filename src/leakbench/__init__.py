@@ -41,7 +41,6 @@ from .noise import (
 from .protocol import (
     ConfigError,
     DecayDataset,
-    DecayPoint,
     ExperimentConfig,
     SpamSpec,
     brute_force_expectation,

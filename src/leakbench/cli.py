@@ -247,13 +247,13 @@ def _per_length(dataset: DecayDataset, exact) -> list:
     """Per-length mean, sem, exact expected mean and z = (mean - exact) / sem."""
     return [
         {
-            "m": p.m,
-            "mean": p.mean,
-            "sem": p.sem,
+            "m": r["m"],
+            "mean": r["mean"],
+            "sem": r["sem"],
             "exact_mean": e,
-            "z": (p.mean - e) / p.sem if p.sem > 0 else None,
+            "z": (r["mean"] - e) / r["sem"] if r["sem"] > 0 else None,
         }
-        for p, e in zip(dataset.points, map(float, exact))
+        for r, e in zip(dataset.rows(), map(float, exact))
     ]
 
 
@@ -331,10 +331,9 @@ def cmd_reproduce(args) -> int:
     dataset, result, report = reproduce_figure(
         args.figure, seed=args.seed, jobs=args.jobs, timings=timings
     )
-    extras = [{"exact_mean": r["exact_mean"], "z": r["z"]} for r in report["per_length"]]
     documents = {"fit.json": result.to_dict(), "report.json": report}
     health = _health(result, report["per_length"])
-    _write_run(args.out, dataset, started, timings, extras, documents, health)
+    _write_run(args.out, dataset, started, timings, report["per_length"], documents, health)
     verdict = "PASS" if report["pass"] else "FAIL"
     print(
         f"{args.figure} {verdict}: fitted decay {report['fitted_decay']:.6f} "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -161,11 +162,14 @@ def pcg64_seeds(seed: int, keys) -> np.ndarray:
     ``keys`` is (k, L) with components in [0, 2^64).  SeedSequence's entropy
     is the seed's 32-bit words, zero-padded to the pool size when there is a
     spawn key, then each key component's words; rows whose components split
-    into the same number of words are hashed together in one pass.
+    into the same number of words are hashed together in one pass.  A seed
+    that SeedSequence refuses, negative or not an integer, is refused alike.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if keys.ndim != 2:
         raise ValueError("keys must be a (k, L) array")
+    if operator.index(seed) < 0:
+        raise ValueError(f"expected non-negative integer, got seed {seed}")
     head = _uint32_words(int(seed))
     if keys.shape[1]:
         head += [0] * (_POOL_SIZE - len(head))

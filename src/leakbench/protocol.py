@@ -18,8 +18,7 @@ import json
 import os
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -226,20 +225,6 @@ def _write_json(path, doc):
         fh.write(text)
 
 
-@dataclass(frozen=True)
-class DecayPoint:
-    m: int
-    mean: float
-    sem: float
-    n: int
-
-    @classmethod
-    def from_row(cls, row, path: str = "") -> "DecayPoint":
-        """The point of the dataset row ``row``, read through :data:`DATASET_ROW_FIELDS`."""
-        values = read_fields(row, path, DATASET_ROW_FIELDS)
-        return cls(m=values["m"], mean=values["mean"], sem=values["sem"], n=values["n"])
-
-
 #: A dataset row of decay.json or decay.csv; reproduce adds exact_mean and z.
 DATASET_ROW_FIELDS = {
     "m": (_COUNT, REQUIRED),
@@ -249,10 +234,13 @@ DATASET_ROW_FIELDS = {
     "exact_mean": (real, None),
     "z": (real, None),
 }
+_ROW = section(DATASET_ROW_FIELDS)
+#: The keys of a row's ms, means, sems and counts entries, in decay.csv's column order.
+_ROW_KEYS = ("m", "mean", "sem", "n")
 
 #: The top level of decay.json.
 DATASET_FIELDS = {
-    "dataset": (list_of(DecayPoint.from_row), REQUIRED),
+    "dataset": (list_of(_ROW), REQUIRED),
     "provenance": (mapping, None),
 }
 
@@ -266,69 +254,65 @@ def _cell(text: str):
         return text
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DecayDataset:
-    """Per-sequence-length survival statistics plus run provenance."""
+    """Per-sequence-length survival statistics as read-only columns, plus run
+    provenance.  Entry i is length ``ms[i]``: the mean survival ``means[i]`` over
+    ``counts[i]`` sequences and its sem ``sems[i]``.  The files hold :meth:`rows`."""
 
-    points: tuple
+    ms: np.ndarray
+    means: np.ndarray
+    sems: np.ndarray
+    counts: np.ndarray
     provenance: dict = field(default_factory=dict)
-
-    @property
-    def ms(self) -> np.ndarray:
-        return np.array([p.m for p in self.points])
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([p.mean for p in self.points], dtype=float)
-
-    @property
-    def sems(self) -> np.ndarray:
-        return np.array([p.sem for p in self.points], dtype=float)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([p.n for p in self.points], dtype=int)
 
     @classmethod
     def from_arrays(cls, ms, means, sems=None, counts=None, provenance=None):
-        """Points of integral lengths and counts, and of any float means and
+        """Columns of integral lengths and counts, and of any float means and
         sems: :func:`~leakbench.fitting.fit` checks their ranges."""
-        ms = [integer(m, f"dataset[{i}].m") for i, m in enumerate(ms)]
-        sems = [0.0] * len(ms) if sems is None else np.asarray(sems, dtype=float).tolist()
+        ms = [integer(m, f"dataset[{i}].m", high=2**63 - 1) for i, m in enumerate(ms)]
+        sems = np.zeros(len(ms)) if sems is None else sems
         counts = [1] * len(ms) if counts is None else [
-            integer(n, f"dataset[{i}].n") for i, n in enumerate(counts)
+            integer(n, f"dataset[{i}].n", high=2**63 - 1) for i, n in enumerate(counts)
         ]
-        points = map(DecayPoint, ms, np.asarray(means, dtype=float).tolist(), sems, counts)
-        return cls(points=tuple(points), provenance=provenance or {})
+        columns = [np.array(ms, dtype=np.int64), np.array(means, dtype=float),
+                   np.array(sems, dtype=float), np.array(counts, dtype=np.int64)]
+        if {column.shape for column in columns} != {(len(ms),)}:
+            raise ValueError("dataset columns must hold one entry per length")
+        return cls(*map(_read_only, columns), provenance=provenance or {})
+
+    def rows(self) -> list:
+        """One {m, mean, sem, n} dict of Python numbers per length: the rows of the files."""
+        columns = (self.ms.tolist(), self.means.tolist(), self.sems.tolist(), self.counts.tolist())
+        return [dict(zip(_ROW_KEYS, values)) for values in zip(*columns)]
+
+    @classmethod
+    def _from_rows(cls, rows, provenance=None) -> "DecayDataset":
+        return cls.from_arrays(*([row[key] for row in rows] for key in _ROW_KEYS), provenance)
 
     def to_csv(self, path: str):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names := [f.name for f in fields(DecayPoint)])
-            writer.writerows(map(attrgetter(*names), self.points))
+            writer = csv.DictWriter(fh, _ROW_KEYS)
+            writer.writeheader()
+            writer.writerows(self.rows())
 
     @classmethod
     def from_csv(cls, path: str) -> "DecayDataset":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a byte-order mark or none
             rows = [{key: _cell(cell) for key, cell in row.items()} for row in csv.DictReader(fh)]
-        points = (DecayPoint.from_row(row, f"dataset[{i}]") for i, row in enumerate(rows))
-        return cls(points=tuple(points))
+        return cls._from_rows([_ROW(row, f"dataset[{i}]") for i, row in enumerate(rows)])
 
     def to_json(self, path: str, extras=None):
-        """Write the points and the provenance; ``extras`` holds one dict of further
-        fields per point, merged into its row."""
-        extras = [{}] * len(self.points) if extras is None else extras
-        doc = {
-            "dataset": [{**vars(p), **extra} for p, extra in zip(self.points, extras)],
-            "provenance": self.provenance,
-        }
-        _write_json(path, doc)
+        """Write the rows and the provenance; ``extras`` holds one dict of further
+        fields per row, merged into it."""
+        rows = self.rows() if extras is None else [{**r, **e} for r, e in zip(self.rows(), extras)]
+        _write_json(path, {"dataset": rows, "provenance": self.provenance})
 
     @classmethod
     def from_json(cls, path: str) -> "DecayDataset":
         with open(path, "r", encoding="utf-8") as fh:
             doc = read_fields(json.load(fh), "", DATASET_FIELDS)
-        return cls(points=tuple(doc["dataset"]), provenance=doc["provenance"] or {})
+        return cls._from_rows(doc["dataset"], doc["provenance"])
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +612,7 @@ def run_experiment(
         ps = np.stack([probabilities[m] for m in cfg.m_list])  # one row per length
         n = ps.shape[1]
         sems = ps.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(len(ps))
-        means, sems = ps.mean(axis=1).tolist(), sems.tolist()
-        points = tuple(map(DecayPoint, cfg.m_list, means, sems, [n] * len(ps)))
+        columns = (cfg.m_list, ps.mean(axis=1), sems, [n] * len(ps))
     from . import __version__
 
     provenance = {
@@ -638,7 +621,7 @@ def run_experiment(
         "seed": cfg.seed,
         "tool_version": __version__,
     }
-    return DecayDataset(points=points, provenance=provenance)
+    return DecayDataset.from_arrays(*columns, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -593,20 +593,20 @@ def test_reproduce_fig1_per_length_exact_means(tmp_path):
     exact = exact_expectations(dataset.ms.astype(int), gs, noise, spam)
     rows = report["per_length"]
     assert [r["m"] for r in rows] == list(range(10, 101, 10))
-    for r, p, e in zip(rows, dataset.points, exact):
-        assert (r["m"], r["mean"], r["sem"], r["exact_mean"]) == (p.m, p.mean, p.sem, e)
-        assert r["z"] == (p.mean - e) / p.sem
+    for r, d, e in zip(rows, dataset.rows(), exact):
+        assert (r["m"], r["mean"], r["sem"], r["exact_mean"]) == (d["m"], d["mean"], d["sem"], e)
+        assert r["z"] == (d["mean"] - e) / d["sem"]
         assert abs(r["z"]) < 4
     decay_rows = json.loads((out / "decay.json").read_text())["dataset"]
-    assert decay_rows == [{**r, "n": p.n} for r, p in zip(rows, dataset.points)]
-    assert DecayDataset.from_json(str(out / "decay.json")).points == dataset.points
+    assert decay_rows == [{**r, "n": d["n"]} for r, d in zip(rows, dataset.rows())]
+    assert DecayDataset.from_json(str(out / "decay.json")).rows() == dataset.rows()
 
 
 def test_reproduce_fig2_per_length_uses_the_oracle_channel():
     dataset, _, report = reproduce_figure("fig2", oracle_samples=20_000)
     assert (report["oracle_method"], report["oracle_samples"]) == ("monte-carlo", 20_000)
     rows = report["per_length"]
-    assert [r["m"] for r in rows] == [p.m for p in dataset.points]
+    assert [r["m"] for r in rows] == dataset.ms.tolist()
     exact = [r["exact_mean"] for r in rows]
     assert all(1.0 > a > b > 0.5 for a, b in zip(exact, exact[1:]))
     assert all(abs(r["z"]) < 5 for r in rows)
@@ -629,6 +629,26 @@ def test_reproduce_oracle_matches_the_trace_formulas(figure, seed):
     else:
         expected = incoherent_survival(average_noise(noise_model))
     assert abs(report["oracle_decay"] - expected) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "figure, name, model",
+    [("fig1", "decay.csv", "single-exp"), ("fig2", "decay.json", "tp-constrained")],
+)
+def test_fit_of_a_reproduced_dataset_writes_its_fit_bytes(tmp_path, capsys, figure, name, model):
+    # The file's rows read back to the columns that reproduce fitted, bit for bit;
+    # a CSV that a spreadsheet saved with a byte-order mark reads as the same rows.
+    out = tmp_path / "rep"
+    assert main(["reproduce", figure, "--out", str(out)]) == EXIT_OK
+    copies = [out / name]
+    if name.endswith(".csv"):
+        copies.append(tmp_path / "bom.csv")
+        copies[1].write_bytes(b"\xef\xbb\xbf" + copies[0].read_bytes())
+    for i, dataset in enumerate(copies):
+        fitted = tmp_path / f"fit{i}.json"
+        assert main(["fit", str(dataset), "--model", model, "--out", str(fitted)]) == EXIT_OK
+        assert fitted.read_bytes() == (out / "fit.json").read_bytes()
+    assert capsys.readouterr().out.count(f"{model}: ") == len(copies)
 
 
 def test_reproduce_fig1_byte_identical(tmp_path):

@@ -15,7 +15,6 @@ from leakbench.noise import RandomStream
 from leakbench.cli import FIGURES, figure_config
 from leakbench.protocol import (
     DecayDataset,
-    DecayPoint,
     SpamSpec,
     decay_parameters,
     exact_expectations,
@@ -403,7 +402,7 @@ def test_the_longest_int64_length_fits_without_a_cast(tmp_path, capsys):
     ms = np.arange(5, 100, 7)  # both parities of m - 1, so the decay's sign is identified
     data = synthetic("single-exp", {"amplitude": 0.97, "decay": 0.985}, ms, sem=0.001, seed=4)
     longest = 2**63 - 1
-    rows = [{"m": p.m, "mean": p.mean, "sem": p.sem, "n": p.n} for p in data.points]
+    rows = data.rows()
     path = tmp_path / "decay.json"
     rows.append({"m": longest, "mean": 0.0, "sem": 0.001, "n": 30})
     path.write_text(json.dumps({"dataset": rows}))
@@ -421,9 +420,10 @@ def test_the_longest_int64_length_fits_without_a_cast(tmp_path, capsys):
 def test_too_few_distinct_lengths_are_rejected():
     # A repeated length counts once, and so do all NaN lengths together, as in np.unique.
     for lengths in ([10, 20, 20, 10], [10, np.nan, np.nan]):
-        points = tuple(DecayPoint(m=m, mean=0.9, sem=0.01, n=30) for m in lengths)
+        ones = np.ones(len(lengths))
+        data = DecayDataset(np.array(lengths), 0.9 * ones, 0.01 * ones, 30 * ones.astype(int))
         with pytest.raises(ValueError, match="single-exp needs at least 3 distinct lengths"):
-            fit("single-exp", DecayDataset(points=points))
+            fit("single-exp", data)
 
 
 # ---------------------------------------------------------------------------

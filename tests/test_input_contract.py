@@ -59,7 +59,6 @@ PYTHON_WORDING = (
 NESTED = {
     liouville.channel_from_dict: liouville.CHANNEL_FIELDS,
     noise.read_noise_spec: noise.NOISE_FIELDS,
-    protocol.DecayPoint.from_row: protocol.DATASET_ROW_FIELDS,
 }
 
 

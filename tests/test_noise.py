@@ -116,6 +116,17 @@ def test_pcg64_states_validation():
         pcg64_seeds(1, [[-1]])
 
 
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+def test_a_seed_that_seed_sequence_refuses_is_refused_on_every_path(seed, error):
+    # -1 must not wrap to the streams of seed 2^32 - 1, nor 1.5 truncate to those of seed 1.
+    stream = RandomStream(seed)
+    for draw in (stream.generator, lambda: next(stream.child_generators([[1, 2, 3]]))):
+        with pytest.raises(error):
+            draw()
+    with pytest.raises(error):
+        pcg64_seeds(seed, [[1, 2, 3]])
+
+
 # ---------------------------------------------------------------------------
 # Filter model
 # ---------------------------------------------------------------------------

@@ -276,20 +276,24 @@ def test_config_roundtrip_and_hash():
 
 def test_dataset_csv_json_roundtrip(tmp_path):
     ds = DecayDataset.from_arrays(
-        [10, 20, 30], [0.9, 0.8, 0.7], [0.01, 0.02, 0.03], [5, 5, 5],
+        [10, 20, 30], [0.9, 0.8, 0.7], [0.01, 0.02, 0.03], [5, 6, 7],
         provenance={"seed": 1},
     )
     csv_path = tmp_path / "decay.csv"
     ds.to_csv(str(csv_path))
-    back = DecayDataset.from_csv(str(csv_path))
-    assert np.array_equal(back.ms, ds.ms)
-    assert np.array_equal(back.means, ds.means)
-    assert np.array_equal(back.sems, ds.sems)
     json_path = tmp_path / "decay.json"
     ds.to_json(str(json_path))
-    back2 = DecayDataset.from_json(str(json_path))
-    assert back2.provenance == {"seed": 1}
-    assert np.array_equal(back2.means, ds.means)
+    assert csv_path.read_text().splitlines()[0] == "m,mean,sem,n"
+    dtypes = {"ms": np.int64, "means": float, "sems": float, "counts": np.int64}
+    for back in (DecayDataset.from_csv(str(csv_path)), DecayDataset.from_json(str(json_path))):
+        for name, dtype in dtypes.items():
+            column = getattr(back, name)
+            assert column.dtype == dtype and not column.flags.writeable, name
+            assert np.array_equal(column, getattr(ds, name)), name
+    assert DecayDataset.from_json(str(json_path)).provenance == {"seed": 1}
+    assert DecayDataset.from_csv(str(csv_path)).provenance == {}
+    with pytest.raises(ValueError, match="one entry per length"):
+        DecayDataset.from_arrays([10, 20, 30], [0.9, 0.8])
 
 
 def test_write_json_matches_json_dump(tmp_path):
@@ -316,7 +320,7 @@ def test_run_experiment_noiseless():
     ds = run_experiment(cfg)
     assert np.allclose(ds.means, 1.0, atol=1e-12)
     assert np.allclose(ds.sems, 0.0, atol=1e-12)
-    assert all(p.n == 6 for p in ds.points)
+    assert ds.counts.tolist() == [6, 6, 6]
     assert ds.provenance["config_hash"] == cfg.config_hash()
 
 
@@ -333,7 +337,7 @@ def test_run_experiment_reproducible_and_bounded():
     assert np.array_equal(ds1.means, ds2.means)
     assert np.array_equal(ds1.sems, ds2.sems)
     reused = run_experiment(cfg, components=_experiment_components(cfg))
-    assert reused.points == ds1.points
+    assert reused.rows() == ds1.rows()
     assert np.all(ds1.means >= 0.0) and np.all(ds1.means <= 1.0)
     assert np.all(ds1.sems >= 0.0)
 
@@ -693,7 +697,7 @@ def test_all_lengths_pass_under_jobs_matches_serial():
         seed=61,
         shots=90,
     )
-    assert run_experiment(cfg, jobs=2).points == run_experiment(cfg).points
+    assert run_experiment(cfg, jobs=2).rows() == run_experiment(cfg).rows()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
@@ -712,7 +716,7 @@ def test_jobs_start_no_pool_when_the_process_may_run_on_one_cpu(monkeypatch):
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(allowed)})
     try:
-        assert run_experiment(cfg, jobs=2).points == serial.points
+        assert run_experiment(cfg, jobs=2).rows() == serial.rows()
     finally:
         os.sched_setaffinity(0, allowed)
 
@@ -739,13 +743,13 @@ def test_one_pass_aggregate_is_the_per_length_mean_and_sem_bit_for_bit(
     cfg = ExperimentConfig(
         gateset=gateset, noise=noise, m_list=(40, 10, 100, 20), n_sequences=n, seed=83
     )
-    points = run_experiment(cfg).points
-    assert [p.m for p in points] == list(cfg.m_list)
-    for p in points:
-        ps = probabilities[p.m]
+    rows = run_experiment(cfg).rows()
+    assert [r["m"] for r in rows] == list(cfg.m_list)
+    for r in rows:
+        ps = probabilities[r["m"]]
         sem = float(ps.std(ddof=1) / np.sqrt(len(ps))) if len(ps) > 1 else 0.0
-        assert (p.mean, p.sem, p.n) == (float(ps.mean()), sem, n)
-        assert p.sem != 0.0 if n > 1 else repr(p.sem) == "0.0"
+        assert (r["mean"], r["sem"], r["n"]) == (float(ps.mean()), sem, n)
+        assert r["sem"] != 0.0 if n > 1 else repr(r["sem"]) == "0.0"
 
 
 def test_fixed_noise_evolves_all_lengths_in_one_pass(monkeypatch):

@@ -192,7 +192,7 @@ SHELVING_CFG = ExperimentConfig(
 
 def test_jobs_match_serial_with_warm_caches():
     cli.run_checks()
-    assert run_experiment(SHELVING_CFG, jobs=2).points == run_experiment(SHELVING_CFG).points
+    assert run_experiment(SHELVING_CFG, jobs=2).rows() == run_experiment(SHELVING_CFG).rows()
 
 
 def _worker_writeable_arrays(cfg: ExperimentConfig) -> dict:
