@@ -212,10 +212,8 @@ def cmd_simulate(args) -> int:
 
 
 def _summary_line(result) -> str:
-    parts = [
-        f"{name} = {value:.6f} +/- {result.stderr[name]:.6f}"
-        for name, value in result.params.items()
-    ]
+    parts = [f"{name} = {value:.6f} +/- {result.stderr[name]:.6f}"
+             for name, value in result.params.items()]
     r2 = "n/a" if result.r_squared is None else f"{result.r_squared:.4f}"
     return f"{result.model}: " + ", ".join(parts) + f", r^2 = {r2}"
 
@@ -245,16 +243,9 @@ def cmd_fit(args) -> int:
 
 def _per_length(dataset: DecayDataset, exact) -> list:
     """Per-length mean, sem, exact expected mean and z = (mean - exact) / sem."""
-    return [
-        {
-            "m": r["m"],
-            "mean": r["mean"],
-            "sem": r["sem"],
-            "exact_mean": e,
-            "z": (r["mean"] - e) / r["sem"] if r["sem"] > 0 else None,
-        }
-        for r, e in zip(dataset.rows(), map(float, exact))
-    ]
+    return [{"m": r["m"], "mean": r["mean"], "sem": r["sem"], "exact_mean": e,
+             "z": (r["mean"] - e) / r["sem"] if r["sem"] > 0 else None}
+            for r, e in zip(dataset.rows(), map(float, exact))]
 
 
 def _health(result, per_length: list) -> dict:

@@ -91,9 +91,7 @@ def model_by_name(name: str) -> DecayModel:
     try:
         return MODELS[name]
     except KeyError:
-        raise ValueError(
-            f"unknown model {name!r}; choose from {sorted(MODELS)}"
-        ) from None
+        raise ValueError(f"unknown model {name!r}; choose from {sorted(MODELS)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +248,7 @@ class FitResult:
         if self.model == "double-exp":
             total = p["decay_plus"] + p["decay_minus"]
             return {"coherent_survival": total, "decay_eigenvalue": p["decay_minus"]}
-        return {
-            "coherent_survival": 1.0 + p["decay"],
-            "decay_eigenvalue": p["decay"],
-        }
+        return {"coherent_survival": 1.0 + p["decay"], "decay_eigenvalue": p["decay"]}
 
     def to_dict(self) -> dict:
         return {**vars(self), "derived": self.derived(), "residuals": self.residuals.tolist()}
@@ -273,28 +268,16 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     Standard errors come from the inverse weighted normal matrix at the
     optimum, scaled by the residual variance; r^2 is computed on unweighted
     residuals.  ``n_iterations`` counts the Gauss-Newton steps that refine the
-    grid's best decays.  A length below 1 (where the Jacobian's power rule
-    fails), a mean outside [0, 1] (NaN included) or a negative or non-finite
-    sem is a ValueError naming the first such point's m.
+    grid's best decays.  ``data`` is a :class:`~leakbench.protocol.DecayDataset`, which
+    checked its points when it was made (a reader refuses a malformed file there, as a
+    ConfigError naming ``dataset[i].<key>``), so the fit checks only that the model has
+    more distinct lengths than parameters: fewer is a ValueError.
     """
     if isinstance(model, str):
         model = model_by_name(model)
-    ms, ys = data.ms, data.means
-    # Distinct lengths, NaNs counted as one; np.unique would import numpy.ma (~20 ms).
-    nan = np.isnan(ms)
-    if len(set(ms[~nan].tolist())) + nan.any() < model.n_params + 1:
-        raise ValueError(
-            f"{model.kind} needs at least {model.n_params + 1} distinct lengths"
-        )
-    sems = data.sems
-    for values, bad, what in (
-        (ms, ms < 1, "lengths must be >= 1"),
-        (ys, ~((ys >= -1e-9) & (ys <= 1.0 + 1e-9)), "means must lie in [0, 1]"),
-        (sems, ~(np.isfinite(sems) & (sems >= 0)), "sems must be finite and >= 0"),
-    ):
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            raise ValueError(f"{what}, got {float(values[i])!r} at m = {ms[i]:g}")
+    ms, ys, sems = data.ms, data.means, data.sems
+    if len(set(ms.tolist())) < model.n_params + 1:  # np.unique would import numpy.ma (~20 ms)
+        raise ValueError(f"{model.kind} needs at least {model.n_params + 1} distinct lengths")
     used_weights = bool(weighted and np.all(sems > 64 * np.finfo(float).eps * np.abs(ys)))
     w = 1.0 / sems**2 if used_weights else np.ones_like(sems)
 
@@ -306,14 +289,10 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     x, converged, n_iter = _search(model, ms, ys, w)
     cost = _cost(model, x, ms, ys, w)
     if not converged:
+        diagnostics = {"model": model.kind, "params": dict(zip(model.param_names, x.tolist())),
+                       "cost": cost, "n_iterations": n_iter}
         raise FitNonConvergence(
-            f"{model.kind} fit did not converge in {_MAX_ITERATIONS} iterations",
-            diagnostics={
-                "model": model.kind,
-                "params": dict(zip(model.param_names, x.tolist())),
-                "cost": cost,
-                "n_iterations": n_iter,
-            },
+            f"{model.kind} fit did not converge in {_MAX_ITERATIONS} iterations", diagnostics
         )
     if model.kind == "double-exp" and x[3] > x[2]:
         x = x[[1, 0, 3, 2]]  # the canonical order: decay_plus >= decay_minus

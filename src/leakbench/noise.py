@@ -51,6 +51,9 @@ class RandomStream:
     seed: int
     key: tuple = ()
 
+    def __post_init__(self):
+        _seed_entropy(self.seed)  # SeedSequence would draw OS entropy for a seed of None
+
     def generator(self) -> np.random.Generator:
         """A fresh stateful generator positioned at the start of the stream."""
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
@@ -155,6 +158,13 @@ def _seed_words(entropy: list, k: int) -> np.ndarray:
     return words
 
 
+def _seed_entropy(seed) -> int:
+    """``seed`` as an int if SeedSequence takes it, else the ValueError or TypeError it raises."""
+    if operator.index(seed) < 0:
+        raise ValueError(f"expected non-negative integer, got seed {seed}")
+    return int(seed)
+
+
 def pcg64_seeds(seed: int, keys) -> np.ndarray:
     """Halves (2, 2, k) of the state and increment of ``PCG64(SeedSequence(seed, spawn_key=key))``
     for every row of ``keys``.
@@ -168,9 +178,7 @@ def pcg64_seeds(seed: int, keys) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
     if keys.ndim != 2:
         raise ValueError("keys must be a (k, L) array")
-    if operator.index(seed) < 0:
-        raise ValueError(f"expected non-negative integer, got seed {seed}")
-    head = _uint32_words(int(seed))
+    head = _uint32_words(_seed_entropy(seed))
     if keys.shape[1]:
         head += [0] * (_POOL_SIZE - len(head))
     head = [np.uint32(word) for word in head]

@@ -39,6 +39,7 @@ from .liouville import (
     mapping,
     read_fields,
     real,
+    refuse,
     section,
     square_matrix,
     text,
@@ -225,32 +226,38 @@ def _write_json(path, doc):
         fh.write(text)
 
 
-#: A dataset row of decay.json or decay.csv; reproduce adds exact_mean and z.
-DATASET_ROW_FIELDS = {
+#: The rules of a dataset's columns, as the fields of a row: every way of making one checks them.
+#: Their readers return ints and floats, so the columns are int64 and float64.
+_COLUMNS = {
     "m": (_COUNT, REQUIRED),
     "mean": (functools.partial(real, low=-DEFAULT_TOL, high=1.0 + DEFAULT_TOL), REQUIRED),
     "sem": (functools.partial(real, low=0.0), REQUIRED),
     "n": (_COUNT, REQUIRED),
+}
+#: The attributes that hold the columns of :data:`_COLUMNS`, in its order.
+_ATTRIBUTES = ("ms", "means", "sems", "counts")
+
+#: A dataset row of decay.json or decay.csv; reproduce adds exact_mean and z.  A column's
+#: entry is kept as the file holds it: the dataset reads it when it is made.
+DATASET_ROW_FIELDS = {
+    **dict.fromkeys(_COLUMNS, (lambda value, path: value, REQUIRED)),
     "exact_mean": (real, None),
     "z": (real, None),
 }
-_ROW = section(DATASET_ROW_FIELDS)
-#: The keys of a row's ms, means, sems and counts entries, in decay.csv's column order.
-_ROW_KEYS = ("m", "mean", "sem", "n")
 
 #: The top level of decay.json.
 DATASET_FIELDS = {
-    "dataset": (list_of(_ROW), REQUIRED),
+    "dataset": (list_of(section(DATASET_ROW_FIELDS)), REQUIRED),
     "provenance": (mapping, None),
 }
 
 
 def _cell(text: str):
     """A CSV cell as the JSON value its text spells (a number, true, false or
-    null), or as the text itself; the row's parsers then read it."""
+    null), or as the text itself; the dataset then reads it."""
     try:
         return json.loads(text)
-    except (TypeError, ValueError):  # a missing cell (None), or text that spells no JSON value
+    except ValueError:  # text that spells no JSON value
         return text
 
 
@@ -258,7 +265,10 @@ def _cell(text: str):
 class DecayDataset:
     """Per-sequence-length survival statistics as read-only columns, plus run
     provenance.  Entry i is length ``ms[i]``: the mean survival ``means[i]`` over
-    ``counts[i]`` sequences and its sem ``sems[i]``.  The files hold :meth:`rows`."""
+    ``counts[i]`` sequences and its sem ``sems[i]``.  The files hold :meth:`rows`.
+
+    However it is made, it reads its columns by :data:`_COLUMNS`: no rows, a
+    missing, mistyped or out-of-range entry is a ConfigError such as ``bad dataset[3].m``."""
 
     ms: np.ndarray
     means: np.ndarray
@@ -266,41 +276,51 @@ class DecayDataset:
     counts: np.ndarray
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        given = [getattr(self, name) for name in _ATTRIBUTES]
+        given = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in given]
+        rows = [{} for _ in range(max(map(len, given)))]  # a short column leaves keys missing
+        for key, column in zip(_COLUMNS, given):
+            for row, entry in zip(rows, column):
+                row[key] = entry
+        rows = items(rows, "dataset", section(_COLUMNS))
+        for name, key in zip(_ATTRIBUTES, _COLUMNS):
+            object.__setattr__(self, name, _read_only(np.array([row[key] for row in rows])))
+
     @classmethod
     def from_arrays(cls, ms, means, sems=None, counts=None, provenance=None):
-        """Columns of integral lengths and counts, and of any float means and
-        sems: :func:`~leakbench.fitting.fit` checks their ranges."""
-        ms = [integer(m, f"dataset[{i}].m", high=2**63 - 1) for i, m in enumerate(ms)]
-        sems = np.zeros(len(ms)) if sems is None else sems
-        counts = [1] * len(ms) if counts is None else [
-            integer(n, f"dataset[{i}].n", high=2**63 - 1) for i, n in enumerate(counts)
-        ]
-        columns = [np.array(ms, dtype=np.int64), np.array(means, dtype=float),
-                   np.array(sems, dtype=float), np.array(counts, dtype=np.int64)]
-        if {column.shape for column in columns} != {(len(ms),)}:
-            raise ValueError("dataset columns must hold one entry per length")
-        return cls(*map(_read_only, columns), provenance=provenance or {})
+        """The dataset of these columns, with sems 0 and counts 1 unless given."""
+        sems = [0.0] * len(ms) if sems is None else sems
+        counts = [1] * len(ms) if counts is None else counts
+        return cls(ms, means, sems, counts, provenance or {})
 
     def rows(self) -> list:
         """One {m, mean, sem, n} dict of Python numbers per length: the rows of the files."""
-        columns = (self.ms.tolist(), self.means.tolist(), self.sems.tolist(), self.counts.tolist())
-        return [dict(zip(_ROW_KEYS, values)) for values in zip(*columns)]
+        columns = (getattr(self, name).tolist() for name in _ATTRIBUTES)
+        return [dict(zip(_COLUMNS, values)) for values in zip(*columns)]
 
     @classmethod
-    def _from_rows(cls, rows, provenance=None) -> "DecayDataset":
-        return cls.from_arrays(*([row[key] for row in rows] for key in _ROW_KEYS), provenance)
+    def _from_document(cls, doc) -> "DecayDataset":
+        """The dataset of a decay.json document, read through :data:`DATASET_FIELDS`."""
+        doc = read_fields(doc, "", DATASET_FIELDS)
+        columns = ([row[key] for row in doc["dataset"]] for key in _COLUMNS)
+        return cls(*columns, provenance=doc["provenance"] or {})
 
     def to_csv(self, path: str):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, _ROW_KEYS)
+            writer = csv.DictWriter(fh, list(_COLUMNS))
             writer.writeheader()
             writer.writerows(self.rows())
 
     @classmethod
     def from_csv(cls, path: str) -> "DecayDataset":
+        """Each row as the decay.json row of its cells under the header; extra cells are refused."""
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a byte-order mark or none
-            rows = [{key: _cell(cell) for key, cell in row.items()} for row in csv.DictReader(fh)]
-        return cls._from_rows([_ROW(row, f"dataset[{i}]") for i, row in enumerate(rows)])
+            header, *lines = [cells for cells in csv.reader(fh) if cells] or [[]]
+        for i, cells in enumerate(lines):
+            if len(cells) > len(header):
+                refuse(f"dataset[{i}]", f"at most {len(header)} cells, as the header has", cells)
+        return cls._from_document({"dataset": [dict(zip(header, map(_cell, c))) for c in lines]})
 
     def to_json(self, path: str, extras=None):
         """Write the rows and the provenance; ``extras`` holds one dict of further
@@ -311,8 +331,7 @@ class DecayDataset:
     @classmethod
     def from_json(cls, path: str) -> "DecayDataset":
         with open(path, "r", encoding="utf-8") as fh:
-            doc = read_fields(json.load(fh), "", DATASET_FIELDS)
-        return cls._from_rows(doc["dataset"], doc["provenance"])
+            return cls._from_document(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ from leakbench.gatesets import GateSet, PAULI_X, PAULIS, average_noise
 from leakbench.liouville import SpaceSpec, matrix_to_pairs
 from leakbench.noise import RandomStream
 from leakbench.protocol import (
+    ConfigError,
     DecayDataset,
+    _cell,
     ExperimentConfig,
     _experiment_components,
     brute_force_expectation,
@@ -475,17 +477,11 @@ def _write_points(path, rows):
 
 
 @pytest.mark.parametrize(
-    "row, field, value, message",
-    [
-        (1, "mean", "nan", "means must lie in [0, 1], got nan at m = 20"),
-        (2, "sem", "-0.01", "sems must be finite and >= 0, got -0.01 at m = 30"),
-        (3, "sem", "nan", "sems must be finite and >= 0, got nan at m = 40"),
-        (5, "sem", "inf", "sems must be finite and >= 0, got inf at m = 60"),
-        (4, "m", "-5", "lengths must be >= 1, got -5.0 at m = -5"),
-        (0, "m", "0", "lengths must be >= 1, got 0.0 at m = 0"),
-    ],
+    "row, field, value",
+    [(1, "mean", "nan"), (2, "sem", "-0.01"), (3, "sem", "nan"), (5, "sem", "inf"),
+     (4, "m", "-5"), (0, "m", "0")],
 )
-def test_fit_command_rejects_malformed_points(tmp_path, capsys, row, field, value, message):
+def test_fit_command_rejects_malformed_points(tmp_path, capsys, row, field, value):
     rows = [
         {"m": m, "mean": repr(0.97 * 0.985 ** (m - 1)), "sem": "0.001", "n": 30}
         for m in range(10, 101, 10)
@@ -500,12 +496,31 @@ def test_fit_command_rejects_malformed_points(tmp_path, capsys, row, field, valu
     assert not (tmp_path / "fit.json").exists()
     unweighted = ["fit", str(csv_path), "--model", "single-exp", "--unweighted"]
     assert main(unweighted) == EXIT_CONFIG_ERROR
-    # A library caller reaches fit without the file's reading: fit refuses the point itself.
-    rows[row][field] = float(value)
-    columns = [[float(r[key]) for r in rows] for key in ("m", "mean", "sem")]
-    with pytest.raises(ValueError) as info:
-        lb.fit("single-exp", DecayDataset.from_arrays(*columns))
-    assert str(info.value) == message
+    # A library caller making the dataset of the same cells is refused alike, before any fit.
+    columns = [[_cell(str(r[key])) for r in rows] for key in ("m", "mean", "sem", "n")]
+    with pytest.raises(ConfigError) as info:
+        DecayDataset.from_arrays(*columns)
+    assert err == f"config error: cannot read dataset: {info.value}\n"
+
+
+def test_fit_command_refuses_an_empty_or_ragged_csv_as_its_json_twin(tmp_path, capsys):
+    # A header-only decay.csv is the decay.json {"dataset": []}: one message for both.
+    csv_path, json_path = tmp_path / "decay.csv", tmp_path / "decay.json"
+    csv_path.write_text("m,mean,sem,n\n")
+    json_path.write_text(json.dumps({"dataset": []}))
+    errors = []
+    for path in (csv_path, json_path):
+        assert main(["fit", str(path), "--model", "single-exp"]) == EXIT_CONFIG_ERROR
+        errors.append(capsys.readouterr().err)
+    assert errors == ["config error: cannot read dataset: bad dataset: expected a nonempty list, "
+                      "got []\n"] * 2
+    # A row with a cell past the header's is refused by its index, not as a key None.
+    csv_path.write_text("m,mean,sem,n\n10,0.9,0.01,5\n20,0.8,0.01,5,7\n")
+    assert main(["fit", str(csv_path), "--model", "single-exp"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (
+        "config error: cannot read dataset: bad dataset[1]: expected at most 4 cells, "
+        'as the header has, got ["20", "0.8", "0.01", "5", "7"]\n'
+    )
 
 
 def test_fit_command_writes_a_double_exp_fit(tmp_path, capsys):

@@ -10,7 +10,7 @@ from reference import gauss_newton_step, least_pair_cost, least_scanned_cost, pr
 import leakbench as lb
 import leakbench.fitting as fitting
 from leakbench.fitting import FitNonConvergence, _cost, fit, model_by_name
-from leakbench.liouville import mix
+from leakbench.liouville import ConfigError, mix
 from leakbench.noise import RandomStream
 from leakbench.cli import FIGURES, figure_config
 from leakbench.protocol import (
@@ -382,18 +382,19 @@ def test_models_are_exponential_sums_with_amplitudes_then_decays():
 
 
 def test_malformed_points_are_rejected_naming_their_length():
+    # The dataset refuses such a point when it is made, naming its row and key, so no
+    # model's fit can be handed one.
     ms = np.arange(10, 101, 10)
     ys, sems = 0.97 * 0.985 ** (ms - 1), np.full(ms.size, 0.001)
     for means, errors, lengths, message in (
-        (np.where(ms == 30, np.nan, ys), sems, ms, r"means .* got nan at m = 30$"),
-        (ys, np.where(ms == 70, -0.01, sems), ms, r"sems .* got -0.01 at m = 70$"),
-        (ys, np.where(ms == 80, np.inf, sems), ms, r"sems .* got inf at m = 80$"),
-        (ys, sems, np.where(ms == 90, -5, ms), r"lengths .* at m = -5$"),
-        (ys, sems, np.where(ms == 10, 0, ms), r"lengths must be >= 1, got 0.0 at m = 0$"),
+        (np.where(ms == 30, np.nan, ys), sems, ms, r"^bad dataset\[2\]\.mean: .*, got NaN$"),
+        (ys, np.where(ms == 70, -0.01, sems), ms, r"^bad dataset\[6\]\.sem: .*, got -0.01$"),
+        (ys, np.where(ms == 80, np.inf, sems), ms, r"^bad dataset\[7\]\.sem: .*, got Infinity$"),
+        (ys, sems, np.where(ms == 90, -5, ms), r"^bad dataset\[8\]\.m: .*, got -5$"),
+        (ys, sems, np.where(ms == 10, 0, ms), r"^bad dataset\[0\]\.m: .*, got 0$"),
     ):
-        for name in fitting.MODELS:
-            with pytest.raises(ValueError, match=message):
-                fit(name, DecayDataset.from_arrays(lengths, means, errors), weighted=False)
+        with pytest.raises(ConfigError, match=message):
+            DecayDataset.from_arrays(lengths, means, errors)
 
 
 def test_the_longest_int64_length_fits_without_a_cast(tmp_path, capsys):
@@ -418,12 +419,13 @@ def test_the_longest_int64_length_fits_without_a_cast(tmp_path, capsys):
 
 
 def test_too_few_distinct_lengths_are_rejected():
-    # A repeated length counts once, and so do all NaN lengths together, as in np.unique.
-    for lengths in ([10, 20, 20, 10], [10, np.nan, np.nan]):
-        ones = np.ones(len(lengths))
-        data = DecayDataset(np.array(lengths), 0.9 * ones, 0.01 * ones, 30 * ones.astype(int))
-        with pytest.raises(ValueError, match="single-exp needs at least 3 distinct lengths"):
-            fit("single-exp", data)
+    # A repeated length counts once; a NaN length is refused when the dataset is made.
+    ones = np.ones(4)
+    data = DecayDataset(np.array([10, 20, 20, 10]), 0.9 * ones, 0.01 * ones, 30 * ones.astype(int))
+    with pytest.raises(ValueError, match="single-exp needs at least 3 distinct lengths"):
+        fit("single-exp", data)
+    with pytest.raises(ConfigError, match=r"^bad dataset\[1\]\.m: .*, got NaN$"):
+        DecayDataset(np.array([10, np.nan, np.nan, 20]), 0.9 * ones, 0.01 * ones, 30 * ones)
 
 
 # ---------------------------------------------------------------------------

@@ -116,15 +116,23 @@ def test_pcg64_states_validation():
         pcg64_seeds(1, [[-1]])
 
 
-@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), (None, TypeError)])
 def test_a_seed_that_seed_sequence_refuses_is_refused_on_every_path(seed, error):
-    # -1 must not wrap to the streams of seed 2^32 - 1, nor 1.5 truncate to those of seed 1.
-    stream = RandomStream(seed)
-    for draw in (stream.generator, lambda: next(stream.child_generators([[1, 2, 3]]))):
-        with pytest.raises(error):
-            draw()
+    # -1 must not wrap to the streams of seed 2^32 - 1, 1.5 truncate to those of seed 1,
+    # nor None draw OS entropy: the stream is refused when it is made.
+    with pytest.raises(error):
+        RandomStream(seed)
     with pytest.raises(error):
         pcg64_seeds(seed, [[1, 2, 3]])
+
+
+@pytest.mark.parametrize("seed", [0, 2**70 + 5])
+def test_a_stream_draws_alike_from_generator_and_child_generators(seed):
+    stream = RandomStream(seed)
+    for key in ((), (1, 2, 3)):
+        (gen,) = stream.child_generators(np.array([key], dtype=np.uint64).reshape(1, len(key)))
+        expected = stream.child(*key).generator().standard_normal(40)
+        assert np.array_equal(gen.standard_normal(40), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -292,8 +292,79 @@ def test_dataset_csv_json_roundtrip(tmp_path):
             assert np.array_equal(column, getattr(ds, name)), name
     assert DecayDataset.from_json(str(json_path)).provenance == {"seed": 1}
     assert DecayDataset.from_csv(str(csv_path)).provenance == {}
-    with pytest.raises(ValueError, match="one entry per length"):
+    with pytest.raises(ConfigError, match=r"^bad dataset\[2\]\.mean: required, and missing$"):
         DecayDataset.from_arrays([10, 20, 30], [0.9, 0.8])
+
+
+#: The rows of a valid dataset, whose means and sems are not short decimals.
+DATASET_ROWS = [
+    {"m": 10, "mean": 0.97 * 0.985**9, "sem": 0.1 / 3, "n": 5},
+    {"m": 20, "mean": 0.97 * 0.985**19, "sem": 0.2 / 3, "n": 6},
+    {"m": 30, "mean": 0.97 * 0.985**29, "sem": 0.0, "n": 7},
+]
+
+
+def _dataset_ways(tmp_path, rows):
+    """Make the dataset of ``rows`` in each of the four ways; a dict missing a key
+    leaves that entry out, as a short column, a JSON row without it, or a short CSV row."""
+    columns = [[row[key] for row in rows if key in row] for key in ("m", "mean", "sem", "n")]
+    csv_path, json_path = tmp_path / "decay.csv", tmp_path / "decay.json"
+    cells = [",".join(json.dumps(v) for v in row.values()) for row in rows]
+    csv_path.write_text("\n".join(["m,mean,sem,n"] + cells) + "\n")
+    json_path.write_text(json.dumps({"dataset": rows}))
+    return {
+        "from_arrays": lambda: DecayDataset.from_arrays(*columns),
+        "constructor": lambda: DecayDataset(*map(np.array, columns)),
+        "from_csv": lambda: DecayDataset.from_csv(str(csv_path)),
+        "from_json": lambda: DecayDataset.from_json(str(json_path)),
+    }
+
+
+@pytest.mark.parametrize(
+    "row, key, value, message",
+    [
+        (1, "m", 0, "bad dataset[1].m: expected an integer in [1, 9223372036854775807], got 0"),
+        (1, "n", 0, "bad dataset[1].n: expected an integer in [1, 9223372036854775807], got 0"),
+        (1, "mean", 1.5, "bad dataset[1].mean: expected a finite real number in "
+                         "[-1e-09, 1.000000001], got 1.5"),
+        (1, "mean", float("nan"), "bad dataset[1].mean: expected a finite real number in "
+                                  "[-1e-09, 1.000000001], got NaN"),
+        (1, "sem", -0.01, "bad dataset[1].sem: expected a finite real number >= 0.0, got -0.01"),
+        (1, "sem", float("inf"), "bad dataset[1].sem: expected a finite real number >= 0.0, "
+                                 "got Infinity"),
+        (None, None, None, "bad dataset: expected a nonempty list, got []"),
+        (2, "n", None, "bad dataset[2].n: required, and missing"),
+    ],
+    ids=["m-0", "n-0", "mean-1.5", "mean-nan", "sem-negative", "sem-inf", "empty", "ragged"],
+)
+def test_every_way_of_making_a_dataset_refuses_a_bad_column_alike(tmp_path, row, key, value,
+                                                                   message):
+    rows = [] if row is None else [dict(r) for r in DATASET_ROWS]
+    if key is not None and value is None:
+        del rows[row][key]  # row 2 lacks its last entry: a ragged row, or a short column
+    elif key is not None:
+        rows[row][key] = value
+    for way, make in _dataset_ways(tmp_path, rows).items():
+        with pytest.raises(ConfigError) as info:
+            make()
+        assert str(info.value) == message, way
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("m", 1), ("m", 2**63 - 1), ("n", 1), ("n", 2**63 - 1), ("mean", 0.0), ("mean", 1.0),
+     ("mean", -1e-9), ("mean", 1.0 + 1e-9), ("sem", 0.0), ("sem", 1e300), ("sem", 5e-324)],
+)
+def test_every_way_of_making_a_dataset_accepts_a_good_column_alike(tmp_path, key, value):
+    rows = [dict(r) for r in DATASET_ROWS]
+    rows[1][key] = value
+    made = {way: make().rows() for way, make in _dataset_ways(tmp_path, rows).items()}
+    assert all(got == rows for got in made.values()), made
+    ds = DecayDataset.from_arrays(*([r[k] for r in rows] for k in ("m", "mean", "sem", "n")))
+    ds.to_csv(str(tmp_path / "back.csv"))
+    ds.to_json(str(tmp_path / "back.json"))
+    for suffix, read in (("csv", DecayDataset.from_csv), ("json", DecayDataset.from_json)):
+        assert read(str(tmp_path / f"back.{suffix}")).rows() == rows
 
 
 def test_write_json_matches_json_dump(tmp_path):
