@@ -67,15 +67,13 @@ class RandomStream:
 
         The draws are bit for bit those of ``child(*row).generator()``.  The
         seeding of every key is computed in one vectorized pass
-        (:func:`pcg64_seeds`) and one Generator is re-seated per key, so a
-        yielded generator is valid only until the next one is taken.
+        (:func:`pcg64_seeds`) and one Generator is re-seated per key
+        (:func:`seated_generators`), so a yielded generator is valid only
+        until the next one is taken.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         prefix = np.broadcast_to(np.array(self.key, dtype=np.uint64), (len(keys), len(self.key)))
-        gen = np.random.Generator(np.random.PCG64(0))
-        for state in _state_dicts(pcg64_seeds(self.seed, np.hstack([prefix, keys]))):
-            gen.bit_generator.state = state
-            yield gen
+        yield from seated_generators(pcg64_seeds(self.seed, np.hstack([prefix, keys])))
 
 
 # numpy's SeedSequence pool hash and PCG64 seeding, whose streams NEP 19 keeps
@@ -203,14 +201,24 @@ def pcg64_seeds(seed: int, keys) -> np.ndarray:
     return np.stack([state, inc], axis=1)
 
 
-def _state_dicts(seeds: np.ndarray, has_uint32=0, uinteger=0) -> list:
-    """numpy's PCG64 ``bit_generator.state`` for each column of ``seeds`` (2, 2, k)."""
+def seated_generators(seeds: np.ndarray, has_uint32=0, uinteger=0):
+    """Yield one Generator, seated in turn on the PCG64 state of each column of ``seeds``
+    (2, 2, k) with its buffered 32-bit word, if any; valid until the next one is taken.
+
+    Each state is formed when it is taken, from Python ints converted
+    ``_DRAW_CHUNK`` columns at a time, so no list of every column's state is held.
+    """
     k = seeds.shape[-1]
-    buffered = zip(np.broadcast_to(has_uint32, k).tolist(), np.broadcast_to(uinteger, k).tolist())
-    return [
-        {"bit_generator": "PCG64", "state": {"state": s, "inc": c}, "has_uint32": h, "uinteger": u}
-        for s, c, (h, u) in zip(_ints(seeds[:, 0]), _ints(seeds[:, 1]), buffered)
-    ]
+    has_uint32, uinteger = np.broadcast_to(has_uint32, k), np.broadcast_to(uinteger, k)
+    gen = np.random.Generator(np.random.PCG64(0))
+    for lo in range(0, k, _DRAW_CHUNK):
+        cols = slice(lo, lo + _DRAW_CHUNK)
+        buffered = zip(has_uint32[cols].tolist(), uinteger[cols].tolist())
+        for s, c, (h, u) in zip(_ints(seeds[:, 0, cols]), _ints(seeds[:, 1, cols]), buffered):
+            state = {"state": s, "inc": c}
+            gen.bit_generator.state = {"bit_generator": "PCG64", "state": state,
+                                       "has_uint32": h, "uinteger": u}
+            yield gen
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,7 +259,10 @@ def pcg64_integers(seeds: np.ndarray, high: int, lengths, states: bool = False):
     its own Generator.
 
     Returns the draws (k, max(lengths)), zero past each row's length, and
-    with ``states`` each stream's ``bit_generator.state`` after its draws.
+    with ``states`` each stream's end after its draws as three arrays: its
+    PCG64 state and increment as halves (2, 2, k), and its buffered 32-bit
+    word's flag and value (k,).  :func:`seated_generators` of them continues
+    every stream in turn.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     if high < 1:
@@ -262,6 +273,7 @@ def pcg64_integers(seeds: np.ndarray, high: int, lengths, states: bool = False):
     draws = np.zeros((k, lengths.max(initial=0)), dtype=np.intp)
     post, uinteger = seeds.copy(), np.zeros(k, dtype=np.uint64)
     steps = (lengths + 1) // 2 if high > 1 else np.zeros(k, dtype=np.intp)
+    has_uint32 = lengths % 2 * (steps > 0)
     redraw = steps > 0 if high > 1 << 32 else np.zeros(k, dtype=bool)
     threshold = ((1 << 32) - high) % high
     ends = np.cumsum(steps)
@@ -291,23 +303,24 @@ def pcg64_integers(seeds: np.ndarray, high: int, lengths, states: bool = False):
             post[:, 0, lo:hi][:, drawn] = state[:, last[drawn]]
             uinteger[lo:hi][drawn] = output[last[drawn]] >> 32
         lo = hi
-    ends_states = _state_dicts(post, lengths % 2 * (steps > 0), uinteger) if states else None
-    gen = np.random.Generator(np.random.PCG64(0)) if redraw.any() else None
-    for i in np.flatnonzero(redraw):
-        (gen.bit_generator.state,) = _state_dicts(seeds[:, :, i : i + 1])
+    end_states = (post, has_uint32, uinteger) if states else None
+    rows = np.flatnonzero(redraw)
+    for i, gen in zip(rows.tolist(), seated_generators(seeds[:, :, rows])):
         draws[i, : lengths[i]] = gen.integers(0, high, size=lengths[i])
         if states:
-            ends_states[i] = gen.bit_generator.state
-    return draws, ends_states
+            end = gen.bit_generator.state
+            post[:, :, i] = _halves([end["state"]["state"], end["state"]["inc"]])
+            has_uint32[i], uinteger[i] = end["has_uint32"], end["uinteger"]
+    return draws, end_states
 
 
 def as_generator(rng) -> np.random.Generator:
-    """Accept a RandomStream, a Generator, or a plain integer seed."""
-    if isinstance(rng, RandomStream):
-        return rng.generator()
+    """Accept a RandomStream, a Generator, or a plain integer seed, which draws as
+    ``np.random.default_rng(seed)``; a seed that :class:`RandomStream` refuses, None
+    (OS entropy) included, is refused alike."""
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(rng)
+    return (rng if isinstance(rng, RandomStream) else RandomStream(rng)).generator()
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .liouville import (
     vec,
 )
 from .noise import RandomStream, _usable_cpus, build_noise_model, read_noise_spec
-from .noise import pcg64_integers, pcg64_seeds
+from .noise import pcg64_integers, pcg64_seeds, seated_generators
 
 # Sub-stream tags: sequence/shot draws vs. per-step noise draws.
 _SEQ_KEY = 0
@@ -314,9 +314,14 @@ class DecayDataset:
 
     @classmethod
     def from_csv(cls, path: str) -> "DecayDataset":
-        """Each row as the decay.json row of its cells under the header; extra cells are refused."""
+        """Each row as the decay.json row of its cells under the header; extra cells are refused,
+        and so is a file that is not CSV, such as one with a cell past the csv field limit."""
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a byte-order mark or none
-            header, *lines = [cells for cells in csv.reader(fh) if cells] or [[]]
+            reader = csv.reader(fh)
+            try:
+                header, *lines = [cells for cells in reader if cells] or [[]]
+            except csv.Error as exc:
+                raise ConfigError(f"bad CSV at line {reader.line_num}: {exc}") from exc
         for i, cells in enumerate(lines):
             if len(cells) > len(header):
                 refuse(f"dataset[{i}]", f"at most {len(header)} cells, as the header has", cells)
@@ -534,14 +539,18 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
 
     Sequence j at length m draws its gate indices, then its shots, from the
     stream (seed, m, j, 0), and its noise as one block of normals from
-    (noise seed, m, j, 1); every sub-stream of ``ms`` is seeded in one pass.
-    Noise without per-step normals evolves every length in one batch, rows
-    ordered longest first; noise with them evolves one length at a time, so
-    that only one length's normals are held, each in the front of one buffer
-    sized for the longest length: a fresh array per length left several MB
-    of freed heap under the Monte Carlo oracle's peak.  The gate indices of a
-    batch are drawn in one vectorized pass (:func:`pcg64_integers`), and each
-    sequence's shots continue its stream from the state that pass ends in.
+    (noise seed, m, j, 1).  The gate streams of ``ms`` are seeded in one pass,
+    as arrays.  Noise without per-step normals evolves every length in one
+    batch, rows ordered longest first; noise with them evolves one length at
+    a time, so that only one length's normals are held, each in the front of
+    one buffer sized for the longest length: a fresh array per length left
+    several MB of freed heap under the Monte Carlo oracle's peak.  That
+    length's noise streams are seeded in one pass when it is drawn, and one
+    Generator is re-seated on each in turn, so no state of another length's
+    stream is ever held.  The gate indices of a batch are drawn in one
+    vectorized pass (:func:`pcg64_integers`), and each sequence's shots
+    continue its stream from the state that pass ends in, formed from its
+    arrays when that shot is drawn.
     The seeding and the draws are timed as the ``sample`` stage of
     ``timings``, the evolution as ``evolve``.  A run whose largest arrays
     exceed :func:`_memory_limit` is refused before any of them is allocated:
@@ -565,7 +574,6 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
     with timed_stage(timings, "sample"):
         seeds = pcg64_seeds(cfg.seed, _stream_keys(order, n, _SEQ_KEY))
     if stochastic:
-        noise_gens = noise_root.child_generators(_stream_keys(order, n, _NOISE_KEY))
         buffer = np.empty(n * order[0] * noise.sampler.n_normals)
     probabilities, start = {}, 0
     for batch in [[m] for m in order] if stochastic else [order]:
@@ -580,8 +588,9 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
             if stochastic:
                 normals = buffer[: indices.size * noise.sampler.n_normals]
                 normals = normals.reshape(indices.shape + (-1,))
-                for row, m in zip(normals, lengths.tolist()):
-                    next(noise_gens).standard_normal(out=row[:m])
+                noise_gens = noise_root.child_generators(_stream_keys(batch, n, _NOISE_KEY))
+                for row, m, gen in zip(normals, lengths.tolist(), noise_gens):
+                    gen.standard_normal(out=row[:m])
         with timed_stage(timings, "evolve"):
             ps = run_sequences(indices, gs, noise, spam, normals, lengths)
         bad = ~((ps >= -DEFAULT_TOL) & (ps <= 1.0 + DEFAULT_TOL))
@@ -591,10 +600,8 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
             # The shots of each sequence continue its stream where its indices ended.
             with timed_stage(timings, "sample"):
                 ps = np.clip(ps, 0.0, 1.0)
-                shot_gen = np.random.Generator(np.random.PCG64(0))
-                for i, state in enumerate(shot_states):
-                    shot_gen.bit_generator.state = state
-                    ps[i] = shot_gen.binomial(cfg.shots, ps[i]) / cfg.shots
+                for i, gen in enumerate(seated_generators(*shot_states)):
+                    ps[i] = gen.binomial(cfg.shots, ps[i]) / cfg.shots
         probabilities.update(zip(batch, np.split(ps, len(batch))))
     return {m: probabilities[m] for m in ms}
 

@@ -523,6 +523,18 @@ def test_fit_command_refuses_an_empty_or_ragged_csv_as_its_json_twin(tmp_path, c
     )
 
 
+def test_fit_command_refuses_a_cell_past_the_csv_field_limit_as_a_config_error(tmp_path, capsys):
+    # csv.Error is neither an OSError nor a ValueError; the reader names the file's line.
+    csv_path = tmp_path / "decay.csv"
+    csv_path.write_text("m,mean,sem,n\n10,0.9,0.01,5\n" + "1" * 140_000 + ",0.8,0.01,5\n")
+    assert main(["fit", str(csv_path), "--model", "single-exp"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (
+        "config error: cannot read dataset: bad CSV at line 3: "
+        "field larger than field limit (131072)\n"
+    )
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_fit_command_writes_a_double_exp_fit(tmp_path, capsys):
     ms = np.arange(10, 101, 10)
     ys = 0.6 * 0.99 ** (ms - 1) + 0.3 * 0.95 ** (ms - 1)
@@ -675,13 +687,16 @@ def test_reproduce_fig1_byte_identical(tmp_path):
 
 
 def test_reproduce_fig2_byte_identical_serial_and_parallel(tmp_path, capsys):
-    blobs = []
-    for name, extra in (("a", []), ("b", []), ("c", ["--jobs", "2"])):
-        out = tmp_path / name
-        assert main(["reproduce", "fig2", "--out", str(out), "--seed", "101", *extra]) == EXIT_OK
-        assert "fig2 PASS" in capsys.readouterr().out
-        blobs.append((out / "decay.csv").read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    # Each length's noise streams are seeded when it is drawn, in a worker as serially.
+    for seed, runs in (("101", ["a", "b", "c"]), ("1", ["b", "c"]), ("2", ["b", "c"])):
+        blobs = []
+        for name in runs:
+            out = tmp_path / seed / name
+            extra = ["--jobs", "2"] if name == "c" else []
+            assert main(["reproduce", "fig2", "--out", str(out), "--seed", seed, *extra]) == EXIT_OK
+            assert "fig2 PASS" in capsys.readouterr().out
+            blobs.append((out / "decay.csv").read_bytes())
+        assert len(set(blobs)) == 1, seed
 
 
 #: The disjoint parts of the simulate stage of a serial run.

@@ -18,13 +18,13 @@ import leakbench.noise as noise
 from leakbench.noise import (
     QUTRIT,
     RandomStream,
-    _state_dicts,
     build_noise_model,
     pcg64_integers,
     pcg64_seeds,
     sample_filter_assignment,
     sample_filter_batch,
     sample_filter_params,
+    seated_generators,
 )
 
 QUBIT = SpaceSpec(d1=2, d2=0)
@@ -64,7 +64,8 @@ DERIVATION_KEYS = (
 def test_pcg64_states_match_seed_sequence(seed):
     for keys in (DERIVATION_KEYS, [(5,), (2**35,)], [(1, 2, 3, 4, 5, 6)], [()]):
         key_array = np.array(keys, dtype=np.uint64).reshape(len(keys), -1)
-        states = _state_dicts(pcg64_seeds(seed, key_array))
+        seated = seated_generators(pcg64_seeds(seed, key_array))
+        states = [gen.bit_generator.state for gen in seated]
         for state, key in zip(states, keys):
             assert np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state == state
         assert len(states) == len(keys)
@@ -83,13 +84,15 @@ def test_pcg64_integers_match_generator_integers(monkeypatch, seed, high, chunk)
     if chunk is not None:
         monkeypatch.setattr(noise, "_DRAW_CHUNK", chunk)
     keys = DERIVATION_KEYS[: len(DRAW_LENGTHS)]
-    draws, states = pcg64_integers(pcg64_seeds(seed, keys), high, DRAW_LENGTHS, states=True)
+    draws, ends = pcg64_integers(pcg64_seeds(seed, keys), high, DRAW_LENGTHS, states=True)
     assert draws.shape == (len(keys), max(DRAW_LENGTHS))
-    for key, row, m, state in zip(keys, draws, DRAW_LENGTHS, states):
+    for key, row, m, gen in zip(keys, draws, DRAW_LENGTHS, seated_generators(*ends)):
         fresh = RandomStream(seed).child(*key).generator()
         assert np.array_equal(row[:m], fresh.integers(0, high, size=m)) and not row[m:].any()
         # The state after the draws, from which the shots continue.
-        assert state == fresh.bit_generator.state
+        assert gen.bit_generator.state == fresh.bit_generator.state
+        assert gen.binomial(400, 0.37) == fresh.binomial(400, 0.37)
+    assert [a.shape[-1] for a in ends] == [len(keys)] * 3
     plain, no_states = pcg64_integers(pcg64_seeds(seed, keys), high, DRAW_LENGTHS)
     assert np.array_equal(plain, draws) and no_states is None
 
@@ -124,6 +127,20 @@ def test_a_seed_that_seed_sequence_refuses_is_refused_on_every_path(seed, error)
         RandomStream(seed)
     with pytest.raises(error):
         pcg64_seeds(seed, [[1, 2, 3]])
+    # The library samplers take a seed through as_generator, which refuses it alike.
+    with pytest.raises(error):
+        noise.as_generator(seed)
+    with pytest.raises(error):
+        sample_filter_batch(seed, 1)
+
+
+@pytest.mark.parametrize("seed", DERIVATION_SEEDS)
+def test_an_int_seed_draws_as_default_rng(seed):
+    expected = np.random.default_rng(seed).standard_normal(40)
+    assert np.array_equal(noise.as_generator(seed).standard_normal(40), expected)
+    assert np.array_equal(RandomStream(seed).generator().standard_normal(40), expected)
+    assert np.array_equal(noise.as_generator(np.uint64(seed % 2**64)).standard_normal(40),
+                          np.random.default_rng(np.uint64(seed % 2**64)).standard_normal(40))
 
 
 @pytest.mark.parametrize("seed", [0, 2**70 + 5])

@@ -3,6 +3,8 @@ import itertools
 import json
 import os
 import pickle
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from reference import (
 import leakbench as lb
 import leakbench.protocol as protocol
 from leakbench import Channel, SpaceSpec
+from leakbench.cli import figure_config
 from leakbench.gatesets import NoiseAssignment
 from leakbench.liouville import mix, vec
 from leakbench.noise import RandomStream, pcg64_integers, pcg64_seeds
@@ -867,6 +870,38 @@ def test_stream_seeding_does_not_grow_with_the_sequence_count(monkeypatch):
         run_experiment(cfg)
         counts.append(len(constructed))
     assert counts[0] == counts[1] < 10
+
+
+def _traced_peak(cfg: ExperimentConfig) -> int:
+    """The tracemalloc peak, in bytes, of a serial ``run_experiment(cfg)``."""
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stochastic_run_holds_one_length_of_noise_streams():
+    # fig2 at 1000 sequences: one length's normals (13.7 MiB) and gate indices
+    # (0.8 MiB), plus a slack of 3.5 MiB for the evolution's chunked work (about
+    # 2.3 MiB, fixed by _CHUNK_SAMPLES) and the 32-byte seeding of each of the
+    # run's 10,000 gate streams (0.3 MiB).  A state dict held for every noise
+    # stream of the run would add about 4.5 MiB.
+    cfg = replace(figure_config("fig2"), n_sequences=1000)
+    run_experiment(replace(cfg, n_sequences=2))  # the one-off caches and imports
+    one_length = 8 * cfg.n_sequences * max(cfg.m_list) * (1 + 18)
+    assert _traced_peak(cfg) < one_length + 3.5 * 2**20
+
+
+def test_shot_streams_hold_their_end_states_as_arrays():
+    # Fixed noise with shots draws every length in one batch; each row's end state
+    # is 48 bytes of arrays (state, increment and buffered word); a state dict
+    # held for every row would take about 490 bytes a row.
+    cfg = replace(figure_config("fig1"), n_sequences=300)
+    run_experiment(replace(cfg, n_sequences=2, shots=100))
+    rows = cfg.n_sequences * len(cfg.m_list)
+    assert _traced_peak(replace(cfg, shots=100)) - _traced_peak(cfg) <= 64 * rows
 
 
 def test_run_experiment_rejects_out_of_range_probability():
