@@ -62,18 +62,13 @@ class RandomStream:
     def child(self, *key: int) -> "RandomStream":
         return RandomStream(self.seed, self.key + tuple(key))
 
-    def child_generators(self, keys):
-        """Yield, for each row of ``keys``, a generator at the start of ``child(*row)``.
-
-        The draws are bit for bit those of ``child(*row).generator()``.  The
-        seeding of every key is computed in one vectorized pass
-        (:func:`pcg64_seeds`) and one Generator is re-seated per key
-        (:func:`seated_generators`), so a yielded generator is valid only
-        until the next one is taken.
-        """
+    def child_seeds(self, keys) -> np.ndarray:
+        """The PCG64 seedings (2, 2, k) of ``child(*row)`` for each row of ``keys``, in one
+        vectorized pass (:func:`pcg64_seeds`).  :func:`seated_generators` of them draws
+        bit for bit as ``child(*row).generator()`` does."""
         keys = np.asarray(keys, dtype=np.uint64)
         prefix = np.broadcast_to(np.array(self.key, dtype=np.uint64), (len(keys), len(self.key)))
-        yield from seated_generators(pcg64_seeds(self.seed, np.hstack([prefix, keys])))
+        return pcg64_seeds(self.seed, np.hstack([prefix, keys]))
 
 
 # numpy's SeedSequence pool hash and PCG64 seeding, whose streams NEP 19 keeps

@@ -534,45 +534,65 @@ def _memory_limit() -> float:
     return limit
 
 
+def _shard_bytes(cfg: ExperimentConfig, ms, gs: GateSet, noise) -> int:
+    """The bytes that :func:`_lengths_probabilities` of the lengths ``ms`` holds at its peak.
+
+    With per-step normals: one length's int64 gate indices and normals.
+    Without them every row is held at once: its gate indices, stream seeds
+    (32 B) and end states with shots (48 B), and in :func:`run_sequences` its
+    complex state and einsum output, its probability, eight int64 of
+    bookkeeping (its length, negated, steps left, word and a masked block of
+    at most four gates) and the step matrix it gathers from the word table,
+    which is held too.
+    """
+    n, longest = cfg.n_sequences, max(ms)
+    if noise is not None and noise.stochastic:
+        return 8 * n * longest * (1 + noise.sampler.n_normals)
+    d2 = gs.space.d**2
+    row = 8 * longest + 32 + 48 * (cfg.shots is not None) + 32 * d2 + 16 + 64 + 16 * d2**2
+    return n * len(ms) * row + 16 * max(_CHUNK_ENTRIES, len(gs) * d2**2)
+
+
+def _check_memory(needed: int):
+    """Refuse a run whose arrays take ``needed`` bytes, more than :func:`_memory_limit`."""
+    if needed > (limit := _memory_limit()):
+        raise ConfigError(
+            f"bad m_list and n_sequences: their arrays take {needed / 2**30:.3g} GiB, "
+            f"more than the {limit / 2**30:.3g} GiB this process can hold"
+        )
+
+
 def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=None) -> dict:
     """The n_sequences probabilities at each length of ``ms``, from the streams of each (m, j).
 
     Sequence j at length m draws its gate indices, then its shots, from the
     stream (seed, m, j, 0), and its noise as one block of normals from
     (noise seed, m, j, 1).  The gate streams of ``ms`` are seeded in one pass,
-    as arrays.  Noise without per-step normals evolves every length in one
-    batch, rows ordered longest first; noise with them evolves one length at
-    a time, so that only one length's normals are held, each in the front of
-    one buffer sized for the longest length: a fresh array per length left
-    several MB of freed heap under the Monte Carlo oracle's peak.  That
-    length's noise streams are seeded in one pass when it is drawn, and one
-    Generator is re-seated on each in turn, so no state of another length's
-    stream is ever held.  The gate indices of a batch are drawn in one
-    vectorized pass (:func:`pcg64_integers`), and each sequence's shots
-    continue its stream from the state that pass ends in, formed from its
-    arrays when that shot is drawn.
+    and so are their noise streams, as arrays of 32 B a stream.  Noise without
+    per-step normals evolves every length in one batch, rows ordered longest
+    first; noise with them evolves one length at a time, so that only one
+    length's normals are held, each in the front of one buffer sized for the
+    longest length: a fresh array per length left several MB of freed heap
+    under the Monte Carlo oracle's peak.  One Generator is re-seated on each
+    of that length's noise streams in turn, from its columns of the seeds, so
+    no stream's state is held past its draw.  The gate indices of a batch are
+    drawn in one vectorized pass (:func:`pcg64_integers`), and each sequence's
+    shots continue its stream from the state that pass ends in, formed from
+    its arrays when that shot is drawn.
     The seeding and the draws are timed as the ``sample`` stage of
-    ``timings``, the evolution as ``evolve``.  A run whose largest arrays
-    exceed :func:`_memory_limit` is refused before any of them is allocated:
-    a batch's int64 gate indices, and one length's normals with noise that
-    takes them or, without, the complex (rows, d^2, d^2) block of step
-    matrices that :func:`run_sequences` gathers from its word table.
+    ``timings``, the evolution as ``evolve``.  A run whose arrays
+    (:func:`_shard_bytes`) exceed :func:`_memory_limit` is refused before any
+    of them is allocated.
     """
     gs, noise, spam, noise_root = components or _experiment_components(cfg)
+    _check_memory(_shard_bytes(cfg, ms, gs, noise))
     n = cfg.n_sequences
     stochastic = noise is not None and noise.stochastic
     order = sorted(ms, reverse=True)
-    if stochastic:
-        needed = 8 * n * order[0] * (1 + noise.sampler.n_normals)
-    else:
-        needed = n * len(order) * (8 * order[0] + 16 * gs.space.d**4)
-    if needed > (limit := _memory_limit()):
-        raise ConfigError(
-            f"bad m_list and n_sequences: their arrays take {needed / 2**30:.3g} GiB, "
-            f"more than the {limit / 2**30:.3g} GiB this process can hold"
-        )
     with timed_stage(timings, "sample"):
         seeds = pcg64_seeds(cfg.seed, _stream_keys(order, n, _SEQ_KEY))
+        if stochastic:
+            noise_seeds = noise_root.child_seeds(_stream_keys(order, n, _NOISE_KEY))
     if stochastic:
         buffer = np.empty(n * order[0] * noise.sampler.n_normals)
     probabilities, start = {}, 0
@@ -588,7 +608,7 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
             if stochastic:
                 normals = buffer[: indices.size * noise.sampler.n_normals]
                 normals = normals.reshape(indices.shape + (-1,))
-                noise_gens = noise_root.child_generators(_stream_keys(batch, n, _NOISE_KEY))
+                noise_gens = seated_generators(noise_seeds[..., rows])
                 for row, m, gen in zip(normals, lengths.tolist(), noise_gens):
                     gen.standard_normal(out=row[:m])
         with timed_stage(timings, "evolve"):
@@ -614,24 +634,25 @@ def run_experiment(
     Sequence j at length m draws its gates (then its shots) from a stream
     derived from (seed, m, j) and its noise from a sibling stream, so results
     are reproducible under partial re-runs.  With ``jobs`` > 1 the lengths are
-    dealt round-robin to min(jobs, len(m_list), usable CPUs) processes, with
-    output identical to the serial run.  A serial run reuses ``components``, the
-    result of ``_experiment_components(cfg)``, when given, and adds the wall
-    seconds of its ``sample`` and ``evolve`` stages to ``timings``; every run
-    adds those of its ``aggregate`` stage, the per-length means and sems.
+    dealt round-robin to min(jobs, len(m_list), usable CPUs) threads, with output
+    identical to the serial run.  Every run reuses ``components``, the result of
+    ``_experiment_components(cfg)``, when given; a serial run adds the wall seconds
+    of its ``sample`` and ``evolve`` stages to ``timings``, and every run those of
+    its ``aggregate`` stage, the per-length means and sems.
     """
     workers = min(jobs, len(cfg.m_list), _usable_cpus())
     if workers > 1:
-        # Imported here: the process pool costs every import of the package ~12 ms.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor  # here: it costs every import ~7 ms
 
+        gs, noise, spam, _ = components = components or _experiment_components(cfg)
+        spam.state_vector()  # the shards' shared values, formed before the threads start
+        if noise is not None and not noise.stochastic:
+            noise.exact_model(gs)
         shards = [cfg.m_list[w::workers] for w in range(workers)]
-        context = multiprocessing.get_context("spawn")
-        probabilities = {}
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            for part in pool.map(_lengths_probabilities, [cfg] * workers, shards):
-                probabilities.update(part)
+        _check_memory(sum(_shard_bytes(cfg, shard, gs, noise) for shard in shards))
+        run = functools.partial(_lengths_probabilities, cfg, components=components)
+        with ThreadPoolExecutor(workers) as pool:
+            probabilities = {m: ps for part in pool.map(run, shards) for m, ps in part.items()}
     else:
         probabilities = _lengths_probabilities(cfg, cfg.m_list, components, timings)
     with timed_stage(timings, "aggregate"):

@@ -280,12 +280,14 @@ def test_lengths_whose_arrays_cannot_fit_exit_2_before_allocating(tmp_path, base
 
 @pytest.mark.parametrize("base, index_bytes", [("fig1", 30 * 10 * 100 * 8), ("fig2", 200 * 100 * 8)])
 def test_the_memory_guard_counts_indices_and_normals(monkeypatch, base, index_bytes):
-    # fig1 holds every length's indices in one batch, and gathers a 4 x 4 complex step
-    # matrix per row; fig2 one length's indices plus its 18 normals per step.
+    # fig1 holds every length's indices in one batch, and per row its stream seeds (32 B),
+    # its state and einsum output (2 x 4 complex), its probability (16 B), eight int64 of
+    # bookkeeping and a gathered 4 x 4 complex step matrix, plus the 128 KiB word table;
+    # fig2 one length's indices plus its 18 normals per step.
     cfg = ExperimentConfig.from_dict(json.loads(BUNDLED[base].read_text()))
     components = protocol._experiment_components(cfg)
-    stochastic = components[1].stochastic
-    needed = index_bytes + (200 * 100 * 18 * 8 if stochastic else 30 * 10 * 16 * 2**4)
+    fixed = 30 * 10 * (32 + 2 * 16 * 4 + 16 + 8 * 8 + 16 * 4**2) + 16 * 2**13
+    needed = index_bytes + (200 * 100 * 18 * 8 if components[1].stochastic else fixed)
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed - 1)
     with pytest.raises(liouville.ConfigError, match="m_list and n_sequences"):
         protocol._lengths_probabilities(cfg, cfg.m_list, components)
@@ -295,18 +297,37 @@ def test_the_memory_guard_counts_indices_and_normals(monkeypatch, base, index_by
 
 def test_the_memory_guard_counts_the_fixed_noise_gather(monkeypatch):
     # On the (4, 2) design a row's gathered 36 x 36 complex step matrix takes 20,736
-    # bytes, its five int64 gate indices 40: the gather alone trips the limit.
+    # bytes, its five int64 gate indices 40: the gather alone trips the limit.  A row
+    # also holds its seeds, state, einsum output, probability and eight int64, and the
+    # word table holds the 128 one-gate words.
     gs, noise, spam = design("two-qubit")
     cfg = ExperimentConfig(gateset="two-qubit.json", m_list=(5, 3), n_sequences=20, seed=1)
     components = (gs, noise, spam, None)
     rows, index_bytes = 2 * 20, 2 * 20 * 5 * 8
-    needed = index_bytes + rows * 16 * 6**4
+    needed = index_bytes + rows * (32 + 2 * 16 * 36 + 16 + 8 * 8 + 16 * 6**4) + 16 * 128 * 6**4
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed - 1)
     assert index_bytes < needed - 1
     with pytest.raises(liouville.ConfigError, match="m_list and n_sequences"):
         protocol._lengths_probabilities(cfg, cfg.m_list, components)
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed)
     assert len(protocol._lengths_probabilities(cfg, cfg.m_list, components)) == 2
+
+
+def test_the_memory_guard_counts_every_concurrent_shard(monkeypatch):
+    # fig2's longest length holds 8 B of index and 18 normals a step: the serial run and
+    # each of two shards fit the limit alone, but the shards, run at once, do not.
+    cfg = ExperimentConfig.from_dict(json.loads(BUNDLED["fig2"].read_text()))
+    components = protocol._experiment_components(cfg)
+    monkeypatch.setattr(protocol, "_memory_limit", lambda: 200 * 100 * 8 * (1 + 18))
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+    assert len(protocol.run_experiment(cfg, components=components).rows()) == 10
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a stream was seeded")
+
+    monkeypatch.setattr(protocol, "pcg64_seeds", no_draw)
+    with pytest.raises(liouville.ConfigError, match="m_list and n_sequences"):
+        protocol.run_experiment(cfg, jobs=2, components=components)
 
 
 def test_the_memory_limit_is_the_address_space_limit_when_lower():

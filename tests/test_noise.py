@@ -101,12 +101,12 @@ def test_pcg64_integers_match_generator_integers(monkeypatch, seed, high, chunk)
 def test_child_generators_draw_like_fresh_generators(seed):
     root = RandomStream(seed, key=(3,))
     m = 11
-    for gen, key in zip(root.child_generators(DERIVATION_KEYS), DERIVATION_KEYS):
+    for gen, key in zip(seated_generators(root.child_seeds(DERIVATION_KEYS)), DERIVATION_KEYS):
         ref = root.child(*key).generator()
         assert np.array_equal(gen.integers(0, 8, size=m), ref.integers(0, 8, size=m))
         # The binomial continues the stream where the integers ended.
         assert gen.binomial(400, 0.37) == ref.binomial(400, 0.37)
-    for gen, key in zip(root.child_generators(DERIVATION_KEYS), DERIVATION_KEYS):
+    for gen, key in zip(seated_generators(root.child_seeds(DERIVATION_KEYS)), DERIVATION_KEYS):
         out = np.empty((m, 18))
         gen.standard_normal(out=out)
         assert np.array_equal(out, root.child(*key).generator().standard_normal((m, 18)))
@@ -147,7 +147,7 @@ def test_an_int_seed_draws_as_default_rng(seed):
 def test_a_stream_draws_alike_from_generator_and_child_generators(seed):
     stream = RandomStream(seed)
     for key in ((), (1, 2, 3)):
-        (gen,) = stream.child_generators(np.array([key], dtype=np.uint64).reshape(1, len(key)))
+        (gen,) = seated_generators(stream.child_seeds(np.array([key], dtype=np.uint64)))
         expected = stream.child(*key).generator().standard_normal(40)
         assert np.array_equal(gen.standard_normal(40), expected)
 

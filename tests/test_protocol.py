@@ -3,12 +3,13 @@ import itertools
 import json
 import os
 import pickle
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import random_channel, random_density
+from helpers import random_channel, random_density, run_python
 from reference import (
     decay_eigenvalues,
     incoherent_survival,
@@ -416,27 +417,31 @@ def test_run_experiment_reproducible_and_bounded():
     assert np.all(ds1.sems >= 0.0)
 
 
-def test_run_experiment_parallel_matches_serial():
+def test_run_experiment_parallel_matches_serial(monkeypatch):
     cfg = ExperimentConfig(
         gateset="pauli",
         noise={"id": "filter", "params": {"seed": 5}},
-        m_list=(5, 10, 15),
+        m_list=(5, 10, 15, 20, 25, 30),
         n_sequences=10,
         seed=17,
     )
     stochastic = ExperimentConfig(
         gateset="shelving",
         noise={"id": "shelving", "params": {}},
-        m_list=(2, 5),
+        m_list=(2, 5, 7, 9, 11, 13),
         n_sequences=6,
         seed=17,
         shots=300,
     )
-    for c in (cfg, stochastic):
-        serial = run_experiment(c, jobs=1)
-        parallel = run_experiment(c, jobs=3)
-        assert np.array_equal(serial.means, parallel.means)
-        assert np.array_equal(serial.sems, parallel.sems)
+    # Six shard threads, more than most hosts' cores, switching as often as the interpreter allows.
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for c in (cfg, stochastic):
+            assert run_experiment(c, jobs=6).rows() == run_experiment(c, jobs=1).rows()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_run_experiment_with_shots():
@@ -784,9 +789,9 @@ def test_jobs_start_no_pool_when_the_process_may_run_on_one_cpu(monkeypatch):
     serial = run_experiment(cfg)
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+        raise AssertionError("a thread pool was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(allowed)})
     try:
@@ -902,6 +907,33 @@ def test_shot_streams_hold_their_end_states_as_arrays():
     run_experiment(replace(cfg, n_sequences=2, shots=100))
     rows = cfg.n_sequences * len(cfg.m_list)
     assert _traced_peak(replace(cfg, shots=100)) - _traced_peak(cfg) <= 64 * rows
+
+
+def test_the_memory_guard_bounds_a_fixed_noise_run_with_shots():
+    # fig1 with shots at 10,000 rows, all held at once: its traced peak is within the
+    # count that the memory guard checks before the run.
+    cfg = replace(figure_config("fig1"), n_sequences=1000, shots=100)
+    run_experiment(replace(cfg, n_sequences=2))  # the one-off caches and imports
+    gs, noise = _experiment_components(cfg)[:2]
+    assert _traced_peak(cfg) <= protocol._shard_bytes(cfg, cfg.m_list, gs, noise)
+
+
+def test_a_top_level_script_runs_jobs_without_a_main_guard(tmp_path):
+    # Shards run on threads, so a script needs no `if __name__ == "__main__":` guard.
+    script = tmp_path / "script.py"
+    script.write_text(
+        "import json\n"
+        "from leakbench import protocol\n"
+        "from leakbench.cli import figure_config, main\n"
+        "protocol._usable_cpus = lambda: 2  # the shards run in parallel on any machine\n"
+        "cfg = figure_config('fig2')\n"
+        "rows = [protocol.run_experiment(cfg, jobs=j).rows() for j in (2, 1)]\n"
+        f"code = main(['reproduce', 'fig1', '--out', {str(tmp_path / 'out')!r}, '--jobs', '2'])\n"
+        "print(json.dumps({'same': rows[0] == rows[1], 'code': code}))\n"
+    )
+    result = run_python(str(script))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == {"same": True, "code": 0}
 
 
 def test_run_experiment_rejects_out_of_range_probability():

@@ -9,9 +9,8 @@ import copy
 import functools
 import gc
 import json
-import multiprocessing
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from helpers import random_channel, run_python
 import leakbench as lb
 import leakbench.cli as cli
 import leakbench.gatesets as gatesets
+import leakbench.protocol as protocol
 from leakbench import GateSet, NoiseAssignment, SpaceSpec
 from leakbench.gatesets import PAULIS, average_noise, gateset_by_id, gateset_from_dict, twirl
 from leakbench.liouville import _kron_conj, matrix_to_pairs, mix
@@ -28,7 +28,6 @@ from leakbench.noise import RandomStream, build_noise_model, sample_filter_assig
 from leakbench.protocol import (
     ExperimentConfig,
     SpamSpec,
-    _lengths_probabilities,
     brute_force_expectation,
     exact_expectations,
     predicted_expectation,
@@ -188,6 +187,9 @@ SHELVING_CFG = ExperimentConfig(
     n_sequences=4,
     seed=23,
 )
+FILTER_CFG = ExperimentConfig(
+    gateset="pauli", noise={"id": "filter", "params": {}}, m_list=(3, 1, 2), n_sequences=4, seed=23
+)
 
 
 def test_jobs_match_serial_with_warm_caches():
@@ -195,31 +197,41 @@ def test_jobs_match_serial_with_warm_caches():
     assert run_experiment(SHELVING_CFG, jobs=2).rows() == run_experiment(SHELVING_CFG).rows()
 
 
-def _worker_writeable_arrays(cfg: ExperimentConfig) -> dict:
-    """In a worker process: run the lengths of ``cfg`` as a ``--jobs`` worker does,
-    then report which shared arrays that run used are writeable."""
-    _lengths_probabilities(cfg, cfg.m_list)
-    gs = gateset_by_id(cfg.gateset)
-    spam = SpamSpec.ideal(gs.space)
-    shared = {
+def _read_arrays(gs: GateSet, noise: NoiseAssignment | None, spam: SpamSpec) -> dict:
+    """The shared arrays that a run's evolution reads from its components."""
+    arrays = {
         "code_projector": gs.space.code_projector,
-        "leak_projector": gs.space.leak_projector,
-        "twirl_basis": gs.space.twirl_basis,
         "gates": gs.gates,
         "gate_liouvilles": gs.gate_liouvilles,
-        "twirl_matrix": gs.twirl_matrix,
-        "ideal rho": spam.rho,
-        "ideal effect": spam.effect,
+        "rho": spam.rho,
+        "effect": spam.effect,
+        "state vector": spam.state_vector(),
+        "effect vector": spam.effect_vector(),
     }
-    return {name: bool(array.flags.writeable) for name, array in shared.items()}
+    if noise is not None and not noise.stochastic:
+        arrays["steps"] = noise.exact_model(gs).steps
+    return arrays
 
 
-def test_spawned_worker_gets_no_writable_shared_array():
-    cli.run_checks()
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-        flags = pool.submit(_worker_writeable_arrays, SHELVING_CFG).result(timeout=120)
-    assert flags == dict.fromkeys(flags, False) and len(flags) == 8
+@pytest.mark.parametrize("cfg", [SHELVING_CFG, FILTER_CFG], ids=["stochastic", "fixed"])
+def test_shard_threads_read_the_callers_read_only_arrays(monkeypatch, cfg):
+    components = protocol._experiment_components(cfg)
+    read = []  # (thread, arrays) of each batch that a shard evolves
+
+    def recording(indices, gs, noise, spam, *args):
+        read.append((threading.current_thread(), _read_arrays(gs, noise, spam)))
+        return run_sequences(indices, gs, noise, spam, *args)
+
+    monkeypatch.setattr(protocol, "run_sequences", recording)
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+    run_experiment(cfg, jobs=2, components=components)
+    assert len(read) == (3 if components[1].stochastic else 2)
+    assert threading.current_thread() not in {thread for thread, _ in read}
+    callers = _read_arrays(*components[:3])
+    for _, arrays in read:
+        assert arrays.keys() == callers.keys()
+        assert all(arrays[name] is array for name, array in callers.items())
+        assert not any(array.flags.writeable for array in arrays.values())
 
 
 # ---------------------------------------------------------------------------
