@@ -46,18 +46,17 @@ class GateSet:
     their mean ``twirl_matrix``, idempotent for a group, are formed when the
     set is made.  Construction verifies unitarity and the projector property
     of the averaged conjugation action, which is what sequence averaging
-    relies on.
+    relies on; an unpickled or copied set is made, and so verified, again.
     """
 
-    def __init__(self, space: SpaceSpec, gates, label: str, validate: bool = True):
+    def __init__(self, space: SpaceSpec, gates, label: str):
         self.space = space
         self.gates = _operator_stack(gates, space.d, "gates")
         self.label = label
         self.gate_liouvilles = _read_only(_kron_conj(self.gates))
         self.twirl_matrix = _read_only(self.gate_liouvilles.mean(axis=0))
-        if validate:
-            self._check_unitary()
-            self._check_group_structure()
+        self._check_unitary()
+        self._check_group_structure()
 
     def _check_unitary(self, tol: float = DEFAULT_TOL):
         devs = np.abs(self.gates @ self.gates.conj().swapaxes(1, 2) - np.eye(self.space.d))
@@ -83,7 +82,7 @@ class GateSet:
         return len(self.gates)
 
     def __reduce__(self):
-        return GateSet, (self.space, self.gates, self.label, False)
+        return GateSet, (self.space, self.gates, self.label)
 
 
 def pauli_gateset() -> GateSet:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 import threading
 from dataclasses import dataclass
 
@@ -61,14 +60,6 @@ class RandomStream:
 
     def child(self, *key: int) -> "RandomStream":
         return RandomStream(self.seed, self.key + tuple(key))
-
-    def child_seeds(self, keys) -> np.ndarray:
-        """The PCG64 seedings (2, 2, k) of ``child(*row)`` for each row of ``keys``, in one
-        vectorized pass (:func:`pcg64_seeds`).  :func:`seated_generators` of them draws
-        bit for bit as ``child(*row).generator()`` does."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        prefix = np.broadcast_to(np.array(self.key, dtype=np.uint64), (len(keys), len(self.key)))
-        return pcg64_seeds(self.seed, np.hstack([prefix, keys]))
 
 
 # numpy's SeedSequence pool hash and PCG64 seeding, whose streams NEP 19 keeps
@@ -575,19 +566,6 @@ _MC_CHUNK = 2_500
 #: (80 KB each at the shipped size).
 _TAPE_LOOKAHEAD = 8
 
-#: The fewest CPUs the process may run on for the oracle to draw its normals on
-#: a thread of their own; with fewer, the thread only takes turns with the
-#: arithmetic.
-_PREFETCH_CPUS = 2
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or the machine's count where that cannot be asked."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
 
 class _NormalTape:
     """The standard normals of ``gen`` for consecutive segments of the given lengths,
@@ -595,14 +573,14 @@ class _NormalTape:
 
     Each segment starts a new piece.  A piece is a view of a slot of a ring,
     valid until it is released; the reader holds at most ``held`` pieces at
-    once.  With at least ``_PREFETCH_CPUS`` usable CPUs a worker thread draws
-    the pieces, into any free slot, up to ``_TAPE_LOOKAHEAD`` pieces ahead:
-    ``standard_normal(out=)`` releases the GIL, so the draws run beside the
-    reader's arithmetic.  Otherwise a piece is drawn when it is taken.  Either
-    way the pieces in order are bit for bit one ``gen.standard_normal`` call
-    of every segment's length, and the generator ends where that call leaves
-    it.  Leaving the ``with`` block stops and joins the worker, and a draw's
-    exception is raised by the take that needs its piece.
+    once.  A worker thread draws the pieces, into any free slot, up to
+    ``_TAPE_LOOKAHEAD`` pieces ahead: ``standard_normal(out=)`` releases the
+    GIL, so on two or more CPUs the draws run beside the reader's arithmetic,
+    and on one they take turns with it.  The pieces in order are bit for bit
+    one ``gen.standard_normal`` call of every segment's length, and the
+    generator ends where that call leaves it.  Leaving the ``with`` block
+    stops and joins the worker, and a draw's exception is raised by the take
+    that needs its piece.
     """
 
     def __init__(self, gen: np.random.Generator, segments, piece: int, held: int):
@@ -610,30 +588,21 @@ class _NormalTape:
 
         self.gen = gen
         self.sizes = (min(piece, n - start) for n in segments for start in range(0, n, piece))
-        threaded = _usable_cpus() >= _PREFETCH_CPUS
-        self.ring = np.empty((held + _TAPE_LOOKAHEAD if threaded else held, piece))
-        self.worker = threading.Thread(target=self._fill, daemon=True) if threaded else None
-        # The free slots: a queue the worker waits on, or, inline, a stack, so
-        # that a piece is drawn into the slot just read, still in cache.
-        self.filled, self.free = queue.SimpleQueue(), queue.SimpleQueue() if threaded else []
+        self.ring = np.empty((held + _TAPE_LOOKAHEAD, piece))
+        self.worker = threading.Thread(target=self._fill, daemon=True)
+        self.filled, self.free = queue.SimpleQueue(), queue.SimpleQueue()
         for slot in range(len(self.ring)):
             self.release(slot)
         self.stopped = False
 
     def __enter__(self):
-        if self.worker is not None:
-            self.worker.start()
+        self.worker.start()
         return self
 
     def __exit__(self, *exc_info):
-        if self.worker is not None:
-            self.stopped = True
-            self.free.put(None)  # wakes a worker waiting for a free slot
-            self.worker.join()
-
-    def _draw(self, slot: int, size: int):
-        self.gen.standard_normal(out=self.ring[slot, :size])
-        return slot, size
+        self.stopped = True
+        self.free.put(None)  # wakes a worker waiting for a free slot
+        self.worker.join()
 
     def _fill(self):
         """The worker: draw every piece in order, each into the next slot released."""
@@ -642,26 +611,21 @@ class _NormalTape:
                 slot = self.free.get()
                 if self.stopped:
                     return
-                self.filled.put(self._draw(slot, size))
+                self.gen.standard_normal(out=self.ring[slot, :size])
+                self.filled.put((slot, size))
         except BaseException as exc:  # handed to the reader, which raises it
             self.filled.put(exc)
 
     def take(self):
         """The next piece: (its slot, its normals)."""
-        if self.worker is None:
-            item = self._draw(self.free.pop(), next(self.sizes))
-        else:
-            item = self.filled.get()
+        item = self.filled.get()
         if isinstance(item, BaseException):
             raise item
         slot, size = item
         return slot, self.ring[slot, :size]
 
     def release(self, slot: int):
-        if self.worker is None:
-            self.free.append(slot)
-        else:
-            self.free.put(slot)
+        self.free.put(slot)
 
 
 def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channel:
@@ -673,9 +637,9 @@ def averaged_coherent_channel(sp: ShelvingParams, n_samples: int, rng) -> Channe
     the pulse angles (b, 2), then the real and the imaginary parts of the
     first and of the second Ginibre matrices (b, 2, 2) each, so the result
     is fully determined by the stream.  The normals come from a
-    :class:`_NormalTape`, which on two or more CPUs draws them on a second
-    thread while this one computes, and the generator ends after exactly
-    18 n_samples of them.  The tape cuts every segment into pieces of
+    :class:`_NormalTape`, which draws them on a second thread while this one
+    computes (on one CPU the two take turns), and the generator ends after
+    exactly 18 n_samples of them.  The tape cuts every segment into pieces of
     ``4 _MC_CHUNK`` normals: one chunk of draws' real or imaginary Ginibre
     parts, or two chunks' angles.  The angles' and the real parts' pieces
     stay on the tape until their chunks are done.  When a chunk's piece of

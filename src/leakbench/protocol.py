@@ -46,7 +46,7 @@ from .liouville import (
     transfer_matrix,
     vec,
 )
-from .noise import RandomStream, _usable_cpus, build_noise_model, read_noise_spec
+from .noise import RandomStream, build_noise_model, read_noise_spec
 from .noise import pcg64_integers, pcg64_seeds, seated_generators
 
 # Sub-stream tags: sequence/shot draws vs. per-step noise draws.
@@ -345,6 +345,8 @@ class DecayDataset:
 
 
 def _experiment_components(cfg: ExperimentConfig):
+    """(gate set, noise, SPAM, noise seed) of ``cfg``: the noise seed is the noise's
+    own "seed" param, or else the config's seed."""
     try:
         gs = gateset_by_id(cfg.gateset)
     except (OSError, ValueError) as exc:
@@ -352,9 +354,9 @@ def _experiment_components(cfg: ExperimentConfig):
             raise
         raise ConfigError(f"cannot load gateset {cfg.gateset!r}: {exc}") from exc
     seed = read_noise_spec(cfg.noise)[1].get("seed")
-    noise_root = RandomStream(cfg.seed if seed is None else seed)
-    noise = build_noise_model(cfg.noise, gs, noise_root)
-    return gs, noise, spam_from_dict(cfg.spam, gs.space), noise_root
+    noise_seed = cfg.seed if seed is None else seed
+    noise = build_noise_model(cfg.noise, gs, RandomStream(noise_seed))
+    return gs, noise, spam_from_dict(cfg.spam, gs.space), noise_seed
 
 
 #: Matrix entries of the word table of fixed noise (128 KiB of complex): its
@@ -562,7 +564,7 @@ def _check_memory(needed: int):
         )
 
 
-def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=None) -> dict:
+def _lengths_probabilities(cfg: ExperimentConfig, ms, components, timings=None) -> dict:
     """The n_sequences probabilities at each length of ``ms``, from the streams of each (m, j).
 
     Sequence j at length m draws its gate indices, then its shots, from the
@@ -578,21 +580,18 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
     no stream's state is held past its draw.  The gate indices of a batch are
     drawn in one vectorized pass (:func:`pcg64_integers`), and each sequence's
     shots continue its stream from the state that pass ends in, formed from
-    its arrays when that shot is drawn.
-    The seeding and the draws are timed as the ``sample`` stage of
-    ``timings``, the evolution as ``evolve``.  A run whose arrays
-    (:func:`_shard_bytes`) exceed :func:`_memory_limit` is refused before any
-    of them is allocated.
+    its arrays when that shot is drawn.  ``components`` are those of
+    :func:`_experiment_components`.  The seeding and the draws are timed as
+    the ``sample`` stage of ``timings``, the evolution as ``evolve``.
     """
-    gs, noise, spam, noise_root = components or _experiment_components(cfg)
-    _check_memory(_shard_bytes(cfg, ms, gs, noise))
+    gs, noise, spam, noise_seed = components
     n = cfg.n_sequences
     stochastic = noise is not None and noise.stochastic
     order = sorted(ms, reverse=True)
     with timed_stage(timings, "sample"):
         seeds = pcg64_seeds(cfg.seed, _stream_keys(order, n, _SEQ_KEY))
         if stochastic:
-            noise_seeds = noise_root.child_seeds(_stream_keys(order, n, _NOISE_KEY))
+            noise_seeds = pcg64_seeds(noise_seed, _stream_keys(order, n, _NOISE_KEY))
     if stochastic:
         buffer = np.empty(n * order[0] * noise.sampler.n_normals)
     probabilities, start = {}, 0
@@ -626,6 +625,14 @@ def _lengths_probabilities(cfg: ExperimentConfig, ms, components=None, timings=N
     return {m: probabilities[m] for m in ms}
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where that cannot be asked."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_experiment(
     cfg: ExperimentConfig, jobs: int = 1, components=None, timings: dict | None = None
 ) -> DecayDataset:
@@ -633,23 +640,26 @@ def run_experiment(
 
     Sequence j at length m draws its gates (then its shots) from a stream
     derived from (seed, m, j) and its noise from a sibling stream, so results
-    are reproducible under partial re-runs.  With ``jobs`` > 1 the lengths are
-    dealt round-robin to min(jobs, len(m_list), usable CPUs) threads, with output
-    identical to the serial run.  Every run reuses ``components``, the result of
-    ``_experiment_components(cfg)``, when given; a serial run adds the wall seconds
-    of its ``sample`` and ``evolve`` stages to ``timings``, and every run those of
-    its ``aggregate`` stage, the per-length means and sems.
+    are reproducible under partial re-runs.  The lengths are dealt round-robin
+    to min(jobs, len(m_list), usable CPUs) shards, one for a serial run, and
+    more run on as many threads, with output identical to the serial run.  A
+    run whose shards' arrays (:func:`_shard_bytes`), all held at once, exceed
+    :func:`_memory_limit` is refused before any of them is allocated.  Every
+    run reuses ``components``, the result of ``_experiment_components(cfg)``,
+    when given; a serial run adds the wall seconds of its ``sample`` and
+    ``evolve`` stages to ``timings``, and every run those of its ``aggregate``
+    stage, the per-length means and sems.
     """
-    workers = min(jobs, len(cfg.m_list), _usable_cpus())
+    gs, noise, spam, _ = components = components or _experiment_components(cfg)
+    workers = max(1, min(jobs, len(cfg.m_list), _usable_cpus()))
+    shards = [cfg.m_list[w::workers] for w in range(workers)]
+    _check_memory(sum(_shard_bytes(cfg, shard, gs, noise) for shard in shards))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # here: it costs every import ~7 ms
 
-        gs, noise, spam, _ = components = components or _experiment_components(cfg)
         spam.state_vector()  # the shards' shared values, formed before the threads start
         if noise is not None and not noise.stochastic:
             noise.exact_model(gs)
-        shards = [cfg.m_list[w::workers] for w in range(workers)]
-        _check_memory(sum(_shard_bytes(cfg, shard, gs, noise) for shard in shards))
         run = functools.partial(_lengths_probabilities, cfg, components=components)
         with ThreadPoolExecutor(workers) as pool:
             probabilities = {m: ps for part in pool.map(run, shards) for m, ps in part.items()}

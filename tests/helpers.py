@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 import leakbench
 from leakbench import Channel, SpaceSpec
-from leakbench.gatesets import PAULIS, NoiseAssignment
+from leakbench.gatesets import PAULIS, GateSet, NoiseAssignment
 from leakbench.liouville import mix
 from leakbench.protocol import SpamSpec
 
@@ -20,6 +21,15 @@ def run_python(*args):
     """A fresh interpreter that imports leakbench from where this process does."""
     env = {**os.environ, "PYTHONPATH": str(Path(leakbench.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def unvalidated_gateset(space: SpaceSpec, gates, label: str) -> GateSet:
+    """A GateSet made with its unitarity and group checks patched out, so that a set
+    which construction refuses can be made."""
+    with mock.patch.object(GateSet, "_check_unitary"), mock.patch.object(
+        GateSet, "_check_group_structure"
+    ):
+        return GateSet(space, gates, label)
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:

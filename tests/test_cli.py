@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import run_python
+from helpers import run_python, unvalidated_gateset
 from reference import (
     decay_eigenvalues,
     filter_diagnostics,
@@ -804,7 +804,7 @@ def test_reproduce_fig1_does_not_import_numpy_ma(tmp_path):
 
 def test_corrupted_gateset_fails_idempotence_check():
     bad_gate = np.eye(2) + 0.01 * PAULI_X
-    gs = GateSet(SpaceSpec(2, 0), [np.eye(2), bad_gate], label="corrupt", validate=False)
+    gs = unvalidated_gateset(SpaceSpec(2, 0), [np.eye(2), bad_gate], label="corrupt")
     passed, detail = check_twirl_idempotent(gs)
     assert not passed
     assert "G^2" in detail

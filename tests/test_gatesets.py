@@ -81,6 +81,16 @@ def test_gateset_rejects_non_group():
         GateSet(QUBIT, [np.eye(2), PAULI_X, PAULI_Y], label="broken")
 
 
+def test_an_unpickled_gateset_is_validated_again(monkeypatch):
+    # {I, X, Y} made with the group check patched out pickles as any set does;
+    # unpickling makes it afresh, so the restored check refuses it.
+    monkeypatch.setattr(GateSet, "_check_group_structure", lambda self: None)
+    blob = pickle.dumps(GateSet(QUBIT, [np.eye(2), PAULI_X, PAULI_Y], label="broken"))
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="'broken' does not average like a group"):
+        pickle.loads(blob)
+
+
 def test_gateset_rejects_ragged_or_empty_gates():
     with pytest.raises(ValueError):
         GateSet(QUBIT, [np.eye(2), np.eye(3)], label="ragged")

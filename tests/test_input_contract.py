@@ -290,9 +290,9 @@ def test_the_memory_guard_counts_indices_and_normals(monkeypatch, base, index_by
     needed = index_bytes + (200 * 100 * 18 * 8 if components[1].stochastic else fixed)
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed - 1)
     with pytest.raises(liouville.ConfigError, match="m_list and n_sequences"):
-        protocol._lengths_probabilities(cfg, cfg.m_list, components)
+        protocol.run_experiment(cfg, components=components)
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed)
-    assert len(protocol._lengths_probabilities(cfg, cfg.m_list, components)) == 10
+    assert len(protocol.run_experiment(cfg, components=components).rows()) == 10
 
 
 def test_the_memory_guard_counts_the_fixed_noise_gather(monkeypatch):
@@ -308,9 +308,9 @@ def test_the_memory_guard_counts_the_fixed_noise_gather(monkeypatch):
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed - 1)
     assert index_bytes < needed - 1
     with pytest.raises(liouville.ConfigError, match="m_list and n_sequences"):
-        protocol._lengths_probabilities(cfg, cfg.m_list, components)
+        protocol.run_experiment(cfg, components=components)
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed)
-    assert len(protocol._lengths_probabilities(cfg, cfg.m_list, components)) == 2
+    assert len(protocol.run_experiment(cfg, components=components).rows()) == 2
 
 
 def test_the_memory_guard_counts_every_concurrent_shard(monkeypatch):

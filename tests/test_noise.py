@@ -101,12 +101,13 @@ def test_pcg64_integers_match_generator_integers(monkeypatch, seed, high, chunk)
 def test_child_generators_draw_like_fresh_generators(seed):
     root = RandomStream(seed, key=(3,))
     m = 11
-    for gen, key in zip(seated_generators(root.child_seeds(DERIVATION_KEYS)), DERIVATION_KEYS):
+    seeds = pcg64_seeds(seed, [root.key + key for key in DERIVATION_KEYS])
+    for gen, key in zip(seated_generators(seeds), DERIVATION_KEYS):
         ref = root.child(*key).generator()
         assert np.array_equal(gen.integers(0, 8, size=m), ref.integers(0, 8, size=m))
         # The binomial continues the stream where the integers ended.
         assert gen.binomial(400, 0.37) == ref.binomial(400, 0.37)
-    for gen, key in zip(seated_generators(root.child_seeds(DERIVATION_KEYS)), DERIVATION_KEYS):
+    for gen, key in zip(seated_generators(seeds), DERIVATION_KEYS):
         out = np.empty((m, 18))
         gen.standard_normal(out=out)
         assert np.array_equal(out, root.child(*key).generator().standard_normal((m, 18)))
@@ -147,7 +148,7 @@ def test_an_int_seed_draws_as_default_rng(seed):
 def test_a_stream_draws_alike_from_generator_and_child_generators(seed):
     stream = RandomStream(seed)
     for key in ((), (1, 2, 3)):
-        (gen,) = seated_generators(stream.child_seeds(np.array([key], dtype=np.uint64)))
+        (gen,) = seated_generators(pcg64_seeds(seed, np.array([key], dtype=np.uint64)))
         expected = stream.child(*key).generator().standard_normal(40)
         assert np.array_equal(gen.standard_normal(40), expected)
 
@@ -533,42 +534,40 @@ def test_averaged_channel_rejects_bad_count():
         lb.averaged_coherent_channel(lb.ShelvingParams(), 0, RandomStream(1))
 
 
-#: Values of ``_PREFETCH_CPUS`` that select each fill mode of the oracle's
-#: normal tape on any machine: a worker thread, or draws inline.
-FILL_MODES = {"thread": 1, "inline": 1 << 30}
+#: The one fill mode of the oracle's normal tape, on any number of CPUs: a
+#: worker thread draws the normals.
+FILL_MODES = ["thread"]
 
 
 @pytest.mark.parametrize("batch_size", [50_000])  # the pinned stream layout
 @pytest.mark.parametrize(
     "n", [1, 7, 2_499, 2_501, 9_999, 10_000, 10_001, 49_999, 50_000, 50_001, 120_000]
 )
-def test_averaged_channel_matches_reference(monkeypatch, n, batch_size):
+def test_averaged_channel_matches_reference(n, batch_size):
     # The piece-by-piece draws and closed-form rotations against the separate
     # gen.normal draws and Gram-Schmidt Haar entries, stream position
     # included; the reference draws in the batches of the pinned stream layout.
-    # Both fill modes of the tape give the same bits and end position.
+    # Two runs of the tape's worker, whatever its timing, give the same bits and end position.
     sp = lb.ShelvingParams()
     results = []
-    for cpus in FILL_MODES.values():
-        monkeypatch.setattr(noise, "_PREFETCH_CPUS", cpus)
+    for _ in range(2):
         gen = RandomStream(31).generator()
         liouville = lb.averaged_coherent_channel(sp, n, gen).liouville
         results.append((liouville, gen.standard_normal(4)))
-    (threaded, threaded_next), (inline, inline_next) = results
+    (threaded, threaded_next), (again, again_next) = results
     slow_gen = RandomStream(31).generator()
     slow = reference_average(sp, n, slow_gen, batch_size=batch_size)
-    assert np.array_equal(threaded, inline)
-    assert np.array_equal(threaded_next, inline_next)
+    assert np.array_equal(threaded, again)
+    assert np.array_equal(threaded_next, again_next)
     assert np.max(np.abs(threaded - slow.liouville)) < 1e-13
     assert np.array_equal(threaded_next, slow_gen.standard_normal(4))
 
 
 @pytest.mark.parametrize("mode", FILL_MODES)
-def test_normal_tape_pieces_are_one_stream(monkeypatch, mode):
+def test_normal_tape_pieces_are_one_stream(mode):
     # Pieces taken in order and released in any order join into one call of
     # the segments' total length, each segment starting a piece, and leave
     # the generator where that call does.
-    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES[mode])
     segments, piece = [3, 25, 10, 7, 40], 10
     gen, one_call = RandomStream(9).generator(), RandomStream(9).generator()
     pieces = []
@@ -583,11 +582,10 @@ def test_normal_tape_pieces_are_one_stream(monkeypatch, mode):
     assert np.array_equal(gen.standard_normal(4), one_call.standard_normal(4))
 
 
-def test_normal_tape_under_thread_switching(monkeypatch):
-    # Four readers, each with its worker, on two CPUs, switching threads every
+def test_normal_tape_under_thread_switching():
+    # Four readers, each with its worker, switching threads every
     # 10 us: a slot refilled while its piece was still held would change the
     # piece before it is copied at its release.
-    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES["thread"])
     segments, piece, held = [50] * 40, 7, 3
     expected = RandomStream(11).generator().standard_normal(sum(segments))
     results = []
@@ -660,8 +658,7 @@ def _raised_and_threads(call):
 
 
 @pytest.mark.parametrize("mode", FILL_MODES)
-def test_averaged_channel_leaves_no_thread_behind(monkeypatch, mode):
-    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES[mode])
+def test_averaged_channel_leaves_no_thread_behind(mode):
     call = lambda: lb.averaged_coherent_channel(lb.ShelvingParams(), 60_000, RandomStream(3))
     raised, before, after = _raised_and_threads(call)
     assert raised is None and after == before
@@ -669,10 +666,9 @@ def test_averaged_channel_leaves_no_thread_behind(monkeypatch, mode):
 
 @pytest.mark.parametrize("fail_at", [1, 9, 60])
 @pytest.mark.parametrize("mode", FILL_MODES)
-def test_averaged_channel_raises_a_draw_error(monkeypatch, mode, fail_at):
-    # A draw that fails, on the worker or inline, fails the call with its own
+def test_averaged_channel_raises_a_draw_error(mode, fail_at):
+    # A draw that fails on the worker fails the call with its own
     # error, and the worker is stopped and joined.
-    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES[mode])
     gen = _FailingGenerator(fail_at)
     call = lambda: lb.averaged_coherent_channel(lb.ShelvingParams(), 120_000, gen)
     raised, before, after = _raised_and_threads(call)
@@ -685,7 +681,6 @@ def test_averaged_channel_raises_a_draw_error(monkeypatch, mode, fail_at):
 def test_averaged_channel_stops_the_worker_on_a_reader_error(monkeypatch, mode, fail_at):
     # An error in the arithmetic, while the worker draws ahead or waits for a
     # free piece, stops and joins the worker.
-    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES[mode])
     calls, kernel = [], noise.shelving_unitaries
 
     def failing_kernel(*args):
@@ -700,13 +695,12 @@ def test_averaged_channel_stops_the_worker_on_a_reader_error(monkeypatch, mode, 
     assert isinstance(raised, FloatingPointError) and after == before
 
 
-def test_averaged_channel_peak_memory(monkeypatch):
+def test_averaged_channel_peak_memory():
     # 10 doubles held per batch draw, not its 18 normals (the angles' and the
     # real parts' pieces on the tape and the first rotations), the worker's
     # 8 pieces of lookahead, and 2.5k-draw chunks of kernel work: 6.18 MiB
-    # with the worker in a fresh process (5.57 MiB inline), against 8.92 MiB
+    # with the worker in a fresh process, against 8.92 MiB
     # with the whole batch in one buffer and 14.66 MiB with a complex copy.
-    monkeypatch.setattr(noise, "_PREFETCH_CPUS", FILL_MODES["thread"])
     tracemalloc.start()
     try:
         lb.averaged_coherent_channel(lb.ShelvingParams(), 200_000, RandomStream(5))

@@ -462,7 +462,7 @@ def test_run_experiment_with_shots():
 def _per_sequence_reference(cfg):
     """Means and sems from the reference run_sequence, one sequence and one
     generator at a time, on the same streams."""
-    gs, noise, spam, noise_root = _experiment_components(cfg)
+    gs, noise, spam, noise_seed = _experiment_components(cfg)
     means, sems = [], []
     for m in cfg.m_list:
         ps = []
@@ -471,7 +471,7 @@ def _per_sequence_reference(cfg):
             indices = sample_sequence(m, len(gs), gen)
             noise_gen = None
             if noise is not None and noise.stochastic:
-                noise_gen = noise_root.child(m, j, _NOISE_KEY).generator()
+                noise_gen = RandomStream(noise_seed).child(m, j, _NOISE_KEY).generator()
             p = run_sequence(indices, gs, noise, spam, rng=noise_gen)
             ps.append(p if cfg.shots is None else shot_estimate(p, cfg.shots, gen))
         means.append(np.mean(ps))
@@ -569,10 +569,11 @@ def test_any_shard_of_lengths_draws_the_same_streams():
         seed=23,
         shots=100,
     )
-    whole = _lengths_probabilities(cfg, cfg.m_list)
+    components = _experiment_components(cfg)
+    whole = _lengths_probabilities(cfg, cfg.m_list, components)
     assert list(whole) == [2, 5, 9]
     for shard in ([9], [5, 2], [9, 2]):
-        for m, ps in _lengths_probabilities(cfg, shard).items():
+        for m, ps in _lengths_probabilities(cfg, shard, components).items():
             assert np.array_equal(ps, whole[m])
 
 
@@ -757,13 +758,14 @@ def test_all_lengths_pass_equals_per_length_calls(monkeypatch, chunk_entries, no
         shots=shots,
         spam=_spam_doc(spam, 59),
     )
-    whole = _lengths_probabilities(cfg, cfg.m_list)
+    components = _experiment_components(cfg)
+    whole = _lengths_probabilities(cfg, cfg.m_list, components)
     assert list(whole) == list(cfg.m_list)
     for m in cfg.m_list:
-        (single,) = _lengths_probabilities(cfg, [m]).values()
+        (single,) = _lengths_probabilities(cfg, [m], components).values()
         assert np.array_equal(whole[m], single)
     for shard in (cfg.m_list[0::2], cfg.m_list[1::2]):
-        for m, ps in _lengths_probabilities(cfg, shard).items():
+        for m, ps in _lengths_probabilities(cfg, shard, components).items():
             assert np.array_equal(ps, whole[m])
 
 

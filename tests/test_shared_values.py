@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 import reference
-from helpers import random_channel, run_python
+from helpers import random_channel, run_python, unvalidated_gateset
 
 import leakbench as lb
 import leakbench.cli as cli
@@ -392,7 +392,7 @@ GATESET_WAYS = {
     "document": lambda: gateset_from_dict(
         {"d1": 2, "d2": 1, "gates": [matrix_to_pairs(g) for g in gateset_by_id("shelving").gates]}
     ),
-    "unvalidated": lambda: GateSet(SpaceSpec(2, 2), GATESETS["blocks"]().gates, "blocks", False),
+    "unvalidated": lambda: unvalidated_gateset(SpaceSpec(2, 2), GATESETS["blocks"]().gates, "blocks"),
     "pickled": lambda: pickle.loads(pickle.dumps(gateset_by_id("shelving"))),
     "deepcopied": lambda: copy.deepcopy(gateset_by_id("pauli")),
 }
