@@ -265,13 +265,14 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     Minimizes the sem-weighted sum of squared residuals (unit weights if any
     sem is zero or ``weighted`` is false).  A sem of at most 64 eps |mean|, the
     rounding noise of sequences that all give the same mean, counts as zero.
-    Standard errors come from the inverse weighted normal matrix at the
-    optimum, scaled by the residual variance; r^2 is computed on unweighted
-    residuals.  ``n_iterations`` counts the Gauss-Newton steps that refine the
-    grid's best decays.  ``data`` is a :class:`~leakbench.protocol.DecayDataset`, which
-    checked its points when it was made (a reader refuses a malformed file there, as a
-    ConfigError naming ``dataset[i].<key>``), so the fit checks only that the model has
-    more distinct lengths than parameters: fewer is a ValueError.
+    Standard errors come from the inverse weighted normal matrix at the optimum, scaled
+    by the residual variance, and a singular one is flagged "weakly-identified"; r^2 is
+    computed on unweighted residuals.  ``n_iterations`` counts the Gauss-Newton steps
+    that refine the grid's best decays.  ``data`` is a
+    :class:`~leakbench.protocol.DecayDataset`, which checked its points when it was
+    made (a reader refuses a malformed file there, as a ConfigError naming
+    ``dataset[i].<key>``), so the fit checks only that the model has more distinct
+    lengths than parameters: fewer is a ValueError.
     """
     if isinstance(model, str):
         model = model_by_name(model)
@@ -301,16 +302,17 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     jac = model.jacobian(x, ms)
     dof = len(ms) - model.n_params
     resid_var = cost / dof if dof > 0 else 0.0
-    normal = jac.T @ (w[:, None] * jac)
-    cov = np.linalg.pinv(normal) * resid_var
-    stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    inverse, singular = _pseudo_inverse(jac.T @ (w[:, None] * jac))
+    stderr = np.sqrt(np.maximum(np.diag(inverse * resid_var), 0.0))
 
     ss_res = float(np.sum(resid ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 1e-24 else None
     flags = [] if r_squared is not None else ["r-squared-undefined"]
-    degenerate = _is_degenerate(model, x, normal)
+    degenerate = _is_degenerate(model, x, singular)
     if degenerate:
         flags.append("degenerate-decays")
+    if singular:
+        flags.append("weakly-identified")
     if model.kind == "double-exp":
         amps = np.abs(x[:2])
         # A vanishing component leaves its decay parameter unidentifiable.
@@ -331,13 +333,20 @@ def fit(model, data, weighted: bool = True) -> FitResult:
     )
 
 
-def _is_degenerate(model: DecayModel, x: np.ndarray, normal: np.ndarray) -> bool:
+def _pseudo_inverse(normal: np.ndarray):
+    """(``np.linalg.pinv(normal)``, singular): the inverse as pinv forms it, from one SVD that
+    also tells whether pinv's cutoff 1e-15 drops a singular value, in which case the data
+    leave a direction of the parameters, the decay's among them, unidentified."""
+    u, s, vt = np.linalg.svd(normal, full_matrices=False)
+    kept = s > 1e-15 * s[0]
+    inverse = vt.T @ (np.divide(1.0, s, where=kept, out=np.zeros_like(s))[:, None] * u.T)
+    return inverse, not kept.all()
+
+
+def _is_degenerate(model: DecayModel, x: np.ndarray, singular: bool) -> bool:
     """Whether a double exponential's decays are closer than :data:`DEGENERACY_TOL`, or its
-    normal matrix is singular to the pinv cutoff 1e-15, as all along the equal-decay limit."""
-    if model.kind != "double-exp":
-        return False
-    s = np.linalg.svd(normal, compute_uv=False)
-    return bool(abs(x[2] - x[3]) < DEGENERACY_TOL or s[-1] <= 1e-15 * s[0])
+    normal matrix is ``singular`` (:func:`_pseudo_inverse`), as all along the equal-decay limit."""
+    return model.kind == "double-exp" and bool(abs(x[2] - x[3]) < DEGENERACY_TOL or singular)
 
 
 def _flat_result(model: DecayModel, data, used_weights: bool) -> FitResult:

@@ -145,7 +145,8 @@ class NoiseAssignment:
     d^2) of its channels' Liouville matrices and their uniform mixture
     ``average`` (the channel itself when every gate has the same one), which
     the :class:`ExactModel` on each gate set reads; stochastic noise has None
-    for both.
+    for both.  A copy is made anew, without the weak cache of exact models,
+    which pickle cannot hold.
     """
 
     def __init__(self, space: SpaceSpec, channels=None, sampler=None):

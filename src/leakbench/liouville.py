@@ -34,8 +34,15 @@ KRAUS_CUTOFF = 1e-12
 class SpaceSpec:
     """Dimensions of the code subspace H1, leakage subspace H2 and H = H1 (+) H2.
 
-    Its projectors and twirl basis are computed once per instance and are
-    read-only; equality, hashing and pickling see the two dimensions only.
+    It forms, when it is made, three read-only arrays: ``code_projector`` and
+    ``leak_projector``, the projectors P_H1 and P_H2 (zero when d2 = 0) as
+    d x d matrices, and ``twirl_basis``, orthonormal columns A (d^2, k)
+    spanning the operators a 1-design twirl keeps: vec(P_H1)/sqrt(d1), which
+    is vec(I)/sqrt(d) when d2 = 0, and vec(P_H2)/sqrt(d2) when d2 > 0.  The
+    twirl is A A^dag, and a channel's transfer block A^dag L A.  Equality and
+    hashing see the two dimensions only.  It is copied and pickled by Python's
+    defaults, as all but GateSet and NoiseAssignment are: a shallow copy shares
+    its arrays; a deep copy or a pickle holds its own.
     """
 
     d1: int
@@ -46,36 +53,17 @@ class SpaceSpec:
             raise ValueError(f"code dimension must be >= 1, got {self.d1}")
         if self.d2 < 0:
             raise ValueError(f"leakage dimension must be >= 0, got {self.d2}")
-
-    def __reduce__(self):
-        return SpaceSpec, (self.d1, self.d2)
+        code = np.arange(self.d) < self.d1
+        projectors = [np.diag(part).astype(complex) for part in (code, ~code)]
+        columns = zip(projectors, (self.d1, self.d2) if self.d2 else (self.d1,))
+        basis = np.column_stack([vec(p) / np.sqrt(n) for p, n in columns])
+        names = ("code_projector", "leak_projector", "twirl_basis")
+        for name, array in zip(names, (*projectors, basis)):
+            object.__setattr__(self, name, _read_only(array))
 
     @property
     def d(self) -> int:
         return self.d1 + self.d2
-
-    @functools.cached_property
-    def code_projector(self) -> np.ndarray:
-        """Projector onto H1 as a d x d matrix."""
-        return _read_only(np.diag(np.arange(self.d) < self.d1).astype(complex))
-
-    @functools.cached_property
-    def leak_projector(self) -> np.ndarray:
-        """Projector onto H2 as a d x d matrix (zero when d2 = 0)."""
-        return _read_only(np.diag(np.arange(self.d) >= self.d1).astype(complex))
-
-    @functools.cached_property
-    def twirl_basis(self) -> np.ndarray:
-        """Orthonormal columns A (d^2, k) spanning the operators a 1-design twirl keeps.
-
-        They are vec(P_H1)/sqrt(d1) and vec(P_H2)/sqrt(d2) with a leakage
-        subspace, vec(I)/sqrt(d) without.  The twirl is A A^dag, and a
-        channel's transfer block A^dag L A.
-        """
-        if self.d2 == 0:
-            return _read_only(vec(np.eye(self.d))[:, None] / np.sqrt(self.d))
-        p1, p2 = vec(self.code_projector), vec(self.leak_projector)
-        return _read_only(np.column_stack([p1 / np.sqrt(self.d1), p2 / np.sqrt(self.d2)]))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -95,7 +83,9 @@ class Channel:
     The read-only Kraus stack (k, d, d) is ground truth.  The read-only
     Liouville matrix (elementary basis) sum_k kron(K_k, K_k.conj()) is formed
     here, or given as ``liouville``, the Kraus form's up to rounding
-    (:func:`mix`, unpickling).  Values are immutable.
+    (:func:`mix`).  Values are immutable.  It is copied and pickled by Python's
+    defaults, as all but GateSet and NoiseAssignment are: a shallow copy shares
+    its arrays; a deep copy or a pickle holds its own.
     """
 
     def __init__(self, space: SpaceSpec, kraus, liouville=None):
@@ -103,9 +93,6 @@ class Channel:
         self.kraus = _operator_stack(kraus, space.d, "Kraus operators")
         lio = liouville_from_kraus(self.kraus) if liouville is None else np.array(liouville, complex)
         self.liouville = _read_only(lio)
-
-    def __reduce__(self):
-        return Channel, (self.space, self.kraus, self.liouville)
 
     @classmethod
     def unitary(cls, space: SpaceSpec, u: np.ndarray) -> "Channel":
@@ -373,14 +360,13 @@ DIMENSIONS = {
 
 def read_operators(doc, path: str, fields: dict, key: str):
     """(values, space, matrices) of a channel or gate-set document read through
-    ``fields``: its values, the space of d1 and d2, and its list ``key`` of matrices."""
+    ``fields``: its values, the space of d1 and d2, and its list ``key`` of matrices.
+    The matrices are sized first, so a space is made only as large as they are."""
     values = read_fields(doc, path, fields)
-    space = SpaceSpec(d1=values["d1"], d2=values["d2"])
-    prefix = f"{path}." if path else ""
+    prefix, d = f"{path}." if path else "", values["d1"] + values["d2"]
     dims = f"{prefix}d1 + {prefix}d2"
-    return values, space, [
-        square_matrix(m, space.d, f"{prefix}{key}[{i}]", dims) for i, m in enumerate(values[key])
-    ]
+    matrices = [square_matrix(m, d, f"{prefix}{key}[{i}]", dims) for i, m in enumerate(values[key])]
+    return values, SpaceSpec(d1=values["d1"], d2=values["d2"]), matrices
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:

@@ -61,14 +61,23 @@ _COUNT = functools.partial(integer, low=1, high=2**63 - 1)
 class SpamSpec:
     """State preparation and measurement: initial state, effect, optional channels.
 
-    Its state and effect vectors are computed once per instance and are
-    read-only; pickles and copies see the four fields only.
+    Its read-only state and effect vectors are formed when it is made.  It is
+    copied and pickled by Python's defaults, as all but GateSet and NoiseAssignment
+    are: a shallow copy shares its arrays; a deep copy or a pickle holds its own.
     """
 
     rho: np.ndarray
     effect: np.ndarray
     prep: Channel | None = None
     meas: Channel | None = None
+
+    def __post_init__(self):
+        state, effect = vec(self.rho), vec(self.effect).conj()
+        if self.prep is not None:
+            state = self.prep.liouville @ state
+        if self.meas is not None:
+            effect = effect @ self.meas.liouville
+        object.__setattr__(self, "_vectors", (_read_only(state), _read_only(effect)))
 
     @classmethod
     @functools.cache
@@ -79,9 +88,6 @@ class SpamSpec:
         rho[0, 0] = 1.0
         return cls(rho=_read_only(rho), effect=space.code_projector)
 
-    def __reduce__(self):
-        return SpamSpec, (self.rho, self.effect, self.prep, self.meas)
-
     def state_vector(self) -> np.ndarray:
         """vec(rho), through the prep channel when there is one."""
         return self._vectors[0]
@@ -89,15 +95,6 @@ class SpamSpec:
     def effect_vector(self) -> np.ndarray:
         """vec(effect)^*, through the meas channel when there is one."""
         return self._vectors[1]
-
-    @functools.cached_property
-    def _vectors(self) -> tuple:
-        state, effect = vec(self.rho), vec(self.effect).conj()
-        if self.prep is not None:
-            state = self.prep.liouville @ state
-        if self.meas is not None:
-            effect = effect @ self.meas.liouville
-        return _read_only(state), _read_only(effect)
 
 
 #: The SPAM section.  Its matrices are sized, and its channels matched, to the
@@ -539,19 +536,24 @@ def _memory_limit() -> float:
 def _shard_bytes(cfg: ExperimentConfig, ms, gs: GateSet, noise) -> int:
     """The bytes that :func:`_lengths_probabilities` of the lengths ``ms`` holds at its peak.
 
-    With per-step normals: one length's int64 gate indices and normals.
-    Without them every row is held at once: its gate indices, stream seeds
-    (32 B) and end states with shots (48 B), and in :func:`run_sequences` its
-    complex state and einsum output, its probability, eight int64 of
-    bookkeeping (its length, negated, steps left, word and a masked block of
-    at most four gates) and the step matrix it gathers from the word table,
-    which is held too.
+    With per-step normals: every gate and noise stream's seeds (32 B) and
+    probability, one length's int64 gate indices, normals and end states with
+    shots (48 B a row), and in :func:`_evolve_columns` the two work arrays and
+    the kernel's temporaries for each draw of a chunk, and per row at most d
+    evolving columns, their d^3 products and sums.  Without them every row is
+    held at once: its gate indices, stream seeds and end states with shots,
+    and in :func:`run_sequences` its complex state and einsum output, its
+    probability, eight int64 of bookkeeping (its length, negated, steps left,
+    word and a masked block of at most four gates) and the step matrix it
+    gathers from the word table, which is held too.
     """
-    n, longest = cfg.n_sequences, max(ms)
+    n, longest, shots, d = cfg.n_sequences, max(ms), 48 * (cfg.shots is not None), gs.space.d
+    d2 = d**2
     if noise is not None and noise.stochastic:
-        return 8 * n * longest * (1 + noise.sampler.n_normals)
-    d2 = gs.space.d**2
-    row = 8 * longest + 32 + 48 * (cfg.shots is not None) + 32 * d2 + 16 + 64 + 16 * d2**2
+        sampler, chunk = noise.sampler, n * min(max(1, _CHUNK_SAMPLES // n), longest)
+        held = 8 * n * longest * (1 + sampler.n_normals) + n * (72 * len(ms) + shots)
+        return held + chunk * (32 * d2 + sampler.kernel_bytes) + 16 * n * d2 * (d + 2)
+    row = 8 * longest + 32 + shots + 32 * d2 + 16 + 64 + 16 * d2**2
     return n * len(ms) * row + 16 * max(_CHUNK_ENTRIES, len(gs) * d2**2)
 
 
@@ -657,9 +659,8 @@ def run_experiment(
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # here: it costs every import ~7 ms
 
-        spam.state_vector()  # the shards' shared values, formed before the threads start
         if noise is not None and not noise.stochastic:
-            noise.exact_model(gs)
+            noise.exact_model(gs)  # the shards' shared steps, formed before the threads start
         run = functools.partial(_lengths_probabilities, cfg, components=components)
         with ThreadPoolExecutor(workers) as pool:
             probabilities = {m: ps for part in pool.map(run, shards) for m, ps in part.items()}

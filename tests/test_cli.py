@@ -859,6 +859,21 @@ def test_filter_check_fails_on_a_partial_transpose_choi(monkeypatch):
     assert check_filter_diagnostics() == (False, "filter channel failed CP / trace-nonincreasing")
 
 
+def test_filter_check_fails_on_a_map_that_is_not_completely_positive(monkeypatch):
+    # The CP half alone: every channel's Liouville matrix is the transpose map's, which
+    # swaps (i, j) and (j, i) and is positive but not completely positive (its Choi
+    # matrix is the swap, with eigenvalue -1); the Kraus sums stay the true channels'.
+    swap = np.eye(4).reshape(2, 2, 2, 2).transpose(0, 1, 3, 2).reshape(4, 4)
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    assert np.array_equal(swap @ rho.reshape(-1), rho.T.reshape(-1))
+
+    def transpose_map(kraus):
+        return np.broadcast_to(swap, kraus.shape[:-3] + swap.shape)
+
+    monkeypatch.setattr(cli, "liouville_from_kraus", transpose_map)
+    assert check_filter_diagnostics() == (False, "filter channel failed CP / trace-nonincreasing")
+
+
 def test_filter_check_fails_on_trace_increasing_kraus_sums(monkeypatch):
     # The trace half alone: the Choi matrices stay those of the true channels.
     monkeypatch.setattr(cli, "kraus_sums", lambda kraus: 1.001 * lb.liouville.kraus_sums(kraus))

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,11 +113,24 @@ def pinned_datasets():
 
 def test_refit_of_every_pinned_dataset_matches_its_fitted_decay():
     # Every (m, mean, sem) pinned in perfbench/reference.json refits to its
-    # fitted_decay within that file's tolerance (1e-9, as perfbench/run.py checks).
+    # fitted_decay within that file's tolerance (1e-9, as perfbench/run.py checks),
+    # and its decay is identified.
     for figure, seed, run in pinned_datasets():
         data = DecayDataset.from_arrays(run["m"], run["mean"], run["sem"], run["n"])
-        decay = fit(FIGURES[figure]["model"], data).params["decay"]
-        assert abs(decay - run["fitted_decay"]) <= 1e-9, (figure, seed)
+        result = fit(FIGURES[figure]["model"], data)
+        assert abs(result.params["decay"] - run["fitted_decay"]) <= 1e-9, (figure, seed)
+        assert "weakly-identified" not in result.flags, (figure, seed)
+
+
+def test_a_decay_that_the_curve_cannot_identify_is_flagged():
+    # fig2 at sigma_gamma = 0.02 and seed 3, whose exact decay is 0.99870: the means
+    # are nearly a straight line, and the tp-constrained fit runs out along the ray
+    # decay -> 1 to 0.9999995 +- 1.7e-8, amplitude 867 and offset -866, where the
+    # weighted normal matrix is singular (inverse condition number 4.7e-21).
+    noise = {"id": "shelving", "params": {"phi": 0.01, "sigma_gamma": 0.02}}
+    result = fit("tp-constrained", run_experiment(replace(figure_config("fig2"), seed=3, noise=noise)))
+    assert abs(result.params["decay"] - 0.9999995) < 1e-7
+    assert result.flags == ["weakly-identified"] and not result.degenerate
 
 
 #: The sem of the double-exp generator's means.
@@ -177,7 +191,7 @@ def assert_search_matches_the_lstsq_search(model, ms, ys, w):
     if np.max(np.abs(x[nd:] - reference[nd:])) > 1e-12:
         for end in (x, reference):
             jac = model.jacobian(end, ms)
-            assert fitting._is_degenerate(model, end, jac.T @ (w[:, None] * jac))
+            assert is_degenerate(model, end, jac.T @ (w[:, None] * jac))
         assert abs(_cost(model, x, ms, ys, w) - _cost(model, reference, ms, ys, w)) <= 1e-6
 
 
@@ -318,10 +332,15 @@ def normal_matrix(model, x, ms=MS, w=None):
     return jac.T @ ((np.ones(len(ms)) if w is None else w)[:, None] * jac)
 
 
+def is_degenerate(model, x, normal) -> bool:
+    """Whether the fit flags the decays ``x`` as degenerate, given its normal matrix."""
+    return fitting._is_degenerate(model, x, fitting._pseudo_inverse(normal)[1])
+
+
 def test_is_degenerate_threshold():
     model = model_by_name("double-exp")
     for x, degenerate in (([0.5, 0.5, 0.95, 0.95 + 5e-7], True), ([0.5, 0.5, 0.95, 0.9], False)):
-        assert fitting._is_degenerate(model, np.array(x), normal_matrix(model, x)) is degenerate
+        assert is_degenerate(model, np.array(x), normal_matrix(model, x)) is degenerate
 
 
 def test_degenerate_limit_is_flagged_wherever_the_refinement_stops():
@@ -333,7 +352,7 @@ def test_degenerate_limit_is_flagged_wherever_the_refinement_stops():
     sems = np.full(MS.size, GENERATED_SEM)
     model = model_by_name("double-exp")
     reference = projected_search(model, MS, generated(246), w)[0]
-    assert fitting._is_degenerate(model, reference, normal_matrix(model, reference, w=w))
+    assert is_degenerate(model, reference, normal_matrix(model, reference, w=w))
     for seed, degenerate in ((246, True), (1, False), (2, False), (3, False)):
         data = DecayDataset.from_arrays(MS, generated(seed), sems)
         result = fit("double-exp", data)

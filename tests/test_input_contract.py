@@ -278,16 +278,26 @@ def test_lengths_whose_arrays_cannot_fit_exit_2_before_allocating(tmp_path, base
     assert not (tmp_path / "out").exists()
 
 
+#: The bytes fig2's shelving noise holds beside one length's gate indices, when its
+#: lengths are ``ms``: that length's 18 normals a step, 32 B of seeds for each gate and
+#: noise stream and 8 B for each probability, two work arrays of 9 complex entries and
+#: the kernel's 320 B for each draw of the largest chunk (20 steps of 200 rows), and
+#: for each row 3 evolving columns (9 complex entries), their 27 products and 9 sums.
+def fig2_bytes_beside_indices(ms) -> int:
+    return 200 * max(ms) * 18 * 8 + 200 * len(ms) * 72 + 4000 * (2 * 16 * 9 + 320) + 200 * 16 * 45
+
+
 @pytest.mark.parametrize("base, index_bytes", [("fig1", 30 * 10 * 100 * 8), ("fig2", 200 * 100 * 8)])
 def test_the_memory_guard_counts_indices_and_normals(monkeypatch, base, index_bytes):
     # fig1 holds every length's indices in one batch, and per row its stream seeds (32 B),
     # its state and einsum output (2 x 4 complex), its probability (16 B), eight int64 of
     # bookkeeping and a gathered 4 x 4 complex step matrix, plus the 128 KiB word table;
-    # fig2 one length's indices plus its 18 normals per step.
+    # fig2 one length's indices plus what fig2_bytes_beside_indices counts.
     cfg = ExperimentConfig.from_dict(json.loads(BUNDLED[base].read_text()))
     components = protocol._experiment_components(cfg)
     fixed = 30 * 10 * (32 + 2 * 16 * 4 + 16 + 8 * 8 + 16 * 4**2) + 16 * 2**13
-    needed = index_bytes + (200 * 100 * 18 * 8 if components[1].stochastic else fixed)
+    stochastic = components[1].stochastic
+    needed = index_bytes + (fig2_bytes_beside_indices(cfg.m_list) if stochastic else fixed)
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed - 1)
     with pytest.raises(liouville.ConfigError, match="m_list and n_sequences"):
         protocol.run_experiment(cfg, components=components)
@@ -314,11 +324,13 @@ def test_the_memory_guard_counts_the_fixed_noise_gather(monkeypatch):
 
 
 def test_the_memory_guard_counts_every_concurrent_shard(monkeypatch):
-    # fig2's longest length holds 8 B of index and 18 normals a step: the serial run and
-    # each of two shards fit the limit alone, but the shards, run at once, do not.
+    # The limit is what fig2's serial run holds: each of two shards fits it alone, as the
+    # shard of the lengths 10, 30, ..., 90 holds less and the other's longest length is
+    # the serial run's, but the shards, run at once, do not.
     cfg = ExperimentConfig.from_dict(json.loads(BUNDLED["fig2"].read_text()))
     components = protocol._experiment_components(cfg)
-    monkeypatch.setattr(protocol, "_memory_limit", lambda: 200 * 100 * 8 * (1 + 18))
+    serial = 200 * 100 * 8 + fig2_bytes_beside_indices(cfg.m_list)
+    monkeypatch.setattr(protocol, "_memory_limit", lambda: serial)
     monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
     assert len(protocol.run_experiment(cfg, components=components).rows()) == 10
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import random_channel, random_density, run_python
+from helpers import design, random_channel, random_density, run_python
 from reference import (
     decay_eigenvalues,
     incoherent_survival,
@@ -879,11 +879,11 @@ def test_stream_seeding_does_not_grow_with_the_sequence_count(monkeypatch):
     assert counts[0] == counts[1] < 10
 
 
-def _traced_peak(cfg: ExperimentConfig) -> int:
-    """The tracemalloc peak, in bytes, of a serial ``run_experiment(cfg)``."""
+def _traced_peak(cfg: ExperimentConfig, components=None) -> int:
+    """The tracemalloc peak, in bytes, of a serial ``run_experiment(cfg, components=...)``."""
     tracemalloc.start()
     try:
-        run_experiment(cfg)
+        run_experiment(cfg, components=components)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -911,13 +911,30 @@ def test_shot_streams_hold_their_end_states_as_arrays():
     assert _traced_peak(replace(cfg, shots=100)) - _traced_peak(cfg) <= 64 * rows
 
 
-def test_the_memory_guard_bounds_a_fixed_noise_run_with_shots():
-    # fig1 with shots at 10,000 rows, all held at once: its traced peak is within the
-    # count that the memory guard checks before the run.
-    cfg = replace(figure_config("fig1"), n_sequences=1000, shots=100)
-    run_experiment(replace(cfg, n_sequences=2))  # the one-off caches and imports
-    gs, noise = _experiment_components(cfg)[:2]
-    assert _traced_peak(cfg) <= protocol._shard_bytes(cfg, cfg.m_list, gs, noise)
+#: (config, components or None for the config's own) of a run of each engine and
+#: space: fixed noise on fig1 (d = 2), fig2 without noise (d = 3) and the blocks
+#: design (d = 4), and fig2's shelving noise, evolved by _evolve_columns.
+GUARDED_RUNS = {
+    "fixed-d2": lambda: (figure_config("fig1"), None),
+    "fixed-d3": lambda: (replace(figure_config("fig2"), noise=None), None),
+    "fixed-d4": lambda: (
+        replace(figure_config("fig2"), gateset="blocks.json", noise=None), (*design("blocks"), 0)
+    ),
+    "stochastic-d3": lambda: (figure_config("fig2"), None),
+}
+
+
+@pytest.mark.parametrize("shots", [None, 100])
+@pytest.mark.parametrize("run", GUARDED_RUNS)
+def test_the_memory_guard_bounds_the_traced_peak(run, shots):
+    # 200 sequences a length, 2-11 MiB at the peak, where the arrays the memory guard
+    # counts outweigh the fixed costs of a run: its traced peak is within that count.
+    cfg, components = GUARDED_RUNS[run]()
+    cfg = replace(cfg, n_sequences=200, shots=shots)
+    components = components or _experiment_components(cfg)
+    run_experiment(replace(cfg, n_sequences=2), components=components)  # one-off caches
+    needed = protocol._shard_bytes(cfg, cfg.m_list, *components[:2])
+    assert _traced_peak(cfg, components) <= needed
 
 
 def test_a_top_level_script_runs_jobs_without_a_main_guard(tmp_path):
@@ -1139,7 +1156,6 @@ def test_spam_vectors_are_computed_once_read_only_and_left_by_copies():
         with pytest.raises(ValueError, match="read-only"):
             vector[0] = 2.0
     for other in (pickle.loads(pickle.dumps(spam)), copy.deepcopy(spam), copy.copy(spam)):
-        assert "_vectors" not in vars(other)
         assert other.state_vector().tobytes() == state.tobytes()
         assert other.effect_vector().tobytes() == effect.tobytes()
 
