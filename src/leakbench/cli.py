@@ -164,19 +164,20 @@ def _environment() -> dict:
     }
 
 
-def _write_run(out, dataset: DecayDataset, started: float, timings: dict, extras=None,
-               documents: dict | None = None, health: dict | None = None) -> list:
+def _write_run(out, command: list, dataset: DecayDataset, started: float, timings: dict,
+               extras=None, documents: dict | None = None, health: dict | None = None) -> list:
     """Write a run's files to the directory ``out``; returns their paths, ``manifest.json`` last.
 
     ``decay.csv``, ``decay.json`` (with the per-row ``extras``) and each JSON
     document of ``documents`` by file name are written in the ``write`` stage
     of ``timings``.  Then the run record ``manifest.json``: the config, seed
-    and tool version of the dataset's provenance, the :func:`_environment`,
-    the paths before it, and ``timings``, the wall seconds of each stage of
-    the run.  The stages are disjoint parts of ``duration_seconds``, except
-    ``sample`` and ``evolve``: a serial run's parts of ``simulate``.
-    ``peak_rss_mb`` is the process's peak memory when the manifest is
-    written, and ``health``, when given, is recorded as it is.
+    and tool version of the dataset's provenance, the ``command``, the
+    arguments that :func:`main` parsed, the :func:`_environment`, the paths
+    before it, and ``timings``, the wall seconds of each stage of the run.
+    The stages are disjoint parts of ``duration_seconds``, except ``sample``
+    and ``evolve``: a serial run's parts of ``simulate``.  ``peak_rss_mb`` is
+    the process's peak memory when the manifest is written, and ``health``,
+    when given, is recorded as it is.
     """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -190,6 +191,7 @@ def _write_run(out, dataset: DecayDataset, started: float, timings: dict, extras
     outputs = list(map(str, paths))
     _write_json(out_dir / "manifest.json", {
         **{key: dataset.provenance[key] for key in ("config", "seed", "tool_version")},
+        "command": command,
         "environment": _environment(),
         "outputs": outputs,
         "duration_seconds": time.monotonic() - started,
@@ -207,7 +209,7 @@ def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     dataset, _ = _simulate(cfg, args.jobs, timings)
-    print(f"wrote {', '.join(_write_run(args.out, dataset, started, timings))}")
+    print(f"wrote {', '.join(_write_run(args.out, args.argv, dataset, started, timings))}")
     return EXIT_OK
 
 
@@ -324,7 +326,8 @@ def cmd_reproduce(args) -> int:
     )
     documents = {"fit.json": result.to_dict(), "report.json": report}
     health = _health(result, report["per_length"])
-    _write_run(args.out, dataset, started, timings, report["per_length"], documents, health)
+    extras = report["per_length"]
+    _write_run(args.out, args.argv, dataset, started, timings, extras, documents, health)
     verdict = "PASS" if report["pass"] else "FAIL"
     print(
         f"{args.figure} {verdict}: fitted decay {report['fitted_decay']:.6f} "
@@ -488,7 +491,9 @@ def main(argv=None) -> int:
     Commands only raise: any error of one is printed here as one stderr line,
     ``<word>: <message>``, and exits with its code, both from :data:`ERRORS`.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
+    args.argv = argv  # a run records it as its command
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - the CLI's one error boundary

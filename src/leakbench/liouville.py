@@ -82,10 +82,10 @@ class Channel:
 
     The read-only Kraus stack (k, d, d) is ground truth.  The read-only
     Liouville matrix (elementary basis) sum_k kron(K_k, K_k.conj()) is formed
-    here, or given as ``liouville``, the Kraus form's up to rounding
-    (:func:`mix`).  Values are immutable.  It is copied and pickled by Python's
-    defaults, as all but GateSet and NoiseAssignment are: a shallow copy shares
-    its arrays; a deep copy or a pickle holds its own.
+    here, or given as ``liouville``, the Kraus form's up to rounding (the
+    average of fixed noise).  Values are immutable.  It is copied and pickled
+    by Python's defaults, as all but GateSet and NoiseAssignment are: a shallow
+    copy shares its arrays; a deep copy or a pickle holds its own.
     """
 
     def __init__(self, space: SpaceSpec, kraus, liouville=None):
@@ -158,33 +158,6 @@ def kraus_sums(kraus: np.ndarray) -> np.ndarray:
     *lead, k, d, _ = kraus.shape
     rows = kraus.reshape(*lead, k * d, d)  # each set's K_k stacked vertically
     return rows.conj().swapaxes(-1, -2) @ rows
-
-
-def mix(channels, weights=None) -> Channel:
-    """Convex mixture sum_i w_i E_i, as the Kraus union scaled by sqrt(w_i).
-
-    Its Liouville matrix is sum_i w_i L_i of the members' matrices.  Weights
-    default to uniform and must be finite and nonnegative.
-    """
-    channels = list(channels)
-    if not channels:
-        raise ValueError("mix needs at least one channel")
-    space, n = channels[0].space, len(channels)
-    if any(ch.space != space for ch in channels):
-        raise ValueError("channels act on different spaces")
-    weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
-    if weights.shape != (n,):
-        raise ValueError(f"mix got {weights.size} weights for {n} channels")
-    if not np.all(np.isfinite(weights) & (weights >= 0)):
-        raise ValueError(f"mix weights must be finite and nonnegative, got {weights.tolist()}")
-    scales = np.repeat(np.sqrt(weights), [len(ch.kraus) for ch in channels])
-    kraus = scales[:, None, None] * np.concatenate([ch.kraus for ch in channels])
-    lios = np.array([ch.liouville for ch in channels])
-    # tensordot(weights, lios, axes=1) as the one np.dot it makes, same bits.  In
-    # a fresh process tensordot's Python layer took about 0.2 ms over the four
-    # calls of an exact-oracle pass, 5% of it (2 vCPUs, numpy 2.4).
-    mean = np.dot(weights[None], lios.reshape(n, -1)).reshape(lios.shape[1:])
-    return Channel(space, kraus, mean)
 
 
 def transfer_matrix(ch: Channel) -> np.ndarray:

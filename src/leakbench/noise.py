@@ -229,6 +229,12 @@ def _jump_tables(n: int) -> np.ndarray:
 #: uint64 array): the chunk bounds the working memory, whatever n and m are.
 _DRAW_CHUNK = 1 << 11
 
+#: Bytes that :func:`pcg64_integers` holds per output of a chunk at its peak: the
+#: 12 uint64 words of the chunk before (its steps, terms, states, outputs and
+#: scaled words) are still held while :func:`_mul128` forms the next one's 36
+#: (its two operands, their 32-bit pieces, the cross products and the result).
+_DRAW_BYTES = 8 * (12 + 36)
+
 
 def pcg64_integers(seeds: np.ndarray, high: int, lengths, states: bool = False):
     """``Generator(PCG64).integers(0, high, size=lengths[i])`` from each seeding ``seeds[..., i]``.

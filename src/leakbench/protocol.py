@@ -47,7 +47,7 @@ from .liouville import (
     vec,
 )
 from .noise import RandomStream, build_noise_model, read_noise_spec
-from .noise import pcg64_integers, pcg64_seeds, seated_generators
+from .noise import _DRAW_BYTES, _DRAW_CHUNK, pcg64_integers, pcg64_seeds, seated_generators
 
 # Sub-stream tags: sequence/shot draws vs. per-step noise draws.
 _SEQ_KEY = 0
@@ -545,16 +545,17 @@ def _shard_bytes(cfg: ExperimentConfig, ms, gs: GateSet, noise) -> int:
     and in :func:`run_sequences` its complex state and einsum output, its
     probability, eight int64 of bookkeeping (its length, negated, steps left,
     word and a masked block of at most four gates) and the step matrix it
-    gathers from the word table, which is held too.
+    gathers from the word table, which is held too.  Both add the temporaries of
+    :func:`pcg64_integers`' chunk of ``_DRAW_CHUNK`` outputs, or of one row's.
     """
     n, longest, shots, d = cfg.n_sequences, max(ms), 48 * (cfg.shots is not None), gs.space.d
-    d2 = d**2
+    d2, draw = d**2, _DRAW_BYTES * max(_DRAW_CHUNK, (longest + 1) // 2)
     if noise is not None and noise.stochastic:
         sampler, chunk = noise.sampler, n * min(max(1, _CHUNK_SAMPLES // n), longest)
-        held = 8 * n * longest * (1 + sampler.n_normals) + n * (72 * len(ms) + shots)
+        held = 8 * n * longest * (1 + sampler.n_normals) + n * (72 * len(ms) + shots) + draw
         return held + chunk * (32 * d2 + sampler.kernel_bytes) + 16 * n * d2 * (d + 2)
     row = 8 * longest + 32 + shots + 32 * d2 + 16 + 64 + 16 * d2**2
-    return n * len(ms) * row + 16 * max(_CHUNK_ENTRIES, len(gs) * d2**2)
+    return n * len(ms) * row + 16 * max(_CHUNK_ENTRIES, len(gs) * d2**2) + draw
 
 
 def _check_memory(needed: int):

@@ -9,11 +9,11 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from reference import mix
 
 import leakbench
 from leakbench import Channel, SpaceSpec
 from leakbench.gatesets import PAULIS, GateSet, NoiseAssignment
-from leakbench.liouville import mix
 from leakbench.protocol import SpamSpec
 
 

@@ -3,7 +3,9 @@
 Trace-orthonormal operator bases (``OperatorBasis``, ``vectorize``,
 ``to_liouville`` in any such basis and ``born_probability``), against which
 the canonical matrix-unit Liouville form of ``leakbench.liouville`` is
-checked.  The per-operator loop forms of the channel and gate-set algebra
+checked.  The weighted mixture of channels (``mix``), which test fixtures
+build and whose uniform case is the program's average of fixed noise.  The
+per-operator loop forms of the channel and gate-set algebra
 (``kraus_liouville``, ``apply_kraus``, ``kraus_sum``, ``group_deviation``,
 ``gate_dependence_epsilon``) and the numeric rank of a projector
 (``numeric_rank``), against which the stacked contractions are checked.
@@ -175,6 +177,19 @@ def kraus_liouville(kraus) -> np.ndarray:
     return acc
 
 
+def mix(channels, weights=None) -> Channel:
+    """The convex mixture sum_i w_i E_i of channels on one space, uniform by default: the
+    Kraus union scaled by sqrt(w_i), with sum_i w_i L_i as one np.dot of the weights and the
+    members' Liouville stack, the arithmetic of ``NoiseAssignment``'s uniform average."""
+    n = len(channels)
+    weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+    scales = np.repeat(np.sqrt(weights), [len(ch.kraus) for ch in channels])
+    kraus = scales[:, None, None] * np.concatenate([ch.kraus for ch in channels])
+    lios = np.array([ch.liouville for ch in channels])
+    mean = np.dot(weights[None], lios.reshape(n, -1)).reshape(lios.shape[1:])
+    return Channel(channels[0].space, kraus, mean)
+
+
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     """sum_k K_k rho K_k^dag, one Kraus operator at a time."""
     out = np.zeros_like(np.asarray(rho, dtype=complex))
@@ -264,7 +279,7 @@ def powered_expectation(m: int, step: np.ndarray, effect, state) -> float:
 
 def stacked_gate_dependence_epsilon(gates, channels) -> float:
     """d sigma_max(S - T E_avg) of :func:`averaged_step` S, the twirl T and the mean
-    E_avg = sum_g L(E_g) / |G| taken as :func:`leakbench.liouville.mix` takes it."""
+    E_avg = sum_g L(E_g) / |G| taken as ``NoiseAssignment`` takes its uniform average."""
     noise = np.array([kraus_liouville(ch.kraus) for ch in channels])
     average = np.tensordot(np.full(len(channels), 1.0 / len(channels)), noise, axes=1)
     delta = averaged_step(gates, channels) - averaged_step(gates) @ average

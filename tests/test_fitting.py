@@ -6,12 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import random_channel
-from reference import gauss_newton_step, least_pair_cost, least_scanned_cost, projected_search
+from reference import (
+    gauss_newton_step,
+    least_pair_cost,
+    least_scanned_cost,
+    mix,
+    projected_search,
+)
 
 import leakbench as lb
 import leakbench.fitting as fitting
 from leakbench.fitting import FitNonConvergence, _cost, fit, model_by_name
-from leakbench.liouville import ConfigError, mix
+from leakbench.liouville import ConfigError
 from leakbench.noise import RandomStream
 from leakbench.cli import FIGURES, figure_config
 from leakbench.protocol import (

@@ -281,21 +281,24 @@ def test_lengths_whose_arrays_cannot_fit_exit_2_before_allocating(tmp_path, base
 #: The bytes fig2's shelving noise holds beside one length's gate indices, when its
 #: lengths are ``ms``: that length's 18 normals a step, 32 B of seeds for each gate and
 #: noise stream and 8 B for each probability, two work arrays of 9 complex entries and
-#: the kernel's 320 B for each draw of the largest chunk (20 steps of 200 rows), and
-#: for each row 3 evolving columns (9 complex entries), their 27 products and 9 sums.
+#: the kernel's 320 B for each draw of the largest chunk (20 steps of 200 rows), for
+#: each row 3 evolving columns (9 complex entries), their 27 products and 9 sums, and
+#: the 384 B for each of the 2048 outputs of a chunk of gate-index draws.
 def fig2_bytes_beside_indices(ms) -> int:
-    return 200 * max(ms) * 18 * 8 + 200 * len(ms) * 72 + 4000 * (2 * 16 * 9 + 320) + 200 * 16 * 45
+    held = 200 * max(ms) * 18 * 8 + 200 * len(ms) * 72 + 4000 * (2 * 16 * 9 + 320)
+    return held + 200 * 16 * 45 + 2048 * 384
 
 
 @pytest.mark.parametrize("base, index_bytes", [("fig1", 30 * 10 * 100 * 8), ("fig2", 200 * 100 * 8)])
 def test_the_memory_guard_counts_indices_and_normals(monkeypatch, base, index_bytes):
     # fig1 holds every length's indices in one batch, and per row its stream seeds (32 B),
     # its state and einsum output (2 x 4 complex), its probability (16 B), eight int64 of
-    # bookkeeping and a gathered 4 x 4 complex step matrix, plus the 128 KiB word table;
-    # fig2 one length's indices plus what fig2_bytes_beside_indices counts.
+    # bookkeeping and a gathered 4 x 4 complex step matrix, plus the 128 KiB word table
+    # and 384 B for each of the 2048 outputs of a chunk of gate-index draws; fig2 one
+    # length's indices plus what fig2_bytes_beside_indices counts.
     cfg = ExperimentConfig.from_dict(json.loads(BUNDLED[base].read_text()))
     components = protocol._experiment_components(cfg)
-    fixed = 30 * 10 * (32 + 2 * 16 * 4 + 16 + 8 * 8 + 16 * 4**2) + 16 * 2**13
+    fixed = 30 * 10 * (32 + 2 * 16 * 4 + 16 + 8 * 8 + 16 * 4**2) + 16 * 2**13 + 2048 * 384
     stochastic = components[1].stochastic
     needed = index_bytes + (fig2_bytes_beside_indices(cfg.m_list) if stochastic else fixed)
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed - 1)
@@ -308,13 +311,15 @@ def test_the_memory_guard_counts_indices_and_normals(monkeypatch, base, index_by
 def test_the_memory_guard_counts_the_fixed_noise_gather(monkeypatch):
     # On the (4, 2) design a row's gathered 36 x 36 complex step matrix takes 20,736
     # bytes, its five int64 gate indices 40: the gather alone trips the limit.  A row
-    # also holds its seeds, state, einsum output, probability and eight int64, and the
-    # word table holds the 128 one-gate words.
+    # also holds its seeds, state, einsum output, probability and eight int64, the
+    # word table holds the 128 one-gate words, and a chunk of gate-index draws 384 B
+    # for each of its 2048 outputs.
     gs, noise, spam = design("two-qubit")
     cfg = ExperimentConfig(gateset="two-qubit.json", m_list=(5, 3), n_sequences=20, seed=1)
     components = (gs, noise, spam, None)
     rows, index_bytes = 2 * 20, 2 * 20 * 5 * 8
-    needed = index_bytes + rows * (32 + 2 * 16 * 36 + 16 + 8 * 8 + 16 * 6**4) + 16 * 128 * 6**4
+    row = 32 + 2 * 16 * 36 + 16 + 8 * 8 + 16 * 6**4
+    needed = index_bytes + rows * row + 16 * 128 * 6**4 + 2048 * 384
     monkeypatch.setattr(protocol, "_memory_limit", lambda: needed - 1)
     assert index_bytes < needed - 1
     with pytest.raises(liouville.ConfigError, match="m_list and n_sequences"):

@@ -15,6 +15,7 @@ from reference import (
     incoherent_survival,
     kraus_liouville,
     kraus_sum,
+    mix,
     normalized_pauli_basis,
     shelving_pulse,
     to_liouville,
@@ -24,7 +25,7 @@ from reference import (
 
 import leakbench as lb
 from leakbench import Channel, SpaceSpec
-from leakbench.gatesets import PAULI_X
+from leakbench.gatesets import PAULI_X, NoiseAssignment
 from leakbench.liouville import (
     DEFAULT_TOL,
     ConfigError,
@@ -33,7 +34,6 @@ from leakbench.liouville import (
     channel_to_dict,
     complex_entries,
     matrix_to_pairs,
-    mix,
     vec,
 )
 
@@ -444,26 +444,6 @@ def test_mixture_liouville_matches_its_kraus_union():
             assert np.max(np.abs(mixed.liouville - Channel(space, mixed.kraus).liouville)) < 1e-14
 
 
-def test_mix_rejects_empty_input():
-    with pytest.raises(ValueError, match="at least one channel"):
-        mix([])
-
-
-def test_mix_rejects_a_weight_count_mismatch():
-    ch = filter_z(0.02)
-    with pytest.raises(ValueError, match="2 weights for 1 channels"):
-        mix([ch], [1.0, 2.0])
-    with pytest.raises(ValueError, match="1 weights for 2 channels"):
-        mix([ch, ch], [1.0])
-
-
-def test_mix_rejects_negative_or_non_finite_weights():
-    ch = filter_z(0.02)
-    for weights in ([-0.5, 1.5], [np.nan, 1.0], [np.inf, 0.0]):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            mix([ch, ch], weights)
-
-
 def test_survival_rates_linear_in_channel():
     rng = np.random.default_rng(47)
     ch1 = random_channel(QUTRIT, rng, scale=0.9)
@@ -534,9 +514,10 @@ def _made_channels():
     cases = [(how, ch, own(ch.kraus)) for how, ch in made.items()]
     for how, na in (("sample_filter_assignment", assignment), ("gates param", given)):
         cases += [(f"{how}[{g}]", ch, own(ch.kraus)) for g, ch in enumerate(na.channels)]
-    members, weights = [made["kraus list"], made["unitary"]], [0.25, 0.75]
+    members = [made["kraus list"], made["unitary"]]
     lios = np.array([own(ch.kraus) for ch in members])
-    cases.append(("mix", mix(members, weights), np.tensordot(weights, lios, axes=1)))
+    average = NoiseAssignment(QUTRIT, channels=members).average
+    cases.append(("noise average", average, np.tensordot([0.5, 0.5], lios, axes=1)))
     copies = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "deepcopy": copy.deepcopy}
     cases += [
         (f"{name} of {how}", copy_of(ch), expected)

@@ -13,6 +13,7 @@ from helpers import design, random_channel, random_density, run_python
 from reference import (
     decay_eigenvalues,
     incoherent_survival,
+    mix,
     run_sequence,
     sample_sequence,
     shot_estimate,
@@ -24,7 +25,7 @@ import leakbench.protocol as protocol
 from leakbench import Channel, SpaceSpec
 from leakbench.cli import figure_config
 from leakbench.gatesets import NoiseAssignment
-from leakbench.liouville import mix, vec
+from leakbench.liouville import vec
 from leakbench.noise import RandomStream, pcg64_integers, pcg64_seeds
 from leakbench.protocol import (
     ConfigError,
@@ -911,12 +912,29 @@ def test_shot_streams_hold_their_end_states_as_arrays():
     assert _traced_peak(replace(cfg, shots=100)) - _traced_peak(cfg) <= 64 * rows
 
 
+def weyl_heisenberg():
+    """(gate set, noise, SPAM): the nine X^a Z^b on a qutrit code space (d1 = 3, d2 = 0),
+    a gate set whose size is not a power of two, with a random trace-decreasing channel
+    per gate and ideal SPAM."""
+    shift, clock = np.roll(np.eye(3), 1, axis=0), np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    power = np.linalg.matrix_power
+    gates = [power(shift, a) @ power(clock, b) for a in range(3) for b in range(3)]
+    gs = lb.GateSet(SpaceSpec(3), gates, label="weyl")
+    rng = np.random.default_rng(9)
+    channels = [random_channel(gs.space, rng, scale=0.98) for _ in gates]
+    return gs, NoiseAssignment(gs.space, channels=channels), SpamSpec.ideal(gs.space)
+
+
 #: (config, components or None for the config's own) of a run of each engine and
-#: space: fixed noise on fig1 (d = 2), fig2 without noise (d = 3) and the blocks
-#: design (d = 4), and fig2's shelving noise, evolved by _evolve_columns.
+#: space: fixed noise on fig1 (d = 2), fig2 without noise (d = 3), the nine
+#: Weyl-Heisenberg gates (d = 3) and the blocks design (d = 4), and fig2's
+#: shelving noise, evolved by _evolve_columns.
 GUARDED_RUNS = {
     "fixed-d2": lambda: (figure_config("fig1"), None),
     "fixed-d3": lambda: (replace(figure_config("fig2"), noise=None), None),
+    "fixed-d3-weyl": lambda: (
+        replace(figure_config("fig2"), gateset="weyl.json", noise=None), (*weyl_heisenberg(), 0)
+    ),
     "fixed-d4": lambda: (
         replace(figure_config("fig2"), gateset="blocks.json", noise=None), (*design("blocks"), 0)
     ),
@@ -925,12 +943,18 @@ GUARDED_RUNS = {
 
 
 @pytest.mark.parametrize("shots", [None, 100])
-@pytest.mark.parametrize("run", GUARDED_RUNS)
-def test_the_memory_guard_bounds_the_traced_peak(run, shots):
-    # 200 sequences a length, 2-11 MiB at the peak, where the arrays the memory guard
-    # counts outweigh the fixed costs of a run: its traced peak is within that count.
+@pytest.mark.parametrize(
+    "run, n_sequences",
+    [pytest.param(run, 200, id=run) for run in GUARDED_RUNS]
+    + [pytest.param(run, 30, id=f"small-{run}") for run in GUARDED_RUNS],
+)
+def test_the_memory_guard_bounds_the_traced_peak(run, n_sequences, shots):
+    # 30 sequences a length, where the fixed costs of a run such as the gate-index
+    # draws' chunk weigh most, and 200, 2-11 MiB at the peak: the traced peak is
+    # within the memory guard's count.  The nine Weyl-Heisenberg gates make the
+    # index draws run their rejection test.
     cfg, components = GUARDED_RUNS[run]()
-    cfg = replace(cfg, n_sequences=200, shots=shots)
+    cfg = replace(cfg, n_sequences=n_sequences, shots=shots)
     components = components or _experiment_components(cfg)
     run_experiment(replace(cfg, n_sequences=2), components=components)  # one-off caches
     needed = protocol._shard_bytes(cfg, cfg.m_list, *components[:2])

@@ -1,8 +1,9 @@
 """What a run's ``manifest.json`` records beside its outputs and timings.
 
-Both ``simulate`` and ``reproduce`` record the environment their bytes rest
-on: "same seed, same bytes" holds for one Python, one numpy (NEP 19 lets
-numpy change its ``Generator`` streams between versions) and one platform.
+Both ``simulate`` and ``reproduce`` record the command they parsed and the
+environment their bytes rest on: "same seed, same bytes" holds for one
+Python, one numpy (NEP 19 lets numpy change its ``Generator`` streams between
+versions) and one platform.
 ``reproduce`` also records the health of its run: the fit's convergence and
 the per-length z-scores against the exact mean.
 """
@@ -43,6 +44,24 @@ def test_simulate_and_reproduce_record_their_environment(tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / name)]) == EXIT_OK
         assert _manifest(tmp_path / name)["environment"] == ENVIRONMENT
     assert "health" not in _manifest(tmp_path / "sim")
+
+
+def test_simulate_and_reproduce_record_the_command_they_parsed(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(NOISELESS))
+    runs = {
+        "sim": ["simulate", "--config", str(config), "--shots", "10"],
+        "rep": ["reproduce", "fig1", "--seed", "3", "--jobs", "1"],
+    }
+    for name, argv in runs.items():
+        command = [*argv, "--out", str(tmp_path / name)]
+        assert main(tuple(command)) == EXIT_OK
+        assert _manifest(tmp_path / name)["command"] == command
+    # Without arguments, main parses the process's own.
+    command = ["simulate", "--config", str(config), "--out", str(tmp_path / "argv")]
+    monkeypatch.setattr(sys, "argv", ["leakbench", *command])
+    assert main() == EXIT_OK
+    assert _manifest(tmp_path / "argv")["command"] == command
 
 
 def test_the_environment_is_read_once_per_process_without_platform_platform(

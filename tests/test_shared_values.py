@@ -23,7 +23,7 @@ import leakbench.gatesets as gatesets
 import leakbench.protocol as protocol
 from leakbench import GateSet, NoiseAssignment, SpaceSpec
 from leakbench.gatesets import PAULIS, average_noise, gateset_by_id, gateset_from_dict, twirl
-from leakbench.liouville import _kron_conj, matrix_to_pairs, mix
+from leakbench.liouville import _kron_conj, matrix_to_pairs
 from leakbench.noise import RandomStream, build_noise_model, sample_filter_assignment
 from leakbench.protocol import (
     ExperimentConfig,
@@ -100,7 +100,7 @@ def test_average_noise_is_computed_once(space):
     na = NoiseAssignment(space, channels=channels)
     avg = average_noise(na)
     assert average_noise(na) is avg
-    fresh = mix(channels)
+    fresh = reference.mix(channels)
     assert_shared_read_only(avg, "kraus", fresh.kraus)
     assert_shared_read_only(avg, "liouville", fresh.liouville)
     assert np.allclose(avg.liouville, np.mean([ch.liouville for ch in channels], axis=0))
@@ -476,7 +476,7 @@ def test_formed_values_equal_their_definitions_bit_for_bit(gateset_way, noise_wa
     na = NOISE_WAYS[noise_way](gs)
     lios = _kron_conj(gs.gates)
     # One channel on every gate is its own mixture.
-    average = na.channels[0] if noise_way == "uniform" else mix(na.channels)
+    average = na.channels[0] if noise_way == "uniform" else reference.mix(na.channels)
     expected = {
         (gs, "gate_liouvilles"): lios,
         (gs, "twirl_matrix"): lios.mean(axis=0),
