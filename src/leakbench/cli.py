@@ -172,7 +172,8 @@ def _write_run(out, command: list, dataset: DecayDataset, started: float, timing
     document of ``documents`` by file name are written in the ``write`` stage
     of ``timings``.  Then the run record ``manifest.json``: the config, seed
     and tool version of the dataset's provenance, the ``command``, the
-    arguments that :func:`main` parsed, the :func:`_environment`, the paths
+    arguments that :func:`main` parsed, ``cwd``, the working directory that
+    their relative paths are read from, the :func:`_environment`, the paths
     before it, and ``timings``, the wall seconds of each stage of the run.
     The stages are disjoint parts of ``duration_seconds``, except ``sample``
     and ``evolve``: a serial run's parts of ``simulate``.  ``peak_rss_mb`` is
@@ -192,6 +193,7 @@ def _write_run(out, command: list, dataset: DecayDataset, started: float, timing
     _write_json(out_dir / "manifest.json", {
         **{key: dataset.provenance[key] for key in ("config", "seed", "tool_version")},
         "command": command,
+        "cwd": os.getcwd(),
         "environment": _environment(),
         "outputs": outputs,
         "duration_seconds": time.monotonic() - started,

@@ -57,13 +57,13 @@ class GateSet:
         self._check_unitary()
         self._check_group_structure()
 
-    def _check_unitary(self, tol: float = DEFAULT_TOL):
+    def _check_unitary(self):
         devs = np.abs(self.gates @ self.gates.conj().swapaxes(1, 2) - np.eye(self.space.d))
-        bad = np.flatnonzero(devs.max(axis=(1, 2)) > tol)
+        bad = np.flatnonzero(devs.max(axis=(1, 2)) > DEFAULT_TOL)
         if bad.size:
             raise ValueError(f"gate {bad[0]} of {self.label!r} is not unitary")
 
-    def _check_group_structure(self, tol: float = 1e-7):
+    def _check_group_structure(self):
         # Group structure is verified through the averaged action: the twirl
         # must be idempotent and absorb every member from both sides.  Block
         # sets like {P (+) +-1} close only up to subspace-relative phases
@@ -71,7 +71,7 @@ class GateSet:
         # test would reject but the averaged action cancels.
         avg, lios = self.twirl_matrix, self.gate_liouvilles
         dev = np.max(np.abs(np.concatenate([[avg @ avg], avg @ lios, lios @ avg]) - avg))
-        if dev > tol:
+        if dev > 1e-7:
             raise ValueError(
                 f"gate set {self.label!r} does not average like a group "
                 f"(deviation {dev:.3e})"
@@ -216,7 +216,6 @@ class ExactModel:
         self.mean = _read_only(self.steps.mean(axis=0))
         delta = self.mean - gs.twirl_matrix @ average.liouville
         self.epsilon = gs.space.d * float(np.linalg.svd(delta, compute_uv=False)[0])
-        self.average = average
         self.transfer = _read_only(transfer_matrix(average))
 
     @property
@@ -265,7 +264,7 @@ def gateset_by_id(name: str) -> GateSet:
     if name in _NAMED_GATESETS:
         return _NAMED_GATESETS[name]()
     if name.endswith(".json"):
-        with open(name, "r", encoding="utf-8") as fh:
+        with open(name, "r", encoding="utf-8-sig") as fh:
             return gateset_from_dict(json.load(fh))
     raise ValueError(f"unknown gate set {name!r}")
 

@@ -95,10 +95,6 @@ class Channel:
         self.liouville = _read_only(lio)
 
     @classmethod
-    def unitary(cls, space: SpaceSpec, u: np.ndarray) -> "Channel":
-        return cls(space, [u])
-
-    @classmethod
     def from_liouville(cls, space: SpaceSpec, matrix: np.ndarray) -> "Channel":
         """Recover a Kraus list from an elementary-basis Liouville matrix.
 
@@ -340,19 +336,6 @@ def read_operators(doc, path: str, fields: dict, key: str):
     dims = f"{prefix}d1 + {prefix}d2"
     matrices = [square_matrix(m, d, f"{prefix}{key}[{i}]", dims) for i, m in enumerate(values[key])]
     return values, SpaceSpec(d1=values["d1"], d2=values["d2"]), matrices
-
-
-def matrix_to_pairs(m: np.ndarray) -> list:
-    """Row-major list of [re, im] pairs."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]
-
-
-def channel_to_dict(ch: Channel) -> dict:
-    return {
-        "d1": ch.space.d1,
-        "d2": ch.space.d2,
-        "kraus": [matrix_to_pairs(k) for k in ch.kraus],
-    }
 
 
 #: The channel JSON: {d1, d2, kraus: [[[re, im], ...row-major...], ...]}.

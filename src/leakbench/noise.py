@@ -247,8 +247,8 @@ def pcg64_integers(seeds: np.ndarray, high: int, lengths, states: bool = False):
     32-bit words, low half first, and a word x draws (x high) >> 32 (Lemire's
     method) unless the low half of x high is below (2^32 - high) mod high;
     high = 1 draws nothing.  A row with such a rejection, possible only when
-    high is not a power of two, and every row when high > 2^32, is redrawn by
-    its own Generator.
+    high is not a power of two, is redrawn by its own Generator.  A ``high``
+    outside [1, 2^32], beyond any gate set, is refused.
 
     Returns the draws (k, max(lengths)), zero past each row's length, and
     with ``states`` each stream's end after its draws as three arrays: its
@@ -257,8 +257,8 @@ def pcg64_integers(seeds: np.ndarray, high: int, lengths, states: bool = False):
     every stream in turn.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
-    if high < 1:
-        raise ValueError(f"high must be >= 1, got {high}")
+    if not 1 <= high <= 1 << 32:
+        raise ValueError(f"high must be in [1, 2^32], got {high}")
     if lengths.shape != seeds.shape[2:] or np.any(lengths < 0):
         raise ValueError("lengths must hold one non-negative length per seed")
     k = len(lengths)
@@ -266,12 +266,12 @@ def pcg64_integers(seeds: np.ndarray, high: int, lengths, states: bool = False):
     post, uinteger = seeds.copy(), np.zeros(k, dtype=np.uint64)
     steps = (lengths + 1) // 2 if high > 1 else np.zeros(k, dtype=np.intp)
     has_uint32 = lengths % 2 * (steps > 0)
-    redraw = steps > 0 if high > 1 << 32 else np.zeros(k, dtype=bool)
+    redraw = np.zeros(k, dtype=bool)
     threshold = ((1 << 32) - high) % high
     ends = np.cumsum(steps)
     tables = _jump_tables(1 << int(steps.max(initial=1) - 1).bit_length())
     lo = 0
-    while 1 < high <= 1 << 32 and lo < k:
+    while high > 1 and lo < k:
         base = ends[lo] - steps[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, base + _DRAW_CHUNK, side="right")))
         count, local_ends = steps[lo:hi], ends[lo:hi] - base
@@ -560,7 +560,7 @@ def sample_coherent_noise(sp: ShelvingParams, rng) -> Channel:
     normals from ``rng``.
     """
     normals = as_generator(rng).standard_normal(sp.n_normals)
-    return Channel.unitary(QUTRIT, sp.unitaries(normals))
+    return Channel(QUTRIT, [sp.unitaries(normals)])
 
 
 #: Draws per batch of the Monte Carlo average: the pinned layout of its stream.

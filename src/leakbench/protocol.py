@@ -198,7 +198,7 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark or none
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
@@ -332,7 +332,7 @@ class DecayDataset:
 
     @classmethod
     def from_json(cls, path: str) -> "DecayDataset":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return cls._from_document(json.load(fh))
 
 

@@ -5,6 +5,8 @@ Trace-orthonormal operator bases (``OperatorBasis``, ``vectorize``,
 the canonical matrix-unit Liouville form of ``leakbench.liouville`` is
 checked.  The weighted mixture of channels (``mix``), which test fixtures
 build and whose uniform case is the program's average of fixed noise.  The
+channel and matrix writers of the input documents (``channel_to_dict``,
+``matrix_to_pairs``), which test fixtures write their inputs with.  The
 per-operator loop forms of the channel and gate-set algebra
 (``kraus_liouville``, ``apply_kraus``, ``kraus_sum``, ``group_deviation``,
 ``gate_dependence_epsilon``) and the numeric rank of a projector
@@ -188,6 +190,16 @@ def mix(channels, weights=None) -> Channel:
     lios = np.array([ch.liouville for ch in channels])
     mean = np.dot(weights[None], lios.reshape(n, -1)).reshape(lios.shape[1:])
     return Channel(channels[0].space, kraus, mean)
+
+
+def matrix_to_pairs(m: np.ndarray) -> list:
+    """The row-major list of [re, im] pairs that an input document holds a matrix as."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]
+
+
+def channel_to_dict(ch: Channel) -> dict:
+    """The channel JSON of ``ch``, which ``channel_from_dict`` reads back."""
+    return {"d1": ch.space.d1, "d2": ch.space.d2, "kraus": [matrix_to_pairs(k) for k in ch.kraus]}
 
 
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:

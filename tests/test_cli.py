@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from helpers import run_python, unvalidated_gateset
 from reference import (
+    channel_to_dict,
     decay_eigenvalues,
     filter_diagnostics,
     incoherent_survival,
+    matrix_to_pairs,
     numeric_rank,
     transfer_block,
 )
@@ -39,7 +41,7 @@ from leakbench.cli import (
     run_checks,
 )
 from leakbench.gatesets import GateSet, PAULI_X, PAULIS, average_noise
-from leakbench.liouville import SpaceSpec, matrix_to_pairs
+from leakbench.liouville import SpaceSpec
 from leakbench.noise import RandomStream
 from leakbench.protocol import (
     ConfigError,
@@ -323,8 +325,6 @@ def test_simulate_config_error_says_what_was_expected(tmp_path, capsys, change, 
 
 
 def test_simulate_spam_on_the_wrong_space_is_config_error(tmp_path, capsys):
-    from leakbench.liouville import channel_to_dict
-
     qutrit_identity = channel_to_dict(lb.Channel(SpaceSpec(2, 1), [np.eye(3)]))
     out = tmp_path / "out"
     for spam, key in (
@@ -664,18 +664,28 @@ def test_reproduce_oracle_matches_the_trace_formulas(figure, seed):
 )
 def test_fit_of_a_reproduced_dataset_writes_its_fit_bytes(tmp_path, capsys, figure, name, model):
     # The file's rows read back to the columns that reproduce fitted, bit for bit;
-    # a CSV that a spreadsheet saved with a byte-order mark reads as the same rows.
+    # a dataset, a config or a gate set that an editor or a spreadsheet saved with
+    # a byte-order mark reads as the same document.
+    bom = b"\xef\xbb\xbf"
     out = tmp_path / "rep"
     assert main(["reproduce", figure, "--out", str(out)]) == EXIT_OK
-    copies = [out / name]
-    if name.endswith(".csv"):
-        copies.append(tmp_path / "bom.csv")
-        copies[1].write_bytes(b"\xef\xbb\xbf" + copies[0].read_bytes())
+    copies = [out / name, tmp_path / f"bom-{name}"]
+    copies[1].write_bytes(bom + copies[0].read_bytes())
     for i, dataset in enumerate(copies):
         fitted = tmp_path / f"fit{i}.json"
         assert main(["fit", str(dataset), "--model", model, "--out", str(fitted)]) == EXIT_OK
         assert fitted.read_bytes() == (out / "fit.json").read_bytes()
     assert capsys.readouterr().out.count(f"{model}: ") == len(copies)
+    cfg = figure_config(figure)
+    gates = tmp_path / "bom-gates.json"
+    gs = lb.gateset_by_id(cfg.gateset)
+    doc = {"d1": gs.space.d1, "d2": gs.space.d2, "gates": [matrix_to_pairs(g) for g in gs.gates]}
+    gates.write_bytes(bom + json.dumps(doc).encode())
+    config = tmp_path / "bom-config.json"
+    config.write_bytes(bom + json.dumps({**cfg.to_dict(), "gateset": str(gates)}).encode())
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--out", str(sim)]) == EXIT_OK
+    assert (sim / "decay.csv").read_bytes() == (out / "decay.csv").read_bytes()
 
 
 def test_reproduce_fig1_byte_identical(tmp_path):

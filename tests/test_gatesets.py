@@ -8,6 +8,7 @@ from helpers import random_channel, random_density
 from reference import (
     gate_dependence_epsilon,
     group_deviation,
+    matrix_to_pairs,
     numeric_rank,
     stacked_gate_dependence_epsilon,
 )
@@ -24,7 +25,7 @@ from leakbench.gatesets import (
     gateset_from_dict,
     predicted_twirl_matrix,
 )
-from leakbench.liouville import matrix_to_pairs, vec
+from leakbench.liouville import vec
 from leakbench.protocol import _experiment_components
 
 QUBIT = SpaceSpec(d1=2, d2=0)
@@ -274,9 +275,10 @@ def test_transfer_decays_are_eigenvalues_of_the_averaged_step(name):
     # The twirled closed form is exact for gate-independent noise because the
     # transfer block's decays are S's eigenvalues on the twirl's range.
     gs, ch = gateset_by_id(name), UNIFORM_CHANNELS[name]()
-    model = lb.NoiseAssignment.uniform(ch, len(gs)).exact_model(gs)
+    na = lb.NoiseAssignment.uniform(ch, len(gs))
+    model = na.exact_model(gs)
     # One channel on every gate is its own mixture, so B is the channel's own block.
-    assert model.average is ch
+    assert na.average is ch
     assert model.transfer.tobytes() == lb.transfer_matrix(ch).tobytes()
     spectrum = np.linalg.eigvals(model.mean)
     decays = np.linalg.eigvals(model.transfer)
@@ -292,7 +294,7 @@ def test_fig1_oracle_decay_read_from_the_model_is_the_average_channels(seed):
     expected = float(np.linalg.eigvals(lb.transfer_matrix(lb.average_noise(na))).real.min())
     model = na.exact_model(gs)
     assert model.decay == expected
-    assert model.transfer.tobytes() == lb.transfer_matrix(model.average).tobytes()
+    assert model.transfer.tobytes() == lb.transfer_matrix(na.average).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import design, run_python
+from reference import channel_to_dict, matrix_to_pairs
 
 from leakbench import gatesets, liouville, noise, protocol
 from leakbench.cli import main
-from leakbench.liouville import channel_to_dict, matrix_to_pairs
 from leakbench.protocol import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -16,14 +16,20 @@ import json
 import numpy as np
 import pytest
 from helpers import SETS, design
-from reference import decay_eigenvalues, run_sequence, transfer_block
+from reference import (
+    channel_to_dict,
+    decay_eigenvalues,
+    matrix_to_pairs,
+    run_sequence,
+    transfer_block,
+)
 
 import leakbench as lb
 import leakbench.protocol as protocol
 from leakbench import Channel, SpaceSpec
 from leakbench.gatesets import NoiseAssignment
 from leakbench.cli import main
-from leakbench.liouville import channel_to_dict, liouville_from_kraus, matrix_to_pairs
+from leakbench.liouville import liouville_from_kraus
 from leakbench.protocol import (
     decay_parameters,
     exact_expectations,

@@ -9,12 +9,14 @@ from reference import (
     OperatorBasis,
     apply_kraus,
     born_probability,
+    channel_to_dict,
     decay_eigenvalues,
     elementary_basis,
     haar_unitary,
     incoherent_survival,
     kraus_liouville,
     kraus_sum,
+    matrix_to_pairs,
     mix,
     normalized_pauli_basis,
     shelving_pulse,
@@ -31,9 +33,7 @@ from leakbench.liouville import (
     ConfigError,
     _kron_conj,
     channel_from_dict,
-    channel_to_dict,
     complex_entries,
-    matrix_to_pairs,
     vec,
 )
 
@@ -148,7 +148,7 @@ def test_identity_channel_liouville():
 def test_unitary_channel_liouville_is_u_kron_ustar():
     rng = np.random.default_rng(5)
     u = haar_unitary(3, rng)
-    ch = Channel.unitary(QUTRIT, u)
+    ch = Channel(QUTRIT, [u])
     assert np.max(np.abs(ch.liouville - np.kron(u, u.conj()))) < 1e-12
 
 
@@ -284,7 +284,7 @@ def test_transfer_matrix_identity():
 
 
 def test_transfer_matrix_ideal_shelving_pulse():
-    ch = Channel.unitary(QUTRIT, shelving_pulse(0.0))
+    ch = Channel(QUTRIT, [shelving_pulse(0.0)])
     s = lb.transfer_matrix(ch)
     assert np.max(np.abs(s - transfer_block(ch))) < 1e-12
     # swaps the leak level with one code level
@@ -292,7 +292,7 @@ def test_transfer_matrix_ideal_shelving_pulse():
 
 
 def test_transfer_matrix_quarter_pulse_keeps_leak_population():
-    ch = Channel.unitary(QUTRIT, shelving_pulse(np.pi / 2))
+    ch = Channel(QUTRIT, [shelving_pulse(np.pi / 2)])
     s = lb.transfer_matrix(ch)
     assert np.max(np.abs(s - transfer_block(ch))) < 1e-12
     assert abs(s[1, 1] - 1.0) < 1e-12
@@ -503,7 +503,7 @@ def _made_channels():
     pauli = lb.pauli_gateset()
     made = {
         "kraus list": random_channel(QUTRIT, rng, n_kraus=4, scale=0.97),
-        "unitary": Channel.unitary(QUTRIT, haar_unitary(3, rng)),
+        "unitary": Channel(QUTRIT, [haar_unitary(3, rng)]),
         "filter_channel": lb.filter_channel(lb.FilterParams(p=0.03, bloch=(0.0, 0.6, 0.8))),
         "channel_from_dict": channel_from_dict(channel_to_dict(random_channel(QUBIT, rng))),
         "from_liouville": Channel.from_liouville(QUTRIT, random_channel(QUTRIT, rng).liouville),

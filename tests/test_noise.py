@@ -76,14 +76,20 @@ DRAW_LENGTHS = [7, 1, 2, 0, 12, 5, 33, 2, 1, 8, 3, 64, 9, 4, 1, 2, 6, 21, 11, 10
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
-@pytest.mark.parametrize("high", [1, 2, 3, 4, 8, 24, 2**31 + 1, 2**33])
+@pytest.mark.parametrize("high", [1, 2, 3, 4, 8, 24, 2**31 + 1, 2**32, 2**33])
 @pytest.mark.parametrize("seed", [0, 2**32, 2**70 + 5])
 def test_pcg64_integers_match_generator_integers(monkeypatch, seed, high, chunk):
     # With high = 2^31 + 1 about half of the words are rejected, so nearly every
-    # row is redrawn by its own Generator; above 2^32 every row is.
+    # row is redrawn by its own Generator; a high above 2^32, past any gate set,
+    # is refused, as is one below 1.
     if chunk is not None:
         monkeypatch.setattr(noise, "_DRAW_CHUNK", chunk)
     keys = DERIVATION_KEYS[: len(DRAW_LENGTHS)]
+    if high > 2**32:
+        for bad in (high, 2**32 + 1, 0):
+            with pytest.raises(ValueError, match=r"high must be in \[1, 2\^32\]"):
+                pcg64_integers(pcg64_seeds(seed, keys), bad, DRAW_LENGTHS)
+        return
     draws, ends = pcg64_integers(pcg64_seeds(seed, keys), high, DRAW_LENGTHS, states=True)
     assert draws.shape == (len(keys), max(DRAW_LENGTHS))
     for key, row, m, gen in zip(keys, draws, DRAW_LENGTHS, seated_generators(*ends)):

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from helpers import design, random_channel, random_density, run_python
 from reference import (
+    channel_to_dict,
     decay_eigenvalues,
     incoherent_survival,
+    matrix_to_pairs,
     mix,
     run_sequence,
     sample_sequence,
@@ -460,10 +462,10 @@ def test_run_experiment_with_shots():
     assert np.allclose(values, np.round(values), atol=1e-9)
 
 
-def _per_sequence_reference(cfg):
+def _per_sequence_reference(cfg, components=None):
     """Means and sems from the reference run_sequence, one sequence and one
-    generator at a time, on the same streams."""
-    gs, noise, spam, noise_seed = _experiment_components(cfg)
+    generator at a time, on the same streams, of ``components`` or the config's own."""
+    gs, noise, spam, noise_seed = components or _experiment_components(cfg)
     means, sems = [], []
     for m in cfg.m_list:
         ps = []
@@ -481,8 +483,6 @@ def _per_sequence_reference(cfg):
 
 
 def _spam_doc(space, seed):
-    from leakbench.liouville import channel_to_dict
-
     rng = np.random.default_rng(seed)
     return {
         "prep": channel_to_dict(random_channel(space, rng, scale=0.98)),
@@ -513,6 +513,19 @@ def test_batched_engine_matches_per_sequence_reference(gateset, noise, spam, sho
     )
     dataset = run_experiment(cfg)
     means, sems = _per_sequence_reference(cfg)
+    assert np.max(np.abs(dataset.means - means)) < 1e-12
+    assert np.max(np.abs(dataset.sems - sems)) < 1e-12
+
+
+def test_nine_gates_with_shots_match_the_per_sequence_reference():
+    # Nine gates, not a power of two: the index draws run their rejection test,
+    # and each sequence's shots continue its stream from the exported end state.
+    cfg = ExperimentConfig(
+        gateset="weyl.json", noise=None, m_list=(1, 3, 12), n_sequences=9, seed=29, shots=300
+    )
+    components = (*weyl_heisenberg(), 0)
+    dataset = run_experiment(cfg, components=components)
+    means, sems = _per_sequence_reference(cfg, components)
     assert np.max(np.abs(dataset.means - means)) < 1e-12
     assert np.max(np.abs(dataset.sems - sems)) < 1e-12
 
@@ -1253,7 +1266,6 @@ def test_decay_parameters_rejects_a_defective_block():
 def test_spam_config_roundtrip_and_execution():
     import json
 
-    from leakbench.liouville import channel_to_dict, matrix_to_pairs
     from leakbench.protocol import spam_from_dict
 
     excited = np.diag([0.0, 1.0]).astype(complex)

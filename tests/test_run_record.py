@@ -9,6 +9,7 @@ the per-length z-scores against the exact mean.
 """
 
 import json
+import os
 import platform
 import sys
 from types import SimpleNamespace
@@ -62,6 +63,16 @@ def test_simulate_and_reproduce_record_the_command_they_parsed(tmp_path, capsys,
     monkeypatch.setattr(sys, "argv", ["leakbench", *command])
     assert main() == EXIT_OK
     assert _manifest(tmp_path / "argv")["command"] == command
+
+
+def test_a_run_records_the_directory_its_relative_paths_are_read_from(tmp_path, monkeypatch):
+    (tmp_path / "config.json").write_text(json.dumps(NOISELESS))
+    monkeypatch.chdir(tmp_path)
+    command = ["simulate", "--config", "config.json", "--out", "sim"]
+    assert main(command) == EXIT_OK
+    manifest = _manifest(tmp_path / "sim")
+    assert manifest["command"] == command
+    assert manifest["cwd"] == os.getcwd() and os.path.samefile(manifest["cwd"], tmp_path)
 
 
 def test_the_environment_is_read_once_per_process_without_platform_platform(

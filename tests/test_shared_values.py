@@ -23,7 +23,7 @@ import leakbench.gatesets as gatesets
 import leakbench.protocol as protocol
 from leakbench import GateSet, NoiseAssignment, SpaceSpec
 from leakbench.gatesets import PAULIS, average_noise, gateset_by_id, gateset_from_dict, twirl
-from leakbench.liouville import _kron_conj, matrix_to_pairs
+from leakbench.liouville import _kron_conj
 from leakbench.noise import RandomStream, build_noise_model, sample_filter_assignment
 from leakbench.protocol import (
     ExperimentConfig,
@@ -128,7 +128,7 @@ def test_gateset_json_path_is_read_afresh(tmp_path):
     path = tmp_path / "gates.json"
 
     def write(gates, label):
-        doc = {"d1": 2, "gates": [matrix_to_pairs(g) for g in gates], "label": label}
+        doc = {"d1": 2, "gates": [reference.matrix_to_pairs(g) for g in gates], "label": label}
         path.write_text(json.dumps(doc))
 
     write(PAULIS, "paulis")
@@ -278,7 +278,7 @@ def test_averaged_step_is_shared_and_read_only(name):
     assert_shared_read_only(model, "steps", steps)
     assert_shared_read_only(model, "mean", reference.averaged_step(gs.gates, na.channels))
     assert_shared_read_only(model, "transfer", lb.transfer_matrix(average_noise(na)))
-    assert model.average is average_noise(na)
+    assert na.average is average_noise(na)
 
 
 def test_one_noise_on_two_gate_sets_of_equal_size_keeps_two_entries():
@@ -440,9 +440,10 @@ def test_copies_hold_their_originals_arrays_bit_for_bit(kind, how):
 GATESET_WAYS = {
     "named": lambda: gateset_by_id("pauli"),
     "signed-design": lambda: lb.signed_design_gateset(PAULIS, [np.eye(1)], label="signed"),
-    "document": lambda: gateset_from_dict(
-        {"d1": 2, "d2": 1, "gates": [matrix_to_pairs(g) for g in gateset_by_id("shelving").gates]}
-    ),
+    "document": lambda: gateset_from_dict({
+        "d1": 2, "d2": 1,
+        "gates": [reference.matrix_to_pairs(g) for g in gateset_by_id("shelving").gates],
+    }),
     "unvalidated": lambda: unvalidated_gateset(SpaceSpec(2, 2), GATESETS["blocks"]().gates, "blocks"),
     "pickled": lambda: pickle.loads(pickle.dumps(gateset_by_id("shelving"))),
     "deepcopied": lambda: copy.deepcopy(gateset_by_id("pauli")),
